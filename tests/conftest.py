@@ -2,8 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from srlab import SystemParams, generate_spoke_target
-from srlab.scenario import default_scenario
+from srlab import SolverConfig, StarSpec, SystemParams, generate_spoke_target
+from srlab.scenario import Scenario, default_scenario
 
 hypothesis.settings.register_profile(
     "srlab", max_examples=25, deadline=None,
@@ -14,6 +14,15 @@ hypothesis.settings.load_profile("srlab")
 @pytest.fixture(scope="session")
 def scenario():
     return default_scenario()
+
+
+@pytest.fixture(scope="session")
+def tiny_scenario():
+    """Small, fast scenario for campaign plumbing tests."""
+    star = StarSpec(cycles=64, outer_radius=40.0, inner_radius=4.0,
+                    center=(64.0, 64.0), supersample=2)
+    solver = SolverConfig(lam=0.25, max_iters=3, rel_tol=1e-9)
+    return Scenario(star=star, grid_size=(128, 128), solver=solver, n_rings=20)
 
 
 @pytest.fixture(scope="session")

@@ -5,20 +5,8 @@ from dataclasses import replace
 from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
                               sweep, sweep_grid)
-from srlab.scenario import Scenario
 from srlab.seeding import child_seed
 from srlab.simulator import SIGMA_PER_FWHM, SystemParams
-from srlab.solver import SolverConfig
-from srlab.target import StarSpec
-
-
-@pytest.fixture(scope="module")
-def tiny_scenario():
-    """Small, fast scenario for campaign plumbing tests."""
-    star = StarSpec(cycles=64, outer_radius=40.0, inner_radius=4.0,
-                    center=(64.0, 64.0), supersample=2)
-    solver = SolverConfig(lam=0.25, max_iters=3, rel_tol=1e-9)
-    return Scenario(star=star, grid_size=(128, 128), solver=solver, n_rings=20)
 
 
 def test_distribution_validation():
