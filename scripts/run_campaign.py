@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from srlab.montecarlo import ParameterSpec, run_campaign
-from srlab.scenario import default_scenario
+from srlab.scenario import Scenario
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
     def progress(done, total):
         print(f"\r{done}/{total} trials", end="", file=sys.stderr, flush=True)
 
-    campaign = run_campaign(ParameterSpec(), default_scenario(), args.trials,
+    campaign = run_campaign(ParameterSpec(), Scenario(), args.trials,
                             args.seed, bin_width_m=args.bin_width,
                             threads=args.threads, progress=progress)
     print(file=sys.stderr)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from srlab import (SystemParams, generate_spoke_target, measure_resolution,
                    simulate_observations, super_resolve)
-from srlab.scenario import default_scenario
+from srlab.scenario import Scenario
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     parser.add_argument("--out-dir", default="out_nominal")
     args = parser.parse_args()
 
-    scenario = default_scenario()
+    scenario = Scenario()
     params = SystemParams()
     target = generate_spoke_target(scenario.star, scenario.grid_size)
     obs1, obs2 = simulate_observations(target, params, args.seed)

@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from srlab.montecarlo import sweep, sweep_grid
-from srlab.scenario import default_scenario
+from srlab.scenario import Scenario
 
 SWEEPS = [
     ("optics_mtf", [0.10, 0.20, 0.30, 0.40, 0.50]),
@@ -28,7 +28,7 @@ def main():
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
-    scenario = default_scenario()
+    scenario = Scenario()
     for name, values in SWEEPS:
         result = sweep(name, values, scenario,
                        seeds_per_value=args.seeds_per_value,

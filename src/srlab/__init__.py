@@ -17,8 +17,7 @@ from .montecarlo import (CampaignResult, ParameterDistribution, ParameterSpec,
 from .mtf import (GeometryConstants, MtfChainParams, diffraction_mtf,
                   footprint_mtf, jitter_mtf, lpmm_to_cycles_per_hr_sample,
                   optics_mtf, sampling_mtf, smear_mtf, system_otf)
-from .scenario import (Scenario, ScenarioConfig, calibrated_solver,
-                       default_scenario, load_config)
+from .scenario import Scenario, ScenarioConfig, load_config
 from .simulator import (Observation, SystemParams, add_noise,
                         render_blurred_scene, sample_subarray,
                         simulate_observations)

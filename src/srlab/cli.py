@@ -171,7 +171,8 @@ def cmd_measure(args) -> int:
     star = meta["star"]
     report = measure_resolution(
         image, tuple(star["center"]), star["cycles"], meta["nem_signal"],
-        meta["noise_sigma"], star["outer_radius"], sector=args.sector)
+        meta["noise_sigma"], star["outer_radius"], sector=args.sector,
+        n_rings=config.scenario.n_rings)
     _write_csv(out / "curve.csv", ["f_cyc_per_hr_px", "modulation", "nem"],
                [[repr(f), repr(m), repr(report.nem)] for f, m in report.curve])
     summary = {

@@ -1,18 +1,22 @@
 """Monte Carlo campaigns and one-at-a-time parameter sweeps.
 
-Each trial samples system parameters from their distributions, runs the
-full simulate -> super-resolve -> measure pipeline, and records the
-achieved resolution.  Trials derive their random streams from (master
-seed, trial index), so campaigns are bit-reproducible regardless of
-worker count or execution order.
+Each trial runs the full simulate -> super-resolve -> measure pipeline
+for one (system parameters, noise seed) pair and records the achieved
+resolution.  A campaign or sweep is a plan of such pairs run by one
+executor: campaigns sample the parameters from their distributions,
+sweeps take the product of value axes.  Seeds derive from (master seed,
+index), so results are bit-reproducible regardless of worker count or
+execution order.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +81,10 @@ class ParameterDistribution:
                 raise ValueError(f"{self.name}: choice distribution needs choices")
         elif self.low > self.high:
             raise ValueError(f"{self.name}: empty range [{self.low}, {self.high}]")
+        elif not self.low <= self.nominal <= self.high:
+            # a gaussian centered outside its range would never be accepted
+            raise ValueError(f"{self.name}: nominal {self.nominal} outside "
+                             f"[{self.low}, {self.high}]")
 
     def draw(self, rng: np.random.Generator) -> float:
         if self.kind == "choice":
@@ -223,33 +231,29 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int,
                            time.perf_counter() - t0, error=str(exc))
 
 
-def _campaign_task(args):
-    index, spec, scenario, master_seed, target = args
-    params = sample_parameters(spec, child_seed(master_seed, index, 0))
-    result = run_trial(params, scenario, child_seed(master_seed, index, 1),
-                       target=target)
-    return index, result
+def _trial_task(task) -> TrialResult:
+    params, seed, scenario, target = task
+    return run_trial(params, scenario, seed, target=target)
 
 
-def _run_indexed(runner, tasks, threads: int, progress=None):
-    """Run (index, ...) task tuples; results land by index, so the output
-    is identical for any worker count or completion order."""
-    results = [None] * len(tasks)
-    if threads <= 1:
-        for i, task in enumerate(tasks):
-            idx, res = runner(task)
-            results[idx] = res
+def _run_plan(plan, scenario: Scenario, threads: int,
+              progress=None) -> list[TrialResult]:
+    """Run each (params, seed) pair of the plan through run_trial.
+
+    The target is rasterized once for the whole plan.  Results come back
+    in plan order (map keeps it), so they are identical for any worker
+    count or completion order.
+    """
+    target = generate_spoke_target(scenario.star, scenario.grid_size)
+    tasks = [(params, seed, scenario, target) for params, seed in plan]
+    trials = []
+    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
+        for trial in (pool.map if pool else map)(_trial_task, tasks):
+            trials.append(trial)
             if progress:
-                progress(i + 1, len(tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = 0
-            for idx, res in pool.map(runner, tasks):
-                results[idx] = res
-                done += 1
-                if progress:
-                    progress(done, len(tasks))
-    return results
+                progress(len(trials), len(tasks))
+    return trials
 
 
 def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
@@ -268,9 +272,9 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
         raise ValueError("need at least one trial")
     if bin_width_m <= 0:
         raise ValueError("bin width must be > 0")
-    target = generate_spoke_target(scenario.star, scenario.grid_size)
-    tasks = [(i, spec, scenario, master_seed, target) for i in range(n_trials)]
-    trials = _run_indexed(_campaign_task, tasks, threads, progress)
+    plan = [(sample_parameters(spec, child_seed(master_seed, i, 0)),
+             child_seed(master_seed, i, 1)) for i in range(n_trials)]
+    trials = _run_plan(plan, scenario, threads, progress)
 
     resolved = [t.resolution_m for t in trials if t.resolution_m is not None]
     n_failed = sum(1 for t in trials if t.error is not None)
@@ -303,9 +307,39 @@ def _resolve_field(parameter: str) -> str:
                      f"expected one of {sorted(PARAMETER_FIELDS)}")
 
 
-def _sweep_task(args):
-    index, params, scenario, seed, target = args
-    return index, run_trial(params, scenario, seed, target=target)
+def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
+                master_seed: int) -> list[tuple[SystemParams, int]]:
+    """(params, seed) pairs over the product of the (parameter, values) axes.
+
+    Cells run in row-major order; every cell runs the seeds
+    child_seed(master_seed, j), j < seeds_per_value, so noise
+    realizations are paired across cells.
+    """
+    if seeds_per_value < 1:
+        raise ValueError("seeds_per_value must be >= 1")
+    if any(len(values) < 2 for _, values in axes):
+        raise ValueError("sweep needs at least 2 values per parameter")
+    names = [_resolve_field(parameter) for parameter, _ in axes]
+    base = base or SystemParams()
+    seeds = [child_seed(master_seed, j) for j in range(seeds_per_value)]
+    plan = []
+    for cell in itertools.product(*(values for _, values in axes)):
+        params = replace(base, **{name: int(v) if name == "n_phi" else float(v)
+                                  for name, v in zip(names, cell)})
+        plan += [(params, seed) for seed in seeds]
+    return plan
+
+
+def _cell_means(trials: list[TrialResult], seeds_per_value: int):
+    """Split plan-ordered trials into cells; mean resolution per cell over
+    resolved trials (None if none resolved)."""
+    cells = [trials[i:i + seeds_per_value]
+             for i in range(0, len(trials), seeds_per_value)]
+    means: list[float | None] = []
+    for cell in cells:
+        resolved = [t.resolution_m for t in cell if t.resolution_m is not None]
+        means.append(float(np.mean(resolved)) if resolved else None)
+    return cells, means
 
 
 def sweep(parameter: str, values, scenario: Scenario, seeds_per_value: int = 5,
@@ -317,33 +351,10 @@ def sweep(parameter: str, values, scenario: Scenario, seeds_per_value: int = 5,
     which stabilizes the monotonicity comparisons.  Mean resolution per
     value covers resolved trials only (None if none resolved).
     """
-    values = [v for v in values]
-    if len(values) < 2:
-        raise ValueError("sweep needs at least 2 values")
-    if seeds_per_value < 1:
-        raise ValueError("seeds_per_value must be >= 1")
-    fname = _resolve_field(parameter)
-    base = base or SystemParams()
-    target = generate_spoke_target(scenario.star, scenario.grid_size)
-
-    flat_params = []
-    for v in values:
-        value = int(v) if fname == "n_phi" else float(v)
-        flat_params.append(replace(base, **{fname: value}))
-
-    tasks = []
-    for vi, params in enumerate(flat_params):
-        for j in range(seeds_per_value):
-            tasks.append((vi * seeds_per_value + j, params, scenario,
-                          child_seed(master_seed, j), target))
-    trials_flat = _run_indexed(_sweep_task, tasks, threads, progress)
-
-    trials = [trials_flat[vi * seeds_per_value:(vi + 1) * seeds_per_value]
-              for vi in range(len(values))]
-    means: list[float | None] = []
-    for group in trials:
-        resolved = [t.resolution_m for t in group if t.resolution_m is not None]
-        means.append(float(np.mean(resolved)) if resolved else None)
+    values = list(values)
+    plan = _sweep_plan([(parameter, values)], base, seeds_per_value, master_seed)
+    trials, means = _cell_means(_run_plan(plan, scenario, threads, progress),
+                                seeds_per_value)
     return SweepResult(parameter=parameter, values=[float(v) for v in values],
                        trials=trials, mean_resolution_m=means)
 
@@ -354,30 +365,12 @@ def sweep_grid(param_a: str, values_a, param_b: str, values_b,
                threads: int = 1) -> np.ndarray:
     """Two-parameter grid of mean resolutions (rows: values_a, cols: values_b).
 
-    Entries are NaN where no trial resolved.
+    Seeds are paired across cells as in sweep.  Entries are NaN where no
+    trial resolved.
     """
-    fa, fb = _resolve_field(param_a), _resolve_field(param_b)
-    base = base or SystemParams()
-    target = generate_spoke_target(scenario.star, scenario.grid_size)
     values_a, values_b = list(values_a), list(values_b)
-
-    tasks = []
-    for ai, va in enumerate(values_a):
-        for bi, vb in enumerate(values_b):
-            kw = {fa: int(va) if fa == "n_phi" else float(va),
-                  fb: int(vb) if fb == "n_phi" else float(vb)}
-            params = replace(base, **kw)
-            for j in range(seeds_per_value):
-                idx = (ai * len(values_b) + bi) * seeds_per_value + j
-                tasks.append((idx, params, scenario, child_seed(master_seed, j), target))
-    flat = _run_indexed(_sweep_task, tasks, threads)
-
-    grid = np.full((len(values_a), len(values_b)), np.nan)
-    for ai in range(len(values_a)):
-        for bi in range(len(values_b)):
-            start = (ai * len(values_b) + bi) * seeds_per_value
-            group = flat[start:start + seeds_per_value]
-            resolved = [t.resolution_m for t in group if t.resolution_m is not None]
-            if resolved:
-                grid[ai, bi] = float(np.mean(resolved))
-    return grid
+    plan = _sweep_plan([(param_a, values_a), (param_b, values_b)], base,
+                       seeds_per_value, master_seed)
+    _, means = _cell_means(_run_plan(plan, scenario, threads), seeds_per_value)
+    return np.array([np.nan if m is None else m for m in means]).reshape(
+        len(values_a), len(values_b))

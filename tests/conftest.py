@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from srlab import SolverConfig, StarSpec, SystemParams, generate_spoke_target
-from srlab.scenario import Scenario, default_scenario
+from srlab.scenario import Scenario
 
 hypothesis.settings.register_profile(
     "srlab", max_examples=25, deadline=None,
@@ -13,7 +13,7 @@ hypothesis.settings.load_profile("srlab")
 
 @pytest.fixture(scope="session")
 def scenario():
-    return default_scenario()
+    return Scenario()
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from srlab.cli import main
 from srlab.grid import read_pgm
-from srlab.scenario import load_config
+from srlab.montecarlo import run_trial
+from srlab.scenario import Scenario, ScenarioConfig, load_config
+from srlab.simulator import SystemParams
 
 
 CONFIG = {
@@ -51,6 +54,16 @@ def test_config_lambda_alias(config_path):
     assert cfg.scenario.solver.lam == 0.25
     assert cfg.scenario.solver.p_radius == 2
     assert cfg.scenario.grid_size == (128, 128)
+
+
+def test_config_omitted_sections_take_defaults(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert load_config(path) == ScenarioConfig()
+    path.write_text(json.dumps({"solver": {"lambda": 0.25}, "grid": {"width": 128}}))
+    cfg = load_config(path)
+    assert cfg.scenario.solver == replace(Scenario().solver, lam=0.25)
+    assert cfg.scenario.grid_size == (256, 128)
 
 
 def test_config_malformed_json(tmp_path):
@@ -112,6 +125,23 @@ def test_pipeline_roundtrip(config_path, tmp_path):
     assert report["resolution_m"] is None or report["resolution_m"] > 0
     curve = (meas_dir / "curve.csv").read_text().splitlines()
     assert curve[0] == "f_cyc_per_hr_px,modulation,nem"
+
+
+def test_minimal_config_pipeline_matches_run_trial(tmp_path):
+    # every omitted section takes the defaults run_trial uses, and measure
+    # uses the config's ring ladder; what is left is 16-bit PGM quantization
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps({"montecarlo": {"master_seed": 42}}))
+    sim, sr, meas = tmp_path / "sim", tmp_path / "sr", tmp_path / "meas"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(sim)]) == 0
+    assert main(["superresolve", "--config", str(path),
+                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
+    assert main(["measure", "--config", str(path), "--image", str(sr / "sr.pgm"),
+                 "--meta", str(sim / "meta.json"), "--out-dir", str(meas)]) == 0
+    report = json.loads((meas / "report.json").read_text())
+    trial = run_trial(SystemParams(), Scenario(), 42)
+    assert trial.resolution_m is not None
+    assert report["resolution_m"] == pytest.approx(trial.resolution_m, rel=1e-3)
 
 
 def test_simulate_requires_seed(config_path, tmp_path):

@@ -18,6 +18,16 @@ def test_distribution_validation():
         ParameterDistribution("x", "choice", 1.0)
 
 
+def test_distribution_rejects_nominal_outside_range():
+    # construction only: draw's rejection loop would never end for these
+    for kind in ("gaussian", "uniform"):
+        with pytest.raises(ValueError, match="outside"):
+            ParameterDistribution("x", kind, 100.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            ParameterDistribution("x", kind, -0.5, 0.0, 1.0)
+    ParameterDistribution("x", "gaussian", 1.0, 0.0, 1.0)
+
+
 def test_defaults_match_variation_table():
     spec = ParameterSpec()
     assert (spec.optics_mtf.nominal, spec.optics_mtf.low, spec.optics_mtf.high) \
@@ -163,6 +173,13 @@ def test_sweep_validation(tiny_scenario):
         sweep("snr", [60.0], tiny_scenario)
     with pytest.raises(ValueError):
         sweep("snr", [30.0, 60.0], tiny_scenario, seeds_per_value=0)
+    with pytest.raises(ValueError, match="seeds_per_value"):
+        sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0], tiny_scenario,
+                   seeds_per_value=0)
+    with pytest.raises(ValueError, match="at least 2 values"):
+        sweep_grid("optics_mtf", [0.1], "snr", [30.0, 100.0], tiny_scenario)
+    with pytest.raises(ValueError, match="unknown parameter"):
+        sweep_grid("optics_mtf", [0.1, 0.5], "warp_speed", [1, 2], tiny_scenario)
 
 
 def test_sweep_clock_phase_is_integer(tiny_scenario):
