@@ -48,10 +48,10 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _out_dir(args, config: ScenarioConfig) -> Path:
-    out = Path(args.out_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _resolve_seed(args, config: ScenarioConfig) -> int:
@@ -71,9 +71,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cmd_target(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_target(args, config: ScenarioConfig, out: Path) -> int:
     star = config.scenario.star
     grid = generate_spoke_target(star, config.scenario.grid_size)
     write_pgm(out / "star.pgm", grid)
@@ -81,9 +79,7 @@ def cmd_target(args) -> int:
     return 0
 
 
-def cmd_mtf_curves(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_mtf_curves(args, config: ScenarioConfig, out: Path) -> int:
     header, rows = mtf_curve_table(config.system.mtf_chain(), n_points=args.points)
     _write_csv(out / "mtf_curves.csv", header,
                [[repr(float(v)) for v in row] for row in rows])
@@ -99,9 +95,7 @@ def _observation_meta(obs: Observation, name: str) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
     scenario, system = config.scenario, config.system
     target = generate_spoke_target(scenario.star, scenario.grid_size)
@@ -125,9 +119,7 @@ def cmd_simulate(args) -> int:
         "observations": [_observation_meta(obs1, "obs1.pgm"),
                          _observation_meta(obs2, "obs2.pgm")],
     }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "meta.json", meta)
     logger.info("wrote obs1.pgm, obs2.pgm, truth.pgm, meta.json to %s", out)
     return 0
 
@@ -145,9 +137,7 @@ def _load_observation(meta: dict, entry: dict, meta_dir: Path) -> Observation:
     )
 
 
-def cmd_superresolve(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
     meta_path = Path(args.meta)
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -162,9 +152,7 @@ def cmd_superresolve(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
     with open(args.meta, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     image = read_pgm(args.image)
@@ -184,9 +172,7 @@ def cmd_measure(args) -> int:
         "ladder_limited": report.ladder_limited,
         "degenerate_crossing": report.degenerate_crossing,
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", summary)
     logger.info("resolution: %s m", report.resolution_m)
     return 0
 
@@ -204,9 +190,7 @@ def _trial_row(index: int, trial) -> list[str]:
             str(trial.solver_converged), trial.error or ""]
 
 
-def cmd_montecarlo(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
     n_trials = args.trials or config.montecarlo.n_trials
     progress = None
@@ -233,17 +217,13 @@ def cmd_montecarlo(args) -> int:
         "p10_m": campaign.p10_m,
         "p90_m": campaign.p90_m,
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     logger.info("campaign: mode %.3f m over %d resolved trials",
                 campaign.mode_m, campaign.n_resolved)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+def cmd_sweep(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
     values = [float(v) for v in args.values.split(",")]
     result = sweep(args.param, values, config.scenario,
@@ -264,9 +244,7 @@ def cmd_sweep(args) -> int:
         "seeds_per_value": args.seeds_per_value,
         "master_seed": seed,
     }
-    with open(out / "sweep_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "sweep_summary.json", summary)
     logger.info("sweep %s: %s", result.parameter, result.mean_resolution_m)
     return 0
 
@@ -344,7 +322,10 @@ def main(argv=None) -> int:
     if args.verbose:
         logging.getLogger().setLevel(logging.INFO)
     try:
-        return args.func(args)
+        config = load_config(args.config)
+        out = Path(args.out_dir or config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, config, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -59,15 +59,14 @@ def subpixel_shift(x: np.ndarray, shift: tuple[float, float]) -> np.ndarray:
     return apply_transfer(x, shift_multiplier_2d(x.shape, (d0, d1)))
 
 
-def gaussian_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
+def gaussian_kernel(sigma: float) -> np.ndarray:
     """Unit-sum 2-D Gaussian kernel, truncated at ~4 sigma.
 
     Used as the solver-side blur estimate; sigma is in HR pixels.
     """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    if radius is None:
-        radius = max(1, int(np.ceil(4.0 * sigma)))
+    radius = max(1, int(np.ceil(4.0 * sigma)))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-0.5 * (t / sigma) ** 2)
     k = g[:, None] * g[None, :]

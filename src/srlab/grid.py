@@ -38,18 +38,14 @@ class ImageGrid:
         HR pixels per grid sample, per axis (row, col).  1.0 means one HR
         sample per cell; 0.25 means 4x supersampled.  A scalar applies to
         both axes.  Decimated observations carry anisotropic pitch.
-    origin : (float, float)
-        HR-pixel coordinates of grid cell (0, 0).
     """
 
     data: np.ndarray
     pitch: tuple[float, float] = (1.0, 1.0)
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
         self.pitch = _as_pitch(self.pitch)
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
         self.validate()
 
     @property
@@ -72,8 +68,8 @@ class ImageGrid:
             raise ValueError(f"grid has anisotropic pitch {self.pitch}")
         return pr
 
-    def validate(self) -> "ImageGrid":
-        """Check the container invariants; returns self for chaining."""
+    def validate(self) -> None:
+        """Check the container invariants; raises ValueError on a breach."""
         if self.data.ndim != 2:
             raise ValueError(f"expected 2-D data, got shape {self.data.shape}")
         if self.height < 2 or self.width < 2:
@@ -82,10 +78,6 @@ class ImageGrid:
             raise ValueError(f"pitch must be positive, got {self.pitch}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("grid contains non-finite values")
-        return self
-
-    def copy(self) -> "ImageGrid":
-        return ImageGrid(self.data.copy(), self.pitch, self.origin)
 
     def mean(self) -> float:
         return float(self.data.mean())
@@ -125,10 +117,10 @@ def _read_header_tokens(fh, count: int) -> list[bytes]:
     return tokens
 
 
-def read_pgm(path, pitch=1.0, origin=(0.0, 0.0)) -> ImageGrid:
+def read_pgm(path, pitch=1.0) -> ImageGrid:
     """Read a binary PGM written by :func:`write_pgm`.
 
-    PGM carries no geometry, so pitch/origin come from the caller
+    PGM carries no geometry, so the pitch comes from the caller
     (normally a sidecar metadata file).
     """
     with open(path, "rb") as fh:
@@ -143,4 +135,4 @@ def read_pgm(path, pitch=1.0, origin=(0.0, 0.0)) -> ImageGrid:
     if len(raw) != width * height * 2:
         raise ValueError(f"{path}: truncated pixel data")
     data = np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.float64)
-    return ImageGrid(data, pitch=pitch, origin=origin)
+    return ImageGrid(data, pitch=pitch)

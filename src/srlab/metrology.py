@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import sinc_upsample
 from .grid import ImageGrid
 from .mtf import GEOMETRY, GeometryConstants
 from .target import sector_mask
@@ -29,7 +30,6 @@ __all__ = [
     "AliasedRingError",
     "EmptyRingError",
     "InsufficientCurveError",
-    "pixel_angle",
     "ring_modulation",
     "mtf_curve",
     "nem",
@@ -40,8 +40,12 @@ __all__ = [
 
 # rings below this many samples per cycle are refused as aliased
 MIN_SAMPLES_PER_CYCLE = 2.0
-# default number of rings in the radius ladder
-DEFAULT_N_RINGS = 40
+# sinc-upsampling factor per axis of the image the rings are fit on
+ANALYSIS_OVERSAMPLE = 4
+# width of the moving average the NEM crossing runs on, in rings
+CROSSING_SMOOTH = 5
+# angular sectors the circle is split into for sector measurements
+SECTOR_COUNT = 8
 
 
 class RingError(ValueError):
@@ -100,17 +104,6 @@ class ResolutionReport:
     rings_dropped: int = 0
     ladder_limited: bool = False
     degenerate_crossing: bool = False
-
-
-def pixel_angle(x: float, y: float) -> float:
-    """Angle atan2(x, y) of a pixel offset from the star center, in [0, 2*pi)."""
-    if x == 0 and y == 0:
-        raise ValueError("angle undefined at the center pixel")
-    a = math.atan2(x, y)
-    if a < 0:
-        a += 2.0 * math.pi
-    # a tiny negative angle can round up to exactly 2*pi
-    return 0.0 if a >= 2.0 * math.pi else a
 
 
 def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float,
@@ -248,8 +241,6 @@ def frequency_to_resolution(f: float, geometry: GeometryConstants = GEOMETRY) ->
 
 def _smooth(values: np.ndarray, width: int) -> np.ndarray:
     """Centered moving average with reflected ends."""
-    if width <= 1:
-        return values
     pad = width // 2
     padded = np.concatenate([values[pad:0:-1], values, values[-2:-pad - 2:-1]])
     kernel = np.ones(width) / width
@@ -257,39 +248,32 @@ def _smooth(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: int,
-                       signal: float, noise_sigma: float, outer_radius: float,
-                       sector: int | None = None, sector_count: int = 8,
-                       n_rings: int = DEFAULT_N_RINGS, analysis_oversample: int = 4,
-                       crossing_smooth: int = 5,
+                       signal: float, noise_sigma: float, outer_radius: float, *,
+                       n_rings: int, sector: int | None = None,
                        geometry: GeometryConstants = GEOMETRY) -> ResolutionReport:
     """Full resolution measurement on a star image.
 
     Rings are evaluated on a sinc-upsampled copy of the image
-    (analysis_oversample per axis) so the harmonic fit stays well
+    (ANALYSIS_OVERSAMPLE per axis) so the harmonic fit stays well
     sampled out to the HR Nyquist; the information content is unchanged
     and frequencies are still reported in cycles per HR pixel.  The
-    radius ladder is geometric from just inside the star's outer radius
-    down to the aliasing / HR-band limit.  The NEM comes from the
-    scenario signal and noise values (system constants, not re-estimated
-    from the image).
+    radius ladder holds n_rings radii (Scenario.n_rings), geometric from
+    just inside the star's outer radius down to the aliasing / HR-band
+    limit.  The NEM comes from the scenario signal and noise values
+    (system constants, not re-estimated from the image).
 
     center and outer_radius are in HR pixels (star geometry metadata).
-    The report's curve holds the raw per-ring fits; the NEM intersection
-    runs on a crossing_smooth-point moving average of it, which averages
-    out the per-ring pixel-geometry jitter.
+    sector, when given, restricts the fits to one of SECTOR_COUNT
+    angular sectors.  The report's curve holds the raw per-ring fits; the
+    NEM intersection runs on a CROSSING_SMOOTH-point moving average of
+    it, which averages out the per-ring pixel-geometry jitter.
 
     With zero noise the NEM is 0 and can never be crossed; the report
     then pins the crossing to the finest measured frequency and sets
     ladder_limited.
     """
-    if analysis_oversample < 1:
-        raise ValueError("analysis_oversample must be >= 1")
-    hr_pitch = image.pitch_scalar
-    if analysis_oversample > 1:
-        from .fourier import sinc_upsample
-        image = ImageGrid(sinc_upsample(image.data, analysis_oversample),
-                          pitch=hr_pitch / analysis_oversample)
-    pitch = image.pitch_scalar
+    pitch = image.pitch_scalar / ANALYSIS_OVERSAMPLE
+    image = ImageGrid(sinc_upsample(image.data, ANALYSIS_OVERSAMPLE), pitch=pitch)
 
     # ladder bounds in grid samples: stay inside the star, above the
     # sampling limit, and inside the HR information band f_hr <= 0.5
@@ -305,13 +289,12 @@ def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: in
     center_grid = (center[0] / pitch, center[1] / pitch)
     mask = None
     if sector is not None:
-        mask = sector_mask(image.shape, center_grid, sector, sector_count).data
+        mask = sector_mask(image.shape, center_grid, sector, SECTOR_COUNT).data
 
     fits, dropped = mtf_curve(image, center_grid, cycles, radii, mask=mask)
     curve = [(rf.f / pitch, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
-                        _smooth(np.array([m for _, m in curve]),
-                                crossing_smooth)))
+                        _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))
     nem_value = nem(signal, noise_sigma)
 
     ladder_limited = False

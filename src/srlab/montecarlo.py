@@ -180,14 +180,13 @@ class SweepResult:
     mean_resolution_m: list[float | None]
 
 
-def sample_parameters(spec: ParameterSpec, rng_seed: int,
-                      base: SystemParams | None = None) -> SystemParams:
+def sample_parameters(spec: ParameterSpec, rng_seed: int) -> SystemParams:
     """Draw one SystemParams record from the spec, deterministically per seed.
 
     The assumed-PSF sigma combines the drawn support width (FWHM to
-    sigma) with an additive Gaussian estimation error.
+    sigma) with an additive Gaussian estimation error; every other field
+    keeps its SystemParams() default.
     """
-    base = base or SystemParams()
     rng = np.random.default_rng(rng_seed)
     draws = {row.name: row.draw(rng) for row in spec.rows()}
     # estimation error perturbs the support width (the row is in pixels
@@ -195,7 +194,7 @@ def sample_parameters(spec: ParameterSpec, rng_seed: int,
     width = draws["psf_width"] + float(rng.normal(0.0, draws["psf_error_sigma"]))
     psf_sigma = max(width * SIGMA_PER_FWHM, PSF_SIGMA_FLOOR)
     return replace(
-        base,
+        SystemParams(),
         optics_mtf_at_hr_nyq=draws["optics_mtf"],
         n_phi=int(draws["clock_phase"]),
         jitter_sigma=draws["jitter"],
@@ -222,7 +221,7 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int,
         report = measure_resolution(
             sr.image, scenario.star.center, scenario.star.cycles,
             scenario.nem_signal, params.noise_sigma, scenario.star.outer_radius,
-            n_rings=scenario.n_rings)
+            n_rings=scenario.n_rings, geometry=params.geometry)
         return TrialResult(params, report.resolution_m, sr.converged, seed,
                            time.perf_counter() - t0)
     except (ValueError, FloatingPointError) as exc:

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "GeometryConstants",
     "MtfChainParams",
-    "lpmm_to_cycles_per_hr_sample",
     "diffraction_mtf",
     "optics_mtf",
     "footprint_mtf",
@@ -83,14 +82,6 @@ class MtfChainParams:
 
 
 GEOMETRY = GeometryConstants()
-
-
-def lpmm_to_cycles_per_hr_sample(f_lpmm, geometry: GeometryConstants = GEOMETRY):
-    """Convert a focal-plane frequency in line pairs/mm to cycles per HR sample."""
-    f_lpmm = np.asarray(f_lpmm, dtype=np.float64)
-    if np.any(f_lpmm < 0):
-        raise ValueError("frequency must be >= 0")
-    return f_lpmm * geometry.hr_sample_pitch_um / 1000.0
 
 
 def diffraction_mtf(sigma_norm):

@@ -8,7 +8,10 @@ in a parameter name cannot silently skew a campaign.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+import types
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
 
 from .simulator import SystemParams
 from .solver import SolverConfig
@@ -69,21 +72,48 @@ class ScenarioConfig:
 _SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius", "alpha": "alpha"}
 
 
-def _apply(base, section: dict, what: str, key_map: dict | None = None,
-           tuple_fields: tuple[str, ...] = ()):
-    """Copy of dataclass instance base with a JSON mapping's keys applied;
-    unknown keys are rejected, omitted keys keep base's values."""
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits an int, float (an int fits too; a bool,
+    NaN or infinity fits neither), fixed-length tuple or optional field
+    annotation."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        return value is None or any(_conforms(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    return (hint in (int, float) and not isinstance(value, bool)
+            and isinstance(value, int if hint is int else (int, float))
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _checked(value, hint, what: str, key: str):
+    """value as the field stores it (JSON lists become tuples); raises
+    ValueError naming the section and key when its type is wrong."""
+    if not _conforms(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ValueError(f"config section {what!r}: key {key!r} must be {name}, "
+                         f"got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _apply(base, section: dict, what: str, key_map: dict | None = None):
+    """Copy of dataclass instance base with a JSON mapping's keys applied.
+
+    Unknown keys are rejected, and so are nested records (such as
+    SystemParams.geometry, which the instrument fixes); a value of the
+    wrong type is rejected naming its section and key; omitted keys keep
+    base's values.
+    """
     if not isinstance(section, dict):
         raise ValueError(f"config section {what!r} must be a mapping")
-    allowed = {f.name for f in fields(base)}
+    hints = typing.get_type_hints(type(base))
     kwargs = {}
     for key, value in section.items():
         name = (key_map or {}).get(key, key)
-        if name not in allowed:
+        if name not in hints or is_dataclass(hints[name]):
             raise ValueError(f"unknown key {key!r} in config section {what!r}")
-        if name in tuple_fields and isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
+        kwargs[name] = _checked(value, hints[name], what, key)
     return replace(base, **kwargs)
 
 
@@ -113,19 +143,14 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(grid, dict) or set(grid) - {"height", "width"}:
         raise ValueError(f"{path}: grid section takes only height and width")
     height, width = default.grid_size
-    scenario_kwargs = {}
-    if "nem_signal" in raw:
-        scenario_kwargs["nem_signal"] = float(raw["nem_signal"])
-    if "n_rings" in raw:
-        scenario_kwargs["n_rings"] = int(raw["n_rings"])
+    top = {key: raw[key] for key in ("nem_signal", "n_rings") if key in raw}
     scenario = replace(
-        default,
-        star=_apply(default.star, raw.get("star", {}), "star",
-                    tuple_fields=("center",)),
-        grid_size=(int(grid.get("height", height)), int(grid.get("width", width))),
+        _apply(default, top, "top level"),
+        star=_apply(default.star, raw.get("star", {}), "star"),
+        grid_size=tuple(_checked(grid.get(key, n), int, "grid", key)
+                        for key, n in (("height", height), ("width", width))),
         solver=_apply(default.solver, raw.get("solver", {}), "solver",
-                      key_map=_SOLVER_KEY_MAP, tuple_fields=("sr_factor",)),
-        **scenario_kwargs)
+                      key_map=_SOLVER_KEY_MAP))
     return replace(
         config, scenario=scenario,
         system=_apply(config.system, raw.get("system", {}), "system"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import gaussian_kernel, subpixel_shift
+from .fourier import apply_transfer, gaussian_kernel, subpixel_shift
 from .grid import ImageGrid
 from .mtf import GeometryConstants, MtfChainParams, system_otf
 from .seeding import child_seed
@@ -109,52 +109,24 @@ class Observation:
             raise ValueError("assumed PSF must sum to 1")
 
 
-def _spectral_downsample(spectrum: np.ndarray, out_shape: tuple[int, int]) -> np.ndarray:
-    """Crop a centered FFT spectrum to a coarser grid (sinc interpolation)."""
-    h, w = spectrum.shape
-    h2, w2 = out_shape
-    shifted = np.fft.fftshift(spectrum)
-    r0, c0 = h // 2 - h2 // 2, w // 2 - w2 // 2
-    cropped = shifted[r0:r0 + h2, c0:c0 + w2]
-    return np.fft.ifftshift(cropped) * (h2 * w2) / (h * w)
-
-
 def render_blurred_scene(target: ImageGrid, params) -> ImageGrid:
-    """Filter an HR target by the system OTF; resample to HR pitch 1.
+    """Filter an HR target (pitch 1) by the system OTF.
 
     params is a SystemParams (the usual case) or a bare MtfChainParams.
-    The OTF is evaluated on the target's own frequency grid in cycles per
-    HR sample (grid frequency divided by pitch).  Supersampled targets
-    (pitch < 1) are band-limited to the HR band and decimated spectrally,
-    which is exact periodic sinc interpolation.  DC gain is 1, so the
-    mean is preserved.
+    The OTF is evaluated on the target's frequency grid in cycles per HR
+    sample.  Targets come at HR pitch 1 because the spoke rasterizer
+    supersamples internally.  DC gain is 1, so the mean is preserved.
     """
-    pitch = target.pitch_scalar
-    if pitch > 1.0:
-        raise ValueError("target must be at or above HR sampling density (pitch <= 1)")
+    if target.pitch != (1.0, 1.0):
+        raise ValueError(f"target must be at HR pitch 1, got pitch {target.pitch}")
     h, w = target.shape
     if h % 2 or w % 2:
         raise ValueError(f"target dimensions must be even, got {h}x{w}")
     target.validate()
 
     chain = params.mtf_chain() if isinstance(params, SystemParams) else params
-    fy = np.fft.fftfreq(h) / pitch
-    fx = np.fft.fftfreq(w) / pitch
-    otf = system_otf(chain, fx[None, :], fy[:, None])
-    spectrum = np.fft.fft2(target.data) * otf
-
-    if pitch != 1.0:
-        h2 = h * pitch
-        w2 = w * pitch
-        if abs(h2 - round(h2)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
-            raise ValueError("supersampled extent must map to an integer HR grid")
-        h2, w2 = int(round(h2)), int(round(w2))
-        if h2 % 2 or w2 % 2:
-            raise ValueError("HR output dimensions must be even")
-        spectrum = _spectral_downsample(spectrum, (h2, w2))
-
-    out = np.fft.ifft2(spectrum).real
-    return ImageGrid(out, pitch=1.0, origin=target.origin)
+    otf = system_otf(chain, np.fft.fftfreq(w)[None, :], np.fft.fftfreq(h)[:, None])
+    return ImageGrid(apply_transfer(target.data, otf), pitch=1.0)
 
 
 def sample_subarray(blurred: ImageGrid, shift_hr: tuple[float, float],
@@ -177,9 +149,7 @@ def sample_subarray(blurred: ImageGrid, shift_hr: tuple[float, float],
     shifted = subpixel_shift(blurred.data, shift_hr)
     n_al, n_ax = h // s_al, w // s_ax
     sampled = shifted[:n_al * s_al:s_al, :n_ax * s_ax:s_ax]
-    origin = (blurred.origin[0] + float(shift_hr[0]),
-              blurred.origin[1] + float(shift_hr[1]))
-    return ImageGrid(sampled.copy(), pitch=(float(s_al), float(s_ax)), origin=origin)
+    return ImageGrid(sampled.copy(), pitch=(float(s_al), float(s_ax)))
 
 
 def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
@@ -194,7 +164,7 @@ def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
     sigma = REFERENCE_SIGNAL / snr_at_300
     rng = np.random.default_rng(rng_seed)
     noisy = image.data + rng.normal(0.0, sigma, size=image.shape)
-    return ImageGrid(noisy, pitch=image.pitch, origin=image.origin), sigma
+    return ImageGrid(noisy, pitch=image.pitch), sigma
 
 
 def simulate_observations(target: ImageGrid, params: SystemParams, rng_seed: int

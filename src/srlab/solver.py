@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .fourier import kernel_transfer, shift_multiplier_2d
+from .fourier import apply_transfer, kernel_transfer, shift_multiplier_2d
 from .grid import ImageGrid
 from .simulator import Observation
 
@@ -99,15 +99,14 @@ def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.nda
 
 
 def _forward(x: np.ndarray, transfer: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
-    full = np.fft.ifft2(np.fft.fft2(x) * transfer).real
-    return full[::decimation[0], ::decimation[1]]
+    return apply_transfer(x, transfer)[::decimation[0], ::decimation[1]]
 
 
 def _adjoint(r: np.ndarray, transfer: np.ndarray, decimation: tuple[int, int],
              hr_shape: tuple[int, int]) -> np.ndarray:
     up = np.zeros(hr_shape)
     up[::decimation[0], ::decimation[1]] = r
-    return np.fft.ifft2(np.fft.fft2(up) * np.conj(transfer)).real
+    return apply_transfer(up, np.conj(transfer))
 
 
 def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
@@ -122,8 +121,7 @@ def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
 def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
     """Apply the observation operator: blur, shift, decimate."""
     lr = _forward(x.data, _estimate_transfer(x, obs), obs.decimation)
-    return ImageGrid(lr, pitch=(float(obs.decimation[0]), float(obs.decimation[1])),
-                     origin=(x.origin[0] + obs.shift_hr[0], x.origin[1] + obs.shift_hr[1]))
+    return ImageGrid(lr, pitch=(float(obs.decimation[0]), float(obs.decimation[1])))
 
 
 def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
@@ -225,16 +223,18 @@ def _alias_guard_lowpass(x: np.ndarray, decimation: tuple[int, int]) -> np.ndarr
 MAX_HALVINGS = 30
 
 
-def super_resolve(observations, init="auto", cfg: SolverConfig | None = None) -> SrResult:
+def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     """Minimize the MAP cost by adaptive-step steepest descent.
 
-    The descent direction is -2 * sum_k adjoint(y_k - forward(x)) plus
-    lam * btv_gradient(x).  A step that fails to strictly decrease the
-    cost halves the step size (up to 30 times, then the iteration stops
-    as stationary); each accepted step grows it by 1.2x capped at beta0.
-    Stops when the relative cost decrease falls below rel_tol or at
-    max_iters (reported via the converged flag, not an error).  cfg=None
-    runs SolverConfig(), the calibrated 3-iteration budget.
+    The descent starts from the first observation's cubic-spline upsample
+    with everything above the LR Nyquist removed.  The descent direction
+    is -2 * sum_k adjoint(y_k - forward(x)) plus lam * btv_gradient(x).
+    A step that fails to strictly decrease the cost halves the step size
+    (up to 30 times, then the iteration stops as stationary); each
+    accepted step grows it by 1.2x capped at beta0.  Stops when the
+    relative cost decrease falls below rel_tol or at max_iters (reported
+    via the converged flag, not an error).  cfg=None runs SolverConfig(),
+    the calibrated 3-iteration budget.
     """
     observations = list(observations)
     if not observations:
@@ -253,14 +253,8 @@ def super_resolve(observations, init="auto", cfg: SolverConfig | None = None) ->
     terms = [(o.image.data, _observation_transfer(o, hr_shape), decimation)
              for o in observations]
 
-    if isinstance(init, str) and init == "auto":
-        x = _alias_guard_lowpass(bicubic_upsample(observations[0].image, decimation),
-                                 decimation)
-    else:
-        x = np.array(init.data if isinstance(init, ImageGrid) else init,
-                     dtype=np.float64)
-        if x.shape != hr_shape:
-            raise ValueError(f"init shape {x.shape} does not match HR geometry {hr_shape}")
+    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image, decimation),
+                             decimation)
 
     def gradient(xc: np.ndarray) -> np.ndarray:
         g = np.zeros(hr_shape)

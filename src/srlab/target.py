@@ -105,7 +105,7 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> ImageGrid:
 
 
 def sector_mask(size: tuple[int, int], center: tuple[float, float],
-                sector_index: int, sector_count: int = 8) -> ImageGrid:
+                sector_index: int, sector_count: int) -> ImageGrid:
     """Binary mask selecting one angular sector of the circle.
 
     Sector k covers alpha in [k, k+1) * (2*pi/sector_count).  The cell

@@ -83,9 +83,9 @@ def test_criterion_3_metrology_fidelity():
     gauss = np.exp(-2 * np.pi**2 * sigma**2 * (fx**2 + fy**2))
     blurred = ImageGrid(np.fft.ifft2(np.fft.fft2(ideal.data) * gauss).real)
     rep_i = measure_resolution(ideal, star.center, star.cycles, 300.0, 0.0,
-                               star.outer_radius)
+                               star.outer_radius, n_rings=40)
     rep_b = measure_resolution(blurred, star.center, star.cycles, 300.0, 0.0,
-                               star.outer_radius)
+                               star.outer_radius, n_rings=40)
     worst = 0.0
     n_pts = 0
     for (f_i, m_i), (_, m_b) in zip(rep_i.curve, rep_b.curve):

@@ -66,6 +66,36 @@ def test_config_omitted_sections_take_defaults(tmp_path):
     assert cfg.scenario.grid_size == (256, 128)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "max_iters", "3"),
+    ("montecarlo", "n_trials", "5"),
+    ("system", "snr_at_300", True),
+    ("star", "center", [64.0]),
+    ("grid", "height", 128.5),
+    ("solver", "lambda", float("nan")),
+])
+def test_config_wrong_type_exits_2(tmp_path, capsys, section, key, value):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ValueError, match=f"{section}.*{key}"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_config_rejects_system_geometry(tmp_path, capsys):
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps({"system": {"geometry": {"hr_gsd_m": 2.5,
+                                                        "lr_igfov_m": 5.0}}}))
+    with pytest.raises(ValueError, match="unknown key 'geometry'"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--seed", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

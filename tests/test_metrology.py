@@ -9,27 +9,8 @@ from srlab.grid import ImageGrid
 from srlab.metrology import (AliasedRingError, EmptyRingError,
                              InsufficientCurveError, crossing_frequency,
                              frequency_to_resolution, measure_resolution,
-                             mtf_curve, nem, pixel_angle, ring_modulation)
+                             mtf_curve, nem, ring_modulation)
 from srlab.target import StarSpec, generate_spoke_target
-
-
-def test_pixel_angle_truth_table():
-    assert pixel_angle(0.0, 1.0) == pytest.approx(0.0)
-    assert pixel_angle(1.0, 1.0) == pytest.approx(math.pi / 4)
-    assert pixel_angle(1.0, -1.0) == pytest.approx(3 * math.pi / 4)
-    assert pixel_angle(0.0, -1.0) == pytest.approx(math.pi)
-    assert pixel_angle(-1.0, -1.0) == pytest.approx(5 * math.pi / 4)
-    assert pixel_angle(-1.0, 1.0) == pytest.approx(7 * math.pi / 4)
-    with pytest.raises(ValueError):
-        pixel_angle(0.0, 0.0)
-
-
-@given(st.floats(-100, 100), st.floats(-100, 100))
-def test_pixel_angle_range(x, y):
-    if x == 0 and y == 0:
-        return
-    a = pixel_angle(x, y)
-    assert 0.0 <= a < 2 * math.pi
 
 
 def angular_field(size, center, func):
@@ -122,7 +103,7 @@ def test_ideal_star_high_contrast_at_coarse_frequencies():
                     center=(128.0, 128.0), supersample=4)
     img = generate_spoke_target(star, (256, 256))
     report = measure_resolution(img, star.center, star.cycles, 300.0, 0.0,
-                                star.outer_radius)
+                                star.outer_radius, n_rings=40)
     for f, m in report.curve:
         if f <= 0.3:
             assert m >= 0.95
@@ -138,9 +119,9 @@ def test_gaussian_blur_curve_matches_prediction():
     gauss2d = np.exp(-2 * np.pi**2 * sigma**2 * (fx**2 + fy**2))
     blurred = ImageGrid(np.fft.ifft2(np.fft.fft2(ideal.data) * gauss2d).real)
     rep_ideal = measure_resolution(ideal, star.center, star.cycles, 300.0,
-                                   0.0, star.outer_radius)
+                                   0.0, star.outer_radius, n_rings=40)
     rep_blur = measure_resolution(blurred, star.center, star.cycles, 300.0,
-                                  0.0, star.outer_radius)
+                                  0.0, star.outer_radius, n_rings=40)
     for (f_i, m_i), (f_b, m_b) in zip(rep_ideal.curve, rep_blur.curve):
         assert f_i == pytest.approx(f_b)
         if 0.05 <= f_i <= 0.35:
@@ -207,7 +188,7 @@ def test_measure_noiseless_ladder_limited():
                     center=(128.0, 128.0), supersample=2)
     img = generate_spoke_target(star, (256, 256))
     report = measure_resolution(img, star.center, star.cycles, 300.0, 0.0,
-                                star.outer_radius)
+                                star.outer_radius, n_rings=40)
     assert report.nem == 0.0
     assert report.ladder_limited
     assert report.f_cross == pytest.approx(report.curve[-1][0])
@@ -217,7 +198,7 @@ def test_measure_noiseless_ladder_limited():
 def test_measure_resolution_fields(star_target, scenario):
     report = measure_resolution(star_target, scenario.star.center,
                                 scenario.star.cycles, 300.0, 5.0,
-                                scenario.star.outer_radius)
+                                scenario.star.outer_radius, n_rings=40)
     fs = [f for f, _ in report.curve]
     assert fs == sorted(fs)
     assert (report.resolution_m is None) == (report.f_cross is None)
@@ -227,11 +208,11 @@ def test_measure_resolution_fields(star_target, scenario):
 def test_measure_gain_invariance(star_target, scenario):
     base = measure_resolution(star_target, scenario.star.center,
                               scenario.star.cycles, 300.0, 5.0,
-                              scenario.star.outer_radius)
+                              scenario.star.outer_radius, n_rings=40)
     scaled_img = ImageGrid(star_target.data * 3.0)
     scaled = measure_resolution(scaled_img, scenario.star.center,
                                 scenario.star.cycles, 900.0, 15.0,
-                                scenario.star.outer_radius)
+                                scenario.star.outer_radius, n_rings=40)
     for (f0, m0), (f1, m1) in zip(base.curve, scaled.curve):
         assert m1 == pytest.approx(m0, abs=1e-9)
     assert scaled.resolution_m == pytest.approx(base.resolution_m, abs=1e-9)
@@ -272,7 +253,7 @@ def test_sector_consistency(star_target, scenario):
 def test_measure_rejects_anisotropic_pitch():
     img = ImageGrid(np.full((64, 64), 100.0), pitch=(1.0, 2.0))
     with pytest.raises(ValueError, match="anisotropic"):
-        measure_resolution(img, (32.0, 32.0), 16, 300.0, 5.0, 20.0)
+        measure_resolution(img, (32.0, 32.0), 16, 300.0, 5.0, 20.0, n_rings=40)
 
 
 def test_flag_for_modulation_above_one():

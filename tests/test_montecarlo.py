@@ -5,6 +5,7 @@ from dataclasses import replace
 from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
                               sweep, sweep_grid)
+from srlab.mtf import GeometryConstants
 from srlab.seeding import child_seed
 from srlab.simulator import SIGMA_PER_FWHM, SystemParams
 
@@ -103,6 +104,16 @@ def test_run_trial_deterministic(tiny_scenario):
     assert a.resolution_m == b.resolution_m
     assert a.solver_converged == b.solver_converged
     assert a.error is None
+
+
+def test_run_trial_measures_with_simulated_geometry(tiny_scenario):
+    # doubling the ground sample doubles the reported resolution; the
+    # focal-plane geometry, and so every image, is unchanged
+    coarse = SystemParams(geometry=GeometryConstants(hr_gsd_m=2.5, lr_igfov_m=5.0))
+    base = run_trial(SystemParams(), tiny_scenario, 42)
+    scaled = run_trial(coarse, tiny_scenario, 42)
+    assert base.resolution_m is not None
+    assert scaled.resolution_m == pytest.approx(2.0 * base.resolution_m, rel=1e-12)
 
 
 def test_run_trial_records_failures(tiny_scenario):

@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.mtf import (GeometryConstants, MtfChainParams, diffraction_mtf,
-                       footprint_mtf, jitter_mtf, lpmm_to_cycles_per_hr_sample,
-                       mtf_curve_table, optics_mtf, sampling_mtf, smear_mtf,
-                       system_otf)
+                       footprint_mtf, jitter_mtf, mtf_curve_table, optics_mtf,
+                       sampling_mtf, smear_mtf, system_otf)
 
 NOMINAL = MtfChainParams()
 
@@ -18,14 +17,6 @@ def test_geometry_invariants():
     assert g.f_nyq_lr == g.f_nyq_hr / 2
     with pytest.raises(ValueError):
         GeometryConstants(lr_pixel_pitch_um=9.0)
-
-
-def test_lpmm_conversion():
-    assert lpmm_to_cycles_per_hr_sample(125.0) == pytest.approx(0.5)
-    assert lpmm_to_cycles_per_hr_sample(62.5) == pytest.approx(0.25)
-    assert lpmm_to_cycles_per_hr_sample(0.0) == 0.0
-    with pytest.raises(ValueError):
-        lpmm_to_cycles_per_hr_sample(-1.0)
 
 
 def test_diffraction_values():

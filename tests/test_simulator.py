@@ -87,20 +87,6 @@ def test_impulse_response_matches_otf(nominal_params):
         assert abs(dft) == pytest.approx(otf[ky, kx], abs=1e-9)
 
 
-def test_supersampled_target_resamples_to_hr(nominal_params):
-    rng = np.random.default_rng(5)
-    coarse = rng.normal(300.0, 30.0, (16, 16))
-    from srlab.fourier import sinc_upsample
-    fine = ImageGrid(sinc_upsample(coarse, 4), pitch=0.25)
-    out = render_blurred_scene(fine, nominal_params)
-    assert out.shape == (16, 16)
-    assert out.pitch == (1.0, 1.0)
-    assert out.mean() == pytest.approx(fine.mean(), rel=1e-6)
-    # band-limited input: matches blurring the coarse grid directly
-    direct = render_blurred_scene(ImageGrid(coarse), nominal_params)
-    assert np.allclose(out.data, direct.data, atol=1e-6)
-
-
 def test_sample_identity():
     rng = np.random.default_rng(2)
     img = ImageGrid(rng.normal(size=(16, 16)))

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.metrology import measure_resolution
-from srlab.target import StarSpec, generate_spoke_target, sector_mask
+from srlab.target import StarSpec, generate_spoke_target, pattern_angle, sector_mask
 
 
 def small_star(**kw):
@@ -123,11 +125,25 @@ def test_radial_modulation_band_means_non_increasing():
                     center=(128.0, 128.0), supersample=4)
     img = generate_spoke_target(spec, (256, 256))
     report = measure_resolution(img, spec.center, spec.cycles, 300.0, 0.0,
-                                spec.outer_radius)
+                                spec.outer_radius, n_rings=40)
     mods = np.array([m for _, m in report.curve])
     bands = np.array_split(mods, 4)  # ascending frequency
     means = [b.mean() for b in bands]
     assert all(a >= b for a, b in zip(means, means[1:]))
+
+
+def test_pattern_angle_truth_table():
+    assert pattern_angle(0.0, 1.0) == pytest.approx(0.0)
+    assert pattern_angle(1.0, 1.0) == pytest.approx(math.pi / 4)
+    assert pattern_angle(1.0, -1.0) == pytest.approx(3 * math.pi / 4)
+    assert pattern_angle(0.0, -1.0) == pytest.approx(math.pi)
+    assert pattern_angle(-1.0, -1.0) == pytest.approx(5 * math.pi / 4)
+    assert pattern_angle(-1.0, 1.0) == pytest.approx(7 * math.pi / 4)
+
+
+@given(st.floats(-100, 100), st.floats(-100, 100))
+def test_pattern_angle_range(x, y):
+    assert 0.0 <= pattern_angle(x, y) < 2 * math.pi
 
 
 def test_sector_mask_full_circle():
