@@ -192,7 +192,7 @@ def _trial_row(index: int, trial) -> list[str]:
 
 def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
-    n_trials = args.trials or config.montecarlo.n_trials
+    n_trials = config.montecarlo.n_trials if args.trials is None else args.trials
     progress = None
     if args.progress:
         def progress(done, total):

@@ -76,9 +76,12 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
     """Exact periodic sinc interpolation onto a factor-times-finer grid.
 
-    Zero-pads the centered spectrum; Nyquist bins of even-sized axes are
-    split between +/- so the result stays real and symmetric.  Output
-    sample k lies at input coordinate k/factor.
+    Zero-pads the half-plane real-FFT spectrum.  The Nyquist row of an
+    even height is split between +/- frequencies; the Nyquist column of
+    an even width is halved, and its conjugate twin at the negative
+    frequency is implied by the half-plane layout, so the result stays
+    real and symmetric.  Output sample k lies at input coordinate
+    k/factor.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -86,18 +89,17 @@ def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
         return np.asarray(data, dtype=np.float64).copy()
     h, w = data.shape
     big_h, big_w = h * factor, w * factor
-    spectrum = np.fft.fftshift(np.fft.fft2(data))
-    padded = np.zeros((big_h, big_w), dtype=complex)
-    r0, c0 = big_h // 2 - h // 2, big_w // 2 - w // 2
-    padded[r0:r0 + h, c0:c0 + w] = spectrum
+    spectrum = np.fft.rfft2(data)
+    padded = np.zeros((big_h, big_w // 2 + 1), dtype=complex)
+    n_pos, n_neg = (h + 1) // 2, (h - 1) // 2  # rows of frequency 0.., ..-1
+    padded[:n_pos, :w // 2 + 1] = spectrum[:n_pos]
+    padded[big_h - n_neg:, :w // 2 + 1] = spectrum[h - n_neg:]
     if h % 2 == 0:
-        padded[r0 + h, c0:c0 + w] = 0.5 * padded[r0, c0:c0 + w]
-        padded[r0, c0:c0 + w] *= 0.5
+        padded[h // 2, :w // 2 + 1] = 0.5 * spectrum[h // 2]
+        padded[big_h - h // 2, :w // 2 + 1] = padded[h // 2, :w // 2 + 1]
     if w % 2 == 0:
-        padded[r0:r0 + h + (h % 2 == 0), c0 + w] = \
-            0.5 * padded[r0:r0 + h + (h % 2 == 0), c0]
-        padded[r0:r0 + h + (h % 2 == 0), c0] *= 0.5
-    return np.fft.ifft2(np.fft.ifftshift(padded)).real * factor * factor
+        padded[:, w // 2] *= 0.5
+    return np.fft.irfft2(padded, s=(big_h, big_w)) * factor * factor
 
 
 def kernel_transfer(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -8,9 +8,12 @@ high-resolution pixels.  Axis 0 is along-track, axis 1 is across-track.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["ImageGrid", "write_pgm", "read_pgm"]
 
@@ -87,9 +90,15 @@ def write_pgm(path, grid: ImageGrid) -> None:
     """Write a 16-bit binary PGM (P5, maxval 65535, big-endian).
 
     Values are rounded half-to-even and clamped to [0, 65535] at write
-    time only; the in-memory pipeline never quantizes.
+    time only, with one warning giving the number of clamped pixels; the
+    in-memory pipeline never quantizes.
     """
-    q = np.clip(np.rint(grid.data), 0, PGM_MAXVAL).astype(">u2")
+    rounded = np.rint(grid.data)
+    n_clamped = int(np.count_nonzero((rounded < 0) | (rounded > PGM_MAXVAL)))
+    if n_clamped:
+        logger.warning("%s: clamped %d of %d pixels to [0, %d]", path, n_clamped,
+                       rounded.size, PGM_MAXVAL)
+    q = np.clip(rounded, 0, PGM_MAXVAL).astype(">u2")
     header = f"P5\n{grid.width} {grid.height}\n{PGM_MAXVAL}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -3,13 +3,18 @@
 Modulation is extracted ring by ring: pixels in a one-pixel-wide annulus
 are fit by least squares to the single angular harmonic at the known
 cycle count, giving mean level a, amplitude beta and modulation
-M = beta/a.  The modulation curve is intersected with the
-noise-equivalent modulation 4*sigma/signal; the crossing frequency maps
-to meters through the HR ground sample (0.5 cycles/px = 1.25 m).
+M = beta/a.  Pixel distances from the star center are computed and
+sorted once per (image shape, center), over the largest centered disc
+the image holds, and shared by every ring: each annulus is a
+binary-search slice of that table.  The modulation curve is intersected
+with the noise-equivalent modulation 4*sigma/signal; the crossing
+frequency maps to meters through the HR ground sample
+(0.5 cycles/px = 1.25 m).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -106,39 +111,62 @@ class ResolutionReport:
     degenerate_crossing: bool = False
 
 
+@functools.lru_cache(maxsize=4)
+def _sorted_disc(shape: tuple[int, int],
+                 center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and center distances of every pixel of the largest
+    centered disc the image holds, sorted by distance.
+
+    The disc reaches one pixel past the margin, so it holds every ring
+    ring_modulation accepts.  Both arrays are read-only: every caller
+    with this (shape, center) shares them.
+    """
+    h, w = shape
+    r0, c0 = center
+    y = (np.arange(h, dtype=np.float64) - r0)[:, None]
+    x = (np.arange(w, dtype=np.float64) - c0)[None, :]
+    rr = np.hypot(x, y).reshape(-1)
+    flat = np.flatnonzero(rr < min(r0, h - 1 - r0, c0, w - 1 - c0) + 1.0)
+    flat = flat[np.argsort(rr[flat])]
+    dist = rr[flat]
+    flat.flags.writeable = False
+    dist.flags.writeable = False
+    return flat, dist
+
+
 def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float,
                     cycles: int, mask: np.ndarray | ImageGrid | None = None) -> RingFit:
     """Fit the angular harmonic at the known cycle count on one annulus.
 
     Gathers pixels with center distance in [radius-0.5, radius+0.5),
-    optionally restricted by a binary mask, and projects intensity onto
-    cos/sin(cycles * alpha).  Raises AliasedRingError below 2 samples per
-    cycle and EmptyRingError when the annulus leaves the image.
+    optionally restricted by a binary mask of the image's shape, and
+    projects intensity onto cos/sin(cycles * alpha).  The annulus is a
+    slice of the distance-sorted pixel disc shared by every ring with
+    this (shape, center); its pixels are fit in row-major order and
+    angles are computed for them only.  Raises AliasedRingError below 2
+    samples per cycle and EmptyRingError when the annulus leaves the
+    image.
     """
     if radius < 2:
         raise ValueError("radius must be >= 2 pixels")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     h, w = image.shape
-    r0, c0 = center
+    r0, c0 = float(center[0]), float(center[1])
     margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
     if radius + 0.5 > margin + 1e-9:
         raise EmptyRingError(f"empty ring: radius {radius} leaves the image")
 
-    # restrict work to the annulus bounding box
-    lo_r = max(0, int(np.floor(r0 - radius - 1)))
-    hi_r = min(h, int(np.ceil(r0 + radius + 2)))
-    lo_c = max(0, int(np.floor(c0 - radius - 1)))
-    hi_c = min(w, int(np.ceil(c0 + radius + 2)))
-    y = (np.arange(lo_r, hi_r, dtype=np.float64) - r0)[:, None]
-    x = (np.arange(lo_c, hi_c, dtype=np.float64) - c0)[None, :]
-    rr = np.hypot(x, y)
-    in_ring = (rr >= radius - 0.5) & (rr < radius + 0.5)
-    n_full = int(in_ring.sum())
+    flat, dist = _sorted_disc((h, w), (r0, c0))
+    lo, hi = np.searchsorted(dist, (radius - 0.5, radius + 0.5))
+    ring = np.sort(flat[lo:hi])
+    n_full = ring.size
     if mask is not None:
         mdata = mask.data if isinstance(mask, ImageGrid) else np.asarray(mask)
-        in_ring = in_ring & (mdata[lo_r:hi_r, lo_c:hi_c] > 0.5)
-    n = int(in_ring.sum())
+        if mdata.shape != (h, w):
+            raise ValueError(f"mask shape {mdata.shape} differs from image {(h, w)}")
+        ring = ring[mdata.reshape(-1)[ring] > 0.5]
+    n = ring.size
     if n_full == 0 or n < 8:
         raise EmptyRingError(f"empty ring: {n} samples at radius {radius}")
 
@@ -148,8 +176,9 @@ def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float
         raise AliasedRingError(
             f"aliased ring: {samples_per_cycle:.2f} samples/cycle at radius {radius}")
 
-    vals = image.data[lo_r:hi_r, lo_c:hi_c][in_ring]
-    ring_alpha = np.arctan2(x, y)[in_ring]
+    vals = image.data.reshape(-1)[ring]
+    rows, cols = np.divmod(ring, w)
+    ring_alpha = np.arctan2(cols - c0, rows - r0)
     # exact least squares of mean + single harmonic: a raw projection
     # would pick up the pixel grid's angular-density harmonics (a
     # constant image must fit to zero modulation)

@@ -230,8 +230,19 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int,
                            time.perf_counter() - t0, error=str(exc))
 
 
+# (scenario, target) of the plan a pool worker runs, set once per worker
+# by _init_worker so that tasks carry only (params, seed)
+_worker_plan: tuple[Scenario, object] | None = None
+
+
+def _init_worker(scenario: Scenario, target) -> None:
+    global _worker_plan
+    _worker_plan = (scenario, target)
+
+
 def _trial_task(task) -> TrialResult:
-    params, seed, scenario, target = task
+    params, seed = task
+    scenario, target = _worker_plan
     return run_trial(params, scenario, seed, target=target)
 
 
@@ -239,19 +250,25 @@ def _run_plan(plan, scenario: Scenario, threads: int,
               progress=None) -> list[TrialResult]:
     """Run each (params, seed) pair of the plan through run_trial.
 
-    The target is rasterized once for the whole plan.  Results come back
-    in plan order (map keeps it), so they are identical for any worker
-    count or completion order.
+    The target is rasterized once for the whole plan and sent once to
+    each pool worker, with the scenario.  Results come back in plan
+    order (map keeps it), so they are identical for any worker count or
+    completion order.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     target = generate_spoke_target(scenario.star, scenario.grid_size)
-    tasks = [(params, seed, scenario, target) for params, seed in plan]
     trials = []
-    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+    with (ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                              initargs=(scenario, target)) if threads > 1
           else nullcontext()) as pool:
-        for trial in (pool.map if pool else map)(_trial_task, tasks):
+        results = (pool.map(_trial_task, plan) if pool else
+                   (run_trial(params, scenario, seed, target=target)
+                    for params, seed in plan))
+        for trial in results:
             trials.append(trial)
             if progress:
-                progress(len(trials), len(tasks))
+                progress(len(trials), len(plan))
     return trials
 
 

@@ -207,6 +207,28 @@ def test_montecarlo_csv_determinism(config_path, tmp_path):
     assert header.startswith("trial,seed,optics_mtf_at_hr_nyq")
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_montecarlo_rejects_bad_trial_count(config_path, tmp_path, capsys, trials):
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(config_path), "--trials", trials,
+                 "--seed", "7", "--out-dir", str(out)]) == 2
+    assert "at least one trial" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--trials", "1"],
+    ["sweep", "--param", "snr", "--values", "30,100", "--seeds-per-value", "1"],
+])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bad_thread_count_exits_2(config_path, tmp_path, capsys, command, threads):
+    out = tmp_path / "run"
+    assert main([*command, "--config", str(config_path), "--threads", threads,
+                 "--seed", "7", "--out-dir", str(out)]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_sweep_subcommand(config_path, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config_path), "--param", "snr",

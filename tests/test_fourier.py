@@ -94,3 +94,28 @@ def test_sinc_upsample_factor_one_copies(rng):
     assert np.array_equal(up, x)
     up[0, 0] = 99.0
     assert x[0, 0] != 99.0
+
+
+def zero_pad_upsample(data, factor):
+    """Reference: full complex spectrum, centered and zero-padded."""
+    h, w = data.shape
+    spectrum = np.fft.fftshift(np.fft.fft2(data))
+    padded = np.zeros((h * factor, w * factor), dtype=complex)
+    r0, c0 = h * factor // 2 - h // 2, w * factor // 2 - w // 2
+    padded[r0:r0 + h, c0:c0 + w] = spectrum
+    if h % 2 == 0:
+        padded[r0 + h, c0:c0 + w] = 0.5 * padded[r0, c0:c0 + w]
+        padded[r0, c0:c0 + w] *= 0.5
+    rows = slice(r0, r0 + h + (h % 2 == 0))
+    if w % 2 == 0:
+        padded[rows, c0 + w] = 0.5 * padded[rows, c0]
+        padded[rows, c0] *= 0.5
+    return np.fft.ifft2(np.fft.ifftshift(padded)).real * factor * factor
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (15, 17), (16, 15), (7, 8)])
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_sinc_upsample_matches_complex_zero_pad(rng, shape, factor):
+    x = rng.normal(size=shape)
+    np.testing.assert_allclose(sinc_upsample(x, factor), zero_pad_upsample(x, factor),
+                               rtol=0, atol=1e-12)

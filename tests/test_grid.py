@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -56,6 +58,19 @@ def test_pgm_rounds_half_to_even_and_clamps(tmp_path):
     back = read_pgm(tmp_path / "q.pgm")
     assert back.data[0].tolist() == [0.0, 2.0, 2.0, 65534.0]
     assert back.data[1].tolist() == [0.0, 65535.0, 3.0, 4.0]
+
+
+def test_pgm_warns_once_with_clamped_count(tmp_path, caplog):
+    data = np.array([[-10.0, 70000.0, 65535.4, -0.4],
+                     [80000.0, 5.0, 6.0, 7.0]])
+    with caplog.at_level(logging.WARNING, logger="srlab.grid"):
+        write_pgm(tmp_path / "c.pgm", ImageGrid(data))
+    assert len(caplog.records) == 1
+    assert "clamped 3 of 8 pixels" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="srlab.grid"):
+        write_pgm(tmp_path / "ok.pgm", ImageGrid(data.clip(0, 65535)))
+    assert not caplog.records
 
 
 def test_pgm_is_big_endian_binary(tmp_path):

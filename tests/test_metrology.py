@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab.grid import ImageGrid
 from srlab.metrology import (AliasedRingError, EmptyRingError,
-                             InsufficientCurveError, crossing_frequency,
-                             frequency_to_resolution, measure_resolution,
-                             mtf_curve, nem, ring_modulation)
-from srlab.target import StarSpec, generate_spoke_target
+                             InsufficientCurveError, RingFit, _sorted_disc,
+                             crossing_frequency, frequency_to_resolution,
+                             measure_resolution, mtf_curve, nem, ring_modulation)
+from srlab.target import StarSpec, generate_spoke_target, sector_mask
 
 
 def angular_field(size, center, func):
@@ -62,7 +62,6 @@ def test_ring_rejects_leaving_image():
 
 
 def test_ring_mask_restricts_samples():
-    from srlab.target import sector_mask
     center = (128.0, 128.0)
     img = angular_field((256, 256), center,
                         lambda a: 200.0 + 80.0 * np.cos(32 * a))
@@ -263,3 +262,86 @@ def test_flag_for_modulation_above_one():
     fit = ring_modulation(img, center, 80.0, 32)
     assert fit.modulation > 1.0
     assert fit.flagged
+
+
+def bbox_ring_modulation(image, center, radius, cycles, mask=None):
+    """Reference: the per-ring bounding-box scan ring_modulation replaced."""
+    if radius < 2:
+        raise ValueError("radius must be >= 2 pixels")
+    if cycles < 1:
+        raise ValueError("cycles must be >= 1")
+    h, w = image.shape
+    r0, c0 = center
+    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
+    if radius + 0.5 > margin + 1e-9:
+        raise EmptyRingError("leaves the image")
+    lo_r = max(0, int(np.floor(r0 - radius - 1)))
+    hi_r = min(h, int(np.ceil(r0 + radius + 2)))
+    lo_c = max(0, int(np.floor(c0 - radius - 1)))
+    hi_c = min(w, int(np.ceil(c0 + radius + 2)))
+    y = (np.arange(lo_r, hi_r, dtype=np.float64) - r0)[:, None]
+    x = (np.arange(lo_c, hi_c, dtype=np.float64) - c0)[None, :]
+    rr = np.hypot(x, y)
+    in_ring = (rr >= radius - 0.5) & (rr < radius + 0.5)
+    n_full = int(in_ring.sum())
+    if mask is not None:
+        in_ring = in_ring & (mask[lo_r:hi_r, lo_c:hi_c] > 0.5)
+    n = int(in_ring.sum())
+    if n_full == 0 or n < 8:
+        raise EmptyRingError("empty ring")
+    if n / (cycles * n / n_full) < 2.0:
+        raise AliasedRingError("aliased")
+    vals = image.data[lo_r:hi_r, lo_c:hi_c][in_ring]
+    ring_alpha = np.arctan2(x, y)[in_ring]
+    design = np.column_stack([np.ones(n), np.cos(cycles * ring_alpha),
+                              np.sin(cycles * ring_alpha)])
+    (a, c, s), *_ = np.linalg.lstsq(design, vals, rcond=None)
+    beta = math.hypot(c, s)
+    return RingFit(radius=float(radius), g=0.0, f=0.0, a=float(a),
+                   beta_amp=float(beta), alpha0=math.atan2(s, c) / cycles,
+                   modulation=beta / a if a > 0 else math.inf, n_samples=n,
+                   flagged=False)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), h=st.integers(16, 48), w=st.integers(16, 48),
+       cycles=st.integers(1, 24), mask_kind=st.sampled_from(["none", "sector", "random"]),
+       seed=st.integers(0, 2**16))
+def test_ring_modulation_matches_bounding_box_scan(data, h, w, cycles, mask_kind, seed):
+    r0 = data.draw(st.floats(h / 2 - 4, h / 2 + 4) | st.sampled_from([h / 2, (h - 1) / 2]))
+    c0 = data.draw(st.floats(w / 2 - 4, w / 2 + 4) | st.sampled_from([w / 2, (w - 1) / 2]))
+    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
+    # near the margin: the last accepted radius and the first refused ones
+    radius = data.draw(st.floats(2.0, max(2.0, margin + 1.0))
+                       | st.sampled_from([margin - 0.5, margin - 0.5 + 5e-10,
+                                          margin - 0.5 + 2e-9]).filter(lambda r: r >= 2))
+    rng = np.random.default_rng(seed)
+    image = ImageGrid(100.0 + rng.normal(size=(h, w)))
+    mask = {"none": None,
+            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8).data,
+            "random": (rng.random((h, w)) < 0.7).astype(float)}[mask_kind]
+    try:
+        want = bbox_ring_modulation(image, (r0, c0), radius, cycles, mask=mask)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            ring_modulation(image, (r0, c0), radius, cycles, mask=mask)
+        return
+    got = ring_modulation(image, (r0, c0), radius, cycles, mask=mask)
+    assert got.n_samples == want.n_samples
+    for name in ("a", "beta_amp", "modulation"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+
+
+def test_sorted_disc_is_shared_read_only():
+    flat, dist = _sorted_disc((32, 33), (15.5, 16.25))
+    assert _sorted_disc((32, 33), (15.5, 16.25))[0] is flat
+    assert not flat.flags.writeable and not dist.flags.writeable
+    with pytest.raises(ValueError):
+        dist[0] = 0.0
+    assert np.all(np.diff(dist) >= 0)
+
+
+def test_ring_mask_must_match_image_shape():
+    img = ImageGrid(np.full((64, 64), 100.0))
+    with pytest.raises(ValueError, match="mask shape"):
+        ring_modulation(img, (32.0, 32.0), 10.0, 8, mask=np.ones((64, 63)))

@@ -149,6 +149,18 @@ def test_campaign_validation(tiny_scenario):
                      bin_width_m=0.0)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_plans_reject_bad_thread_count(tiny_scenario, threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_campaign(ParameterSpec(), tiny_scenario, n_trials=2, master_seed=1,
+                     threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=1, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0], tiny_scenario,
+                   seeds_per_value=1, threads=threads)
+
+
 def test_campaign_raises_when_everything_fails(tiny_scenario):
     # an assumed-PSF width far beyond the grid makes every trial fail
     spec = replace(
