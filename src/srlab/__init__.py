@@ -14,9 +14,8 @@ from .metrology import (ResolutionReport, RingFit, crossing_frequency,
 from .montecarlo import (CampaignResult, ParameterDistribution, ParameterSpec,
                          SweepResult, TrialResult, run_campaign, run_trial,
                          sample_parameters, sweep, sweep_grid)
-from .mtf import (GeometryConstants, MtfChainParams, diffraction_mtf,
-                  footprint_mtf, jitter_mtf, optics_mtf, sampling_mtf,
-                  smear_mtf, system_otf)
+from .mtf import (GeometryConstants, diffraction_mtf, footprint_mtf,
+                  jitter_mtf, optics_mtf, sampling_mtf, smear_mtf, system_otf)
 from .scenario import Scenario, ScenarioConfig, load_config
 from .simulator import (Observation, SystemParams, add_noise,
                         render_blurred_scene, sample_subarray,

@@ -80,7 +80,7 @@ def cmd_target(args, config: ScenarioConfig, out: Path) -> int:
 
 
 def cmd_mtf_curves(args, config: ScenarioConfig, out: Path) -> int:
-    header, rows = mtf_curve_table(config.system.mtf_chain(), n_points=args.points)
+    header, rows = mtf_curve_table(config.system, n_points=args.points)
     _write_csv(out / "mtf_curves.csv", header,
                [[repr(float(v)) for v in row] for row in rows])
     logger.info("wrote %s", out / "mtf_curves.csv")
@@ -126,12 +126,10 @@ def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
 
 def _load_observation(meta: dict, entry: dict, meta_dir: Path) -> Observation:
     from .fourier import gaussian_kernel
-    dec = tuple(meta["decimation"])
-    image = read_pgm(meta_dir / entry["file"], pitch=(float(dec[0]), float(dec[1])))
     return Observation(
-        image=image,
+        image=read_pgm(meta_dir / entry["file"]),
         shift_hr=tuple(entry["shift_hr"]),
-        decimation=dec,
+        decimation=tuple(meta["decimation"]),
         assumed_psf=gaussian_kernel(meta["assumed_psf_sigma"]),
         noise_sigma=meta["noise_sigma"],
     )

@@ -1,9 +1,10 @@
-"""2-D raster container with sample-pitch metadata, plus 16-bit PGM I/O.
+"""2-D raster container plus 16-bit PGM I/O.
 
 Every image in the pipeline (targets, blurred scenes, low-resolution
-observations, reconstructions) is an ``ImageGrid``: a row-major float64
-array in detector counts, tagged with the size of one grid sample in
-high-resolution pixels.  Axis 0 is along-track, axis 1 is across-track.
+observations, reconstructions) is an ``ImageGrid``: a validated
+row-major float64 array in detector counts.  Axis 0 is along-track,
+axis 1 is across-track.  How an observation samples the HR grid is
+recorded once, in ``Observation.decimation``.
 """
 
 from __future__ import annotations
@@ -20,35 +21,20 @@ __all__ = ["ImageGrid", "write_pgm", "read_pgm"]
 PGM_MAXVAL = 65535
 
 
-def _as_pitch(pitch) -> tuple[float, float]:
-    """Normalize a scalar or (row, col) pitch to a 2-tuple of floats."""
-    if np.isscalar(pitch):
-        p = float(pitch)
-        return (p, p)
-    pr, pc = pitch
-    return (float(pr), float(pc))
-
-
 @dataclass
 class ImageGrid:
-    """Real-valued raster with geometry metadata.
+    """Real-valued raster.
 
     Parameters
     ----------
     data : ndarray
         2-D float array, row-major, values in detector counts.
-    pitch : float or (float, float)
-        HR pixels per grid sample, per axis (row, col).  1.0 means one HR
-        sample per cell; 0.25 means 4x supersampled.  A scalar applies to
-        both axes.  Decimated observations carry anisotropic pitch.
     """
 
     data: np.ndarray
-    pitch: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        self.pitch = _as_pitch(self.pitch)
         self.validate()
 
     @property
@@ -63,22 +49,12 @@ class ImageGrid:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @property
-    def pitch_scalar(self) -> float:
-        """Isotropic pitch; raises if the two axes differ."""
-        pr, pc = self.pitch
-        if pr != pc:
-            raise ValueError(f"grid has anisotropic pitch {self.pitch}")
-        return pr
-
     def validate(self) -> None:
         """Check the container invariants; raises ValueError on a breach."""
         if self.data.ndim != 2:
             raise ValueError(f"expected 2-D data, got shape {self.data.shape}")
         if self.height < 2 or self.width < 2:
             raise ValueError(f"grid too small: {self.data.shape}")
-        if self.pitch[0] <= 0 or self.pitch[1] <= 0:
-            raise ValueError(f"pitch must be positive, got {self.pitch}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("grid contains non-finite values")
 
@@ -126,12 +102,8 @@ def _read_header_tokens(fh, count: int) -> list[bytes]:
     return tokens
 
 
-def read_pgm(path, pitch=1.0) -> ImageGrid:
-    """Read a binary PGM written by :func:`write_pgm`.
-
-    PGM carries no geometry, so the pitch comes from the caller
-    (normally a sidecar metadata file).
-    """
+def read_pgm(path) -> ImageGrid:
+    """Read a binary PGM written by :func:`write_pgm`."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
         if magic != b"P5":
@@ -144,4 +116,4 @@ def read_pgm(path, pitch=1.0) -> ImageGrid:
     if len(raw) != width * height * 2:
         raise ValueError(f"{path}: truncated pixel data")
     data = np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.float64)
-    return ImageGrid(data, pitch=pitch)
+    return ImageGrid(data)

@@ -135,7 +135,7 @@ def _sorted_disc(shape: tuple[int, int],
 
 
 def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float,
-                    cycles: int, mask: np.ndarray | ImageGrid | None = None) -> RingFit:
+                    cycles: int, mask: np.ndarray | None = None) -> RingFit:
     """Fit the angular harmonic at the known cycle count on one annulus.
 
     Gathers pixels with center distance in [radius-0.5, radius+0.5),
@@ -162,10 +162,9 @@ def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float
     ring = np.sort(flat[lo:hi])
     n_full = ring.size
     if mask is not None:
-        mdata = mask.data if isinstance(mask, ImageGrid) else np.asarray(mask)
-        if mdata.shape != (h, w):
-            raise ValueError(f"mask shape {mdata.shape} differs from image {(h, w)}")
-        ring = ring[mdata.reshape(-1)[ring] > 0.5]
+        if mask.shape != (h, w):
+            raise ValueError(f"mask shape {mask.shape} differs from image {(h, w)}")
+        ring = ring[mask.reshape(-1)[ring] > 0.5]
     n = ring.size
     if n_full == 0 or n < 8:
         raise EmptyRingError(f"empty ring: {n} samples at radius {radius}")
@@ -280,7 +279,8 @@ def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: in
                        signal: float, noise_sigma: float, outer_radius: float, *,
                        n_rings: int, sector: int | None = None,
                        geometry: GeometryConstants = GEOMETRY) -> ResolutionReport:
-    """Full resolution measurement on a star image.
+    """Full resolution measurement on a star image sampled on the HR grid
+    (a target, blurred scene or reconstruction).
 
     Rings are evaluated on a sinc-upsampled copy of the image
     (ANALYSIS_OVERSAMPLE per axis) so the harmonic fit stays well
@@ -301,8 +301,9 @@ def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: in
     then pins the crossing to the finest measured frequency and sets
     ladder_limited.
     """
-    pitch = image.pitch_scalar / ANALYSIS_OVERSAMPLE
-    image = ImageGrid(sinc_upsample(image.data, ANALYSIS_OVERSAMPLE), pitch=pitch)
+    # HR pixels per sample of the upsampled image the rings are fit on
+    pitch = 1.0 / ANALYSIS_OVERSAMPLE
+    image = ImageGrid(sinc_upsample(image.data, ANALYSIS_OVERSAMPLE))
 
     # ladder bounds in grid samples: stay inside the star, above the
     # sampling limit, and inside the HR information band f_hr <= 0.5

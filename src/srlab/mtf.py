@@ -11,12 +11,15 @@ handled by the motion operator in the simulator, never by OTF phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .simulator import SystemParams
+
 __all__ = [
     "GeometryConstants",
-    "MtfChainParams",
     "diffraction_mtf",
     "optics_mtf",
     "footprint_mtf",
@@ -50,35 +53,6 @@ class GeometryConstants:
             raise ValueError("LR footprint must be 2x the HR ground sample")
         if self.f_nyq_lr != self.f_nyq_hr / 2.0:
             raise ValueError("LR Nyquist must be half the HR Nyquist")
-
-
-@dataclass(frozen=True)
-class MtfChainParams:
-    """Knobs of the blur chain applied by the simulator.
-
-    detector_width_w is the square detector aperture in HR pixels (2.0
-    for the 8 um pixel on the 4 um grid).  smear_f_N is the smear model's
-    reference frequency, calibrated so one clock phase reproduces the
-    expected 90% / 64% anchors at half and full HR Nyquist.
-    """
-
-    optics_mtf_at_hr_nyq: float = 0.30
-    n_phi: int = 1
-    jitter_sigma: float = 0.1
-    detector_width_w: float = 2.0
-    smear_f_N: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.optics_mtf_at_hr_nyq <= 1.0:
-            raise ValueError("optics MTF at HR Nyquist must be in (0, 1]")
-        if self.n_phi < 1:
-            raise ValueError("clock phase count must be >= 1")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter sigma must be >= 0")
-        if self.detector_width_w <= 0:
-            raise ValueError("detector width must be > 0")
-        if self.smear_f_N <= 0:
-            raise ValueError("smear reference frequency must be > 0")
 
 
 GEOMETRY = GeometryConstants()
@@ -169,33 +143,42 @@ def jitter_mtf(f, sigma):
     return np.exp(-2.0 * np.pi**2 * sigma**2 * f * f)
 
 
-def system_otf(params: MtfChainParams, fx, fy):
+def _detector_width(params: SystemParams) -> float:
+    """Square detector aperture in HR samples: 2.0, the 8 um pixel on
+    the 4 um grid."""
+    return params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
+
+
+def system_otf(params: SystemParams, fx, fy):
     """Composite zero-phase system OTF on a 2-D frequency grid.
 
     Parameters
     ----------
-    params : MtfChainParams
+    params : SystemParams
+        Reads the optics MTF at HR Nyquist, the clock phase count, the
+        jitter sigma and the geometry (for the detector footprint).
     fx : across-track frequency, cycles/HR sample (may be an array).
     fy : along-track frequency, cycles/HR sample.
 
     Radial factors (optics, jitter) are evaluated at sqrt(fx^2+fy^2); the
     detector footprint applies separably per axis; smear applies to the
-    along-track component only.  The smear factor enters by magnitude so
-    the composed OTF is non-negative beyond the first smear null.
+    along-track component only, at smear_mtf's reference frequency.  The
+    smear factor enters by magnitude so the composed OTF is non-negative
+    beyond the first smear null.
     """
     fx = np.abs(np.asarray(fx, dtype=np.float64))
     fy = np.abs(np.asarray(fy, dtype=np.float64))
     fr = np.hypot(fx, fy)
-    otf = optics_mtf(fr, params.optics_mtf_at_hr_nyq)
-    otf = otf * footprint_mtf(fx, params.detector_width_w)
-    otf = otf * footprint_mtf(fy, params.detector_width_w)
+    width = _detector_width(params)
+    otf = optics_mtf(fr, params.optics_mtf_at_hr_nyq, params.geometry)
+    otf = otf * footprint_mtf(fx, width)
+    otf = otf * footprint_mtf(fy, width)
     otf = otf * jitter_mtf(fr, params.jitter_sigma)
-    otf = otf * np.abs(smear_mtf(fy, params.smear_f_N, params.n_phi))
+    otf = otf * np.abs(smear_mtf(fy, n_phi=params.n_phi))
     return otf
 
 
-def mtf_curve_table(params: MtfChainParams, n_points: int = 512,
-                    geometry: GeometryConstants = GEOMETRY):
+def mtf_curve_table(params: SystemParams, n_points: int = 512):
     """Tabulate every component MTF over [0, HR Nyquist].
 
     Returns (header, rows) where rows is an (n_points, 7) array with
@@ -203,13 +186,15 @@ def mtf_curve_table(params: MtfChainParams, n_points: int = 512,
     system column is the along-track composite system_otf(0, f), the axis
     where all factors act.
     """
+    geometry = params.geometry
+    width = _detector_width(params)
     f = np.linspace(0.0, geometry.f_nyq_hr, n_points)
     cols = [
         f,
         optics_mtf(f, params.optics_mtf_at_hr_nyq, geometry),
-        footprint_mtf(f, params.detector_width_w),
-        sampling_mtf(f, params.detector_width_w),
-        smear_mtf(f, params.smear_f_N, params.n_phi),
+        footprint_mtf(f, width),
+        sampling_mtf(f, width),
+        smear_mtf(f, n_phi=params.n_phi),
         jitter_mtf(f, params.jitter_sigma),
         system_otf(params, 0.0, f),
     ]

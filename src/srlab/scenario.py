@@ -41,6 +41,9 @@ class Scenario:
             raise ValueError("NEM reference signal must be > 0")
         if self.n_rings < 3:
             raise ValueError("need at least 3 measurement rings")
+        if any(n % 2 for n in self.grid_size):
+            raise ValueError(f"grid dimensions must be even (the blur needs "
+                             f"them), got {self.grid_size[0]}x{self.grid_size[1]}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fourier import apply_transfer, gaussian_kernel, subpixel_shift
 from .grid import ImageGrid
-from .mtf import GeometryConstants, MtfChainParams, system_otf
+from .mtf import GeometryConstants, system_otf
 from .seeding import child_seed
 
 __all__ = [
@@ -49,7 +49,8 @@ class SystemParams:
     reference signal, 0.5 LR px subarray stagger, 10 LR lines of
     along-track subarray separation.  assumed_psf_sigma is the solver's
     Gaussian estimate of the blur (default: 2 HR px FWHM), deliberately
-    distinct from the true OTF chain.
+    distinct from the true OTF chain.  The first three fields and the
+    geometry are what the system OTF (mtf.system_otf) reads.
     """
 
     optics_mtf_at_hr_nyq: float = 0.30
@@ -62,6 +63,12 @@ class SystemParams:
     geometry: GeometryConstants = field(default_factory=GeometryConstants)
 
     def __post_init__(self):
+        if not 0.0 < self.optics_mtf_at_hr_nyq <= 1.0:
+            raise ValueError("optics MTF at HR Nyquist must be in (0, 1]")
+        if self.n_phi < 1:
+            raise ValueError("clock phase count must be >= 1")
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter sigma must be >= 0")
         if self.snr_at_300 <= 0:
             raise ValueError("SNR must be > 0")
         if not 0.0 <= self.subarray_shift_ax < 1.0:
@@ -70,13 +77,6 @@ class SystemParams:
             raise ValueError("assumed PSF sigma must be > 0")
         if self.subarray_shift_al_lines < 0:
             raise ValueError("along-track separation must be >= 0 lines")
-
-    def mtf_chain(self) -> MtfChainParams:
-        return MtfChainParams(
-            optics_mtf_at_hr_nyq=self.optics_mtf_at_hr_nyq,
-            n_phi=self.n_phi,
-            jitter_sigma=self.jitter_sigma,
-        )
 
     @property
     def noise_sigma(self) -> float:
@@ -109,36 +109,29 @@ class Observation:
             raise ValueError("assumed PSF must sum to 1")
 
 
-def render_blurred_scene(target: ImageGrid, params) -> ImageGrid:
-    """Filter an HR target (pitch 1) by the system OTF.
+def render_blurred_scene(target: ImageGrid, params: SystemParams) -> ImageGrid:
+    """Filter an HR target by the system OTF.
 
-    params is a SystemParams (the usual case) or a bare MtfChainParams.
     The OTF is evaluated on the target's frequency grid in cycles per HR
-    sample.  Targets come at HR pitch 1 because the spoke rasterizer
-    supersamples internally.  DC gain is 1, so the mean is preserved.
+    sample.  DC gain is 1, so the mean is preserved.
     """
-    if target.pitch != (1.0, 1.0):
-        raise ValueError(f"target must be at HR pitch 1, got pitch {target.pitch}")
     h, w = target.shape
     if h % 2 or w % 2:
         raise ValueError(f"target dimensions must be even, got {h}x{w}")
     target.validate()
 
-    chain = params.mtf_chain() if isinstance(params, SystemParams) else params
-    otf = system_otf(chain, np.fft.fftfreq(w)[None, :], np.fft.fftfreq(h)[:, None])
-    return ImageGrid(apply_transfer(target.data, otf), pitch=1.0)
+    otf = system_otf(params, np.fft.fftfreq(w)[None, :], np.fft.fftfreq(h)[:, None])
+    return ImageGrid(apply_transfer(target.data, otf))
 
 
 def sample_subarray(blurred: ImageGrid, shift_hr: tuple[float, float],
                     decimation: tuple[int, int]) -> ImageGrid:
-    """Shift by a sub-pixel amount, then decimate.
+    """Shift an HR grid by a sub-pixel amount, then decimate.
 
     Output cell (i, j) samples the input at (i*s_al + d_al, j*s_ax +
     d_ax) with periodic boundaries.  Integer shifts are exact circular
     rolls; fractional shifts use the frequency-domain phase ramp.
     """
-    if blurred.pitch != (1.0, 1.0):
-        raise ValueError("subarray sampling expects an HR grid at pitch 1")
     s_al, s_ax = int(decimation[0]), int(decimation[1])
     h, w = blurred.shape
     if s_al < 1 or s_ax < 1:
@@ -149,7 +142,7 @@ def sample_subarray(blurred: ImageGrid, shift_hr: tuple[float, float],
     shifted = subpixel_shift(blurred.data, shift_hr)
     n_al, n_ax = h // s_al, w // s_ax
     sampled = shifted[:n_al * s_al:s_al, :n_ax * s_ax:s_ax]
-    return ImageGrid(sampled.copy(), pitch=(float(s_al), float(s_ax)))
+    return ImageGrid(sampled.copy())
 
 
 def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
@@ -164,7 +157,7 @@ def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
     sigma = REFERENCE_SIGNAL / snr_at_300
     rng = np.random.default_rng(rng_seed)
     noisy = image.data + rng.normal(0.0, sigma, size=image.shape)
-    return ImageGrid(noisy, pitch=image.pitch), sigma
+    return ImageGrid(noisy), sigma
 
 
 def simulate_observations(target: ImageGrid, params: SystemParams, rng_seed: int

@@ -120,8 +120,7 @@ def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
 
 def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
     """Apply the observation operator: blur, shift, decimate."""
-    lr = _forward(x.data, _estimate_transfer(x, obs), obs.decimation)
-    return ImageGrid(lr, pitch=(float(obs.decimation[0]), float(obs.decimation[1])))
+    return ImageGrid(_forward(x.data, _estimate_transfer(x, obs), obs.decimation))
 
 
 def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
@@ -131,8 +130,7 @@ def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
                          f"{obs.image.shape}")
     hr_shape = _hr_shape(obs)
     transfer = _observation_transfer(obs, hr_shape)
-    hr = _adjoint(r.data, transfer, obs.decimation, hr_shape)
-    return ImageGrid(hr, pitch=1.0)
+    return ImageGrid(_adjoint(r.data, transfer, obs.decimation, hr_shape))
 
 
 def _btv_pairs(p_radius: int):
@@ -143,7 +141,7 @@ def _btv_pairs(p_radius: int):
             if l + m > 0]
 
 
-def btv_penalty(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> float:
+def btv_penalty(x: np.ndarray, alpha: float, p_radius: int) -> float:
     """Bilateral total variation: decayed L1 norms of multi-shift differences.
 
     Sum over (l, m) with m in [0, P], l in [-P, P], l + m > 0 of
@@ -151,22 +149,20 @@ def btv_penalty(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> float
     (l columns, m rows).
     """
     _check_btv(alpha, p_radius)
-    data = x.data if isinstance(x, ImageGrid) else np.asarray(x)
     total = 0.0
     for l, m in _btv_pairs(p_radius):
         w = alpha ** (abs(l) + abs(m))
-        total += w * float(np.abs(data - np.roll(data, (m, l), axis=(0, 1))).sum())
+        total += w * float(np.abs(x - np.roll(x, (m, l), axis=(0, 1))).sum())
     return total
 
 
-def btv_gradient(x: np.ndarray | ImageGrid, alpha: float, p_radius: int) -> np.ndarray:
+def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     """Subgradient of btv_penalty, with sign(0) = 0."""
     _check_btv(alpha, p_radius)
-    data = x.data if isinstance(x, ImageGrid) else np.asarray(x)
-    grad = np.zeros_like(data)
+    grad = np.zeros_like(x)
     for l, m in _btv_pairs(p_radius):
         w = alpha ** (abs(l) + abs(m))
-        s = np.sign(data - np.roll(data, (m, l), axis=(0, 1)))
+        s = np.sign(x - np.roll(x, (m, l), axis=(0, 1)))
         grad += w * (s - np.roll(s, (-m, -l), axis=(0, 1)))
     return grad
 
@@ -190,14 +186,13 @@ def cost(x: ImageGrid, observations, cfg: SolverConfig) -> float:
     return _map_cost(x.data, terms, cfg)
 
 
-def bicubic_upsample(lr: np.ndarray | ImageGrid, decimation: tuple[int, int]) -> np.ndarray:
+def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
     """Cubic-spline upsample aligned so output[i*s] == input[i], periodic."""
-    data = lr.data if isinstance(lr, ImageGrid) else np.asarray(lr, dtype=np.float64)
     s_al, s_ax = decimation
-    rows = np.arange(data.shape[0] * s_al, dtype=np.float64) / s_al
-    cols = np.arange(data.shape[1] * s_ax, dtype=np.float64) / s_ax
+    rows = np.arange(lr.shape[0] * s_al, dtype=np.float64) / s_al
+    cols = np.arange(lr.shape[1] * s_ax, dtype=np.float64) / s_ax
     rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    return ndimage.map_coordinates(data, [rr, cc], order=3, mode="grid-wrap")
+    return ndimage.map_coordinates(lr, [rr, cc], order=3, mode="grid-wrap")
 
 
 def _alias_guard_lowpass(x: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
@@ -253,7 +248,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     terms = [(o.image.data, _observation_transfer(o, hr_shape), decimation)
              for o in observations]
 
-    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image, decimation),
+    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image.data, decimation),
                              decimation)
 
     def gradient(xc: np.ndarray) -> np.ndarray:
@@ -299,7 +294,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             break
 
     return SrResult(
-        image=ImageGrid(x, pitch=1.0),
+        image=ImageGrid(x),
         cost_trace=trace,
         iterations_run=iterations,
         converged=converged,

@@ -101,7 +101,7 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> ImageGrid:
         inside = (rr >= spec.inner_radius) & (rr <= spec.outer_radius)
         acc += np.where(inside, spoke, spec.mean_level)
     acc /= s * s
-    return ImageGrid(acc, pitch=1.0)
+    return ImageGrid(acc)
 
 
 def sector_mask(size: tuple[int, int], center: tuple[float, float],
@@ -124,4 +124,4 @@ def sector_mask(size: tuple[int, int], center: tuple[float, float],
     span = 2.0 * np.pi / sector_count
     mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
     mask &= ~((x == 0.0) & (y == 0.0))
-    return ImageGrid(mask.astype(np.float64), pitch=1.0)
+    return ImageGrid(mask.astype(np.float64))

@@ -27,7 +27,7 @@ def tiny_scenario():
 
 @pytest.fixture(scope="session")
 def star_target(scenario):
-    """The desk-scale HR star target (pitch 1)."""
+    """The desk-scale star target on the HR grid."""
     return generate_spoke_target(scenario.star, scenario.grid_size)
 
 

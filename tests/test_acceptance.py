@@ -107,18 +107,17 @@ def test_criterion_4_solver_correctness(star_target, scenario):
     for decimation in ((1, 2), (2, 2), (1, 1)):
         hr = (24, 24)
         lr = (hr[0] // decimation[0], hr[1] // decimation[1])
-        pitch = (float(decimation[0]), float(decimation[1]))
         for _ in range(17):
             if cases >= 50:
                 break
             shift = (float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             psf = gaussian_kernel(float(rng.uniform(0.4, 1.8)))
-            obs = Observation(ImageGrid(np.zeros(lr), pitch=pitch), shift,
+            obs = Observation(ImageGrid(np.zeros(lr)), shift,
                               decimation, psf, 0.0)
             x = rng.normal(size=hr)
             y = rng.normal(size=lr)
             fx = forward_model(ImageGrid(x), obs).data
-            aty = adjoint_model(ImageGrid(y, pitch=pitch), obs).data
+            aty = adjoint_model(ImageGrid(y), obs).data
             lhs, rhs = float((fx * y).sum()), float((x * aty).sum())
             worst_rel = max(worst_rel, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
             cases += 1
@@ -132,7 +131,7 @@ def test_criterion_4_solver_correctness(star_target, scenario):
     psf = gaussian_kernel(1.0)
     observations = []
     for shift in [(0.0, 0.0), (0.0, 1.0)]:
-        meta = Observation(ImageGrid(np.zeros((256, 128)), pitch=(1.0, 2.0)),
+        meta = Observation(ImageGrid(np.zeros((256, 128))),
                            shift, (1, 2), psf, 0.0)
         lr = forward_model(star_target, meta)
         observations.append(Observation(lr, shift, (1, 2), psf, 0.0))

@@ -1,5 +1,6 @@
 """Every exported name resolves, and so does every function the benchmark
-tracer wraps, so a deletion cannot silently break either.
+tracer wraps, and every script's imports, so a deletion cannot silently
+break any of them.
 
 The package root re-exports with ``from .module import name``, which fails
 at import time for a missing name, so importing it is its check.
@@ -16,7 +17,9 @@ import srlab
 
 MODULES = ["srlab"] + sorted(f"srlab.{m.name}"
                              for m in pkgutil.iter_modules(srlab.__path__))
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("modname", MODULES)
@@ -26,12 +29,23 @@ def test_all_names_resolve(modname):
     assert not missing, f"{modname}.__all__ names missing attributes: {missing}"
 
 
+def _load(path: Path, name: str):
+    """Execute a file as a module (a script's main guard keeps main from running)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_functions_resolve():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(TRACER, "_perfbench_tracer")
     assert tracer.TRACED
     for modname, names in tracer.TRACED.items():
         module = importlib.import_module(modname)
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_import(script):
+    assert callable(_load(script, f"_script_{script.stem}").main)

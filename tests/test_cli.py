@@ -96,6 +96,26 @@ def test_config_rejects_system_geometry(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("config", [{"system": {"n_phi": 0}},
+                                    {"grid": {"height": 129}}],
+                         ids=["n_phi-0", "odd-grid"])
+@pytest.mark.parametrize("command", [
+    ["target"],
+    ["sweep", "--param", "snr", "--values", "30,100", "--seeds-per-value", "1",
+     "--seed", "7"],
+    ["montecarlo", "--trials", "1", "--seed", "7"],
+], ids=["target", "sweep", "montecarlo"])
+def test_config_out_of_range_exits_2(tmp_path, capsys, config, command):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    # rejected at config load: no stage ran, no output directory was made
+    assert not out.exists()
+
+
 def test_config_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -239,6 +259,15 @@ def test_sweep_subcommand(config_path, tmp_path):
     assert summary["values"] == [30.0, 100.0]
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_sweep_out_of_range_value_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--param", "optics_mtf",
+                 "--values", "0,0.3", "--seeds-per-value", "1",
+                 "--seed", "3", "--out-dir", str(out)]) == 2
+    assert "optics MTF" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_missing_input_exits_2(config_path):

@@ -9,18 +9,9 @@ from srlab.grid import ImageGrid, read_pgm, write_pgm
 
 
 def test_basic_properties():
-    g = ImageGrid(np.zeros((4, 6)), pitch=0.5)
+    g = ImageGrid(np.zeros((4, 6)))
     assert (g.height, g.width) == (4, 6)
     assert g.shape == (4, 6)
-    assert g.pitch == (0.5, 0.5)
-    assert g.pitch_scalar == 0.5
-
-
-def test_anisotropic_pitch():
-    g = ImageGrid(np.zeros((4, 4)), pitch=(1.0, 2.0))
-    assert g.pitch == (1.0, 2.0)
-    with pytest.raises(ValueError, match="anisotropic"):
-        g.pitch_scalar
 
 
 @pytest.mark.parametrize("bad", [
@@ -32,13 +23,6 @@ def test_anisotropic_pitch():
 def test_invalid_data_rejected(bad):
     with pytest.raises(ValueError):
         ImageGrid(bad)
-
-
-def test_nonpositive_pitch_rejected():
-    with pytest.raises(ValueError):
-        ImageGrid(np.zeros((4, 4)), pitch=0.0)
-    with pytest.raises(ValueError):
-        ImageGrid(np.zeros((4, 4)), pitch=(-1.0, 1.0))
 
 
 def test_pgm_roundtrip_integers(tmp_path):

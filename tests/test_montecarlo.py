@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from srlab import montecarlo
 from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
                               sweep, sweep_grid)
@@ -203,6 +204,15 @@ def test_sweep_validation(tiny_scenario):
         sweep_grid("optics_mtf", [0.1], "snr", [30.0, 100.0], tiny_scenario)
     with pytest.raises(ValueError, match="unknown parameter"):
         sweep_grid("optics_mtf", [0.1, 0.5], "warp_speed", [1, 2], tiny_scenario)
+
+
+def test_sweep_rejects_out_of_range_value_before_any_trial(tiny_scenario,
+                                                           monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    with pytest.raises(ValueError, match="clock phase"):
+        sweep("clock_phase", [0, 1], tiny_scenario, seeds_per_value=1)
 
 
 def test_sweep_clock_phase_is_integer(tiny_scenario):

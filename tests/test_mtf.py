@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srlab.mtf import (GeometryConstants, MtfChainParams, diffraction_mtf,
-                       footprint_mtf, jitter_mtf, mtf_curve_table, optics_mtf,
-                       sampling_mtf, smear_mtf, system_otf)
+from srlab.mtf import (GeometryConstants, diffraction_mtf, footprint_mtf,
+                       jitter_mtf, mtf_curve_table, optics_mtf, sampling_mtf,
+                       smear_mtf, system_otf)
+from srlab.simulator import SystemParams
 
-NOMINAL = MtfChainParams()
+NOMINAL = SystemParams()
 
 
 def test_geometry_invariants():
@@ -107,24 +108,13 @@ def test_system_otf_nonnegative_beyond_nyquist():
 def test_system_otf_separability_with_separable_factors():
     # optics pinned at 1 and zero jitter leave only separable factors;
     # the product identity then guards the composition wiring
-    params = MtfChainParams(optics_mtf_at_hr_nyq=1.0, jitter_sigma=0.0)
+    params = SystemParams(optics_mtf_at_hr_nyq=1.0, jitter_sigma=0.0)
     fx = np.linspace(0.0, 0.5, 7)
     fy = np.linspace(0.0, 0.5, 7)
     full = system_otf(params, fx[None, :], fy[:, None])
     sep = (system_otf(params, fx, 0.0)[None, :] *
            system_otf(params, 0.0, fy)[:, None] / system_otf(params, 0.0, 0.0))
     assert np.allclose(full, sep, atol=1e-12)
-
-
-def test_chain_params_validation():
-    with pytest.raises(ValueError):
-        MtfChainParams(optics_mtf_at_hr_nyq=0.0)
-    with pytest.raises(ValueError):
-        MtfChainParams(n_phi=0)
-    with pytest.raises(ValueError):
-        MtfChainParams(jitter_sigma=-0.1)
-    with pytest.raises(ValueError):
-        MtfChainParams(detector_width_w=0.0)
 
 
 def test_curve_table_shape_and_header():

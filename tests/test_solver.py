@@ -15,14 +15,12 @@ from srlab.solver import (SolverConfig, adjoint_model, bicubic_upsample,
 def make_obs(lr_shape, shift, decimation, psf_sigma=0.9, lr_data=None):
     if lr_data is None:
         lr_data = np.zeros(lr_shape)
-    pitch = (float(decimation[0]), float(decimation[1]))
-    return Observation(ImageGrid(lr_data, pitch=pitch), shift, decimation,
+    return Observation(ImageGrid(lr_data), shift, decimation,
                        gaussian_kernel(psf_sigma), 0.0)
 
 
 def delta_obs(lr_data, shift=(0.0, 0.0), decimation=(1, 1)):
-    pitch = (float(decimation[0]), float(decimation[1]))
-    return Observation(ImageGrid(lr_data, pitch=pitch), shift, decimation,
+    return Observation(ImageGrid(lr_data), shift, decimation,
                        np.array([[1.0]]), 0.0)
 
 
@@ -68,7 +66,7 @@ def test_forward_shape_mismatch():
 
 def test_adjoint_of_zeros():
     obs = make_obs((8, 8), (0.5, 0.25), (2, 2))
-    out = adjoint_model(ImageGrid(np.zeros((8, 8)), pitch=2.0), obs)
+    out = adjoint_model(ImageGrid(np.zeros((8, 8))), obs)
     assert np.array_equal(out.data, np.zeros((16, 16)))
 
 
@@ -78,7 +76,7 @@ def test_adjoint_zero_fill_indexing():
     lr = np.zeros((8, 8))
     lr[2, 3] = 1.0
     obs = delta_obs(lr, (0.0, 0.0), (1, 2))
-    out = adjoint_model(ImageGrid(lr, pitch=(1.0, 2.0)), obs)
+    out = adjoint_model(ImageGrid(lr), obs)
     expected = np.zeros((8, 16))
     expected[2, 6] = 1.0
     assert np.allclose(out.data, expected, atol=1e-12)
@@ -99,8 +97,7 @@ def test_adjoint_dot_product(decimation, shift, psf_sigma):
         x = rng.normal(size=hr)
         y = rng.normal(size=lr)
         fx = forward_model(ImageGrid(x), obs).data
-        aty = adjoint_model(ImageGrid(y, pitch=(float(decimation[0]),
-                                                float(decimation[1]))), obs).data
+        aty = adjoint_model(ImageGrid(y), obs).data
         lhs = float((fx * y).sum())
         rhs = float((x * aty).sum())
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
@@ -252,7 +249,7 @@ def test_two_observation_beats_bicubic(star_target):
     psf = gaussian_kernel(1.0)
     observations = []
     for shift in [(0.0, 0.0), (0.0, 1.0)]:
-        meta = Observation(ImageGrid(np.zeros((256, 128)), pitch=(1.0, 2.0)),
+        meta = Observation(ImageGrid(np.zeros((256, 128))),
                            shift, (1, 2), psf, 0.0)
         lr = forward_model(star_target, meta)
         observations.append(Observation(lr, shift, (1, 2), psf, 0.0))
@@ -303,7 +300,7 @@ def test_shift_information_property(star_target):
     def reconstruct(d_across):
         observations = []
         for shift in [(0.0, 0.0), (0.0, d_across)]:
-            meta = Observation(ImageGrid(np.zeros((256, 128)), pitch=(1.0, 2.0)),
+            meta = Observation(ImageGrid(np.zeros((256, 128))),
                                shift, (1, 2), psf, 0.0)
             lr = forward_model(star_target, meta)
             observations.append(Observation(lr, shift, (1, 2), psf, 0.0))
