@@ -117,6 +117,18 @@ def test_system_otf_separability_with_separable_factors():
     assert np.allclose(full, sep, atol=1e-12)
 
 
+def test_chain_params_validation():
+    # the MTF chain's knobs are range-checked where SystemParams is built
+    with pytest.raises(ValueError, match="optics MTF"):
+        SystemParams(optics_mtf_at_hr_nyq=0.0)
+    with pytest.raises(ValueError, match="optics MTF"):
+        SystemParams(optics_mtf_at_hr_nyq=1.5)
+    with pytest.raises(ValueError, match="clock phase"):
+        SystemParams(n_phi=0)
+    with pytest.raises(ValueError, match="jitter"):
+        SystemParams(jitter_sigma=-0.1)
+
+
 def test_curve_table_shape_and_header():
     header, rows = mtf_curve_table(NOMINAL, n_points=512)
     assert header == ["f_cyc_per_hr_sample", "optics", "footprint", "sampling",
