@@ -197,7 +197,8 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
             print(f"\r{done}/{total} trials", end="", file=sys.stderr, flush=True)
     campaign = run_campaign(ParameterSpec(), config.scenario, n_trials, seed,
                             bin_width_m=config.montecarlo.bin_width_m,
-                            threads=args.threads, progress=progress)
+                            threads=args.threads, progress=progress,
+                            base=config.system)
     if args.progress:
         print(file=sys.stderr)
     _write_csv(out / "trials.csv", _TRIAL_COLUMNS,

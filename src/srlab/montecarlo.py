@@ -180,12 +180,13 @@ class SweepResult:
     mean_resolution_m: list[float | None]
 
 
-def sample_parameters(spec: ParameterSpec, rng_seed: int) -> SystemParams:
+def sample_parameters(spec: ParameterSpec, rng_seed: int,
+                      base: SystemParams | None = None) -> SystemParams:
     """Draw one SystemParams record from the spec, deterministically per seed.
 
     The assumed-PSF sigma combines the drawn support width (FWHM to
-    sigma) with an additive Gaussian estimation error; every other field
-    keeps its SystemParams() default.
+    sigma) with an additive Gaussian estimation error; every field that
+    is not drawn keeps base's value (default SystemParams()).
     """
     rng = np.random.default_rng(rng_seed)
     draws = {row.name: row.draw(rng) for row in spec.rows()}
@@ -194,7 +195,7 @@ def sample_parameters(spec: ParameterSpec, rng_seed: int) -> SystemParams:
     width = draws["psf_width"] + float(rng.normal(0.0, draws["psf_error_sigma"]))
     psf_sigma = max(width * SIGMA_PER_FWHM, PSF_SIGMA_FLOOR)
     return replace(
-        SystemParams(),
+        base or SystemParams(),
         optics_mtf_at_hr_nyq=draws["optics_mtf"],
         n_phi=int(draws["clock_phase"]),
         jitter_sigma=draws["jitter"],
@@ -274,11 +275,14 @@ def _run_plan(plan, scenario: Scenario, threads: int,
 
 def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
                  master_seed: int, bin_width_m: float = 0.05,
-                 threads: int = 1, progress=None) -> CampaignResult:
+                 threads: int = 1, progress=None,
+                 base: SystemParams | None = None) -> CampaignResult:
     """Run n_trials sampled trials and aggregate the resolution histogram.
 
-    Trial i draws parameters with child seed (master, i, 0) and noise
-    with (master, i, 1); results are independent of thread count.
+    Trial i draws parameters on top of base (default SystemParams()) with
+    child seed (master, i, 0) and noise with (master, i, 1); results are
+    independent of thread count.  A base that sets a drawn field away
+    from its default is rejected, since the draw would override it.
     Histogram bins are anchored at multiples of bin_width_m; the mode is
     the center of the most populated bin (ties: smallest).  Trials that
     fail or report no resolution are tallied but excluded from the
@@ -288,7 +292,12 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
         raise ValueError("need at least one trial")
     if bin_width_m <= 0:
         raise ValueError("bin width must be > 0")
-    plan = [(sample_parameters(spec, child_seed(master_seed, i, 0)),
+    base = base or SystemParams()
+    for name in PARAMETER_FIELDS.values():
+        if getattr(base, name) != getattr(SystemParams(), name):
+            raise ValueError(f"{name} is drawn per trial by the campaign; the "
+                             f"base parameters must leave it at its default")
+    plan = [(sample_parameters(spec, child_seed(master_seed, i, 0), base),
              child_seed(master_seed, i, 1)) for i in range(n_trials)]
     trials = _run_plan(plan, scenario, threads, progress)
 
@@ -338,6 +347,11 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
     names = [_resolve_field(parameter) for parameter, _ in axes]
     base = base or SystemParams()
     seeds = [child_seed(master_seed, j) for j in range(seeds_per_value)]
+    for name, (_, values) in zip(names, axes):
+        fractional = [v for v in values if not float(v).is_integer()]
+        if name == "n_phi" and fractional:
+            raise ValueError(f"clock phase count must be a whole number, "
+                             f"got {fractional[0]!r}")
     plan = []
     for cell in itertools.product(*(values for _, values in axes)):
         params = replace(base, **{name: int(v) if name == "n_phi" else float(v)

@@ -1,11 +1,13 @@
 """MAP super-resolution: L2 fidelity + bilateral-TV prior, steepest descent.
 
-The forward operator per observation is blur (circular convolution with
-the observation's assumed PSF), sub-pixel shift, then decimation.  Its
-exact adjoint is zero-fill upsampling, inverse shift, correlation.  The
-descent direction is the calculus-correct gradient of the cost; an
-adaptive step keeps the cost trace non-increasing (halve on failure,
-recover by 1.2x up to the initial step).
+Per observation, blur (the assumed PSF) and sub-pixel shift are one
+Hermitian multiplier T_k on the HR spectrum; decimation folds the
+spectrum onto the LR grid (the mean of its blocks) and the exact adjoint
+tiles it back under conj(T_k).  The solver carries each LR residual
+spectrum: the data cost is its energy (Parseval) and it is linear in the
+step, so the step search takes no FFT and an iteration takes two (data
+gradient to image space for the BTV prior, prior gradient back).  An
+adaptive step keeps the cost trace non-increasing (see super_resolve).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .fourier import apply_transfer, kernel_transfer, shift_multiplier_2d
+from .fourier import kernel_transfer, shift_multiplier_2d
 from .grid import ImageGrid
 from .simulator import Observation
 
@@ -78,12 +80,15 @@ class SolverConfig:
 
 @dataclass
 class SrResult:
-    """Reconstruction output: HR estimate, per-iteration cost, stop reason."""
+    """Reconstruction output: HR estimate, per-iteration cost, stop reason,
+    rejected step candidates and the last accepted step (0.0 if none)."""
 
     image: ImageGrid
     cost_trace: list[float]
     iterations_run: int
     converged: bool
+    step_halvings: int
+    final_beta: float
 
 
 def _hr_shape(obs: Observation) -> tuple[int, int]:
@@ -98,15 +103,22 @@ def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.nda
     return k * ramp
 
 
-def _forward(x: np.ndarray, transfer: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
-    return apply_transfer(x, transfer)[::decimation[0], ::decimation[1]]
+def _fold(spectrum: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
+    """Spectrum of the decimated signal: mean of the HR spectrum's blocks."""
+    (s0, s1), (n0, n1) = decimation, spectrum.shape
+    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1).mean(axis=(0, 2))
 
 
-def _adjoint(r: np.ndarray, transfer: np.ndarray, decimation: tuple[int, int],
-             hr_shape: tuple[int, int]) -> np.ndarray:
-    up = np.zeros(hr_shape)
-    up[::decimation[0], ::decimation[1]] = r
-    return apply_transfer(up, np.conj(transfer))
+def _residual_spectra(observations, transfers, x: np.ndarray) -> list[np.ndarray]:
+    """LR spectra of y_k - forward_k(x)."""
+    x_hat = np.fft.fft2(x)
+    return [np.fft.fft2(o.image.data) - _fold(t * x_hat, o.decimation)
+            for o, t in zip(observations, transfers)]
+
+
+def _data_cost(residuals) -> float:
+    """Sum of squared residuals, by Parseval from their spectra."""
+    return sum(float(np.vdot(r, r).real) / r.size for r in residuals)
 
 
 def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
@@ -120,7 +132,8 @@ def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
 
 def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
     """Apply the observation operator: blur, shift, decimate."""
-    return ImageGrid(_forward(x.data, _estimate_transfer(x, obs), obs.decimation))
+    spectrum = _estimate_transfer(x, obs) * np.fft.fft2(x.data)
+    return ImageGrid(np.fft.ifft2(_fold(spectrum, obs.decimation)).real)
 
 
 def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
@@ -128,9 +141,9 @@ def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
     if r.shape != obs.image.shape:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
-    hr_shape = _hr_shape(obs)
-    transfer = _observation_transfer(obs, hr_shape)
-    return ImageGrid(_adjoint(r.data, transfer, obs.decimation, hr_shape))
+    transfer = _observation_transfer(obs, _hr_shape(obs))
+    spectrum = np.conj(transfer) * np.tile(np.fft.fft2(r.data), obs.decimation)
+    return ImageGrid(np.fft.ifft2(spectrum).real)
 
 
 def _btv_pairs(p_radius: int):
@@ -167,23 +180,15 @@ def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     return grad
 
 
-def _map_cost(x: np.ndarray, terms, cfg: SolverConfig) -> float:
-    """Sum of squared residuals over (y, transfer, decimation) terms plus
-    lam * BTV."""
-    total = 0.0
-    for y, transfer, decimation in terms:
-        residual = y - _forward(x, transfer, decimation)
-        total += float((residual * residual).sum())
-    if cfg.lam > 0:
-        total += cfg.lam * btv_penalty(x, cfg.alpha, cfg.p_radius)
-    return total
+def _prior(x: np.ndarray, cfg: SolverConfig) -> float:
+    return cfg.lam * btv_penalty(x, cfg.alpha, cfg.p_radius) if cfg.lam > 0 else 0.0
 
 
 def cost(x: ImageGrid, observations, cfg: SolverConfig) -> float:
     """Full MAP cost: sum of squared residuals plus lam * BTV."""
-    terms = [(obs.image.data, _estimate_transfer(x, obs), obs.decimation)
-             for obs in observations]
-    return _map_cost(x.data, terms, cfg)
+    transfers = [_estimate_transfer(x, obs) for obs in observations]
+    residuals = _residual_spectra(observations, transfers, x.data)
+    return _data_cost(residuals) + _prior(x.data, cfg)
 
 
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
@@ -245,47 +250,48 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     if any(_hr_shape(o) != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
 
-    terms = [(o.image.data, _observation_transfer(o, hr_shape), decimation)
-             for o in observations]
-
+    transfers = [_observation_transfer(o, hr_shape) for o in observations]
     x = _alias_guard_lowpass(bicubic_upsample(observations[0].image.data, decimation),
                              decimation)
+    resid = _residual_spectra(observations, transfers, x)
 
-    def gradient(xc: np.ndarray) -> np.ndarray:
-        g = np.zeros(hr_shape)
-        for y, t, _ in terms:
-            resid = y - _forward(xc, t, decimation)
-            g -= 2.0 * _adjoint(resid, t, decimation, hr_shape)
-        if cfg.lam > 0:
-            g += cfg.lam * btv_gradient(xc, cfg.alpha, cfg.p_radius)
-        return g
-
-    current = _map_cost(x, terms, cfg)
+    current = _data_cost(resid) + _prior(x, cfg)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
     beta = cfg.beta0
     converged = False
-    iterations = 0
+    iterations, halvings, final_beta = 0, 0, 0.0
 
     for iterations in range(1, cfg.max_iters + 1):
-        g = gradient(x)
-        accepted = False
+        g_hat = np.zeros(hr_shape, dtype=complex)
+        for r, t in zip(resid, transfers):
+            g_hat -= np.conj(t) * np.tile(2.0 * r, decimation)
+        g = np.fft.ifft2(g_hat).real
+        if cfg.lam > 0:
+            g_prior = cfg.lam * btv_gradient(x, cfg.alpha, cfg.p_radius)
+            g = g + g_prior
+            g_hat += np.fft.fft2(g_prior)
+        # the residual at x - beta * g is resid + beta * step
+        steps = [_fold(t * g_hat, decimation) for t in transfers]
+        del g_hat  # freed before the step search's BTV temporaries
         for _ in range(MAX_HALVINGS + 1):
             candidate = x - beta * g
-            c_new = _map_cost(candidate, terms, cfg)
+            trial = [r + beta * step for r, step in zip(resid, steps)]
+            c_new = _data_cost(trial) + _prior(candidate, cfg)
             if not np.isfinite(c_new):
                 raise FloatingPointError("non-finite cost during iteration")
             if c_new < current:
-                accepted = True
                 break
             beta *= 0.5
-        if not accepted:
+            halvings += 1
+        else:
             # step size collapsed: stationary within numerical resolution
             converged = True
             iterations -= 1
             break
-        x = candidate
+        x, resid, final_beta = candidate, trial, beta
+        del g, steps  # not held through the next gradient build
         previous, current = current, c_new
         trace.append(current)
         beta = min(beta * 1.2, cfg.beta0)
@@ -293,9 +299,5 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             converged = True
             break
 
-    return SrResult(
-        image=ImageGrid(x),
-        cost_trace=trace,
-        iterations_run=iterations,
-        converged=converged,
-    )
+    return SrResult(image=ImageGrid(x), cost_trace=trace, iterations_run=iterations,
+                    converged=converged, step_halvings=halvings, final_beta=final_beta)

@@ -3,12 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from srlab import montecarlo
 from srlab.cli import main
 from srlab.grid import read_pgm
 from srlab.montecarlo import run_trial
-from srlab.scenario import Scenario, ScenarioConfig, load_config
+from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_config
 from srlab.simulator import SystemParams
+from srlab.solver import SolverConfig
+from srlab.target import StarSpec
 
 
 CONFIG = {
@@ -114,6 +119,70 @@ def test_config_out_of_range_exits_2(tmp_path, capsys, config, command):
     assert err.startswith("error:") and "Traceback" not in err
     # rejected at config load: no stage ran, no output directory was made
     assert not out.exists()
+
+
+def _floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Any valid ScenarioConfig (geometry, which a config cannot set, aside)."""
+    inner, dark = draw(_floats(0.0, 50.0)), draw(_floats(-100.0, 100.0))
+    star = StarSpec(cycles=draw(st.integers(1, 400)),
+                    inner_radius=inner, outer_radius=inner + draw(_floats(1.0, 100.0)),
+                    dark_level=dark, bright_level=dark + draw(_floats(1.0, 1000.0)),
+                    center=(draw(_floats(0.0, 300.0)), draw(_floats(0.0, 300.0))),
+                    supersample=draw(st.integers(1, 8)))
+    solver = SolverConfig(
+        lam=draw(_floats(0.0, 10.0)), alpha=draw(_floats(0.01, 1.0)),
+        p_radius=draw(st.integers(1, 4)), beta0=draw(_floats(0.01, 10.0)),
+        max_iters=draw(st.integers(1, 500)), rel_tol=draw(_floats(0.0, 1e-3)),
+        sr_factor=draw(st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    scenario = Scenario(
+        star=star, solver=solver,
+        grid_size=(2 * draw(st.integers(1, 256)), 2 * draw(st.integers(1, 256))),
+        nem_signal=draw(_floats(0.1, 1e4)), n_rings=draw(st.integers(3, 200)))
+    system = SystemParams(
+        optics_mtf_at_hr_nyq=draw(_floats(0.01, 1.0)), n_phi=draw(st.integers(1, 8)),
+        jitter_sigma=draw(_floats(0.0, 1.0)), snr_at_300=draw(_floats(0.1, 1000.0)),
+        subarray_shift_ax=draw(_floats(0.0, 0.99)),
+        subarray_shift_al_lines=draw(st.integers(0, 40)),
+        assumed_psf_sigma=draw(_floats(0.1, 5.0)))
+    mc = MonteCarloConfig(n_trials=draw(st.integers(1, 10_000)),
+                          master_seed=draw(st.none() | st.integers(0, 2**32)),
+                          bin_width_m=draw(_floats(1e-3, 1.0)))
+    return ScenarioConfig(scenario=scenario, system=system, montecarlo=mc,
+                          output_dir=draw(st.text("abcxyz_/.-", min_size=1)))
+
+
+def _as_json(config: ScenarioConfig) -> dict:
+    """config written out section by section, in the config file's keys."""
+    sc, solver = config.scenario, config.scenario.solver
+    star = {key: getattr(sc.star, key) for key in StarSpec.__dataclass_fields__}
+    system = {key: getattr(config.system, key)
+              for key in SystemParams.__dataclass_fields__ if key != "geometry"}
+    return {
+        "star": {**star, "center": list(sc.star.center)},
+        "grid": {"height": sc.grid_size[0], "width": sc.grid_size[1]},
+        "system": system,
+        "solver": {"lambda": solver.lam, "alpha": solver.alpha, "P": solver.p_radius,
+                   "beta0": solver.beta0, "max_iters": solver.max_iters,
+                   "rel_tol": solver.rel_tol,
+                   "sr_factor": solver.sr_factor and list(solver.sr_factor)},
+        "montecarlo": {key: getattr(config.montecarlo, key)
+                       for key in MonteCarloConfig.__dataclass_fields__},
+        "nem_signal": sc.nem_signal,
+        "n_rings": sc.n_rings,
+        "output_dir": config.output_dir,
+    }
+
+
+@given(config=scenario_configs())
+def test_config_round_trip(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("round_trip") / "scenario.json"
+    path.write_text(json.dumps(_as_json(config)))
+    assert load_config(path) == config
 
 
 def test_config_malformed_json(tmp_path):
@@ -268,6 +337,49 @@ def test_sweep_out_of_range_value_exits_2(config_path, tmp_path, capsys):
                  "--seed", "3", "--out-dir", str(out)]) == 2
     assert "optics MTF" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_fractional_clock_phase_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--param", "clock_phase",
+                 "--values", "1.5,2", "--seeds-per-value", "1",
+                 "--seed", "3", "--out-dir", str(out)]) == 2
+    assert "got 1.5" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert main(["sweep", "--config", str(config_path), "--param", "clock_phase",
+                 "--values", "1,2.0", "--seeds-per-value", "1",
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "sweep_summary.json").read_text())["values"] == [1.0, 2.0]
+
+
+def _system_config(tmp_path, system: dict):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({**CONFIG, "system": system}))
+    return path
+
+
+def test_montecarlo_uses_system_section(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_trial(params, scenario, seed, target=None):
+        seen.append(params)
+        return montecarlo.TrialResult(params, 1.0, False, seed, 0.0)
+    monkeypatch.setattr(montecarlo, "run_trial", fake_trial)
+    path = _system_config(tmp_path, {"subarray_shift_al_lines": 4})
+    assert main(["montecarlo", "--config", str(path), "--trials", "3",
+                 "--seed", "7", "--out-dir", str(tmp_path / "mc")]) == 0
+    assert len(seen) == 3
+    assert all(params.subarray_shift_al_lines == 4 for params in seen)
+
+
+def test_montecarlo_rejects_sampled_system_key(tmp_path, capsys):
+    path = _system_config(tmp_path, {"snr_at_300": 80})
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(path), "--trials", "1",
+                 "--seed", "7", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "snr_at_300" in err
+    assert not (out / "trials.csv").exists()
 
 
 def test_missing_input_exits_2(config_path):

@@ -222,6 +222,52 @@ def test_sweep_clock_phase_is_integer(tiny_scenario):
     assert isinstance(result.trials[1][0].params.n_phi, int)
 
 
+def test_sweep_rejects_fractional_clock_phase(tiny_scenario, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    with pytest.raises(ValueError, match="whole number, got 1.5"):
+        sweep("clock_phase", [1.5, 2], tiny_scenario, seeds_per_value=1)
+    with pytest.raises(ValueError, match="got 2.7"):
+        sweep_grid("snr", [30.0, 60.0], "clock_phase", [1, 2.7], tiny_scenario,
+                   seeds_per_value=1)
+    plan = montecarlo._sweep_plan([("clock_phase", [1, 2.0])], None, 1, 0)
+    assert [params.n_phi for params, _ in plan] == [1, 2]
+
+
+def _record_trials(monkeypatch):
+    """Replace run_trial with a stub that resolves at 1 m and records the
+    params it was given."""
+    seen = []
+
+    def fake_trial(params, scenario, seed, target=None):
+        seen.append(params)
+        return montecarlo.TrialResult(params, 1.0, False, seed, 0.0)
+    monkeypatch.setattr(montecarlo, "run_trial", fake_trial)
+    return seen
+
+
+def test_campaign_samples_on_base(tiny_scenario, monkeypatch):
+    seen = _record_trials(monkeypatch)
+    base = replace(SystemParams(), subarray_shift_al_lines=4)
+    camp = run_campaign(ParameterSpec(), tiny_scenario, n_trials=3, master_seed=5,
+                        base=base)
+    assert len(seen) == 3
+    assert all(params.subarray_shift_al_lines == 4 for params in seen)
+    # the draws themselves do not depend on the base
+    default = run_campaign(ParameterSpec(), tiny_scenario, n_trials=3, master_seed=5)
+    assert [replace(t.params, subarray_shift_al_lines=10) for t in camp.trials] == \
+        [t.params for t in default.trials]
+
+
+def test_campaign_rejects_base_with_drawn_field(tiny_scenario, monkeypatch):
+    seen = _record_trials(monkeypatch)
+    with pytest.raises(ValueError, match="snr_at_300 is drawn"):
+        run_campaign(ParameterSpec(), tiny_scenario, n_trials=2, master_seed=1,
+                     base=replace(SystemParams(), snr_at_300=80.0))
+    assert not seen
+
+
 def test_sweep_grid_shape(tiny_scenario):
     grid = sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0],
                       tiny_scenario, seeds_per_value=1, master_seed=4)

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srlab.fourier import gaussian_kernel
+from srlab.fourier import apply_transfer, gaussian_kernel
 from srlab.grid import ImageGrid
 from srlab.seeding import child_seed
 from srlab.simulator import Observation, SystemParams, simulate_observations
-from srlab.solver import (SolverConfig, adjoint_model, bicubic_upsample,
+from srlab.solver import (MAX_HALVINGS, SolverConfig, _alias_guard_lowpass,
+                          _observation_transfer, adjoint_model, bicubic_upsample,
                           btv_gradient, btv_penalty, cost, forward_model,
                           super_resolve)
 
@@ -203,10 +204,8 @@ def test_cost_gradient_first_order():
     cfg = SolverConfig(lam=0.01)
     x = truth + rng.normal(0.0, 20.0, truth.shape)
 
-    from srlab.solver import _adjoint, _forward, _observation_transfer
-    transfer = _observation_transfer(obs, (16, 16))
-    resid = obs.image.data - _forward(x, transfer, (1, 2))
-    g = -2.0 * _adjoint(resid, transfer, (1, 2), (16, 16))
+    resid = obs.image.data - forward_model(ImageGrid(x), obs).data
+    g = -2.0 * adjoint_model(ImageGrid(resid), obs).data
     g = g + cfg.lam * btv_gradient(x, cfg.alpha, cfg.p_radius)
 
     eps = 1e-4
@@ -310,6 +309,116 @@ def test_shift_information_property(star_target):
     err_good = np.linalg.norm(reconstruct(1.0) - star_target.data)
     err_bad = np.linalg.norm(reconstruct(0.0) - star_target.data)
     assert err_good < err_bad
+
+
+def image_space_super_resolve(observations, cfg):
+    """The image-space descent super_resolve ran before its data term moved
+    to the Fourier domain: every cost and gradient goes through image
+    space.  Returns (x, cost trace, iterations, converged, halvings,
+    last accepted step)."""
+    decimation = observations[0].decimation
+    d0, d1 = decimation
+    hr_shape = (observations[0].image.height * d0, observations[0].image.width * d1)
+    terms = [(o.image.data, _observation_transfer(o, hr_shape)) for o in observations]
+
+    def forward(x, t):
+        return apply_transfer(x, t)[::d0, ::d1]
+
+    def adjoint(r, t):
+        up = np.zeros(hr_shape)
+        up[::d0, ::d1] = r
+        return apply_transfer(up, np.conj(t))
+
+    def map_cost(x):
+        total = 0.0
+        for y, t in terms:
+            residual = y - forward(x, t)
+            total += float((residual * residual).sum())
+        if cfg.lam > 0:
+            total += cfg.lam * btv_penalty(x, cfg.alpha, cfg.p_radius)
+        return total
+
+    def gradient(x):
+        g = np.zeros(hr_shape)
+        for y, t in terms:
+            g -= 2.0 * adjoint(y - forward(x, t), t)
+        if cfg.lam > 0:
+            g += cfg.lam * btv_gradient(x, cfg.alpha, cfg.p_radius)
+        return g
+
+    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image.data, decimation),
+                             decimation)
+    current = map_cost(x)
+    trace = [current]
+    beta, converged, iterations, halvings, final_beta = cfg.beta0, False, 0, 0, 0.0
+    for iterations in range(1, cfg.max_iters + 1):
+        g = gradient(x)
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = x - beta * g
+            c_new = map_cost(candidate)
+            if c_new < current:
+                break
+            beta *= 0.5
+            halvings += 1
+        else:
+            converged = True
+            iterations -= 1
+            break
+        x, final_beta = candidate, beta
+        previous, current = current, c_new
+        trace.append(current)
+        beta = min(beta * 1.2, cfg.beta0)
+        if (previous - current) <= cfg.rel_tol * max(previous, np.finfo(float).tiny):
+            converged = True
+            break
+    return x, trace, iterations, converged, halvings, final_beta
+
+
+@given(decimation=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+       lr_shape=st.tuples(st.integers(9, 14), st.integers(9, 14)),
+       shifts=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                       min_size=5, max_size=5),
+       psf_sigma=st.sampled_from([0.5, 0.9]),
+       lam=st.sampled_from([0.0, 0.01, 0.6]),
+       max_iters=st.sampled_from([3, 200]),
+       beta0=st.sampled_from([1.0, 64.0]),
+       seed=st.integers(0, 2**16))
+def test_spectral_solver_matches_image_space_reference(
+        decimation, lr_shape, shifts, psf_sigma, lam, max_iters, beta0, seed):
+    # one observation more than the decimation's phases keeps the data term
+    # overdetermined.  With fewer, the data neither fix the null-space part
+    # of x nor keep the cost off zero, and over 200 iterations rounding,
+    # which differs between any two float orders, decides the iterates:
+    # images part at 1e-7, and iteration counts differ once the cost
+    # reaches the rounding floor.
+    rng = np.random.default_rng(seed)
+    observations = [make_obs(lr_shape, shift, decimation, psf_sigma,
+                             lr_data=rng.normal(100.0, 20.0, lr_shape))
+                    for shift in shifts[:decimation[0] * decimation[1] + 1]]
+    cfg = SolverConfig(lam=lam, beta0=beta0, max_iters=max_iters, rel_tol=1e-9)
+    x, trace, iterations, converged, halvings, final_beta = \
+        image_space_super_resolve(observations, cfg)
+    result = super_resolve(observations, cfg=cfg)
+    assert result.iterations_run == iterations
+    assert result.converged == converged
+    assert result.step_halvings == halvings
+    assert result.final_beta == final_beta
+    np.testing.assert_allclose(result.cost_trace, trace, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(result.image.data, x, rtol=1e-10,
+                               atol=1e-10 * np.abs(x).max())
+
+
+def test_step_halvings_recorded(star_target, scenario, nominal_params):
+    o1, o2 = simulate_observations(star_target, nominal_params, 42)
+    nominal = super_resolve([o1, o2], cfg=scenario.solver)
+    assert nominal.step_halvings == 0
+    assert nominal.final_beta == scenario.solver.beta0
+    # a delta-PSF identity problem diverges for any step above 1
+    obs = delta_obs(np.random.default_rng(53).normal(size=(16, 16)))
+    forced = super_resolve([obs], cfg=SolverConfig(lam=0.0, beta0=64.0,
+                                                   max_iters=3))
+    assert forced.step_halvings > 0
+    assert 0.0 < forced.final_beta < 1.0
 
 
 def test_super_resolve_validation():
