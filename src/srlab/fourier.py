@@ -4,12 +4,14 @@ All operators here assume periodic (circular) boundaries, which makes
 forward/adjoint pairs exact transposes.  Shift multipliers are forced
 Hermitian by replacing the Nyquist-bin phase with its real part, so
 applying them to a real image returns a real image and the conjugate
-multiplier is the exact adjoint.
+multiplier is the exact adjoint.  Every transform in srlab goes
+through scipy.fft.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "shift_multiplier_1d",
@@ -44,7 +46,7 @@ def shift_multiplier_2d(shape: tuple[int, int], shift: tuple[float, float]) -> n
 
 def apply_transfer(x: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     """Filter a real image by a (Hermitian) frequency-domain multiplier."""
-    return np.fft.ifft2(np.fft.fft2(x) * transfer).real
+    return scipy.fft.ifft2(scipy.fft.fft2(x) * transfer).real
 
 
 def subpixel_shift(x: np.ndarray, shift: tuple[float, float]) -> np.ndarray:
@@ -89,7 +91,7 @@ def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
         return np.asarray(data, dtype=np.float64).copy()
     h, w = data.shape
     big_h, big_w = h * factor, w * factor
-    spectrum = np.fft.rfft2(data)
+    spectrum = scipy.fft.rfft2(data)
     padded = np.zeros((big_h, big_w // 2 + 1), dtype=complex)
     n_pos, n_neg = (h + 1) // 2, (h - 1) // 2  # rows of frequency 0.., ..-1
     padded[:n_pos, :w // 2 + 1] = spectrum[:n_pos]
@@ -99,7 +101,10 @@ def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
         padded[big_h - h // 2, :w // 2 + 1] = padded[h // 2, :w // 2 + 1]
     if w % 2 == 0:
         padded[:, w // 2] *= 0.5
-    return np.fft.irfft2(padded, s=(big_h, big_w)) * factor * factor
+    # columns in place, then rows: irfft2 would hold a third full-size
+    # complex array as its intermediate
+    columns = scipy.fft.ifft(padded, axis=0, overwrite_x=True)
+    return scipy.fft.irfft(columns, n=big_w, axis=1, overwrite_x=True) * factor * factor
 
 
 def kernel_transfer(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -114,4 +119,4 @@ def kernel_transfer(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     padded = np.zeros(shape)
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return np.fft.fft2(padded)
+    return scipy.fft.fft2(padded)

@@ -3,11 +3,15 @@
 Per observation, blur (the assumed PSF) and sub-pixel shift are one
 Hermitian multiplier T_k on the HR spectrum; decimation folds the
 spectrum onto the LR grid (the mean of its blocks) and the exact adjoint
-tiles it back under conj(T_k).  The solver carries each LR residual
-spectrum: the data cost is its energy (Parseval) and it is linear in the
-step, so the step search takes no FFT and an iteration takes two (data
-gradient to image space for the BTV prior, prior gradient back).  An
-adaptive step keeps the cost trace non-increasing (see super_resolve).
+broadcasts it back over the blocks under conj(T_k).  The solver carries
+each LR residual spectrum: the data cost is its energy (Parseval) and it
+is linear in the step, so the step search takes no FFT and an iteration
+takes two (data gradient to image space for the BTV prior, prior
+gradient back), both through scipy.fft.  The BTV prior is one pass over
+the shift differences, taken as slices of one wrap-padded copy of the
+image: it gives the penalty at each candidate and the int8 signs from
+which the accepted candidate's gradient is built.  An adaptive step
+keeps the cost trace non-increasing (see super_resolve).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy import ndimage
 
 from .fourier import kernel_transfer, shift_multiplier_2d
@@ -103,16 +108,39 @@ def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.nda
     return k * ramp
 
 
-def _fold(spectrum: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
-    """Spectrum of the decimated signal: mean of the HR spectrum's blocks."""
+def _blocks(spectrum: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
+    """(s0, n0, s1, n1) view of an HR spectrum: block [i, :, j, :] holds
+    the bins that alias onto the LR spectrum under decimation (s0, s1)."""
     (s0, s1), (n0, n1) = decimation, spectrum.shape
-    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1).mean(axis=(0, 2))
+    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1)
+
+
+def _fold(transfer: np.ndarray, spectrum: np.ndarray,
+          decimation: tuple[int, int]) -> np.ndarray:
+    """LR spectrum of transfer * spectrum decimated: the mean of its blocks."""
+    s0, s1 = decimation
+    t_blocks, x_blocks = _blocks(transfer, decimation), _blocks(spectrum, decimation)
+    out = t_blocks[0, :, 0, :] * x_blocks[0, :, 0, :]
+    for k in range(1, s0 * s1):
+        i, j = divmod(k, s1)
+        out += t_blocks[i, :, j, :] * x_blocks[i, :, j, :]
+    out *= 1.0 / (s0 * s1)  # as numpy divides a complex array by an integer
+    return out
+
+
+def _unfold(transfer: np.ndarray, lr_spectrum: np.ndarray,
+            decimation: tuple[int, int]) -> np.ndarray:
+    """conj(transfer) * tile(lr_spectrum), the adjoint of _fold, as the
+    blocks of one fresh HR spectrum."""
+    out = _blocks(np.conj(transfer), decimation)
+    out *= lr_spectrum[None, :, None, :]
+    return out
 
 
 def _residual_spectra(observations, transfers, x: np.ndarray) -> list[np.ndarray]:
     """LR spectra of y_k - forward_k(x)."""
-    x_hat = np.fft.fft2(x)
-    return [np.fft.fft2(o.image.data) - _fold(t * x_hat, o.decimation)
+    x_hat = scipy.fft.fft2(x)
+    return [scipy.fft.fft2(o.image.data) - _fold(t, x_hat, o.decimation)
             for o, t in zip(observations, transfers)]
 
 
@@ -132,8 +160,8 @@ def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
 
 def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
     """Apply the observation operator: blur, shift, decimate."""
-    spectrum = _estimate_transfer(x, obs) * np.fft.fft2(x.data)
-    return ImageGrid(np.fft.ifft2(_fold(spectrum, obs.decimation)).real)
+    spectrum = _fold(_estimate_transfer(x, obs), scipy.fft.fft2(x.data), obs.decimation)
+    return ImageGrid(scipy.fft.ifft2(spectrum).real)
 
 
 def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
@@ -141,9 +169,10 @@ def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
     if r.shape != obs.image.shape:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
-    transfer = _observation_transfer(obs, _hr_shape(obs))
-    spectrum = np.conj(transfer) * np.tile(np.fft.fft2(r.data), obs.decimation)
-    return ImageGrid(np.fft.ifft2(spectrum).real)
+    hr_shape = _hr_shape(obs)
+    spectrum = _unfold(_observation_transfer(obs, hr_shape), scipy.fft.fft2(r.data),
+                       obs.decimation)
+    return ImageGrid(scipy.fft.ifft2(spectrum.reshape(hr_shape)).real)
 
 
 def _btv_pairs(p_radius: int):
@@ -154,6 +183,37 @@ def _btv_pairs(p_radius: int):
             if l + m > 0]
 
 
+def _btv_pass(x: np.ndarray, alpha: float, p_radius: int):
+    """BTV penalty and the int8 signs of x - x[i-m, j-l], one plane per
+    shift pair (l, m) in _btv_pairs order.
+
+    Each difference is a slice of one wrap-padded copy of x.
+    """
+    (h, w), p = x.shape, p_radius
+    pairs = _btv_pairs(p_radius)
+    padded = np.pad(x, ((p, 0), (p, p)), mode="wrap")
+    d = np.empty(x.shape, dtype=padded.dtype)
+    total, signs = 0.0, np.empty((len(pairs), h, w), dtype=np.int8)
+    for s, (l, m) in zip(signs, pairs):
+        np.subtract(x, padded[p - m:p - m + h, p - l:p - l + w], out=d)
+        np.subtract(d > 0, d < 0, out=s, dtype=np.int8)
+        total += alpha ** (abs(l) + abs(m)) * float(np.abs(d, out=d).sum())
+    return total, signs
+
+
+def _btv_signs_gradient(signs: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
+    """BTV subgradient from _btv_pass's signs.
+
+    Float subtraction is antisymmetric, so sign(x - x[i+m, j+l]) is
+    -s[i+m, j+l] exactly and each pair adds s - roll(s, (-m, -l)).
+    """
+    grad, term = np.zeros(signs.shape[1:]), np.empty(signs.shape[1:])
+    for s, (l, m) in zip(signs, _btv_pairs(p_radius)):
+        grad += np.multiply(alpha ** (abs(l) + abs(m)),
+                            s - np.roll(s, (-m, -l), axis=(0, 1)), out=term)
+    return grad
+
+
 def btv_penalty(x: np.ndarray, alpha: float, p_radius: int) -> float:
     """Bilateral total variation: decayed L1 norms of multi-shift differences.
 
@@ -162,33 +222,28 @@ def btv_penalty(x: np.ndarray, alpha: float, p_radius: int) -> float:
     (l columns, m rows).
     """
     _check_btv(alpha, p_radius)
-    total = 0.0
-    for l, m in _btv_pairs(p_radius):
-        w = alpha ** (abs(l) + abs(m))
-        total += w * float(np.abs(x - np.roll(x, (m, l), axis=(0, 1))).sum())
-    return total
+    return _btv_pass(x, alpha, p_radius)[0]
 
 
 def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     """Subgradient of btv_penalty, with sign(0) = 0."""
     _check_btv(alpha, p_radius)
-    grad = np.zeros_like(x)
-    for l, m in _btv_pairs(p_radius):
-        w = alpha ** (abs(l) + abs(m))
-        s = np.sign(x - np.roll(x, (m, l), axis=(0, 1)))
-        grad += w * (s - np.roll(s, (-m, -l), axis=(0, 1)))
-    return grad
+    return _btv_signs_gradient(_btv_pass(x, alpha, p_radius)[1], alpha, p_radius)
 
 
-def _prior(x: np.ndarray, cfg: SolverConfig) -> float:
-    return cfg.lam * btv_penalty(x, cfg.alpha, cfg.p_radius) if cfg.lam > 0 else 0.0
+def _prior(x: np.ndarray, cfg: SolverConfig):
+    """lam * BTV penalty and the BTV signs at x; (0.0, None) when lam is 0."""
+    if cfg.lam == 0:
+        return 0.0, None
+    penalty, signs = _btv_pass(x, cfg.alpha, cfg.p_radius)
+    return cfg.lam * penalty, signs
 
 
 def cost(x: ImageGrid, observations, cfg: SolverConfig) -> float:
     """Full MAP cost: sum of squared residuals plus lam * BTV."""
     transfers = [_estimate_transfer(x, obs) for obs in observations]
     residuals = _residual_spectra(observations, transfers, x.data)
-    return _data_cost(residuals) + _prior(x.data, cfg)
+    return _data_cost(residuals) + _prior(x.data, cfg)[0]
 
 
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
@@ -209,7 +264,7 @@ def _alias_guard_lowpass(x: np.ndarray, decimation: tuple[int, int]) -> np.ndarr
     Starting alias-free leaves everything above the LR band to be
     restored by the observations alone.
     """
-    spectrum = np.fft.fft2(x)
+    spectrum = scipy.fft.fft2(x)
     for axis, s in enumerate(decimation):
         if s > 1:
             f = np.fft.fftfreq(x.shape[axis])
@@ -217,7 +272,7 @@ def _alias_guard_lowpass(x: np.ndarray, decimation: tuple[int, int]) -> np.ndarr
             shape = [1, 1]
             shape[axis] = x.shape[axis]
             spectrum *= keep.reshape(shape)
-    return np.fft.ifft2(spectrum).real
+    return scipy.fft.ifft2(spectrum).real
 
 
 MAX_HALVINGS = 30
@@ -233,8 +288,11 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     (up to 30 times, then the iteration stops as stationary); each
     accepted step grows it by 1.2x capped at beta0.  Stops when the
     relative cost decrease falls below rel_tol or at max_iters (reported
-    via the converged flag, not an error).  cfg=None runs SolverConfig(),
-    the calibrated 3-iteration budget.
+    via the converged flag, not an error).  When the carried data cost
+    falls below the data's rounding floor (eps^2 times its energy), the
+    step's residuals are recomputed from the image, and a step that then
+    does not lower the cost ends the solve as converged.  cfg=None runs
+    SolverConfig(), the calibrated 3-iteration budget.
     """
     observations = list(observations)
     if not observations:
@@ -254,8 +312,11 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     x = _alias_guard_lowpass(bicubic_upsample(observations[0].image.data, decimation),
                              decimation)
     resid = _residual_spectra(observations, transfers, x)
+    floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image.data, o.image.data))
+                                           for o in observations)
 
-    current = _data_cost(resid) + _prior(x, cfg)
+    penalty, signs = _prior(x, cfg)
+    current = _data_cost(resid) + penalty
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
@@ -265,20 +326,25 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
 
     for iterations in range(1, cfg.max_iters + 1):
         g_hat = np.zeros(hr_shape, dtype=complex)
+        g_blocks = _blocks(g_hat, decimation)
         for r, t in zip(resid, transfers):
-            g_hat -= np.conj(t) * np.tile(2.0 * r, decimation)
-        g = np.fft.ifft2(g_hat).real
-        if cfg.lam > 0:
-            g_prior = cfg.lam * btv_gradient(x, cfg.alpha, cfg.p_radius)
-            g = g + g_prior
-            g_hat += np.fft.fft2(g_prior)
+            g_blocks -= _unfold(t, 2.0 * r, decimation)
+        g = scipy.fft.ifft2(g_hat).real
+        if signs is not None:
+            g_prior = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
+            g_prior *= cfg.lam
+            g_hat += scipy.fft.fft2(g_prior)
+            g_prior += g
+            g = g_prior
         # the residual at x - beta * g is resid + beta * step
-        steps = [_fold(t * g_hat, decimation) for t in transfers]
-        del g_hat  # freed before the step search's BTV temporaries
+        steps = [_fold(t, g_hat, decimation) for t in transfers]
+        del g_hat, g_blocks, signs  # freed before the step search's BTV temporaries
         for _ in range(MAX_HALVINGS + 1):
             candidate = x - beta * g
             trial = [r + beta * step for r, step in zip(resid, steps)]
-            c_new = _data_cost(trial) + _prior(candidate, cfg)
+            data = _data_cost(trial)
+            penalty, candidate_signs = _prior(candidate, cfg)
+            c_new = data + penalty
             if not np.isfinite(c_new):
                 raise FloatingPointError("non-finite cost during iteration")
             if c_new < current:
@@ -290,7 +356,16 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             converged = True
             iterations -= 1
             break
-        x, resid, final_beta = candidate, trial, beta
+        if data < floor:
+            # the carried residuals are down to the data's rounding, where
+            # their recursion no longer follows x: measure the step afresh
+            trial = _residual_spectra(observations, transfers, candidate)
+            c_new = _data_cost(trial) + penalty
+            if not c_new < current:
+                converged = True
+                iterations -= 1
+                break
+        x, resid, signs, final_beta = candidate, trial, candidate_signs, beta
         del g, steps  # not held through the next gradient build
         previous, current = current, c_new
         trace.append(current)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.fft
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab.fourier import apply_transfer, gaussian_kernel
@@ -167,6 +168,48 @@ def test_btv_gradient_finite_difference():
     assert fd == pytest.approx(float((g * d).sum()), abs=1e-3 * max(1.0, abs(fd)))
 
 
+def roll_btv_pairs(p_radius):
+    return [(l, m) for m in range(0, p_radius + 1)
+            for l in range(-p_radius, p_radius + 1) if l + m > 0]
+
+
+def roll_btv_penalty(x, alpha, p_radius):
+    """btv_penalty before the one-pass kernel: an np.roll copy per pair."""
+    total = 0.0
+    for l, m in roll_btv_pairs(p_radius):
+        w = alpha ** (abs(l) + abs(m))
+        total += w * float(np.abs(x - np.roll(x, (m, l), axis=(0, 1))).sum())
+    return total
+
+
+def roll_btv_gradient(x, alpha, p_radius):
+    """btv_gradient before the one-pass kernel: both shift differences of
+    every pair rebuilt with np.roll."""
+    grad = np.zeros_like(x)
+    for l, m in roll_btv_pairs(p_radius):
+        w = alpha ** (abs(l) + abs(m))
+        s = np.sign(x - np.roll(x, (m, l), axis=(0, 1)))
+        grad += w * (s - np.roll(s, (-m, -l), axis=(0, 1)))
+    return grad
+
+
+@settings(max_examples=200)
+@given(shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+       p_radius=st.integers(1, 3),
+       alpha=st.floats(0.0, 1.0, exclude_min=True),
+       integer_valued=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_btv_matches_roll_reference(shape, p_radius, alpha, integer_valued, seed):
+    # sides below 2P + 1 wrap more than once; integer values tie, so
+    # sign(0) = 0 is exercised
+    rng = np.random.default_rng(seed)
+    x = (rng.integers(-2, 3, shape).astype(float) if integer_valued
+         else rng.normal(100.0, 20.0, shape))
+    assert btv_penalty(x, alpha, p_radius) == roll_btv_penalty(x, alpha, p_radius)
+    assert np.array_equal(btv_gradient(x, alpha, p_radius),
+                          roll_btv_gradient(x, alpha, p_radius))
+
+
 def test_btv_validation():
     with pytest.raises(ValueError):
         btv_penalty(np.zeros((4, 4)), 0.0, 2)
@@ -273,6 +316,21 @@ def test_non_convergence_is_flag_not_failure():
                                                    rel_tol=1e-30))
     assert result.iterations_run == 1
     assert not result.converged
+
+
+def test_exact_fit_stops_at_rounding_floor():
+    # the model fits one (2, 2)-decimated observation exactly: the carried
+    # residuals shrink geometrically long after the image has stopped
+    # changing, so the solve must notice the data's rounding floor
+    rng = np.random.default_rng(3)
+    obs = [make_obs((9, 9), (0.37, -1.21), (2, 2), 0.5,
+                    lr_data=rng.normal(100.0, 20.0, (9, 9)))]
+    cfg = SolverConfig(lam=0.0, max_iters=200, rel_tol=1e-9)
+    result = super_resolve(obs, cfg=cfg)
+    assert result.converged
+    assert result.iterations_run < cfg.max_iters
+    assert result.cost_trace[-1] == pytest.approx(cost(result.image, obs, cfg),
+                                                  rel=1e-6, abs=1e-20)
 
 
 def test_noise_robustness_ordering(star_target):
@@ -406,6 +464,33 @@ def test_spectral_solver_matches_image_space_reference(
     np.testing.assert_allclose(result.cost_trace, trace, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(result.image.data, x, rtol=1e-10,
                                atol=1e-10 * np.abs(x).max())
+
+
+def test_fft_count(monkeypatch):
+    # counted at the scipy.fft entry points the package calls; numpy's
+    # transforms must not run at all
+    calls = {"scipy": 0, "numpy": 0}
+
+    def counting(module, name, library):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[library] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        counting(scipy.fft, name, "scipy")
+        counting(np.fft, name, "numpy")
+    rng = np.random.default_rng(54)
+    observations = [make_obs((16, 8), shift, (1, 2), 1.0,
+                             lr_data=rng.normal(100.0, 20.0, (16, 8)))
+                    for shift in [(0.0, 0.0), (0.0, 1.0)]]
+    result = super_resolve(observations, cfg=SolverConfig())
+    # 2 transfers, 2 in the warm start, 3 for the first residuals, then
+    # 2 per iteration
+    assert result.iterations_run == 3
+    assert calls == {"scipy": 7 + 2 * result.iterations_run, "numpy": 0}
 
 
 def test_step_halvings_recorded(star_target, scenario, nominal_params):
