@@ -18,8 +18,7 @@ from .mtf import (GeometryConstants, diffraction_mtf, footprint_mtf,
                   jitter_mtf, optics_mtf, sampling_mtf, smear_mtf, system_otf)
 from .scenario import Scenario, ScenarioConfig, load_config
 from .simulator import (Observation, SystemParams, add_noise,
-                        render_blurred_scene, sample_subarray,
-                        simulate_observations)
+                        render_blurred_scene, simulate_observations)
 from .solver import (SolverConfig, SrResult, adjoint_model, bicubic_upsample,
                      btv_gradient, btv_penalty, cost, forward_model,
                      super_resolve)

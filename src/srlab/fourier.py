@@ -4,7 +4,9 @@ All operators here assume periodic (circular) boundaries, which makes
 forward/adjoint pairs exact transposes.  Shift multipliers are forced
 Hermitian by replacing the Nyquist-bin phase with its real part, so
 applying them to a real image returns a real image and the conjugate
-multiplier is the exact adjoint.  Every transform in srlab goes
+multiplier is the exact adjoint.  Decimation is one pair on spectra,
+fold and its adjoint unfold: the simulator samples its subarrays and
+the solver models them through it.  Every transform in srlab goes
 through scipy.fft.
 """
 
@@ -16,8 +18,8 @@ import scipy.fft
 __all__ = [
     "shift_multiplier_1d",
     "shift_multiplier_2d",
-    "apply_transfer",
-    "subpixel_shift",
+    "fold",
+    "unfold",
     "gaussian_kernel",
     "sinc_upsample",
     "kernel_transfer",
@@ -44,21 +46,35 @@ def shift_multiplier_2d(shape: tuple[int, int], shift: tuple[float, float]) -> n
     return m0[:, None] * m1[None, :]
 
 
-def apply_transfer(x: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-    """Filter a real image by a (Hermitian) frequency-domain multiplier."""
-    return scipy.fft.ifft2(scipy.fft.fft2(x) * transfer).real
+def _blocks(spectrum: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
+    """(s0, n0, s1, n1) view of an HR spectrum: block [i, :, j, :] holds
+    the bins that alias onto the LR spectrum under decimation (s0, s1)."""
+    (s0, s1), (n0, n1) = decimation, spectrum.shape
+    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1)
 
 
-def subpixel_shift(x: np.ndarray, shift: tuple[float, float]) -> np.ndarray:
-    """Sample x at (row + d0, col + d1) with periodic boundaries.
+def fold(transfer: np.ndarray, spectrum: np.ndarray,
+         decimation: tuple[int, int]) -> np.ndarray:
+    """LR spectrum of transfer * spectrum decimated to samples (i*s0, j*s1):
+    the mean of its blocks.  Each HR side is a multiple of its factor."""
+    s0, s1 = decimation
+    t_blocks, x_blocks = _blocks(transfer, decimation), _blocks(spectrum, decimation)
+    out = t_blocks[0, :, 0, :] * x_blocks[0, :, 0, :]
+    for k in range(1, s0 * s1):
+        i, j = divmod(k, s1)
+        out += t_blocks[i, :, j, :] * x_blocks[i, :, j, :]
+    out *= 1.0 / (s0 * s1)  # as numpy divides a complex array by an integer
+    return out
 
-    Integer shifts take an exact np.roll path; fractional shifts go
-    through the frequency-domain phase ramp.
-    """
-    d0, d1 = float(shift[0]), float(shift[1])
-    if d0 == int(d0) and d1 == int(d1):
-        return np.roll(x, (-int(d0), -int(d1)), axis=(0, 1))
-    return apply_transfer(x, shift_multiplier_2d(x.shape, (d0, d1)))
+
+def unfold(transfer: np.ndarray, lr_spectrum: np.ndarray,
+           decimation: tuple[int, int]) -> np.ndarray:
+    """conj(transfer) * tile(lr_spectrum), the adjoint of fold, as one
+    fresh HR spectrum."""
+    out = np.conj(transfer)
+    blocks = _blocks(out, decimation)
+    blocks *= lr_spectrum[None, :, None, :]
+    return out
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

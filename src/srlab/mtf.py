@@ -184,8 +184,10 @@ def mtf_curve_table(params: SystemParams, n_points: int = 512):
     Returns (header, rows) where rows is an (n_points, 7) array with
     columns f, optics, footprint, sampling, smear, jitter, system.  The
     system column is the along-track composite system_otf(0, f), the axis
-    where all factors act.
+    where all factors act.  n_points must be at least 2.
     """
+    if n_points < 2:
+        raise ValueError(f"MTF curve needs at least 2 points, got {n_points}")
     geometry = params.geometry
     width = _detector_width(params)
     f = np.linspace(0.0, geometry.f_nyq_hr, n_points)

@@ -76,10 +76,12 @@ _SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius", "alpha": "alpha"}
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits an int, float (an int fits too; a bool,
-    NaN or infinity fits neither), fixed-length tuple or optional field
-    annotation."""
+    """Whether a JSON value fits a str, int, float (an int fits too; a
+    bool, NaN or infinity fits neither), fixed-length tuple or optional
+    field annotation."""
     args = typing.get_args(hint)
+    if hint is str:
+        return isinstance(value, str)
     if isinstance(hint, types.UnionType):  # X | None
         return value is None or any(_conforms(value, a) for a in args)
     if typing.get_origin(hint) is tuple:
@@ -158,4 +160,5 @@ def load_config(path) -> ScenarioConfig:
         config, scenario=scenario,
         system=_apply(config.system, raw.get("system", {}), "system"),
         montecarlo=_apply(config.montecarlo, raw.get("montecarlo", {}), "montecarlo"),
-        output_dir=str(raw.get("output_dir", config.output_dir)))
+        output_dir=_checked(raw.get("output_dir", config.output_dir), str,
+                            "top level", "output_dir"))

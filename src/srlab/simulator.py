@@ -1,10 +1,11 @@
 """Raw-image simulator: blur, dual-subarray sampling, and noise.
 
 Chain: an HR target is filtered by the composed system OTF in the
-frequency domain, two subarray observations are extracted by sub-pixel
-shift + decimation, and white Gaussian noise is added at the configured
-SNR.  Boundaries are periodic throughout; scenario targets keep a
-uniform border so wraparound never touches the star.
+frequency domain, each subarray observation is its blurred spectrum
+under a sub-pixel shift ramp folded onto the LR grid (fourier.fold, the
+decimation the solver models), and white Gaussian noise is added at the
+configured SNR.  Boundaries are periodic throughout; scenario targets
+keep a uniform border so wraparound never touches the star.
 
 No quantization happens inside the pipeline; values stay float end to
 end (PGM export quantizes on write only).
@@ -16,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
-from .fourier import apply_transfer, gaussian_kernel, subpixel_shift
+from .fourier import fold, gaussian_kernel, shift_multiplier_2d
 from .grid import ImageGrid
 from .mtf import GeometryConstants, system_otf
 from .seeding import child_seed
@@ -27,7 +29,6 @@ __all__ = [
     "Observation",
     "SIGMA_PER_FWHM",
     "render_blurred_scene",
-    "sample_subarray",
     "add_noise",
     "simulate_observations",
     "REFERENCE_SIGNAL",
@@ -109,8 +110,8 @@ class Observation:
             raise ValueError("assumed PSF must sum to 1")
 
 
-def render_blurred_scene(target: ImageGrid, params: SystemParams) -> ImageGrid:
-    """Filter an HR target by the system OTF.
+def _blurred_spectrum(target: ImageGrid, params: SystemParams) -> np.ndarray:
+    """Spectrum of an HR target filtered by the system OTF.
 
     The OTF is evaluated on the target's frequency grid in cycles per HR
     sample.  DC gain is 1, so the mean is preserved.
@@ -121,28 +122,12 @@ def render_blurred_scene(target: ImageGrid, params: SystemParams) -> ImageGrid:
     target.validate()
 
     otf = system_otf(params, np.fft.fftfreq(w)[None, :], np.fft.fftfreq(h)[:, None])
-    return ImageGrid(apply_transfer(target.data, otf))
+    return scipy.fft.fft2(target.data) * otf
 
 
-def sample_subarray(blurred: ImageGrid, shift_hr: tuple[float, float],
-                    decimation: tuple[int, int]) -> ImageGrid:
-    """Shift an HR grid by a sub-pixel amount, then decimate.
-
-    Output cell (i, j) samples the input at (i*s_al + d_al, j*s_ax +
-    d_ax) with periodic boundaries.  Integer shifts are exact circular
-    rolls; fractional shifts use the frequency-domain phase ramp.
-    """
-    s_al, s_ax = int(decimation[0]), int(decimation[1])
-    h, w = blurred.shape
-    if s_al < 1 or s_ax < 1:
-        raise ValueError("decimation factors must be >= 1")
-    if s_al > h or s_ax > w:
-        raise ValueError(f"decimation {decimation} exceeds image size {h}x{w}")
-
-    shifted = subpixel_shift(blurred.data, shift_hr)
-    n_al, n_ax = h // s_al, w // s_ax
-    sampled = shifted[:n_al * s_al:s_al, :n_ax * s_ax:s_ax]
-    return ImageGrid(sampled.copy())
+def render_blurred_scene(target: ImageGrid, params: SystemParams) -> ImageGrid:
+    """Filter an HR target by the system OTF (see _blurred_spectrum)."""
+    return ImageGrid(scipy.fft.ifft2(_blurred_spectrum(target, params)).real)
 
 
 def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
@@ -164,14 +149,15 @@ def simulate_observations(target: ImageGrid, params: SystemParams, rng_seed: int
                           ) -> tuple[Observation, Observation]:
     """Produce the two staggered subarray observations of a target.
 
-    One blur pass feeds both subarrays.  Observation 1 samples the HR
-    grid at shift (0, 0); observation 2 at the along-track line
-    separation plus the across-track stagger, both expressed in HR
-    pixels (1 LR pixel = 2 HR samples).  Noise streams are derived as
+    One blurred spectrum feeds both subarrays: a subarray image samples
+    it at (i*s_al + d_al, j*s_ax + d_ax), a shift ramp folded onto the
+    LR grid.  Observation 1 is at shift (0, 0); observation 2 at the
+    along-track line separation plus the across-track stagger, both in
+    HR pixels (1 LR pixel = 2 HR samples).  Noise streams are derived as
     child seeds (seed, observation index), so the pair is independent
     of evaluation order.
     """
-    blurred = render_blurred_scene(target, params)
+    spectrum = _blurred_spectrum(target, params)
     decimation = (1, 2)
     lr_per_hr = params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
     shifts = [
@@ -182,13 +168,10 @@ def simulate_observations(target: ImageGrid, params: SystemParams, rng_seed: int
     psf = gaussian_kernel(params.assumed_psf_sigma)
     observations = []
     for k, shift in enumerate(shifts):
-        sampled = sample_subarray(blurred, shift, decimation)
+        ramp = shift_multiplier_2d(target.shape, shift)
+        sampled = ImageGrid(scipy.fft.ifft2(fold(ramp, spectrum, decimation)).real)
         noisy, sigma = add_noise(sampled, params.snr_at_300, child_seed(rng_seed, k))
-        observations.append(Observation(
-            image=noisy,
-            shift_hr=shift,
-            decimation=decimation,
-            assumed_psf=psf,
-            noise_sigma=sigma,
-        ))
+        observations.append(Observation(image=noisy, shift_hr=shift,
+                                        decimation=decimation, assumed_psf=psf,
+                                        noise_sigma=sigma))
     return observations[0], observations[1]

@@ -2,10 +2,11 @@
 
 Per observation, blur (the assumed PSF) and sub-pixel shift are one
 Hermitian multiplier T_k on the HR spectrum; decimation folds the
-spectrum onto the LR grid (the mean of its blocks) and the exact adjoint
-broadcasts it back over the blocks under conj(T_k).  The solver carries
-each LR residual spectrum: the data cost is its energy (Parseval) and it
-is linear in the step, so the step search takes no FFT and an iteration
+spectrum onto the LR grid (fourier.fold, the operator the simulator
+samples through) and the exact adjoint (fourier.unfold) broadcasts it
+back over the blocks under conj(T_k).  The solver carries each LR
+residual spectrum: the data cost is its energy (Parseval) and it is
+linear in the step, so the step search takes no FFT and an iteration
 takes two (data gradient to image space for the BTV prior, prior
 gradient back), both through scipy.fft.  The BTV prior is one pass over
 the shift differences, taken as slices of one wrap-padded copy of the
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.fft
 from scipy import ndimage
 
-from .fourier import kernel_transfer, shift_multiplier_2d
+from .fourier import fold, kernel_transfer, shift_multiplier_2d, unfold
 from .grid import ImageGrid
 from .simulator import Observation
 
@@ -108,39 +109,10 @@ def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.nda
     return k * ramp
 
 
-def _blocks(spectrum: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
-    """(s0, n0, s1, n1) view of an HR spectrum: block [i, :, j, :] holds
-    the bins that alias onto the LR spectrum under decimation (s0, s1)."""
-    (s0, s1), (n0, n1) = decimation, spectrum.shape
-    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1)
-
-
-def _fold(transfer: np.ndarray, spectrum: np.ndarray,
-          decimation: tuple[int, int]) -> np.ndarray:
-    """LR spectrum of transfer * spectrum decimated: the mean of its blocks."""
-    s0, s1 = decimation
-    t_blocks, x_blocks = _blocks(transfer, decimation), _blocks(spectrum, decimation)
-    out = t_blocks[0, :, 0, :] * x_blocks[0, :, 0, :]
-    for k in range(1, s0 * s1):
-        i, j = divmod(k, s1)
-        out += t_blocks[i, :, j, :] * x_blocks[i, :, j, :]
-    out *= 1.0 / (s0 * s1)  # as numpy divides a complex array by an integer
-    return out
-
-
-def _unfold(transfer: np.ndarray, lr_spectrum: np.ndarray,
-            decimation: tuple[int, int]) -> np.ndarray:
-    """conj(transfer) * tile(lr_spectrum), the adjoint of _fold, as the
-    blocks of one fresh HR spectrum."""
-    out = _blocks(np.conj(transfer), decimation)
-    out *= lr_spectrum[None, :, None, :]
-    return out
-
-
 def _residual_spectra(observations, transfers, x: np.ndarray) -> list[np.ndarray]:
     """LR spectra of y_k - forward_k(x)."""
     x_hat = scipy.fft.fft2(x)
-    return [scipy.fft.fft2(o.image.data) - _fold(t, x_hat, o.decimation)
+    return [scipy.fft.fft2(o.image.data) - fold(t, x_hat, o.decimation)
             for o, t in zip(observations, transfers)]
 
 
@@ -160,7 +132,7 @@ def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
 
 def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
     """Apply the observation operator: blur, shift, decimate."""
-    spectrum = _fold(_estimate_transfer(x, obs), scipy.fft.fft2(x.data), obs.decimation)
+    spectrum = fold(_estimate_transfer(x, obs), scipy.fft.fft2(x.data), obs.decimation)
     return ImageGrid(scipy.fft.ifft2(spectrum).real)
 
 
@@ -170,9 +142,9 @@ def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
     hr_shape = _hr_shape(obs)
-    spectrum = _unfold(_observation_transfer(obs, hr_shape), scipy.fft.fft2(r.data),
-                       obs.decimation)
-    return ImageGrid(scipy.fft.ifft2(spectrum.reshape(hr_shape)).real)
+    spectrum = unfold(_observation_transfer(obs, hr_shape), scipy.fft.fft2(r.data),
+                      obs.decimation)
+    return ImageGrid(scipy.fft.ifft2(spectrum).real)
 
 
 def _btv_pairs(p_radius: int):
@@ -326,9 +298,8 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
 
     for iterations in range(1, cfg.max_iters + 1):
         g_hat = np.zeros(hr_shape, dtype=complex)
-        g_blocks = _blocks(g_hat, decimation)
         for r, t in zip(resid, transfers):
-            g_blocks -= _unfold(t, 2.0 * r, decimation)
+            g_hat -= unfold(t, 2.0 * r, decimation)
         g = scipy.fft.ifft2(g_hat).real
         if signs is not None:
             g_prior = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
@@ -337,8 +308,8 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             g_prior += g
             g = g_prior
         # the residual at x - beta * g is resid + beta * step
-        steps = [_fold(t, g_hat, decimation) for t in transfers]
-        del g_hat, g_blocks, signs  # freed before the step search's BTV temporaries
+        steps = [fold(t, g_hat, decimation) for t in transfers]
+        del g_hat, signs  # freed before the step search's BTV temporaries
         for _ in range(MAX_HALVINGS + 1):
             candidate = x - beta * g
             trial = [r + beta * step for r, step in zip(resid, steps)]

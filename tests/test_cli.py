@@ -101,6 +101,19 @@ def test_config_rejects_system_geometry(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", [None, 5, ["out"]])
+def test_config_output_dir_must_be_string(tmp_path, monkeypatch, capsys, value):
+    path = tmp_path / "outdir.json"
+    path.write_text(json.dumps({"output_dir": value}))
+    with pytest.raises(ValueError, match="output_dir"):
+        load_config(path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["target", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "output_dir" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir.json"]
+
+
 @pytest.mark.parametrize("config", [{"system": {"n_phi": 0}},
                                     {"grid": {"height": 129}}],
                          ids=["n_phi-0", "odd-grid"])
@@ -210,6 +223,16 @@ def test_mtf_curves_subcommand(config_path, tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert all(float(v) == 1.0 for v in first[1:])
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-3"])
+def test_mtf_curves_rejects_bad_point_count(config_path, tmp_path, capsys, points):
+    out = tmp_path / "mtf"
+    assert main(["mtf-curves", "--config", str(config_path), "--points", points,
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {points}" in err
+    assert not (out / "mtf_curves.csv").exists()
 
 
 def test_pipeline_roundtrip(config_path, tmp_path):

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+import scipy.fft
 
-from srlab.fourier import (gaussian_kernel, kernel_transfer,
-                           shift_multiplier_2d, sinc_upsample, subpixel_shift)
+from srlab.fourier import (fold, gaussian_kernel, kernel_transfer,
+                           shift_multiplier_2d, sinc_upsample, unfold)
 
 
-def test_integer_shift_is_exact_roll(rng):
+def shift(x, delta):
+    """x sampled at (row + d0, col + d1) through the shift multiplier."""
+    return scipy.fft.ifft2(scipy.fft.fft2(x) * shift_multiplier_2d(x.shape, delta)).real
+
+
+def test_integer_shift_matches_roll(rng):
     x = rng.normal(size=(16, 16))
-    assert np.array_equal(subpixel_shift(x, (3.0, -2.0)),
-                          np.roll(x, (-3, 2), axis=(0, 1)))
+    np.testing.assert_allclose(shift(x, (3.0, -2.0)), np.roll(x, (-3, 2), axis=(0, 1)),
+                               rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_fractional_shift_matches_cosine_phase(rng):
     n = 64
     j = np.arange(n)
     img = np.cos(2 * np.pi * 0.125 * j)[None, :].repeat(8, axis=0)
-    shifted = subpixel_shift(img, (0.0, 0.5))
+    shifted = shift(img, (0.0, 0.5))
     expected = np.cos(2 * np.pi * 0.125 * (j + 0.5))[None, :].repeat(8, axis=0)
     assert np.allclose(shifted, expected, atol=1e-12)
 
@@ -33,16 +39,38 @@ def test_shift_roundtrip_bandlimited(rng):
     f = np.fft.fftfreq(32)
     keep = (np.abs(f)[:, None] < 0.45) & (np.abs(f)[None, :] < 0.45)
     x = np.fft.ifft2(spectrum * keep).real
-    back = subpixel_shift(subpixel_shift(x, (0.37, -1.21)), (-0.37, 1.21))
+    back = shift(shift(x, (0.37, -1.21)), (-0.37, 1.21))
     assert np.allclose(back, x, atol=1e-10)
 
 
 def test_fractional_shift_attenuates_nyquist():
     n = 16
     x = np.cos(np.pi * np.arange(n))[None, :].repeat(4, axis=0)  # pure Nyquist
-    out = subpixel_shift(x, (0.0, 0.5))
+    out = shift(x, (0.0, 0.5))
     # cos(pi * 0.5) = 0: the half-pixel shift nulls the Nyquist cosine
     assert np.allclose(out, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("decimation", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+def test_fold_is_spectrum_of_decimated_image(rng, decimation):
+    x = rng.normal(size=(12, 16))
+    transfer = shift_multiplier_2d(x.shape, (0.3, -1.7))
+    lr = scipy.fft.ifft2(fold(transfer, scipy.fft.fft2(x), decimation)).real
+    s0, s1 = decimation
+    np.testing.assert_allclose(lr, shift(x, (0.3, -1.7))[::s0, ::s1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("decimation", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+def test_unfold_is_adjoint_of_fold(rng, decimation):
+    hr = (12, 16)
+    transfer = scipy.fft.fft2(rng.normal(size=hr))
+    x = rng.normal(size=hr) + 1j * rng.normal(size=hr)
+    y = rng.normal(size=(hr[0] // decimation[0], hr[1] // decimation[1])) + 0j
+    # fold averages the s0*s1 blocks that unfold tiles
+    lhs = np.vdot(y, fold(transfer, x, decimation)) * decimation[0] * decimation[1]
+    rhs = np.vdot(unfold(transfer, y, decimation), x)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert unfold(transfer, y, decimation).shape == hr
 
 
 def test_gaussian_kernel_unit_sum():

@@ -129,6 +129,12 @@ def test_chain_params_validation():
         SystemParams(jitter_sigma=-0.1)
 
 
+@pytest.mark.parametrize("n_points", [1, 0, -3])
+def test_curve_table_rejects_fewer_than_two_points(n_points):
+    with pytest.raises(ValueError, match=f"at least 2 points, got {n_points}"):
+        mtf_curve_table(NOMINAL, n_points=n_points)
+
+
 def test_curve_table_shape_and_header():
     header, rows = mtf_curve_table(NOMINAL, n_points=512)
     assert header == ["f_cyc_per_hr_sample", "optics", "footprint", "sampling",

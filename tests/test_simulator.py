@@ -1,12 +1,34 @@
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 
+from srlab.fourier import fold, shift_multiplier_2d
 from srlab.grid import ImageGrid
 from srlab.mtf import system_otf
 from srlab.simulator import (SIGMA_PER_FWHM, Observation, SystemParams,
-                             add_noise, render_blurred_scene, sample_subarray,
+                             _blurred_spectrum, add_noise, render_blurred_scene,
                              simulate_observations)
 from srlab.seeding import child_seed
+
+
+def sample(x, shift, decimation):
+    """x sampled at (i*s0 + d0, j*s1 + d1): the simulator's fold path."""
+    lr = fold(shift_multiplier_2d(x.shape, shift), scipy.fft.fft2(x), decimation)
+    return scipy.fft.ifft2(lr).real
+
+
+def spatial_sample(x, shift, decimation):
+    """The image-space sampling the simulator ran before it folded spectra:
+    an exact roll for integer shifts, the phase ramp for fractional ones,
+    then every s-th sample."""
+    d0, d1 = shift
+    if d0 == int(d0) and d1 == int(d1):
+        shifted = np.roll(x, (-int(d0), -int(d1)), axis=(0, 1))
+    else:
+        shifted = np.fft.ifft2(np.fft.fft2(x) * shift_multiplier_2d(x.shape, shift)).real
+    return shifted[::decimation[0], ::decimation[1]]
 
 
 def test_system_params_defaults_and_validation():
@@ -73,40 +95,50 @@ def test_impulse_response_matches_otf(nominal_params):
 
 def test_sample_identity():
     rng = np.random.default_rng(2)
-    img = ImageGrid(rng.normal(size=(16, 16)))
-    out = sample_subarray(img, (0.0, 0.0), (1, 1))
-    assert np.array_equal(out.data, img.data)
+    img = rng.normal(size=(16, 16))
+    out = sample(img, (0.0, 0.0), (1, 1))
+    np.testing.assert_allclose(out, img, rtol=0, atol=1e-12 * np.abs(img).max())
 
 
 def test_sample_integer_shift_is_circular():
     rng = np.random.default_rng(3)
-    img = ImageGrid(rng.normal(size=(16, 16)))
-    out = sample_subarray(img, (0.0, 1.0), (1, 1))
-    assert np.array_equal(out.data, np.roll(img.data, -1, axis=1))
+    img = rng.normal(size=(16, 16))
+    out = sample(img, (0.0, 1.0), (1, 1))
+    np.testing.assert_allclose(out, np.roll(img, -1, axis=1), rtol=0,
+                               atol=1e-12 * np.abs(img).max())
 
 
 def test_sample_halfpixel_cosine_oracle():
     n = 64
     j = np.arange(n)
-    img = ImageGrid(np.cos(2 * np.pi * 0.25 * j)[None, :].repeat(8, axis=0))
-    out = sample_subarray(img, (0.0, 0.5), (1, 2))
+    img = np.cos(2 * np.pi * 0.25 * j)[None, :].repeat(8, axis=0)
+    out = sample(img, (0.0, 0.5), (1, 2))
     expected = np.cos(2 * np.pi * 0.25 * (2 * np.arange(n // 2) + 0.5))
-    assert np.allclose(out.data[0], expected, atol=1e-9)
+    assert np.allclose(out[0], expected, atol=1e-9)
     assert out.shape == (8, n // 2)
 
 
 def test_decimation_commutes_with_integer_shift():
     rng = np.random.default_rng(4)
-    img = ImageGrid(rng.normal(size=(16, 32)))
-    a = sample_subarray(img, (0.0, 6.0), (1, 2))
-    b = sample_subarray(img, (0.0, 0.0), (1, 2))
-    assert np.array_equal(a.data, np.roll(b.data, -3, axis=1))
+    img = rng.normal(size=(16, 32))
+    a = sample(img, (0.0, 6.0), (1, 2))
+    b = sample(img, (0.0, 0.0), (1, 2))
+    np.testing.assert_allclose(a, np.roll(b, -3, axis=1), rtol=0,
+                               atol=1e-12 * np.abs(img).max())
 
 
-def test_sample_rejects_oversized_decimation():
-    img = ImageGrid(np.zeros((8, 8)))
-    with pytest.raises(ValueError):
-        sample_subarray(img, (0.0, 0.0), (1, 9))
+shifts = st.one_of(st.integers(-25, 25).map(float),
+                   st.floats(-25.0, 25.0, allow_nan=False, allow_infinity=False))
+
+
+@given(h=st.integers(1, 12), w=st.integers(1, 12),
+       decimation=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+       d0=shifts, d1=shifts, seed=st.integers(0, 2**16))
+def test_fold_sampling_matches_spatial_sampling(h, w, decimation, d0, d1, seed):
+    x = np.random.default_rng(seed).normal(size=(2 * h, 2 * w))
+    np.testing.assert_allclose(sample(x, (d0, d1), decimation),
+                               spatial_sample(x, (d0, d1), decimation),
+                               rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_noise_sigma_value():
@@ -200,8 +232,8 @@ def test_stagger_offset_recovered_by_phase_correlation(star_target):
 def test_noise_streams_derived_from_child_seeds(star_target, nominal_params):
     # observation noise must match the child-seed contract
     o1, _ = simulate_observations(star_target, nominal_params, 42)
-    from srlab.simulator import render_blurred_scene, sample_subarray
-    blurred = render_blurred_scene(star_target, nominal_params)
-    clean = sample_subarray(blurred, (0.0, 0.0), (1, 2))
-    redo, _ = add_noise(clean, nominal_params.snr_at_300, child_seed(42, 0))
+    spectrum = _blurred_spectrum(star_target, nominal_params)
+    clean = scipy.fft.ifft2(fold(shift_multiplier_2d(star_target.shape, (0.0, 0.0)),
+                                 spectrum, (1, 2))).real
+    redo, _ = add_noise(ImageGrid(clean), nominal_params.snr_at_300, child_seed(42, 0))
     assert np.array_equal(o1.image.data, redo.data)
