@@ -177,7 +177,8 @@ def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
 
 _TRIAL_COLUMNS = ["trial", "seed", "optics_mtf_at_hr_nyq", "n_phi", "jitter_sigma",
                   "snr_at_300", "subarray_shift_ax", "assumed_psf_sigma",
-                  "resolution_m", "solver_converged", "error"]
+                  "resolution_m", "solver_converged", "error", "rings_dropped",
+                  "degenerate_crossing", "ladder_limited"]
 
 
 def _trial_row(index: int, trial) -> list[str]:
@@ -185,7 +186,8 @@ def _trial_row(index: int, trial) -> list[str]:
     return [str(index), str(trial.seed), repr(p.optics_mtf_at_hr_nyq), str(p.n_phi),
             repr(p.jitter_sigma), repr(p.snr_at_300), repr(p.subarray_shift_ax),
             repr(p.assumed_psf_sigma), _fmt(trial.resolution_m),
-            str(trial.solver_converged), trial.error or ""]
+            str(trial.solver_converged), trial.error or "", str(trial.rings_dropped),
+            str(trial.degenerate_crossing), str(trial.ladder_limited)]
 
 
 def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:

@@ -108,19 +108,23 @@ def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
     h, w = data.shape
     big_h, big_w = h * factor, w * factor
     spectrum = scipy.fft.rfft2(data)
-    padded = np.zeros((big_h, big_w // 2 + 1), dtype=complex)
+    # only the input's w//2+1 columns of the padded half-plane are nonzero
+    padded = np.zeros((big_h, w // 2 + 1), dtype=complex)
     n_pos, n_neg = (h + 1) // 2, (h - 1) // 2  # rows of frequency 0.., ..-1
-    padded[:n_pos, :w // 2 + 1] = spectrum[:n_pos]
-    padded[big_h - n_neg:, :w // 2 + 1] = spectrum[h - n_neg:]
+    padded[:n_pos] = spectrum[:n_pos]
+    padded[big_h - n_neg:] = spectrum[h - n_neg:]
     if h % 2 == 0:
-        padded[h // 2, :w // 2 + 1] = 0.5 * spectrum[h // 2]
-        padded[big_h - h // 2, :w // 2 + 1] = padded[h // 2, :w // 2 + 1]
+        padded[h // 2] = 0.5 * spectrum[h // 2]
+        padded[big_h - h // 2] = padded[h // 2]
     if w % 2 == 0:
         padded[:, w // 2] *= 0.5
-    # columns in place, then rows: irfft2 would hold a third full-size
-    # complex array as its intermediate
-    columns = scipy.fft.ifft(padded, axis=0, overwrite_x=True)
-    return scipy.fft.irfft(columns, n=big_w, axis=1, overwrite_x=True) * factor * factor
+    # columns, then rows: irfft2 would hold a third full-size complex
+    # array as its intermediate and transform the zero columns too
+    columns = np.zeros((big_h, big_w // 2 + 1), dtype=complex)
+    columns[:, :w // 2 + 1] = scipy.fft.ifft(padded, axis=0, overwrite_x=True)
+    out = scipy.fft.irfft(columns, n=big_w, axis=1, overwrite_x=True)
+    out *= factor * factor
+    return out
 
 
 def kernel_transfer(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -3,10 +3,13 @@
 Modulation is extracted ring by ring: pixels in a one-pixel-wide annulus
 are fit by least squares to the single angular harmonic at the known
 cycle count, giving mean level a, amplitude beta and modulation
-M = beta/a.  Pixel distances from the star center are computed and
-sorted once per (image shape, center), over the largest centered disc
-the image holds, and shared by every ring: each annulus is a
-binary-search slice of that table.  The modulation curve is intersected
+M = beta/a.  A radius ladder's rings are found once per (image shape,
+center, radii, cycles) and cached as a read-only ring table: every
+ring's pixel indices, grouped by ring and row-major within it, with the
+cos/sin columns of the harmonic.  All rings are then fit in one
+vectorized pass over the table: one gather of the image, a mask applied
+as a selection on that gather, segment sums for each ring's normal
+equations and one batched solve.  The modulation curve is intersected
 with the noise-equivalent modulation 4*sigma/signal; the crossing
 frequency maps to meters through the HR ground sample
 (0.5 cycles/px = 1.25 m).
@@ -111,27 +114,161 @@ class ResolutionReport:
     degenerate_crossing: bool = False
 
 
-@functools.lru_cache(maxsize=4)
-def _sorted_disc(shape: tuple[int, int],
-                 center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and center distances of every pixel of the largest
-    centered disc the image holds, sorted by distance.
+# rows of the ring table's bounding box binned per hypot call
+_TABLE_BAND_ROWS = 64
 
-    The disc reaches one pixel past the margin, so it holds every ring
-    ring_modulation accepts.  Both arrays are read-only: every caller
-    with this (shape, center) shares them.
+
+@dataclass(frozen=True)
+class _RingTable:
+    """The annulus samples of a radius ladder (see _ring_table).
+
+    Ring i owns samples[starts[i]:starts[i] + counts[i]], flat pixel
+    indices in row-major order; cos and sin hold cos/sin(cycles * alpha)
+    of each sample.
+    """
+
+    samples: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _ring_table(shape: tuple[int, int], center: tuple[float, float],
+                radii: tuple[float, ...], cycles: int) -> _RingTable:
+    """Samples of every ring of a strictly decreasing radius ladder.
+
+    Ring i holds the pixels with center distance in [radii[i] - 0.5,
+    radii[i] + 0.5), so rings under 1 px apart share pixels.  Distances
+    are computed over the outer ring's bounding box, a band of rows at a
+    time, and each is binned against the ladder's edges; a stable sort
+    by ring then groups the samples and keeps them row-major within each
+    ring.  The arrays are read-only: every caller with this key shares
+    them.
     """
     h, w = shape
     r0, c0 = center
-    y = (np.arange(h, dtype=np.float64) - r0)[:, None]
-    x = (np.arange(w, dtype=np.float64) - c0)[None, :]
-    rr = np.hypot(x, y).reshape(-1)
-    flat = np.flatnonzero(rr < min(r0, h - 1 - r0, c0, w - 1 - c0) + 1.0)
-    flat = flat[np.argsort(rr[flat])]
-    dist = rr[flat]
-    flat.flags.writeable = False
-    dist.flags.writeable = False
-    return flat, dist
+    ascending = np.array(radii[::-1], dtype=np.float64)
+    lower, upper = ascending - 0.5, ascending + 0.5
+    top = ascending[-1]
+    lo_r, hi_r = max(0, math.floor(r0 - top - 1)), min(h, math.ceil(r0 + top + 2))
+    lo_c, hi_c = max(0, math.floor(c0 - top - 1)), min(w, math.ceil(c0 + top + 2))
+    x = (np.arange(lo_c, hi_c, dtype=np.float64) - c0)[None, :]
+    pixels, rings = [], []
+    for band in range(lo_r, hi_r, _TABLE_BAND_ROWS):
+        y = (np.arange(band, min(band + _TABLE_BAND_ROWS, hi_r), dtype=np.float64)
+             - r0)[:, None]
+        dist = np.hypot(x, y)
+        rows, cols = np.nonzero((dist >= lower[0]) & (dist < upper[-1]))
+        dist = dist[rows, cols]
+        # rings k with lower[k] <= dist < upper[k] are first <= k < stop
+        first = np.searchsorted(upper, dist, side="right")
+        reps = np.searchsorted(lower, dist, side="right") - first
+        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        pixels.append(np.repeat((rows + band) * w + cols + lo_c, reps))
+        rings.append(np.repeat(first, reps) + within)
+    ring = len(radii) - 1 - np.concatenate(rings)  # index into radii
+    # small unsigned keys take numpy's linear-time radix sort
+    order = np.argsort(ring.astype(np.min_scalar_type(len(radii))), kind="stable")
+    samples = np.concatenate(pixels)[order]
+    counts = np.bincount(ring, minlength=len(radii))
+    starts = np.cumsum(counts) - counts
+    sample_rows, sample_cols = np.divmod(samples, w)
+    angle = cycles * np.arctan2(sample_cols - c0, sample_rows - r0)
+    table = _RingTable(samples, starts, counts, np.cos(angle), np.sin(angle))
+    for array in (table.samples, table.starts, table.counts, table.cos, table.sin):
+        array.flags.writeable = False
+    return table
+
+
+def _fit_rings(image: ImageGrid, center: tuple[float, float], radii, cycles: int,
+               mask: np.ndarray | None) -> list[RingFit | RingError]:
+    """Fit the angular harmonic on every ring of a strictly decreasing
+    ladder in one pass; entry i is ring i's fit or the RingError that
+    refuses it.
+
+    One gather takes every ring's samples from the ring table, a mask
+    selects among them, segment sums form each ring's normal equations
+    and one batched solve fits them all.  Values and columns enter the
+    sums less their ring means, so a large image offset stays out of the
+    harmonic's rounding.
+    """
+    radii = [float(r) for r in radii]
+    if any(r < 2 for r in radii):
+        raise ValueError("radius must be >= 2 pixels")
+    if cycles < 1:
+        raise ValueError("cycles must be >= 1")
+    h, w = image.shape
+    r0, c0 = float(center[0]), float(center[1])
+    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
+    n_out = sum(1 for r in radii if r + 0.5 > margin + 1e-9)
+    results: list[RingFit | RingError] = [
+        EmptyRingError(f"empty ring: radius {r} leaves the image") for r in radii[:n_out]]
+    radii = radii[n_out:]
+    if not radii:
+        return results
+    if mask is not None and mask.shape != (h, w):
+        raise ValueError(f"mask shape {mask.shape} differs from image {(h, w)}")
+
+    table = _ring_table((h, w), (r0, c0), tuple(radii), cycles)
+    index, cos, sin = table.samples, table.cos, table.sin
+    n_full = table.counts
+    n, starts = n_full, table.starts
+    if mask is not None:
+        keep = mask.reshape(-1)[index] > 0.5
+        index, cos, sin = index[keep], cos[keep], sin[keep]
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        starts = kept_before[table.starts]
+        n = kept_before[table.starts + n_full] - starts
+    # a mask thins a ring without changing how densely it samples a cycle
+    samples_per_cycle = n_full / cycles
+    empty = n < 8
+    fit = ~empty & ~(samples_per_cycle < MIN_SAMPLES_PER_CYCLE)
+
+    if fit.any():
+        # exact least squares of mean + single harmonic: a raw projection
+        # would pick up the pixel grid's angular-density harmonics (a
+        # constant image must fit to zero modulation).  With every column
+        # less its ring mean the mean splits off and the harmonic is a
+        # 2x2 solve, well conditioned even on a one-sector arc.
+        filled = n > 0
+
+        def centred(values):
+            mean = np.zeros(len(radii))
+            mean[filled] = np.add.reduceat(values, starts[filled]) / n[filled]
+            return values - np.repeat(mean, n), mean[fit]
+
+        def ring_sums(values):
+            return np.add.reduceat(values, starts[filled])[fit[filled]]
+
+        vals, mean = centred(image.data.reshape(-1)[index])
+        cos, mean_cos = centred(cos)
+        sin, mean_sin = centred(sin)
+        s_cs = ring_sums(cos * sin)
+        normal = np.stack([ring_sums(cos * cos), s_cs, s_cs, ring_sums(sin * sin)],
+                          axis=-1).reshape(-1, 2, 2)
+        rhs = np.stack([ring_sums(vals * cos), ring_sums(vals * sin)], axis=-1)
+        c, s = np.linalg.solve(normal, rhs[..., None])[..., 0].T
+        a = mean - c * mean_cos - s * mean_sin
+        fitted = zip(a.tolist(), c.tolist(), s.tolist())
+
+    for k, radius in enumerate(radii):
+        if empty[k]:
+            results.append(EmptyRingError(f"empty ring: {n[k]} samples at radius {radius}"))
+        elif not fit[k]:
+            results.append(AliasedRingError(
+                f"aliased ring: {samples_per_cycle[k]:.2f} samples/cycle at radius {radius}"))
+        else:
+            a, c, s = next(fitted)
+            beta = math.hypot(c, s)
+            modulation = beta / a if a > 0 else math.inf
+            g = 2.0 * math.pi * radius / cycles
+            results.append(RingFit(
+                radius=radius, g=g, f=1.0 / g, a=a, beta_amp=beta,
+                alpha0=math.atan2(s, c) / cycles, modulation=modulation,
+                n_samples=int(n[k]), flagged=modulation > 1.0))
+    return results
 
 
 def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float,
@@ -140,59 +277,15 @@ def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float
 
     Gathers pixels with center distance in [radius-0.5, radius+0.5),
     optionally restricted by a binary mask of the image's shape, and
-    projects intensity onto cos/sin(cycles * alpha).  The annulus is a
-    slice of the distance-sorted pixel disc shared by every ring with
-    this (shape, center); its pixels are fit in row-major order and
-    angles are computed for them only.  Raises AliasedRingError below 2
-    samples per cycle and EmptyRingError when the annulus leaves the
-    image.
+    fits intensity by least squares to a mean plus cos/sin(cycles *
+    alpha).  This is mtf_curve's pass on a one-ring ladder.  Raises
+    AliasedRingError below 2 samples per cycle and EmptyRingError when
+    the annulus leaves the image or holds fewer than 8 samples.
     """
-    if radius < 2:
-        raise ValueError("radius must be >= 2 pixels")
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
-    h, w = image.shape
-    r0, c0 = float(center[0]), float(center[1])
-    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
-    if radius + 0.5 > margin + 1e-9:
-        raise EmptyRingError(f"empty ring: radius {radius} leaves the image")
-
-    flat, dist = _sorted_disc((h, w), (r0, c0))
-    lo, hi = np.searchsorted(dist, (radius - 0.5, radius + 0.5))
-    ring = np.sort(flat[lo:hi])
-    n_full = ring.size
-    if mask is not None:
-        if mask.shape != (h, w):
-            raise ValueError(f"mask shape {mask.shape} differs from image {(h, w)}")
-        ring = ring[mask.reshape(-1)[ring] > 0.5]
-    n = ring.size
-    if n_full == 0 or n < 8:
-        raise EmptyRingError(f"empty ring: {n} samples at radius {radius}")
-
-    coverage = n / n_full
-    samples_per_cycle = n / (cycles * coverage)
-    if samples_per_cycle < MIN_SAMPLES_PER_CYCLE:
-        raise AliasedRingError(
-            f"aliased ring: {samples_per_cycle:.2f} samples/cycle at radius {radius}")
-
-    vals = image.data.reshape(-1)[ring]
-    rows, cols = np.divmod(ring, w)
-    ring_alpha = np.arctan2(cols - c0, rows - r0)
-    # exact least squares of mean + single harmonic: a raw projection
-    # would pick up the pixel grid's angular-density harmonics (a
-    # constant image must fit to zero modulation)
-    design = np.column_stack([np.ones(n), np.cos(cycles * ring_alpha),
-                              np.sin(cycles * ring_alpha)])
-    (a, c, s), *_ = np.linalg.lstsq(design, vals, rcond=None)
-    beta = math.hypot(c, s)
-    alpha0 = math.atan2(s, c) / cycles
-    modulation = beta / a if a > 0 else math.inf
-    g = 2.0 * math.pi * radius / cycles
-    return RingFit(
-        radius=float(radius), g=g, f=1.0 / g, a=float(a), beta_amp=float(beta),
-        alpha0=float(alpha0), modulation=float(modulation), n_samples=n,
-        flagged=bool(modulation > 1.0),
-    )
+    (result,) = _fit_rings(image, center, [radius], cycles, mask)
+    if isinstance(result, RingError):
+        raise result
+    return result
 
 
 def mtf_curve(image: ImageGrid, center: tuple[float, float], cycles: int,
@@ -200,19 +293,17 @@ def mtf_curve(image: ImageGrid, center: tuple[float, float], cycles: int,
     """Fit one ring per radius; returns (fits sorted by ascending f, dropped).
 
     radii must be strictly decreasing (outer to inner, so frequency
-    ascends).  Rings refused as aliased or empty are dropped and counted.
-    Raises InsufficientCurveError if fewer than three rings survive.
+    ascends).  All rings are fit in one pass over the ladder's cached
+    ring table.  Rings refused as aliased or empty are dropped and
+    counted.  Raises InsufficientCurveError if fewer than three rings
+    survive.
     """
     radii = list(radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    fits: list[RingFit] = []
-    dropped = 0
-    for r in radii:
-        try:
-            fits.append(ring_modulation(image, center, r, cycles, mask=mask))
-        except RingError:
-            dropped += 1
+    fits = [fit for fit in _fit_rings(image, center, radii, cycles, mask)
+            if isinstance(fit, RingFit)]
+    dropped = len(radii) - len(fits)
     if dropped:
         logger.warning("dropped %d of %d rings (aliased or empty)", dropped, len(radii))
     if len(fits) < 3:

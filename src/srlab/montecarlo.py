@@ -143,7 +143,12 @@ class ParameterSpec:
 
 @dataclass
 class TrialResult:
-    """Outcome of one pipeline run."""
+    """Outcome of one pipeline run.
+
+    rings_dropped, degenerate_crossing and ladder_limited are the
+    metrology flags of the trial's ResolutionReport; a failed trial
+    keeps their defaults.
+    """
 
     params: SystemParams
     resolution_m: float | None
@@ -151,6 +156,9 @@ class TrialResult:
     seed: int
     wall_time: float
     error: str | None = None
+    rings_dropped: int = 0
+    degenerate_crossing: bool = False
+    ladder_limited: bool = False
 
 
 @dataclass
@@ -224,7 +232,9 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int,
             scenario.nem_signal, params.noise_sigma, scenario.star.outer_radius,
             n_rings=scenario.n_rings, geometry=params.geometry)
         return TrialResult(params, report.resolution_m, sr.converged, seed,
-                           time.perf_counter() - t0)
+                           time.perf_counter() - t0, rings_dropped=report.rings_dropped,
+                           degenerate_crossing=report.degenerate_crossing,
+                           ladder_limited=report.ladder_limited)
     except (ValueError, FloatingPointError) as exc:
         logger.warning("trial seed=%d failed: %s", seed, exc)
         return TrialResult(params, None, False, seed,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from srlab import montecarlo
 from srlab.cli import main
 from srlab.grid import read_pgm
+from srlab.metrology import measure_resolution
 from srlab.montecarlo import run_trial
 from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_config
 from srlab.simulator import SystemParams
@@ -269,6 +270,35 @@ def test_pipeline_roundtrip(config_path, tmp_path):
     assert curve[0] == "f_cyc_per_hr_px,modulation,nem"
 
 
+def test_measure_sector_matches_in_process(config_path, tmp_path, capsys):
+    sim, sr, meas = tmp_path / "sim", tmp_path / "sr", tmp_path / "meas"
+    assert main(["simulate", "--config", str(config_path), "--seed", "42",
+                 "--out-dir", str(sim)]) == 0
+    assert main(["superresolve", "--config", str(config_path),
+                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
+    measure = ["measure", "--config", str(config_path), "--image", str(sr / "sr.pgm"),
+               "--meta", str(sim / "meta.json")]
+    assert main([*measure, "--sector", "3", "--out-dir", str(meas)]) == 0
+    meta = json.loads((sim / "meta.json").read_text())
+    star = meta["star"]
+    want = measure_resolution(read_pgm(sr / "sr.pgm"), tuple(star["center"]),
+                              star["cycles"], meta["nem_signal"], meta["noise_sigma"],
+                              star["outer_radius"], sector=3,
+                              n_rings=load_config(config_path).scenario.n_rings)
+    rows = (meas / "curve.csv").read_text().splitlines()[1:]
+    assert [(float(f), float(m)) for f, m, _ in (row.split(",") for row in rows)] == \
+        want.curve
+    report = json.loads((meas / "report.json").read_text())
+    assert report["sector"] == 3
+    assert report["resolution_m"] == want.resolution_m
+    for sector in ("8", "-1"):
+        out = tmp_path / f"sector{sector}"
+        assert main([*measure, "--sector", sector, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sector_index" in err
+        assert not (out / "report.json").exists()
+
+
 def test_minimal_config_pipeline_matches_run_trial(tmp_path):
     # every omitted section takes the defaults run_trial uses, and measure
     # uses the config's ring ladder; what is left is 16-bit PGM quantization
@@ -315,8 +345,10 @@ def test_montecarlo_csv_determinism(config_path, tmp_path):
                      "--out-dir", str(d)]) == 0
     assert (d1 / "trials.csv").read_bytes() == (d2 / "trials.csv").read_bytes()
     assert (d1 / "histogram.csv").read_bytes() == (d2 / "histogram.csv").read_bytes()
-    header = (d1 / "trials.csv").read_text().splitlines()[0]
-    assert header.startswith("trial,seed,optics_mtf_at_hr_nyq")
+    lines = (d1 / "trials.csv").read_text().splitlines()
+    assert lines[0].startswith("trial,seed,optics_mtf_at_hr_nyq")
+    assert lines[0].endswith(",error,rings_dropped,degenerate_crossing,ladder_limited")
+    assert all(line.endswith(",0,False,False") for line in lines[1:])
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -124,6 +124,31 @@ def test_sinc_upsample_factor_one_copies(rng):
     assert x[0, 0] != 99.0
 
 
+def full_width_upsample(data, factor):
+    """Reference: sinc_upsample's column pass over the whole padded half-plane."""
+    h, w = data.shape
+    big_h, big_w = h * factor, w * factor
+    spectrum = scipy.fft.rfft2(data)
+    padded = np.zeros((big_h, big_w // 2 + 1), dtype=complex)
+    n_pos, n_neg = (h + 1) // 2, (h - 1) // 2
+    padded[:n_pos, :w // 2 + 1] = spectrum[:n_pos]
+    padded[big_h - n_neg:, :w // 2 + 1] = spectrum[h - n_neg:]
+    if h % 2 == 0:
+        padded[h // 2, :w // 2 + 1] = 0.5 * spectrum[h // 2]
+        padded[big_h - h // 2, :w // 2 + 1] = padded[h // 2, :w // 2 + 1]
+    if w % 2 == 0:
+        padded[:, w // 2] *= 0.5
+    columns = scipy.fft.ifft(padded, axis=0)
+    return scipy.fft.irfft(columns, n=big_w, axis=1) * (factor * factor)
+
+
+@pytest.mark.parametrize("shape", [(12, 10), (9, 7), (10, 7), (7, 10)])
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_sinc_upsample_equals_full_width_column_pass(rng, shape, factor):
+    x = rng.normal(size=shape)
+    assert np.array_equal(sinc_upsample(x, factor), full_width_upsample(x, factor))
+
+
 def zero_pad_upsample(data, factor):
     """Reference: full complex spectrum, centered and zero-padded."""
     h, w = data.shape

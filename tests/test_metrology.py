@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from srlab.grid import ImageGrid
 from srlab.metrology import (AliasedRingError, EmptyRingError,
-                             InsufficientCurveError, RingFit, _sorted_disc,
-                             crossing_frequency, frequency_to_resolution,
-                             measure_resolution, mtf_curve, nem, ring_modulation)
+                             InsufficientCurveError, RingError, RingFit,
+                             _ring_table, crossing_frequency,
+                             frequency_to_resolution, measure_resolution,
+                             mtf_curve, nem, ring_modulation)
 from srlab.target import StarSpec, generate_spoke_target, sector_mask
 
 
@@ -289,7 +290,11 @@ def bbox_ring_modulation(image, center, radius, cycles, mask=None):
     ring_alpha = np.arctan2(x, y)[in_ring]
     design = np.column_stack([np.ones(n), np.cos(cycles * ring_alpha),
                               np.sin(cycles * ring_alpha)])
-    (a, c, s), *_ = np.linalg.lstsq(design, vals, rcond=None)
+    # the ring mean is taken out before lstsq: left in, an offset of 100
+    # puts rounding of up to 1.5e-11 relative on a noise-level harmonic
+    mean = vals.mean()
+    (a, c, s), *_ = np.linalg.lstsq(design, vals - mean, rcond=None)
+    a += mean
     beta = math.hypot(c, s)
     return RingFit(radius=float(radius), g=0.0, f=0.0, a=float(a),
                    beta_amp=float(beta), alpha0=math.atan2(s, c) / cycles,
@@ -326,13 +331,66 @@ def test_ring_modulation_matches_bounding_box_scan(data, h, w, cycles, mask_kind
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
 
 
-def test_sorted_disc_is_shared_read_only():
-    flat, dist = _sorted_disc((32, 33), (15.5, 16.25))
-    assert _sorted_disc((32, 33), (15.5, 16.25))[0] is flat
-    assert not flat.flags.writeable and not dist.flags.writeable
+@settings(max_examples=100)
+@given(data=st.data(), h=st.integers(16, 48), w=st.integers(16, 48),
+       cycles=st.integers(1, 24), mask_kind=st.sampled_from(["none", "sector", "random"]),
+       seed=st.integers(0, 2**16))
+def test_mtf_curve_matches_per_ring_reference(data, h, w, cycles, mask_kind, seed):
+    r0 = data.draw(st.floats(h / 2 - 4, h / 2 + 4) | st.sampled_from([h / 2, (h - 1) / 2]))
+    c0 = data.draw(st.floats(w / 2 - 4, w / 2 + 4) | st.sampled_from([w / 2, (w - 1) / 2]))
+    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
+    # from past the margin inward, in steps down to 0.05 px (shared
+    # pixels), into the aliased radii of the higher cycle counts
+    outer = data.draw(st.floats(2.0, margin + 3.0))
+    steps = data.draw(st.lists(st.floats(0.05, 3.0), max_size=12))
+    radii = [r for r in outer - np.cumsum([0.0, *steps]) if r >= 2.0]
+    rng = np.random.default_rng(seed)
+    image = ImageGrid(100.0 + rng.normal(size=(h, w)))
+    mask = {"none": None,
+            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8).data,
+            "random": (rng.random((h, w)) < 0.7).astype(float)}[mask_kind]
+    want = []
+    for r in radii:
+        try:
+            want.append(bbox_ring_modulation(image, (r0, c0), r, cycles, mask=mask))
+        except RingError:
+            pass
+    if len(want) < 3:
+        with pytest.raises(InsufficientCurveError):
+            mtf_curve(image, (r0, c0), cycles, radii, mask=mask)
+        return
+    fits, dropped = mtf_curve(image, (r0, c0), cycles, radii, mask=mask)
+    assert dropped == len(radii) - len(want)
+    assert [f.radius for f in fits] == [f.radius for f in want]
+    for got, ref in zip(fits, want):
+        assert got.n_samples == ref.n_samples
+        for name in ("a", "beta_amp", "modulation"):
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+
+
+def test_masked_ring_at_two_samples_per_cycle_is_kept():
+    # 42 samples on the full ring at 21 cycles: exactly at the aliasing
+    # limit, which a mask's coverage must not tip over by rounding
+    rng = np.random.default_rng(0)
+    image = ImageGrid(100.0 + rng.normal(size=(18, 20)))
+    mask = (rng.random((18, 20)) < 0.7).astype(float)
+    assert ring_modulation(image, (9.0, 8.5), 7.5, 21).n_samples == 42
+    fit = ring_modulation(image, (9.0, 8.5), 7.5, 21, mask=mask)
+    assert fit.n_samples == bbox_ring_modulation(image, (9.0, 8.5), 7.5, 21,
+                                                 mask=mask).n_samples
+
+
+def test_ring_table_is_shared_read_only():
+    radii = (9.0, 8.5, 4.25)  # the first two rings share pixels
+    table = _ring_table((32, 33), (15.5, 16.25), radii, 5)
+    assert _ring_table((32, 33), (15.5, 16.25), radii, 5) is table
+    for array in (table.samples, table.starts, table.counts, table.cos, table.sin):
+        assert not array.flags.writeable
     with pytest.raises(ValueError):
-        dist[0] = 0.0
-    assert np.all(np.diff(dist) >= 0)
+        table.cos[0] = 0.0
+    for start, count in zip(table.starts, table.counts):
+        assert np.all(np.diff(table.samples[start:start + count]) > 0)
+    assert np.unique(table.samples).size < table.samples.size
 
 
 def test_ring_mask_must_match_image_shape():

@@ -3,12 +3,15 @@ import pytest
 from dataclasses import replace
 
 from srlab import montecarlo
+from srlab.metrology import measure_resolution
 from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
                               sweep, sweep_grid)
 from srlab.mtf import GeometryConstants
 from srlab.seeding import child_seed
-from srlab.simulator import SIGMA_PER_FWHM, SystemParams
+from srlab.simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
+from srlab.solver import super_resolve
+from srlab.target import generate_spoke_target
 
 
 def test_distribution_validation():
@@ -124,6 +127,26 @@ def test_run_trial_records_failures(tiny_scenario):
     result = run_trial(params, tiny_scenario, 7)
     assert result.resolution_m is None
     assert result.error is not None
+    assert (result.rings_dropped, result.degenerate_crossing,
+            result.ladder_limited) == (0, False, False)
+
+
+def test_campaign_trial_flags_match_measure_resolution(tiny_scenario):
+    # an NEM signal this low puts the whole curve under the NEM, so the
+    # crossing is degenerate
+    scenario = replace(tiny_scenario, nem_signal=1.0)
+    trial = run_campaign(ParameterSpec(), scenario, n_trials=1, master_seed=3).trials[0]
+    target = generate_spoke_target(scenario.star, scenario.grid_size)
+    sr = super_resolve(list(simulate_observations(target, trial.params, trial.seed)),
+                       cfg=scenario.solver)
+    star = scenario.star
+    report = measure_resolution(sr.image, star.center, star.cycles, scenario.nem_signal,
+                                trial.params.noise_sigma, star.outer_radius,
+                                n_rings=scenario.n_rings, geometry=trial.params.geometry)
+    assert trial.resolution_m == report.resolution_m
+    assert (trial.rings_dropped, trial.degenerate_crossing, trial.ladder_limited) == \
+        (report.rings_dropped, report.degenerate_crossing, report.ladder_limited)
+    assert trial.degenerate_crossing
 
 
 def test_campaign_histogram_and_determinism(tiny_scenario):
