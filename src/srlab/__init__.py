@@ -7,15 +7,15 @@ modulation, and runs Monte Carlo sensitivity campaigns over the system
 parameters.
 """
 
-from .grid import ImageGrid, read_pgm, write_pgm
+from .grid import check_image, read_pgm, write_pgm
 from .metrology import (ResolutionReport, RingFit, crossing_frequency,
                         frequency_to_resolution, measure_resolution, mtf_curve,
                         nem, ring_modulation)
 from .montecarlo import (CampaignResult, ParameterDistribution, ParameterSpec,
                          SweepResult, TrialResult, run_campaign, run_trial,
                          sample_parameters, sweep, sweep_grid)
-from .mtf import (GeometryConstants, diffraction_mtf, footprint_mtf,
-                  jitter_mtf, optics_mtf, sampling_mtf, smear_mtf, system_otf)
+from .mtf import (GeometryConstants, footprint_mtf, jitter_mtf, optics_mtf,
+                  sampling_mtf, smear_mtf, system_otf)
 from .scenario import Scenario, ScenarioConfig, load_config
 from .simulator import (Observation, SystemParams, add_noise,
                         render_blurred_scene, simulate_observations)

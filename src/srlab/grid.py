@@ -1,81 +1,55 @@
-"""2-D raster container plus 16-bit PGM I/O.
+"""Image checks plus 16-bit PGM I/O.
 
 Every image in the pipeline (targets, blurred scenes, low-resolution
-observations, reconstructions) is an ``ImageGrid``: a validated
-row-major float64 array in detector counts.  Axis 0 is along-track,
-axis 1 is across-track.  How an observation samples the HR grid is
-recorded once, in ``Observation.decimation``.
+observations, reconstructions) is a row-major float64 ndarray in
+detector counts.  Axis 0 is along-track, axis 1 is across-track.  How
+an observation samples the HR grid is recorded once, in
+``Observation.decimation``.  Images are checked by ``check_image`` where
+they enter the pipeline from outside it, not between its stages.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ImageGrid", "write_pgm", "read_pgm"]
+__all__ = ["check_image", "write_pgm", "read_pgm"]
 
 PGM_MAXVAL = 65535
 
 
-@dataclass
-class ImageGrid:
-    """Real-valued raster.
-
-    Parameters
-    ----------
-    data : ndarray
-        2-D float array, row-major, values in detector counts.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        self.validate()
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    def validate(self) -> None:
-        """Check the container invariants; raises ValueError on a breach."""
-        if self.data.ndim != 2:
-            raise ValueError(f"expected 2-D data, got shape {self.data.shape}")
-        if self.height < 2 or self.width < 2:
-            raise ValueError(f"grid too small: {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("grid contains non-finite values")
-
-    def mean(self) -> float:
-        return float(self.data.mean())
+def check_image(data, what: str) -> np.ndarray:
+    """Return data as a float64 array; ValueError unless it is 2-D, at
+    least 2x2 and finite.  what names the image in the message."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError(f"{what}: expected 2-D data, got shape {data.shape}")
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ValueError(f"{what}: grid too small: {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{what}: grid contains non-finite values")
+    return data
 
 
-def write_pgm(path, grid: ImageGrid) -> None:
+def write_pgm(path, image) -> None:
     """Write a 16-bit binary PGM (P5, maxval 65535, big-endian).
 
     Values are rounded half-to-even and clamped to [0, 65535] at write
     time only, with one warning giving the number of clamped pixels; the
     in-memory pipeline never quantizes.
     """
-    rounded = np.rint(grid.data)
+    image = check_image(image, str(path))
+    rounded = np.rint(image)
     n_clamped = int(np.count_nonzero((rounded < 0) | (rounded > PGM_MAXVAL)))
     if n_clamped:
         logger.warning("%s: clamped %d of %d pixels to [0, %d]", path, n_clamped,
                        rounded.size, PGM_MAXVAL)
     q = np.clip(rounded, 0, PGM_MAXVAL).astype(">u2")
-    header = f"P5\n{grid.width} {grid.height}\n{PGM_MAXVAL}\n".encode("ascii")
+    height, width = image.shape
+    header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(q.tobytes())
@@ -102,7 +76,7 @@ def _read_header_tokens(fh, count: int) -> list[bytes]:
     return tokens
 
 
-def read_pgm(path) -> ImageGrid:
+def read_pgm(path) -> np.ndarray:
     """Read a binary PGM written by :func:`write_pgm`."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
@@ -115,5 +89,5 @@ def read_pgm(path) -> ImageGrid:
         raw = fh.read(width * height * 2)
     if len(raw) != width * height * 2:
         raise ValueError(f"{path}: truncated pixel data")
-    data = np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.float64)
-    return ImageGrid(data)
+    data = np.frombuffer(raw, dtype=">u2").reshape(height, width)
+    return check_image(data, str(path))

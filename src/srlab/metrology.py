@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import sinc_upsample
-from .grid import ImageGrid
+from .grid import check_image
 from .mtf import GEOMETRY, GeometryConstants
 from .target import sector_mask
 
@@ -182,7 +182,7 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     return table
 
 
-def _fit_rings(image: ImageGrid, center: tuple[float, float], radii, cycles: int,
+def _fit_rings(image: np.ndarray, center: tuple[float, float], radii, cycles: int,
                mask: np.ndarray | None) -> list[RingFit | RingError]:
     """Fit the angular harmonic on every ring of a strictly decreasing
     ladder in one pass; entry i is ring i's fit or the RingError that
@@ -242,7 +242,7 @@ def _fit_rings(image: ImageGrid, center: tuple[float, float], radii, cycles: int
         def ring_sums(values):
             return np.add.reduceat(values, starts[filled])[fit[filled]]
 
-        vals, mean = centred(image.data.reshape(-1)[index])
+        vals, mean = centred(image.reshape(-1)[index])
         cos, mean_cos = centred(cos)
         sin, mean_sin = centred(sin)
         s_cs = ring_sums(cos * sin)
@@ -271,7 +271,7 @@ def _fit_rings(image: ImageGrid, center: tuple[float, float], radii, cycles: int
     return results
 
 
-def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float,
+def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: float,
                     cycles: int, mask: np.ndarray | None = None) -> RingFit:
     """Fit the angular harmonic at the known cycle count on one annulus.
 
@@ -282,13 +282,13 @@ def ring_modulation(image: ImageGrid, center: tuple[float, float], radius: float
     AliasedRingError below 2 samples per cycle and EmptyRingError when
     the annulus leaves the image or holds fewer than 8 samples.
     """
-    (result,) = _fit_rings(image, center, [radius], cycles, mask)
+    (result,) = _fit_rings(check_image(image, "image"), center, [radius], cycles, mask)
     if isinstance(result, RingError):
         raise result
     return result
 
 
-def mtf_curve(image: ImageGrid, center: tuple[float, float], cycles: int,
+def mtf_curve(image: np.ndarray, center: tuple[float, float], cycles: int,
               radii, mask=None) -> tuple[list[RingFit], int]:
     """Fit one ring per radius; returns (fits sorted by ascending f, dropped).
 
@@ -298,6 +298,11 @@ def mtf_curve(image: ImageGrid, center: tuple[float, float], cycles: int,
     counted.  Raises InsufficientCurveError if fewer than three rings
     survive.
     """
+    return _curve(check_image(image, "image"), center, cycles, radii, mask)
+
+
+def _curve(image: np.ndarray, center, cycles: int, radii, mask):
+    """mtf_curve on an image already checked."""
     radii = list(radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -366,7 +371,7 @@ def _smooth(values: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: int,
+def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: int,
                        signal: float, noise_sigma: float, outer_radius: float, *,
                        n_rings: int, sector: int | None = None,
                        geometry: GeometryConstants = GEOMETRY) -> ResolutionReport:
@@ -394,7 +399,7 @@ def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: in
     """
     # HR pixels per sample of the upsampled image the rings are fit on
     pitch = 1.0 / ANALYSIS_OVERSAMPLE
-    image = ImageGrid(sinc_upsample(image.data, ANALYSIS_OVERSAMPLE))
+    image = sinc_upsample(check_image(image, "image"), ANALYSIS_OVERSAMPLE)
 
     # ladder bounds in grid samples: stay inside the star, above the
     # sampling limit, and inside the HR information band f_hr <= 0.5
@@ -410,9 +415,9 @@ def measure_resolution(image: ImageGrid, center: tuple[float, float], cycles: in
     center_grid = (center[0] / pitch, center[1] / pitch)
     mask = None
     if sector is not None:
-        mask = sector_mask(image.shape, center_grid, sector, SECTOR_COUNT).data
+        mask = sector_mask(image.shape, center_grid, sector, SECTOR_COUNT)
 
-    fits, dropped = mtf_curve(image, center_grid, cycles, radii, mask=mask)
+    fits, dropped = _curve(image, center_grid, cycles, radii, mask)
     curve = [(rf.f / pitch, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
                         _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))

@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "GeometryConstants",
-    "diffraction_mtf",
     "optics_mtf",
     "footprint_mtf",
     "sampling_mtf",
@@ -56,22 +55,6 @@ class GeometryConstants:
 
 
 GEOMETRY = GeometryConstants()
-
-
-def diffraction_mtf(sigma_norm):
-    """Diffraction-limited MTF of a circular aperture.
-
-    Takes the frequency normalized by the aperture cutoff.  Returns
-    (2/pi)(acos(s) - s*sqrt(1-s^2)) below cutoff, 0 at and beyond it.
-    Analysis/validation only: the composed system OTF uses the parametric
-    realizable-optics model instead.
-    """
-    s = np.asarray(sigma_norm, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("normalized frequency must be >= 0")
-    sc = np.clip(s, 0.0, 1.0)
-    val = (2.0 / np.pi) * (np.arccos(sc) - sc * np.sqrt(1.0 - sc * sc))
-    return np.where(s >= 1.0, 0.0, val)
 
 
 def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.fft
 
 from .fourier import fold, gaussian_kernel, shift_multiplier_2d
-from .grid import ImageGrid
+from .grid import check_image
 from .mtf import GeometryConstants, system_otf
 from .seeding import child_seed
 
@@ -95,13 +95,14 @@ class Observation:
     the true OTF.
     """
 
-    image: ImageGrid
+    image: np.ndarray
     shift_hr: tuple[float, float]
     decimation: tuple[int, int]
     assumed_psf: np.ndarray
     noise_sigma: float
 
     def __post_init__(self):
+        self.image = check_image(self.image, "observation image")
         if self.decimation[0] < 1 or self.decimation[1] < 1:
             raise ValueError("decimation factors must be >= 1")
         if not all(math.isfinite(s) for s in self.shift_hr):
@@ -110,28 +111,28 @@ class Observation:
             raise ValueError("assumed PSF must sum to 1")
 
 
-def _blurred_spectrum(target: ImageGrid, params: SystemParams) -> np.ndarray:
+def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
     """Spectrum of an HR target filtered by the system OTF.
 
     The OTF is evaluated on the target's frequency grid in cycles per HR
     sample.  DC gain is 1, so the mean is preserved.
     """
+    target = check_image(target, "target")
     h, w = target.shape
     if h % 2 or w % 2:
         raise ValueError(f"target dimensions must be even, got {h}x{w}")
-    target.validate()
 
     otf = system_otf(params, np.fft.fftfreq(w)[None, :], np.fft.fftfreq(h)[:, None])
-    return scipy.fft.fft2(target.data) * otf
+    return scipy.fft.fft2(target) * otf
 
 
-def render_blurred_scene(target: ImageGrid, params: SystemParams) -> ImageGrid:
+def render_blurred_scene(target: np.ndarray, params: SystemParams) -> np.ndarray:
     """Filter an HR target by the system OTF (see _blurred_spectrum)."""
-    return ImageGrid(scipy.fft.ifft2(_blurred_spectrum(target, params)).real)
+    return scipy.fft.ifft2(_blurred_spectrum(target, params)).real
 
 
-def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
-              ) -> tuple[ImageGrid, float]:
+def add_noise(image: np.ndarray, snr_at_300: float, rng_seed: int
+              ) -> tuple[np.ndarray, float]:
     """Add i.i.d. zero-mean Gaussian noise at sigma = 300/SNR counts.
 
     The noise is signal-independent (white); returns the sigma used.
@@ -141,11 +142,10 @@ def add_noise(image: ImageGrid, snr_at_300: float, rng_seed: int
         raise ValueError("SNR must be > 0")
     sigma = REFERENCE_SIGNAL / snr_at_300
     rng = np.random.default_rng(rng_seed)
-    noisy = image.data + rng.normal(0.0, sigma, size=image.shape)
-    return ImageGrid(noisy), sigma
+    return image + rng.normal(0.0, sigma, size=image.shape), sigma
 
 
-def simulate_observations(target: ImageGrid, params: SystemParams, rng_seed: int
+def simulate_observations(target: np.ndarray, params: SystemParams, rng_seed: int
                           ) -> tuple[Observation, Observation]:
     """Produce the two staggered subarray observations of a target.
 
@@ -168,8 +168,8 @@ def simulate_observations(target: ImageGrid, params: SystemParams, rng_seed: int
     psf = gaussian_kernel(params.assumed_psf_sigma)
     observations = []
     for k, shift in enumerate(shifts):
-        ramp = shift_multiplier_2d(target.shape, shift)
-        sampled = ImageGrid(scipy.fft.ifft2(fold(ramp, spectrum, decimation)).real)
+        ramp = shift_multiplier_2d(spectrum.shape, shift)
+        sampled = scipy.fft.ifft2(fold(ramp, spectrum, decimation)).real
         noisy, sigma = add_noise(sampled, params.snr_at_300, child_seed(rng_seed, k))
         observations.append(Observation(image=noisy, shift_hr=shift,
                                         decimation=decimation, assumed_psf=psf,

@@ -24,7 +24,7 @@ import scipy.fft
 from scipy import ndimage
 
 from .fourier import fold, kernel_transfer, shift_multiplier_2d, unfold
-from .grid import ImageGrid
+from .grid import check_image
 from .simulator import Observation
 
 __all__ = [
@@ -89,7 +89,7 @@ class SrResult:
     """Reconstruction output: HR estimate, per-iteration cost, stop reason,
     rejected step candidates and the last accepted step (0.0 if none)."""
 
-    image: ImageGrid
+    image: np.ndarray
     cost_trace: list[float]
     iterations_run: int
     converged: bool
@@ -99,7 +99,7 @@ class SrResult:
 
 def _hr_shape(obs: Observation) -> tuple[int, int]:
     s_al, s_ax = obs.decimation
-    return (obs.image.height * s_al, obs.image.width * s_ax)
+    return (obs.image.shape[0] * s_al, obs.image.shape[1] * s_ax)
 
 
 def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.ndarray:
@@ -112,7 +112,7 @@ def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.nda
 def _residual_spectra(observations, transfers, x: np.ndarray) -> list[np.ndarray]:
     """LR spectra of y_k - forward_k(x)."""
     x_hat = scipy.fft.fft2(x)
-    return [scipy.fft.fft2(o.image.data) - fold(t, x_hat, o.decimation)
+    return [scipy.fft.fft2(o.image) - fold(t, x_hat, o.decimation)
             for o, t in zip(observations, transfers)]
 
 
@@ -121,7 +121,7 @@ def _data_cost(residuals) -> float:
     return sum(float(np.vdot(r, r).real) / r.size for r in residuals)
 
 
-def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
+def _estimate_transfer(x: np.ndarray, obs: Observation) -> np.ndarray:
     """Observation transfer on the HR grid, checking the estimate's shape."""
     hr_shape = _hr_shape(obs)
     if x.shape != hr_shape:
@@ -130,21 +130,23 @@ def _estimate_transfer(x: ImageGrid, obs: Observation) -> np.ndarray:
     return _observation_transfer(obs, hr_shape)
 
 
-def forward_model(x: ImageGrid, obs: Observation) -> ImageGrid:
+def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
     """Apply the observation operator: blur, shift, decimate."""
-    spectrum = fold(_estimate_transfer(x, obs), scipy.fft.fft2(x.data), obs.decimation)
-    return ImageGrid(scipy.fft.ifft2(spectrum).real)
+    x = check_image(x, "estimate")
+    spectrum = fold(_estimate_transfer(x, obs), scipy.fft.fft2(x), obs.decimation)
+    return scipy.fft.ifft2(spectrum).real
 
 
-def adjoint_model(r: ImageGrid, obs: Observation) -> ImageGrid:
+def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
     """Exact adjoint of forward_model: zero-fill, inverse shift, correlate."""
+    r = check_image(r, "residual")
     if r.shape != obs.image.shape:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
     hr_shape = _hr_shape(obs)
-    spectrum = unfold(_observation_transfer(obs, hr_shape), scipy.fft.fft2(r.data),
+    spectrum = unfold(_observation_transfer(obs, hr_shape), scipy.fft.fft2(r),
                       obs.decimation)
-    return ImageGrid(scipy.fft.ifft2(spectrum).real)
+    return scipy.fft.ifft2(spectrum).real
 
 
 def _btv_pairs(p_radius: int):
@@ -211,11 +213,12 @@ def _prior(x: np.ndarray, cfg: SolverConfig):
     return cfg.lam * penalty, signs
 
 
-def cost(x: ImageGrid, observations, cfg: SolverConfig) -> float:
+def cost(x: np.ndarray, observations, cfg: SolverConfig) -> float:
     """Full MAP cost: sum of squared residuals plus lam * BTV."""
+    x = check_image(x, "estimate")
     transfers = [_estimate_transfer(x, obs) for obs in observations]
-    residuals = _residual_spectra(observations, transfers, x.data)
-    return _data_cost(residuals) + _prior(x.data, cfg)[0]
+    residuals = _residual_spectra(observations, transfers, x)
+    return _data_cost(residuals) + _prior(x, cfg)[0]
 
 
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
@@ -281,10 +284,10 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         raise ValueError("observations imply inconsistent HR geometry")
 
     transfers = [_observation_transfer(o, hr_shape) for o in observations]
-    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image.data, decimation),
+    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image, decimation),
                              decimation)
     resid = _residual_spectra(observations, transfers, x)
-    floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image.data, o.image.data))
+    floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image, o.image))
                                            for o in observations)
 
     penalty, signs = _prior(x, cfg)
@@ -345,5 +348,5 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             converged = True
             break
 
-    return SrResult(image=ImageGrid(x), cost_trace=trace, iterations_run=iterations,
+    return SrResult(image=x, cost_trace=trace, iterations_run=iterations,
                     converged=converged, step_halvings=halvings, final_beta=final_beta)

@@ -19,8 +19,6 @@ import math
 
 import numpy as np
 
-from .grid import ImageGrid
-
 __all__ = ["StarSpec", "generate_spoke_target", "sector_mask", "pattern_angle"]
 
 
@@ -69,7 +67,7 @@ def pattern_angle(x, y):
     return np.where(a >= 2.0 * np.pi, 0.0, a)
 
 
-def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> ImageGrid:
+def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> np.ndarray:
     """Rasterize a spoke target onto an HR grid of the given (height, width).
 
     Each cell is the mean of the continuous pattern over supersample^2
@@ -101,11 +99,11 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> ImageGrid:
         inside = (rr >= spec.inner_radius) & (rr <= spec.outer_radius)
         acc += np.where(inside, spoke, spec.mean_level)
     acc /= s * s
-    return ImageGrid(acc)
+    return acc
 
 
 def sector_mask(size: tuple[int, int], center: tuple[float, float],
-                sector_index: int, sector_count: int) -> ImageGrid:
+                sector_index: int, sector_count: int) -> np.ndarray:
     """Binary mask selecting one angular sector of the circle.
 
     Sector k covers alpha in [k, k+1) * (2*pi/sector_count).  The cell
@@ -124,4 +122,4 @@ def sector_mask(size: tuple[int, int], center: tuple[float, float],
     span = 2.0 * np.pi / sector_count
     mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
     mask &= ~((x == 0.0) & (y == 0.0))
-    return ImageGrid(mask.astype(np.float64))
+    return mask

@@ -13,7 +13,6 @@ import pytest
 
 from srlab.cli import main as cli_main
 from srlab.fourier import gaussian_kernel
-from srlab.grid import ImageGrid
 from srlab.metrology import measure_resolution, nem
 from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep, sweep_grid
 from srlab.mtf import jitter_mtf, smear_mtf
@@ -81,7 +80,7 @@ def test_criterion_3_metrology_fidelity():
     fy = np.fft.fftfreq(512)[:, None]
     fx = np.fft.fftfreq(512)[None, :]
     gauss = np.exp(-2 * np.pi**2 * sigma**2 * (fx**2 + fy**2))
-    blurred = ImageGrid(np.fft.ifft2(np.fft.fft2(ideal.data) * gauss).real)
+    blurred = np.fft.ifft2(np.fft.fft2(ideal) * gauss).real
     rep_i = measure_resolution(ideal, star.center, star.cycles, 300.0, 0.0,
                                star.outer_radius, n_rings=40)
     rep_b = measure_resolution(blurred, star.center, star.cycles, 300.0, 0.0,
@@ -112,12 +111,12 @@ def test_criterion_4_solver_correctness(star_target, scenario):
                 break
             shift = (float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             psf = gaussian_kernel(float(rng.uniform(0.4, 1.8)))
-            obs = Observation(ImageGrid(np.zeros(lr)), shift,
+            obs = Observation(np.zeros(lr), shift,
                               decimation, psf, 0.0)
             x = rng.normal(size=hr)
             y = rng.normal(size=lr)
-            fx = forward_model(ImageGrid(x), obs).data
-            aty = adjoint_model(ImageGrid(y), obs).data
+            fx = forward_model(x, obs)
+            aty = adjoint_model(y, obs)
             lhs, rhs = float((fx * y).sum()), float((x * aty).sum())
             worst_rel = max(worst_rel, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
             cases += 1
@@ -131,15 +130,15 @@ def test_criterion_4_solver_correctness(star_target, scenario):
     psf = gaussian_kernel(1.0)
     observations = []
     for shift in [(0.0, 0.0), (0.0, 1.0)]:
-        meta = Observation(ImageGrid(np.zeros((256, 128))),
+        meta = Observation(np.zeros((256, 128)),
                            shift, (1, 2), psf, 0.0)
         lr = forward_model(star_target, meta)
         observations.append(Observation(lr, shift, (1, 2), psf, 0.0))
     sr = super_resolve(observations,
                        cfg=SolverConfig(lam=1e-4, max_iters=200, rel_tol=1e-7))
-    err_sr = np.linalg.norm(sr.image.data - star_target.data)
-    err_bc = np.linalg.norm(bicubic_upsample(observations[0].image.data, (1, 2))
-                            - star_target.data)
+    err_sr = np.linalg.norm(sr.image - star_target)
+    err_bc = np.linalg.norm(bicubic_upsample(observations[0].image, (1, 2))
+                            - star_target)
     ratio = err_sr / err_bc
     recon_ok = ratio < 0.6
 

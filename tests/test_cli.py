@@ -211,7 +211,7 @@ def test_target_subcommand(config_path, tmp_path):
     assert rc == 0
     star = read_pgm(tmp_path / "out" / "star.pgm")
     assert star.shape == (128, 128)
-    assert star.data[0, 0] == 300.0
+    assert star[0, 0] == 300.0
 
 
 def test_mtf_curves_subcommand(config_path, tmp_path):
@@ -441,6 +441,21 @@ def test_missing_input_exits_2(config_path):
     assert main(["measure", "--config", str(config_path),
                  "--image", "/nonexistent/sr.pgm",
                  "--meta", "/nonexistent/meta.json"]) == 2
+
+
+def test_too_small_image_exits_2(config_path, tmp_path, capsys):
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({
+        "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
+        "nem_signal": 300.0, "noise_sigma": 5.0}))
+    image = tmp_path / "row.pgm"
+    image.write_bytes(b"P5\n5 1\n65535\n" + bytes(10))
+    out = tmp_path / "meas"
+    assert main(["measure", "--config", str(config_path), "--image", str(image),
+                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too small" in err
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_subcommand_exits_1():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srlab.grid import ImageGrid, read_pgm, write_pgm
+from srlab.grid import check_image, read_pgm, write_pgm
 
 
 def test_basic_properties():
-    g = ImageGrid(np.zeros((4, 6)))
-    assert (g.height, g.width) == (4, 6)
+    g = check_image(np.zeros((4, 6)), "image")
+    assert (g.shape[0], g.shape[1]) == (4, 6)
     assert g.shape == (4, 6)
 
 
@@ -20,46 +20,49 @@ def test_basic_properties():
     np.full((4, 4), np.nan),          # non-finite
     np.full((4, 4), np.inf),
 ])
-def test_invalid_data_rejected(bad):
-    with pytest.raises(ValueError):
-        ImageGrid(bad)
+def test_invalid_data_rejected(bad, tmp_path):
+    # every image that enters from outside the pipeline is checked once
+    with pytest.raises(ValueError, match="^image: "):
+        check_image(bad, "image")
+    with pytest.raises(ValueError, match="bad.pgm: "):
+        write_pgm(tmp_path / "bad.pgm", bad)
+    assert not (tmp_path / "bad.pgm").exists()
 
 
 def test_pgm_roundtrip_integers(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.integers(0, 65536, size=(13, 17)).astype(np.float64)
-    g = ImageGrid(data)
     path = tmp_path / "img.pgm"
-    write_pgm(path, g)
+    write_pgm(path, data)
     back = read_pgm(path)
-    assert np.array_equal(back.data, data)
+    assert np.array_equal(back, data)
 
 
 def test_pgm_rounds_half_to_even_and_clamps(tmp_path):
     data = np.array([[0.5, 1.5, 2.5, 65534.5],
                      [-10.0, 70000.0, 3.49, 3.51]])
-    write_pgm(tmp_path / "q.pgm", ImageGrid(data))
+    write_pgm(tmp_path / "q.pgm", data)
     back = read_pgm(tmp_path / "q.pgm")
-    assert back.data[0].tolist() == [0.0, 2.0, 2.0, 65534.0]
-    assert back.data[1].tolist() == [0.0, 65535.0, 3.0, 4.0]
+    assert back[0].tolist() == [0.0, 2.0, 2.0, 65534.0]
+    assert back[1].tolist() == [0.0, 65535.0, 3.0, 4.0]
 
 
 def test_pgm_warns_once_with_clamped_count(tmp_path, caplog):
     data = np.array([[-10.0, 70000.0, 65535.4, -0.4],
                      [80000.0, 5.0, 6.0, 7.0]])
     with caplog.at_level(logging.WARNING, logger="srlab.grid"):
-        write_pgm(tmp_path / "c.pgm", ImageGrid(data))
+        write_pgm(tmp_path / "c.pgm", data)
     assert len(caplog.records) == 1
     assert "clamped 3 of 8 pixels" in caplog.records[0].getMessage()
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="srlab.grid"):
-        write_pgm(tmp_path / "ok.pgm", ImageGrid(data.clip(0, 65535)))
+        write_pgm(tmp_path / "ok.pgm", data.clip(0, 65535))
     assert not caplog.records
 
 
 def test_pgm_is_big_endian_binary(tmp_path):
-    write_pgm(tmp_path / "be.pgm", ImageGrid(np.array([[256.0, 1.0],
-                                                       [0.0, 65535.0]])))
+    write_pgm(tmp_path / "be.pgm", np.array([[256.0, 1.0],
+                                             [0.0, 65535.0]]))
     raw = (tmp_path / "be.pgm").read_bytes()
     header = b"P5\n2 2\n65535\n"
     assert raw.startswith(header)
@@ -72,7 +75,7 @@ def test_pgm_header_comments(tmp_path):
     body = np.array([[1, 2], [3, 4]], dtype=">u2").tobytes()
     (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n2 2\n# more\n65535\n" + body)
     g = read_pgm(tmp_path / "c.pgm")
-    assert g.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert g.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_pgm_rejects_wrong_magic(tmp_path):
@@ -92,5 +95,5 @@ def test_pgm_rejects_truncated(tmp_path):
 def test_pgm_roundtrip_property(tmp_path_factory, values):
     data = np.array(values, dtype=np.float64).reshape(2, 3)
     path = tmp_path_factory.mktemp("pgm") / "p.pgm"
-    write_pgm(path, ImageGrid(data))
-    assert np.array_equal(read_pgm(path).data, data)
+    write_pgm(path, data)
+    assert np.array_equal(read_pgm(path), data)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlab.grid import ImageGrid
 from srlab.metrology import (AliasedRingError, EmptyRingError,
                              InsufficientCurveError, RingError, RingFit,
                              _ring_table, crossing_frequency,
@@ -19,7 +18,7 @@ def angular_field(size, center, func):
     y = (np.arange(size[0], dtype=float) - center[0])[:, None]
     x = (np.arange(size[1], dtype=float) - center[1])[None, :]
     alpha = np.arctan2(x, y)
-    return ImageGrid(func(alpha))
+    return func(alpha)
 
 
 def test_ring_fit_recovers_synthetic_harmonic():
@@ -36,13 +35,13 @@ def test_ring_fit_recovers_synthetic_harmonic():
 
 
 def test_ring_fit_constant_image():
-    img = ImageGrid(np.full((128, 128), 250.0))
+    img = np.full((128, 128), 250.0)
     fit = ring_modulation(img, (64.0, 64.0), 40.0, 32)
     assert fit.modulation == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ring_frequency_formula():
-    img = ImageGrid(np.full((512, 512), 100.0))
+    img = np.full((512, 512), 100.0)
     fit = ring_modulation(img, (256.0, 256.0), 100.0, 144)
     assert fit.g == pytest.approx(2 * math.pi * 100 / 144)
     assert fit.f == pytest.approx(144 / (200 * math.pi), abs=1e-4)
@@ -50,14 +49,14 @@ def test_ring_frequency_formula():
 
 
 def test_ring_rejects_aliased():
-    img = ImageGrid(np.full((128, 128), 100.0))
+    img = np.full((128, 128), 100.0)
     # radius 20 with 144 cycles: under 2 samples per cycle
     with pytest.raises(AliasedRingError):
         ring_modulation(img, (64.0, 64.0), 20.0, 144)
 
 
 def test_ring_rejects_leaving_image():
-    img = ImageGrid(np.full((64, 64), 100.0))
+    img = np.full((64, 64), 100.0)
     with pytest.raises(EmptyRingError):
         ring_modulation(img, (32.0, 32.0), 40.0, 16)
 
@@ -66,7 +65,7 @@ def test_ring_mask_restricts_samples():
     center = (128.0, 128.0)
     img = angular_field((256, 256), center,
                         lambda a: 200.0 + 80.0 * np.cos(32 * a))
-    mask = sector_mask((256, 256), center, 0, 8).data
+    mask = sector_mask((256, 256), center, 0, 8)
     full = ring_modulation(img, center, 80.0, 32)
     sector = ring_modulation(img, center, 80.0, 32, mask=mask)
     assert sector.n_samples < full.n_samples
@@ -87,13 +86,13 @@ def test_mtf_curve_sorted_and_drops():
 
 
 def test_mtf_curve_requires_decreasing_radii():
-    img = ImageGrid(np.full((128, 128), 1.0))
+    img = np.full((128, 128), 1.0)
     with pytest.raises(ValueError, match="decreasing"):
         mtf_curve(img, (64.0, 64.0), 16, [30.0, 40.0, 20.0])
 
 
 def test_mtf_curve_insufficient():
-    img = ImageGrid(np.full((128, 128), 1.0))
+    img = np.full((128, 128), 1.0)
     with pytest.raises(InsufficientCurveError):
         mtf_curve(img, (64.0, 64.0), 144, [30.0, 25.0, 20.0])  # all aliased
 
@@ -117,7 +116,7 @@ def test_gaussian_blur_curve_matches_prediction():
     fy = np.fft.fftfreq(512)[:, None]
     fx = np.fft.fftfreq(512)[None, :]
     gauss2d = np.exp(-2 * np.pi**2 * sigma**2 * (fx**2 + fy**2))
-    blurred = ImageGrid(np.fft.ifft2(np.fft.fft2(ideal.data) * gauss2d).real)
+    blurred = np.fft.ifft2(np.fft.fft2(ideal) * gauss2d).real
     rep_ideal = measure_resolution(ideal, star.center, star.cycles, 300.0,
                                    0.0, star.outer_radius, n_rings=40)
     rep_blur = measure_resolution(blurred, star.center, star.cycles, 300.0,
@@ -209,7 +208,7 @@ def test_measure_gain_invariance(star_target, scenario):
     base = measure_resolution(star_target, scenario.star.center,
                               scenario.star.cycles, 300.0, 5.0,
                               scenario.star.outer_radius, n_rings=40)
-    scaled_img = ImageGrid(star_target.data * 3.0)
+    scaled_img = star_target * 3.0
     scaled = measure_resolution(scaled_img, scenario.star.center,
                                 scenario.star.cycles, 900.0, 15.0,
                                 scenario.star.outer_radius, n_rings=40)
@@ -223,7 +222,7 @@ def test_offset_changes_modulation_as_predicted():
     img = angular_field((256, 256), center,
                         lambda a: 200.0 + 80.0 * np.cos(32 * a))
     fit = ring_modulation(img, center, 80.0, 32)
-    shifted = ring_modulation(ImageGrid(img.data + 100.0), center, 80.0, 32)
+    shifted = ring_modulation(img + 100.0, center, 80.0, 32)
     assert shifted.beta_amp == pytest.approx(fit.beta_amp, rel=1e-9)
     assert shifted.a == pytest.approx(fit.a + 100.0, rel=1e-9)
     assert shifted.modulation == pytest.approx(fit.beta_amp / (fit.a + 100.0),
@@ -286,7 +285,7 @@ def bbox_ring_modulation(image, center, radius, cycles, mask=None):
         raise EmptyRingError("empty ring")
     if n / (cycles * n / n_full) < 2.0:
         raise AliasedRingError("aliased")
-    vals = image.data[lo_r:hi_r, lo_c:hi_c][in_ring]
+    vals = image[lo_r:hi_r, lo_c:hi_c][in_ring]
     ring_alpha = np.arctan2(x, y)[in_ring]
     design = np.column_stack([np.ones(n), np.cos(cycles * ring_alpha),
                               np.sin(cycles * ring_alpha)])
@@ -315,9 +314,9 @@ def test_ring_modulation_matches_bounding_box_scan(data, h, w, cycles, mask_kind
                        | st.sampled_from([margin - 0.5, margin - 0.5 + 5e-10,
                                           margin - 0.5 + 2e-9]).filter(lambda r: r >= 2))
     rng = np.random.default_rng(seed)
-    image = ImageGrid(100.0 + rng.normal(size=(h, w)))
+    image = 100.0 + rng.normal(size=(h, w))
     mask = {"none": None,
-            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8).data,
+            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8),
             "random": (rng.random((h, w)) < 0.7).astype(float)}[mask_kind]
     try:
         want = bbox_ring_modulation(image, (r0, c0), radius, cycles, mask=mask)
@@ -345,9 +344,9 @@ def test_mtf_curve_matches_per_ring_reference(data, h, w, cycles, mask_kind, see
     steps = data.draw(st.lists(st.floats(0.05, 3.0), max_size=12))
     radii = [r for r in outer - np.cumsum([0.0, *steps]) if r >= 2.0]
     rng = np.random.default_rng(seed)
-    image = ImageGrid(100.0 + rng.normal(size=(h, w)))
+    image = 100.0 + rng.normal(size=(h, w))
     mask = {"none": None,
-            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8).data,
+            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8),
             "random": (rng.random((h, w)) < 0.7).astype(float)}[mask_kind]
     want = []
     for r in radii:
@@ -372,7 +371,7 @@ def test_masked_ring_at_two_samples_per_cycle_is_kept():
     # 42 samples on the full ring at 21 cycles: exactly at the aliasing
     # limit, which a mask's coverage must not tip over by rounding
     rng = np.random.default_rng(0)
-    image = ImageGrid(100.0 + rng.normal(size=(18, 20)))
+    image = 100.0 + rng.normal(size=(18, 20))
     mask = (rng.random((18, 20)) < 0.7).astype(float)
     assert ring_modulation(image, (9.0, 8.5), 7.5, 21).n_samples == 42
     fit = ring_modulation(image, (9.0, 8.5), 7.5, 21, mask=mask)
@@ -394,6 +393,6 @@ def test_ring_table_is_shared_read_only():
 
 
 def test_ring_mask_must_match_image_shape():
-    img = ImageGrid(np.full((64, 64), 100.0))
+    img = np.full((64, 64), 100.0)
     with pytest.raises(ValueError, match="mask shape"):
         ring_modulation(img, (32.0, 32.0), 10.0, 8, mask=np.ones((64, 63)))

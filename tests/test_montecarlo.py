@@ -9,7 +9,8 @@ from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               sweep, sweep_grid)
 from srlab.mtf import GeometryConstants
 from srlab.seeding import child_seed
-from srlab.simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
+from srlab.simulator import (SIGMA_PER_FWHM, Observation, SystemParams,
+                             simulate_observations)
 from srlab.solver import super_resolve
 from srlab.target import generate_spoke_target
 
@@ -129,6 +130,21 @@ def test_run_trial_records_failures(tiny_scenario):
     assert result.error is not None
     assert (result.rings_dropped, result.degenerate_crossing,
             result.ladder_limited) == (0, False, False)
+
+
+def test_non_finite_target_is_recorded_failure(tiny_scenario):
+    # a NaN in the target is caught where the target enters the simulator;
+    # the trial records the failure rather than raising
+    target = generate_spoke_target(tiny_scenario.star, tiny_scenario.grid_size)
+    target[5, 7] = np.nan
+    result = run_trial(SystemParams(), tiny_scenario, 7, target=target)
+    assert isinstance(result, montecarlo.TrialResult)
+    assert result.error is not None and "non-finite" in result.error
+    assert result.resolution_m is None
+    image = np.zeros((8, 4))
+    image[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Observation(image, (0.0, 0.5), (1, 2), np.full((3, 3), 1.0 / 9.0), 1.0)
 
 
 def test_campaign_trial_flags_match_measure_resolution(tiny_scenario):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srlab.mtf import (GeometryConstants, diffraction_mtf, footprint_mtf,
-                       jitter_mtf, mtf_curve_table, optics_mtf, sampling_mtf,
+from srlab.mtf import (GeometryConstants, footprint_mtf, jitter_mtf,
+                       mtf_curve_table, optics_mtf, sampling_mtf,
                        smear_mtf, system_otf)
 from srlab.simulator import SystemParams
 
@@ -18,16 +18,6 @@ def test_geometry_invariants():
     assert g.f_nyq_lr == g.f_nyq_hr / 2
     with pytest.raises(ValueError):
         GeometryConstants(lr_pixel_pitch_um=9.0)
-
-
-def test_diffraction_values():
-    assert diffraction_mtf(0.0) == pytest.approx(1.0)
-    assert diffraction_mtf(1.0) == 0.0
-    assert diffraction_mtf(2.0) == 0.0
-    # (2/pi)(pi/3 - 0.5*sqrt(0.75))
-    assert diffraction_mtf(0.5) == pytest.approx(0.39100, abs=1e-5)
-    with pytest.raises(ValueError):
-        diffraction_mtf(-0.1)
 
 
 def test_optics_family():

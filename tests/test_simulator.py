@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.fourier import fold, shift_multiplier_2d
-from srlab.grid import ImageGrid
 from srlab.mtf import system_otf
 from srlab.simulator import (SIGMA_PER_FWHM, Observation, SystemParams,
                              _blurred_spectrum, add_noise, render_blurred_scene,
@@ -50,7 +49,7 @@ def test_system_params_defaults_and_validation():
 
 
 def test_observation_validation():
-    img = ImageGrid(np.zeros((8, 4)))
+    img = np.zeros((8, 4))
     psf = np.full((3, 3), 1.0 / 9.0)
     Observation(img, (0.0, 0.5), (1, 2), psf, 1.0)
     with pytest.raises(ValueError):
@@ -62,14 +61,14 @@ def test_observation_validation():
 
 
 def test_blur_preserves_constant(rng, nominal_params):
-    img = ImageGrid(np.full((32, 32), 123.456))
+    img = np.full((32, 32), 123.456)
     out = render_blurred_scene(img, nominal_params)
-    assert np.allclose(out.data, 123.456, atol=1e-9)
+    assert np.allclose(out, 123.456, atol=1e-9)
 
 
 def test_blur_rejects_odd_dims(nominal_params):
     with pytest.raises(ValueError, match="even"):
-        render_blurred_scene(ImageGrid(np.zeros((31, 32))), nominal_params)
+        render_blurred_scene(np.zeros((31, 32)), nominal_params)
 
 
 def test_blur_mean_preserved(star_target, nominal_params):
@@ -81,15 +80,15 @@ def test_impulse_response_matches_otf(nominal_params):
     n = 32
     impulse = np.zeros((n, n))
     impulse[n // 2, n // 2] = 1.0
-    out = render_blurred_scene(ImageGrid(impulse), nominal_params)
+    out = render_blurred_scene(impulse, nominal_params)
     fy = np.fft.fftfreq(n)[:, None]
     fx = np.fft.fftfreq(n)[None, :]
     otf = system_otf(nominal_params, fx, fy)
-    assert np.allclose(np.abs(np.fft.fft2(out.data)), otf, atol=1e-6)
+    assert np.allclose(np.abs(np.fft.fft2(out)), otf, atol=1e-6)
     # brute-force DFT spot check at two frequency bins
     yy, xx = np.mgrid[0:n, 0:n]
     for ky, kx in [(0, 3), (2, 5)]:
-        dft = (out.data * np.exp(-2j * np.pi * (ky * yy + kx * xx) / n)).sum()
+        dft = (out * np.exp(-2j * np.pi * (ky * yy + kx * xx) / n)).sum()
         assert abs(dft) == pytest.approx(otf[ky, kx], abs=1e-9)
 
 
@@ -142,35 +141,35 @@ def test_fold_sampling_matches_spatial_sampling(h, w, decimation, d0, d1, seed):
 
 
 def test_noise_sigma_value():
-    img = ImageGrid(np.zeros((16, 16)))
+    img = np.zeros((16, 16))
     _, sigma = add_noise(img, 60.0, 0)
     assert sigma == 5.0
 
 
 def test_noise_statistics():
-    img = ImageGrid(np.zeros((1024, 1024)))
+    img = np.zeros((1024, 1024))
     noisy, sigma = add_noise(img, 60.0, 9)
-    assert noisy.data.std() == pytest.approx(5.0, abs=0.02)
-    assert noisy.data.mean() == pytest.approx(0.0, abs=0.02)
+    assert noisy.std() == pytest.approx(5.0, abs=0.02)
+    assert noisy.mean() == pytest.approx(0.0, abs=0.02)
 
 
 def test_noise_vanishes_at_huge_snr():
-    img = ImageGrid(np.full((16, 16), 300.0))
+    img = np.full((16, 16), 300.0)
     noisy, _ = add_noise(img, 1e12, 0)
-    assert np.allclose(noisy.data, img.data, atol=1e-6)
+    assert np.allclose(noisy, img, atol=1e-6)
 
 
 def test_noise_deterministic():
-    img = ImageGrid(np.zeros((16, 16)))
+    img = np.zeros((16, 16))
     a, _ = add_noise(img, 60.0, 7)
     b, _ = add_noise(img, 60.0, 7)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_noise_whiteness():
-    img = ImageGrid(np.zeros((512, 512)))
+    img = np.zeros((512, 512))
     noisy, _ = add_noise(img, 60.0, 11)
-    flat = noisy.data.ravel()
+    flat = noisy.ravel()
     flat = flat - flat.mean()
     denom = float(flat @ flat)
     for lag in range(1, 6):
@@ -181,8 +180,8 @@ def test_noise_whiteness():
 def test_observation_pair_determinism(star_target, nominal_params):
     a1, a2 = simulate_observations(star_target, nominal_params, 42)
     b1, b2 = simulate_observations(star_target, nominal_params, 42)
-    assert np.array_equal(a1.image.data, b1.image.data)
-    assert np.array_equal(a2.image.data, b2.image.data)
+    assert np.array_equal(a1.image, b1.image)
+    assert np.array_equal(a2.image, b2.image)
     # metadata carries the true shift: 10 LR lines and 0.5 LR px
     assert a1.shift_hr == (0.0, 0.0)
     assert a2.shift_hr == (20.0, 1.0)
@@ -193,7 +192,7 @@ def test_observation_pair_determinism(star_target, nominal_params):
 def test_zero_stagger_pair_differs_only_by_noise(star_target):
     params = SystemParams(subarray_shift_ax=0.0, subarray_shift_al_lines=0)
     o1, o2 = simulate_observations(star_target, params, 3)
-    diff = o1.image.data - o2.image.data
+    diff = o1.image - o2.image
     # deterministic paths identical; difference is two independent noise
     # draws, bounded by the Gaussian tail
     assert np.abs(diff).max() <= 8 * o1.noise_sigma
@@ -205,15 +204,15 @@ def test_alongtrack_separation_is_row_permutation(star_target):
     _, with_sep = simulate_observations(star_target, quiet, 5)
     _, without = simulate_observations(star_target, none, 5)
     # 10 LR lines = 20 HR rows, decimation (1, 2) keeps all rows
-    assert np.allclose(with_sep.image.data,
-                       np.roll(without.image.data, -20, axis=0), atol=1e-6)
+    assert np.allclose(with_sep.image,
+                       np.roll(without.image, -20, axis=0), atol=1e-6)
 
 
 def test_stagger_offset_recovered_by_phase_correlation(star_target):
     params = SystemParams(snr_at_300=1e12)
     o1, o2 = simulate_observations(star_target, params, 8)
-    f1 = np.fft.fft2(o1.image.data)
-    f2 = np.fft.fft2(o2.image.data)
+    f1 = np.fft.fft2(o1.image)
+    f2 = np.fft.fft2(o2.image)
     cross = np.fft.ifft2(f1 * np.conj(f2)).real
     peak = np.unravel_index(np.argmax(cross), cross.shape)
     # quadratic interpolation around the across-track peak
@@ -235,5 +234,5 @@ def test_noise_streams_derived_from_child_seeds(star_target, nominal_params):
     spectrum = _blurred_spectrum(star_target, nominal_params)
     clean = scipy.fft.ifft2(fold(shift_multiplier_2d(star_target.shape, (0.0, 0.0)),
                                  spectrum, (1, 2))).real
-    redo, _ = add_noise(ImageGrid(clean), nominal_params.snr_at_300, child_seed(42, 0))
-    assert np.array_equal(o1.image.data, redo.data)
+    redo, _ = add_noise(clean, nominal_params.snr_at_300, child_seed(42, 0))
+    assert np.array_equal(o1.image, redo)

@@ -40,10 +40,10 @@ def test_background_is_mean_level():
                     center=(32.0, 32.0), supersample=1)
     img = generate_spoke_target(spec, (64, 64))
     # far corner is outside the star
-    assert img.data[0, 0] == 300.0
-    assert img.data[63, 63] == 300.0
+    assert img[0, 0] == 300.0
+    assert img[63, 63] == 300.0
     # dead zone near the center
-    assert img.data[32, 32] == 300.0
+    assert img[32, 32] == 300.0
 
 
 def test_spoke_midline_is_bright():
@@ -51,7 +51,7 @@ def test_spoke_midline_is_bright():
     spec = StarSpec(cycles=16, outer_radius=24.0, inner_radius=3.0,
                     center=(32.0, 32.0), supersample=1)
     img = generate_spoke_target(spec, (64, 64))
-    assert img.data[42, 32] == 600.0
+    assert img[42, 32] == 600.0
 
 
 def test_ring_mean_balances_bright_and_dark():
@@ -66,14 +66,14 @@ def test_ring_mean_balances_bright_and_dark():
     rr = np.hypot(xx, yy)
     for radius in (50.0, 70.0, 90.0):
         ring = (rr >= radius - 2.5) & (rr < radius + 2.5)
-        assert img.data[ring].mean() == pytest.approx(300.0, abs=2.0)
+        assert img[ring].mean() == pytest.approx(300.0, abs=2.0)
 
 
 def test_determinism():
     spec = small_star()
     a = generate_spoke_target(spec, (64, 64))
     b = generate_spoke_target(spec, (64, 64))
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_rot90_invariance_four_cycles():
@@ -81,7 +81,7 @@ def test_rot90_invariance_four_cycles():
     spec = StarSpec(cycles=4, outer_radius=40.0, inner_radius=4.0,
                     center=(63.5, 63.5), supersample=4)
     img = generate_spoke_target(spec, (128, 128))
-    assert np.array_equal(np.rot90(img.data), img.data)
+    assert np.array_equal(np.rot90(img), img)
 
 
 def _rotated_frame_raster(spec: StarSpec, size, angle):
@@ -112,10 +112,10 @@ def test_rotation_by_one_cycle_angle_reproduces():
     img = generate_spoke_target(spec, (256, 256))
     rotated = _rotated_frame_raster(spec, (256, 256), 2 * np.pi / spec.cycles)
     tol = spec.bright_level / spec.supersample
-    assert np.abs(rotated - img.data).max() <= tol
+    assert np.abs(rotated - img).max() <= tol
     # half a cycle angle inverts the spokes: the check has power
     half = _rotated_frame_raster(spec, (256, 256), np.pi / spec.cycles)
-    assert np.abs(half - img.data).max() > 300.0
+    assert np.abs(half - img).max() > 300.0
 
 
 def test_radial_modulation_band_means_non_increasing():
@@ -149,13 +149,13 @@ def test_pattern_angle_range(x, y):
 def test_sector_mask_full_circle():
     mask = sector_mask((32, 32), (16.0, 16.0), 0, 1)
     # everything except the exact center cell
-    assert mask.data.sum() == 32 * 32 - 1
-    assert mask.data[16, 16] == 0.0
+    assert mask.sum() == 32 * 32 - 1
+    assert mask[16, 16] == 0.0
 
 
 def test_sector_masks_partition():
     masks = [sector_mask((33, 33), (16.0, 16.0), k, 8) for k in range(8)]
-    total = sum(m.data for m in masks)
+    total = sum(m for m in masks)
     expected = np.ones((33, 33))
     expected[16, 16] = 0.0
     assert np.array_equal(total, expected)
@@ -167,10 +167,10 @@ def test_sector_membership():
     m0 = sector_mask((33, 33), c, 0, 8)
     y, x = 8.0, 8.0 * np.tan(np.pi / 8)
     row, col = int(round(16 + y)), int(round(16 + x))
-    assert m0.data[row, col] == 1.0
+    assert m0[row, col] == 1.0
     y, x = 8.0 * np.tan(np.pi / 8), 8.0
     row, col = int(round(16 + y)), int(round(16 + x))
-    assert m0.data[row, col] == 0.0
+    assert m0[row, col] == 0.0
 
 
 def test_sector_mask_validation():
@@ -182,7 +182,7 @@ def test_sector_mask_validation():
 
 @given(st.integers(min_value=1, max_value=12))
 def test_sector_partition_property(count):
-    masks = [sector_mask((21, 21), (10.0, 10.0), k, count).data
+    masks = [sector_mask((21, 21), (10.0, 10.0), k, count)
              for k in range(count)]
     total = sum(masks)
     expected = np.ones((21, 21))
