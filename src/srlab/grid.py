@@ -19,6 +19,7 @@ logger = logging.getLogger(__name__)
 __all__ = ["check_image", "write_pgm", "read_pgm"]
 
 PGM_MAXVAL = 65535
+PGM_MAX_PIXELS = 1 << 26  # largest header size read_pgm reads (8192 x 8192)
 
 
 def check_image(data, what: str) -> np.ndarray:
@@ -82,10 +83,11 @@ def read_pgm(path) -> np.ndarray:
         magic = fh.read(2)
         if magic != b"P5":
             raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-        width_b, height_b, maxval_b = _read_header_tokens(fh, 3)
-        width, height, maxval = int(width_b), int(height_b), int(maxval_b)
+        width, height, maxval = map(int, _read_header_tokens(fh, 3))
         if maxval != PGM_MAXVAL:
             raise ValueError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
+        if not (width > 0 and height > 0 and width * height <= PGM_MAX_PIXELS):
+            raise ValueError(f"{path}: PGM size {width}x{height} out of range")
         raw = fh.read(width * height * 2)
     if len(raw) != width * height * 2:
         raise ValueError(f"{path}: truncated pixel data")

@@ -4,15 +4,19 @@ Per observation, blur (the assumed PSF) and sub-pixel shift are one
 Hermitian multiplier T_k on the HR spectrum; decimation folds the
 spectrum onto the LR grid (fourier.fold, the operator the simulator
 samples through) and the exact adjoint (fourier.unfold) broadcasts it
-back over the blocks under conj(T_k).  The solver carries each LR
-residual spectrum: the data cost is its energy (Parseval) and it is
-linear in the step, so the step search takes no FFT and an iteration
-takes two (data gradient to image space for the BTV prior, prior
-gradient back), both through scipy.fft.  The BTV prior is one pass over
-the shift differences, taken as slices of one wrap-padded copy of the
-image: it gives the penalty at each candidate and the int8 signs from
-which the accepted candidate's gradient is built.  An adaptive step
-keeps the cost trace non-increasing (see super_resolve).
+back over the blocks under conj(T_k).  The warm start is the first
+observation's cubic-spline upsample, one closed-form multiplier on its
+tiled spectrum, cut at the LR Nyquist so that no alias ghost reads as
+modulation the data cannot correct; that HR spectrum gives the first
+residuals.  The solver carries each LR residual spectrum: the data cost
+is its energy (Parseval) and it is linear in the step, so the step
+search takes no FFT and an iteration takes two (data gradient to image
+space for the BTV prior, prior gradient back), both through scipy.fft.
+The BTV prior is one pass over the shift differences, taken as slices of
+one wrap-padded copy of the image: it gives the penalty at each
+candidate and the int8 signs from which the accepted candidate's
+gradient is built.  An adaptive step keeps the cost trace non-increasing
+(see super_resolve).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy import ndimage
 
 from .fourier import fold, kernel_transfer, shift_multiplier_2d, unfold
 from .grid import check_image
@@ -98,22 +101,18 @@ class SrResult:
 
 
 def _hr_shape(obs: Observation) -> tuple[int, int]:
-    s_al, s_ax = obs.decimation
-    return (obs.image.shape[0] * s_al, obs.image.shape[1] * s_ax)
+    return tuple(n * s for n, s in zip(obs.image.shape, obs.decimation))
 
 
 def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.ndarray:
     """Frequency multiplier of blur + shift on the HR grid (Hermitian)."""
     k = kernel_transfer(obs.assumed_psf, hr_shape)
-    ramp = shift_multiplier_2d(hr_shape, obs.shift_hr)
-    return k * ramp
+    return k * shift_multiplier_2d(hr_shape, obs.shift_hr)
 
 
-def _residual_spectra(observations, transfers, x: np.ndarray) -> list[np.ndarray]:
-    """LR spectra of y_k - forward_k(x)."""
-    x_hat = scipy.fft.fft2(x)
-    return [scipy.fft.fft2(o.image) - fold(t, x_hat, o.decimation)
-            for o, t in zip(observations, transfers)]
+def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
+    """LR spectra of y_k - forward_k(x), from the spectra of y_k and x."""
+    return [y - fold(t, x_hat, decimation) for y, t in zip(y_hat, transfers)]
 
 
 def _data_cost(residuals) -> float:
@@ -143,10 +142,8 @@ def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
     if r.shape != obs.image.shape:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
-    hr_shape = _hr_shape(obs)
-    spectrum = unfold(_observation_transfer(obs, hr_shape), scipy.fft.fft2(r),
-                      obs.decimation)
-    return scipy.fft.ifft2(spectrum).real
+    transfer = _observation_transfer(obs, _hr_shape(obs))
+    return scipy.fft.ifft2(unfold(transfer, scipy.fft.fft2(r), obs.decimation)).real
 
 
 def _btv_pairs(p_radius: int):
@@ -216,38 +213,35 @@ def _prior(x: np.ndarray, cfg: SolverConfig):
 def cost(x: np.ndarray, observations, cfg: SolverConfig) -> float:
     """Full MAP cost: sum of squared residuals plus lam * BTV."""
     x = check_image(x, "estimate")
-    transfers = [_estimate_transfer(x, obs) for obs in observations]
-    residuals = _residual_spectra(observations, transfers, x)
+    x_hat = scipy.fft.fft2(x)
+    residuals = [scipy.fft.fft2(o.image) - fold(_estimate_transfer(x, o), x_hat,
+                                                o.decimation) for o in observations]
     return _data_cost(residuals) + _prior(x, cfg)[0]
+
+
+def _cubic_spectrum(lr_hat: np.ndarray, decimation: tuple[int, int],
+                    band_limit: bool = False) -> np.ndarray:
+    """HR spectrum of the periodic cubic-spline upsample of the LR image with
+    spectrum lr_hat (Unser, Aldroubi & Eden, IEEE TSP 41(2), 1993): on an axis
+    of LR length n and factor s, signed bin k of the tiled spectrum is weighted
+    sum_{|r|<2s} beta3(r/s) cos(2 pi nu r/s) / (2/3 + cos(2 pi nu)/3), nu = k/n.
+    band_limit zeroes |k| >= n/2 on each decimated axis."""
+    axes = []
+    for n, s in zip(lr_hat.shape, decimation):
+        k = np.rint(np.fft.fftfreq(n * s) * (n * s))
+        t = np.abs(np.arange(1 - 2 * s, 2 * s)) / s
+        beta3 = np.where(t < 1, 2 / 3 - t**2 + t**3 / 2, (2 - t)**3 / 6)
+        m = np.cos(2 * np.pi * np.outer(k / n, t)) @ beta3
+        m /= 2 / 3 + np.cos(2 * np.pi * k / n) / 3
+        if band_limit and s > 1:
+            m[np.abs(k) >= n / 2] = 0.0
+        axes.append(m.astype(complex))  # unfold multiplies into conj(m)
+    return unfold(np.outer(*axes), lr_hat, decimation)
 
 
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
     """Cubic-spline upsample aligned so output[i*s] == input[i], periodic."""
-    s_al, s_ax = decimation
-    rows = np.arange(lr.shape[0] * s_al, dtype=np.float64) / s_al
-    cols = np.arange(lr.shape[1] * s_ax, dtype=np.float64) / s_ax
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    return ndimage.map_coordinates(lr, [rr, cc], order=3, mode="grid-wrap")
-
-
-def _alias_guard_lowpass(x: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
-    """Zero frequencies above the LR Nyquist of each decimated axis.
-
-    Interpolated upsamples keep a residual alias ghost above the LR
-    Nyquist; left in the warm start it reads as spurious modulation that
-    the data cannot correct when the subarray phase diversity is poor.
-    Starting alias-free leaves everything above the LR band to be
-    restored by the observations alone.
-    """
-    spectrum = scipy.fft.fft2(x)
-    for axis, s in enumerate(decimation):
-        if s > 1:
-            f = np.fft.fftfreq(x.shape[axis])
-            keep = np.abs(f) < 0.5 / s
-            shape = [1, 1]
-            shape[axis] = x.shape[axis]
-            spectrum *= keep.reshape(shape)
-    return scipy.fft.ifft2(spectrum).real
+    return scipy.fft.ifft2(_cubic_spectrum(scipy.fft.fft2(lr), decimation)).real
 
 
 MAX_HALVINGS = 30
@@ -257,7 +251,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     """Minimize the MAP cost by adaptive-step steepest descent.
 
     The descent starts from the first observation's cubic-spline upsample
-    with everything above the LR Nyquist removed.  The descent direction
+    cut at the LR Nyquist and made in the spectrum.  The descent direction
     is -2 * sum_k adjoint(y_k - forward(x)) plus lam * btv_gradient(x).
     A step that fails to strictly decrease the cost halves the step size
     (up to 30 times, then the iteration stops as stationary); each
@@ -284,9 +278,11 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         raise ValueError("observations imply inconsistent HR geometry")
 
     transfers = [_observation_transfer(o, hr_shape) for o in observations]
-    x = _alias_guard_lowpass(bicubic_upsample(observations[0].image, decimation),
-                             decimation)
-    resid = _residual_spectra(observations, transfers, x)
+    y_hat = [scipy.fft.fft2(o.image) for o in observations]
+    x_hat = _cubic_spectrum(y_hat[0], decimation, band_limit=True)
+    x = scipy.fft.ifft2(x_hat).real
+    resid = _residual_spectra(y_hat, transfers, x_hat, decimation)
+    del x_hat
     floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image, o.image))
                                            for o in observations)
 
@@ -333,7 +329,8 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         if data < floor:
             # the carried residuals are down to the data's rounding, where
             # their recursion no longer follows x: measure the step afresh
-            trial = _residual_spectra(observations, transfers, candidate)
+            trial = _residual_spectra(y_hat, transfers, scipy.fft.fft2(candidate),
+                                      decimation)
             c_new = _data_cost(trial) + penalty
             if not c_new < current:
                 converged = True

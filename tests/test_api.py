@@ -8,7 +8,10 @@ at import time for a missing name, so importing it is its check.
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ MODULES = ["srlab"] + sorted(f"srlab.{m.name}"
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PACKAGE_ROOT = str(Path(srlab.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("modname", MODULES)
@@ -49,3 +53,13 @@ def test_traced_functions_resolve():
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_scripts_import(script):
     assert callable(_load(script, f"_script_{script.stem}").main)
+
+
+def test_import_leaves_out_scipy_ndimage():
+    # every interpolation is a spectral multiplier; scipy.ndimage stays a
+    # test-only reference
+    probe = "import sys, srlab; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    assert out.stdout.strip() == "False"

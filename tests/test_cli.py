@@ -443,11 +443,16 @@ def test_missing_input_exits_2(config_path):
                  "--meta", "/nonexistent/meta.json"]) == 2
 
 
-def test_too_small_image_exits_2(config_path, tmp_path, capsys):
+def measure_meta(tmp_path):
     meta = tmp_path / "meta.json"
     meta.write_text(json.dumps({
         "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
         "nem_signal": 300.0, "noise_sigma": 5.0}))
+    return meta
+
+
+def test_too_small_image_exits_2(config_path, tmp_path, capsys):
+    meta = measure_meta(tmp_path)
     image = tmp_path / "row.pgm"
     image.write_bytes(b"P5\n5 1\n65535\n" + bytes(10))
     out = tmp_path / "meas"
@@ -455,6 +460,18 @@ def test_too_small_image_exits_2(config_path, tmp_path, capsys):
                  "--meta", str(meta), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "too small" in err
+    assert not (out / "report.json").exists()
+
+
+def test_bad_pgm_size_exits_2(config_path, tmp_path, capsys):
+    meta = measure_meta(tmp_path)
+    image = tmp_path / "negative.pgm"
+    image.write_bytes(b"P5\n-1 8\n65535\n" + bytes(16))
+    out = tmp_path / "meas"
+    assert main(["measure", "--config", str(config_path), "--image", str(image),
+                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out of range" in err
     assert not (out / "report.json").exists()
 
 

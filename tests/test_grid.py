@@ -90,6 +90,15 @@ def test_pgm_rejects_truncated(tmp_path):
         read_pgm(tmp_path / "short.pgm")
 
 
+@pytest.mark.parametrize("size", [b"-2 -2", b"-1 8", b"0 4", b"8193 8193"])
+def test_pgm_rejects_header_size_before_reading(tmp_path, size):
+    # refused from the header alone: a size that is not positive must not
+    # reach reshape or size the pixel read
+    (tmp_path / "size.pgm").write_bytes(b"P5\n" + size + b"\n65535\n" + bytes(128))
+    with pytest.raises(ValueError, match="size.pgm: PGM size .* out of range"):
+        read_pgm(tmp_path / "size.pgm")
+
+
 @given(values=st.lists(st.integers(min_value=0, max_value=65535),
                        min_size=6, max_size=6))
 def test_pgm_roundtrip_property(tmp_path_factory, values):

@@ -3,11 +3,12 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from srlab.fourier import gaussian_kernel
 from srlab.seeding import child_seed
 from srlab.simulator import Observation, SystemParams, simulate_observations
-from srlab.solver import (MAX_HALVINGS, SolverConfig, _alias_guard_lowpass,
+from srlab.solver import (MAX_HALVINGS, SolverConfig, _cubic_spectrum,
                           _observation_transfer, adjoint_model, bicubic_upsample,
                           btv_gradient, btv_penalty, cost, forward_model,
                           super_resolve)
@@ -23,6 +24,16 @@ def make_obs(lr_shape, shift, decimation, psf_sigma=0.9, lr_data=None):
 def delta_obs(lr_data, shift=(0.0, 0.0), decimation=(1, 1)):
     return Observation(lr_data, shift, decimation,
                        np.array([[1.0]]), 0.0)
+
+
+def phase_pair(seed):
+    """Two delta-PSF observations at the two across-track phases of a (1, 2)
+    decimation.  Between them they sample every HR pixel once, so the data
+    term is the identity problem's, but the warm start, upsampled from the
+    first alone, is not its fit."""
+    rng = np.random.default_rng(seed)
+    return [delta_obs(rng.normal(size=(16, 8)), shift, (1, 2))
+            for shift in [(0.0, 0.0), (0.0, 1.0)]]
 
 
 # ---------------------------------------------------------------- forward
@@ -309,10 +320,8 @@ def test_cost_trace_non_increasing(star_target, scenario, nominal_params):
 
 
 def test_non_convergence_is_flag_not_failure():
-    rng = np.random.default_rng(52)
-    obs = delta_obs(rng.normal(size=(16, 16)))
-    result = super_resolve([obs], cfg=SolverConfig(lam=0.0, max_iters=1,
-                                                   rel_tol=1e-30))
+    result = super_resolve(phase_pair(52), cfg=SolverConfig(lam=0.0, max_iters=1,
+                                                            rel_tol=1e-30))
     assert result.iterations_run == 1
     assert not result.converged
 
@@ -366,6 +375,21 @@ def test_shift_information_property(star_target):
     err_good = np.linalg.norm(reconstruct(1.0) - star_target)
     err_bad = np.linalg.norm(reconstruct(0.0) - star_target)
     assert err_good < err_bad
+
+
+def _alias_guard_lowpass(x: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
+    """Zero frequencies above the LR Nyquist of each decimated axis: the
+    image-space warm start's second half, before the solver built its warm
+    start in the spectrum."""
+    spectrum = scipy.fft.fft2(x)
+    for axis, s in enumerate(decimation):
+        if s > 1:
+            f = np.fft.fftfreq(x.shape[axis])
+            keep = np.abs(f) < 0.5 / s
+            shape = [1, 1]
+            shape[axis] = x.shape[axis]
+            spectrum *= keep.reshape(shape)
+    return scipy.fft.ifft2(spectrum).real
 
 
 def image_space_super_resolve(observations, cfg):
@@ -486,10 +510,11 @@ def test_fft_count(monkeypatch):
                              lr_data=rng.normal(100.0, 20.0, (16, 8)))
                     for shift in [(0.0, 0.0), (0.0, 1.0)]]
     result = super_resolve(observations, cfg=SolverConfig())
-    # 2 transfers, 2 in the warm start, 3 for the first residuals, then
-    # 2 per iteration
+    # 2 transfers, 1 per observation's data spectrum, 1 to take the warm
+    # start's spectrum (which also gives the first residuals) to image
+    # space, then 2 per iteration
     assert result.iterations_run == 3
-    assert calls == {"scipy": 7 + 2 * result.iterations_run, "numpy": 0}
+    assert calls == {"scipy": 5 + 2 * result.iterations_run, "numpy": 0}
 
 
 def test_step_halvings_recorded(star_target, scenario, nominal_params):
@@ -497,10 +522,11 @@ def test_step_halvings_recorded(star_target, scenario, nominal_params):
     nominal = super_resolve([o1, o2], cfg=scenario.solver)
     assert nominal.step_halvings == 0
     assert nominal.final_beta == scenario.solver.beta0
-    # a delta-PSF identity problem diverges for any step above 1
-    obs = delta_obs(np.random.default_rng(53).normal(size=(16, 16)))
-    forced = super_resolve([obs], cfg=SolverConfig(lam=0.0, beta0=64.0,
-                                                   max_iters=3))
+    # the identity problem's descent diverges for any step above 1.  A step
+    # of exactly 1 mirrors the error, a cost tie that rounding decides, so
+    # beta0 halves past it: 48 -> 1.5 -> 0.75
+    forced = super_resolve(phase_pair(53), cfg=SolverConfig(lam=0.0, beta0=48.0,
+                                                            max_iters=3))
     assert forced.step_halvings > 0
     assert 0.0 < forced.final_beta < 1.0
 
@@ -525,6 +551,31 @@ def test_config_validation():
         SolverConfig(p_radius=0)
     with pytest.raises(ValueError):
         SolverConfig(beta0=0.0)
+
+
+def map_coordinates_upsample(lr, decimation):
+    """The image-space cubic-spline upsample bicubic_upsample replaced."""
+    rows = np.arange(lr.shape[0] * decimation[0]) / decimation[0]
+    cols = np.arange(lr.shape[1] * decimation[1]) / decimation[1]
+    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    return ndimage.map_coordinates(lr, [rr, cc], order=3, mode="grid-wrap")
+
+
+@settings(max_examples=60, deadline=None)
+@given(lr_shape=st.tuples(st.integers(5, 40), st.integers(5, 40)),
+       decimation=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2**16))
+def test_cubic_spectrum_matches_map_coordinates(lr_shape, decimation, seed):
+    # odd and even sides, including those whose half is odd (14, 30, ...)
+    lr = np.random.default_rng(seed).normal(100.0, 20.0, lr_shape)
+    reference = map_coordinates_upsample(lr, decimation)
+    scale = np.abs(reference).max()
+    np.testing.assert_allclose(bicubic_upsample(lr, decimation), reference,
+                               rtol=0.0, atol=1e-12 * scale)
+    warm = scipy.fft.ifft2(_cubic_spectrum(scipy.fft.fft2(lr), decimation,
+                                           band_limit=True)).real
+    np.testing.assert_allclose(warm, _alias_guard_lowpass(reference, decimation),
+                               rtol=0.0, atol=1e-12 * scale)
 
 
 def test_bicubic_upsample_alignment():
