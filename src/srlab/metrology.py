@@ -7,8 +7,9 @@ M = beta/a.  A radius ladder's rings are found once per (image shape,
 center, radii, cycles) and cached as a read-only ring table: every
 ring's pixel indices, grouped by ring and row-major within it, with the
 cos/sin columns of the harmonic.  All rings are then fit in one
-vectorized pass over the table: one gather of the image, a mask applied
-as a selection on that gather, segment sums for each ring's normal
+vectorized pass over the table: one gather of the image, a mask or an
+angular sector applied as a selection on that gather (a sector is tested
+on the samples' own offsets), segment sums for each ring's normal
 equations and one batched solve.  The modulation curve is intersected
 with the noise-equivalent modulation 4*sigma/signal; the crossing
 frequency maps to meters through the HR ground sample
@@ -27,7 +28,7 @@ import numpy as np
 from .fourier import sinc_upsample
 from .grid import check_image
 from .mtf import GEOMETRY, GeometryConstants
-from .target import sector_mask
+from .target import _sector_test
 
 logger = logging.getLogger(__name__)
 
@@ -182,41 +183,57 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     return table
 
 
+def _table_key(shape: tuple[int, int], center, radii, cycles: int):
+    """(radii that leave an image of this shape, _ring_table key of the
+    rest) for a strictly decreasing ladder.  The fit and the ring-table
+    warm-up both take their key from here, so they match."""
+    h, w = shape
+    r0, c0 = float(center[0]), float(center[1])
+    radii = tuple(float(r) for r in radii)
+    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
+    n_out = sum(1 for r in radii if r + 0.5 > margin + 1e-9)
+    return radii[:n_out], ((h, w), (r0, c0), radii[n_out:], cycles)
+
+
+def _mask_select(mask: np.ndarray | None, shape: tuple[int, int]):
+    """A binary mask of the image's shape as a selection of ring samples."""
+    if mask is None:
+        return None
+    if mask.shape != shape:
+        raise ValueError(f"mask shape {mask.shape} differs from image {shape}")
+    flat = mask.reshape(-1)
+    return lambda samples: flat[samples] > 0.5
+
+
 def _fit_rings(image: np.ndarray, center: tuple[float, float], radii, cycles: int,
-               mask: np.ndarray | None) -> list[RingFit | RingError]:
+               select=None) -> list[RingFit | RingError]:
     """Fit the angular harmonic on every ring of a strictly decreasing
     ladder in one pass; entry i is ring i's fit or the RingError that
     refuses it.
 
-    One gather takes every ring's samples from the ring table, a mask
-    selects among them, segment sums form each ring's normal equations
-    and one batched solve fits them all.  Values and columns enter the
-    sums less their ring means, so a large image offset stays out of the
-    harmonic's rounding.
+    One gather takes every ring's samples from the ring table, select
+    (flat sample indices -> which to keep) picks among them, segment
+    sums form each ring's normal equations and one batched solve fits
+    them all.  Values and columns enter the sums less their ring means,
+    so a large image offset stays out of the harmonic's rounding.
     """
-    radii = [float(r) for r in radii]
     if any(r < 2 for r in radii):
         raise ValueError("radius must be >= 2 pixels")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    h, w = image.shape
-    r0, c0 = float(center[0]), float(center[1])
-    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
-    n_out = sum(1 for r in radii if r + 0.5 > margin + 1e-9)
+    outside, key = _table_key(image.shape, center, radii, cycles)
     results: list[RingFit | RingError] = [
-        EmptyRingError(f"empty ring: radius {r} leaves the image") for r in radii[:n_out]]
-    radii = radii[n_out:]
+        EmptyRingError(f"empty ring: radius {r} leaves the image") for r in outside]
+    radii = key[2]
     if not radii:
         return results
-    if mask is not None and mask.shape != (h, w):
-        raise ValueError(f"mask shape {mask.shape} differs from image {(h, w)}")
 
-    table = _ring_table((h, w), (r0, c0), tuple(radii), cycles)
+    table = _ring_table(*key)
     index, cos, sin = table.samples, table.cos, table.sin
     n_full = table.counts
     n, starts = n_full, table.starts
-    if mask is not None:
-        keep = mask.reshape(-1)[index] > 0.5
+    if select is not None:
+        keep = select(index)
         index, cos, sin = index[keep], cos[keep], sin[keep]
         kept_before = np.concatenate(([0], np.cumsum(keep)))
         starts = kept_before[table.starts]
@@ -282,7 +299,8 @@ def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: floa
     AliasedRingError below 2 samples per cycle and EmptyRingError when
     the annulus leaves the image or holds fewer than 8 samples.
     """
-    (result,) = _fit_rings(check_image(image, "image"), center, [radius], cycles, mask)
+    image = check_image(image, "image")
+    (result,) = _fit_rings(image, center, [radius], cycles, _mask_select(mask, image.shape))
     if isinstance(result, RingError):
         raise result
     return result
@@ -298,15 +316,16 @@ def mtf_curve(image: np.ndarray, center: tuple[float, float], cycles: int,
     counted.  Raises InsufficientCurveError if fewer than three rings
     survive.
     """
-    return _curve(check_image(image, "image"), center, cycles, radii, mask)
+    image = check_image(image, "image")
+    return _curve(image, center, cycles, radii, _mask_select(mask, image.shape))
 
 
-def _curve(image: np.ndarray, center, cycles: int, radii, mask):
-    """mtf_curve on an image already checked."""
+def _curve(image: np.ndarray, center, cycles: int, radii, select):
+    """mtf_curve on an image already checked, its mask as a selection."""
     radii = list(radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    fits = [fit for fit in _fit_rings(image, center, radii, cycles, mask)
+    fits = [fit for fit in _fit_rings(image, center, radii, cycles, select)
             if isinstance(fit, RingFit)]
     dropped = len(radii) - len(fits)
     if dropped:
@@ -371,6 +390,42 @@ def _smooth(values: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
+def _ladder(center, cycles: int, outer_radius: float, n_rings: int,
+            geometry: GeometryConstants):
+    """measure_resolution's rings on the upsampled image: the star center
+    and the strictly decreasing radii, both in samples of that image."""
+    # HR pixels per sample of the upsampled image the rings are fit on
+    pitch = 1.0 / ANALYSIS_OVERSAMPLE
+    # ladder bounds in grid samples: stay inside the star, above the
+    # sampling limit, and inside the HR information band f_hr <= 0.5
+    r_top = (outer_radius - 3.0) / pitch
+    r_alias = cycles * MIN_SAMPLES_PER_CYCLE / (2.0 * math.pi)
+    r_band = cycles / (2.0 * math.pi * geometry.f_nyq_hr * pitch)
+    r_bottom = max(r_alias, r_band, 2.0)
+    if r_top <= r_bottom:
+        raise ValueError(f"outer radius {outer_radius} leaves no measurable rings "
+                         f"above the aliasing radius {r_bottom * pitch:.1f}")
+    radii = np.geomspace(r_top, r_bottom, n_rings)
+    return (center[0] / pitch, center[1] / pitch), radii
+
+
+def _warm_ring_table(shape: tuple[int, int], center: tuple[float, float], cycles: int,
+                     outer_radius: float, *, n_rings: int,
+                     geometry: GeometryConstants = GEOMETRY) -> None:
+    """Build the ring table that measure_resolution reads for an HR image
+    of this shape, so later measurements (and forked processes) find it
+    cached.  A ladder that measure_resolution refuses is left to refuse
+    there."""
+    try:
+        center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
+    except ValueError:
+        return
+    up_shape = (shape[0] * ANALYSIS_OVERSAMPLE, shape[1] * ANALYSIS_OVERSAMPLE)
+    _, key = _table_key(up_shape, center_grid, radii, cycles)
+    if key[2]:
+        _ring_table(*key)
+
+
 def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: int,
                        signal: float, noise_sigma: float, outer_radius: float, *,
                        n_rings: int, sector: int | None = None,
@@ -397,28 +452,19 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     then pins the crossing to the finest measured frequency and sets
     ladder_limited.
     """
-    # HR pixels per sample of the upsampled image the rings are fit on
-    pitch = 1.0 / ANALYSIS_OVERSAMPLE
     image = sinc_upsample(check_image(image, "image"), ANALYSIS_OVERSAMPLE)
-
-    # ladder bounds in grid samples: stay inside the star, above the
-    # sampling limit, and inside the HR information band f_hr <= 0.5
-    r_top = (outer_radius - 3.0) / pitch
-    r_alias = cycles * MIN_SAMPLES_PER_CYCLE / (2.0 * math.pi)
-    r_band = cycles / (2.0 * math.pi * geometry.f_nyq_hr * pitch)
-    r_bottom = max(r_alias, r_band, 2.0)
-    if r_top <= r_bottom:
-        raise ValueError(f"outer radius {outer_radius} leaves no measurable rings "
-                         f"above the aliasing radius {r_bottom * pitch:.1f}")
-    radii = np.geomspace(r_top, r_bottom, n_rings)
-
-    center_grid = (center[0] / pitch, center[1] / pitch)
-    mask = None
+    center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
+    select = None
     if sector is not None:
-        mask = sector_mask(image.shape, center_grid, sector, SECTOR_COUNT)
+        in_sector = _sector_test(sector, SECTOR_COUNT)
+        width, (r0, c0) = image.shape[1], center_grid
 
-    fits, dropped = _curve(image, center_grid, cycles, radii, mask)
-    curve = [(rf.f / pitch, rf.modulation) for rf in fits]
+        def select(samples):
+            rows, cols = np.divmod(samples, width)
+            return in_sector(cols - c0, rows - r0)
+
+    fits, dropped = _curve(image, center_grid, cycles, radii, select)
+    curve = [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
                         _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))
     nem_value = nem(signal, noise_sigma)

@@ -11,6 +11,7 @@ execution order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import time
@@ -20,12 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrology import measure_resolution
+from .metrology import _warm_ring_table, measure_resolution
 from .scenario import Scenario
 from .seeding import child_seed
 from .simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
 from .solver import super_resolve
-from .target import generate_spoke_target
+from .target import StarSpec, generate_spoke_target
 
 logger = logging.getLogger(__name__)
 
@@ -224,7 +225,7 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int,
     t0 = time.perf_counter()
     try:
         if target is None:
-            target = generate_spoke_target(scenario.star, scenario.grid_size)
+            target = _plan_target(scenario.star, tuple(scenario.grid_size))
         obs1, obs2 = simulate_observations(target, params, seed)
         sr = super_resolve([obs1, obs2], cfg=scenario.solver)
         report = measure_resolution(
@@ -239,6 +240,29 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int,
         logger.warning("trial seed=%d failed: %s", seed, exc)
         return TrialResult(params, None, False, seed,
                            time.perf_counter() - t0, error=str(exc))
+
+
+@functools.lru_cache(maxsize=4)
+def _plan_target(star: StarSpec, grid_size: tuple[int, int]) -> np.ndarray:
+    """The star rasterized once per process, read-only so every plan and
+    trial on it can share it (generate_spoke_target itself returns a
+    fresh, writable array)."""
+    target = generate_spoke_target(star, grid_size)
+    target.flags.writeable = False
+    return target
+
+
+def _plan_invariants(plan, scenario: Scenario) -> np.ndarray:
+    """What every trial of the plan shares: its target, returned, and the
+    ring table of each ladder its measurements read, built here into
+    metrology's cache so that pool workers forked after this inherit it
+    (spawned workers build it at their first measurement)."""
+    target = _plan_target(scenario.star, tuple(scenario.grid_size))
+    star = scenario.star
+    for geometry in dict.fromkeys(params.geometry for params, _ in plan):
+        _warm_ring_table(target.shape, star.center, star.cycles, star.outer_radius,
+                         n_rings=scenario.n_rings, geometry=geometry)
+    return target
 
 
 # (scenario, target) of the plan a pool worker runs, set once per worker
@@ -261,14 +285,14 @@ def _run_plan(plan, scenario: Scenario, threads: int,
               progress=None) -> list[TrialResult]:
     """Run each (params, seed) pair of the plan through run_trial.
 
-    The target is rasterized once for the whole plan and sent once to
-    each pool worker, with the scenario.  Results come back in plan
-    order (map keeps it), so they are identical for any worker count or
-    completion order.
+    The plan's invariants (_plan_invariants) are built before the pool
+    starts, and the target is sent once to each pool worker, with the
+    scenario.  Results come back in plan order (map keeps it), so they
+    are identical for any worker count or completion order.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    target = generate_spoke_target(scenario.star, scenario.grid_size)
+    target = _plan_invariants(plan, scenario)
     trials = []
     with (ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
                               initargs=(scenario, target)) if threads > 1

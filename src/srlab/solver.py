@@ -10,8 +10,9 @@ tiled spectrum, cut at the LR Nyquist so that no alias ghost reads as
 modulation the data cannot correct; that HR spectrum gives the first
 residuals.  The solver carries each LR residual spectrum: the data cost
 is its energy (Parseval) and it is linear in the step, so the step
-search takes no FFT and an iteration takes two (data gradient to image
-space for the BTV prior, prior gradient back), both through scipy.fft.
+search takes no FFT and an iteration takes two, both through scipy.fft:
+the Hermitian data gradient to image space for the BTV prior (irfft2 on
+its half-plane) and the prior gradient back.
 The BTV prior is one pass over the shift differences, taken as slices of
 one wrap-padded copy of the image: it gives the penalty at each
 candidate and the int8 signs from which the accepted candidate's
@@ -104,10 +105,31 @@ def _hr_shape(obs: Observation) -> tuple[int, int]:
     return tuple(n * s for n, s in zip(obs.image.shape, obs.decimation))
 
 
+def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
+    """Each observation's multiplier of blur + shift on the HR grid
+    (Hermitian).  kernel_transfer runs once per distinct PSF: kernels are
+    compared by value, since observations read from files carry equal but
+    separately built kernels."""
+    blurs: list[tuple[np.ndarray, np.ndarray]] = []
+    transfers = []
+    for o in observations:
+        blur = next((t for k, t in blurs if np.array_equal(k, o.assumed_psf)), None)
+        if blur is None:
+            blur = kernel_transfer(o.assumed_psf, hr_shape)
+            blurs.append((o.assumed_psf, blur))
+        transfers.append(blur * shift_multiplier_2d(hr_shape, o.shift_hr))
+    return transfers
+
+
 def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.ndarray:
-    """Frequency multiplier of blur + shift on the HR grid (Hermitian)."""
-    k = kernel_transfer(obs.assumed_psf, hr_shape)
-    return k * shift_multiplier_2d(hr_shape, obs.shift_hr)
+    """One observation's multiplier of blur + shift on the HR grid."""
+    return _transfers([obs], hr_shape)[0]
+
+
+def _real_inverse(spectrum: np.ndarray) -> np.ndarray:
+    """Image of a Hermitian HR spectrum, by irfft2 on its half-plane."""
+    h, w = spectrum.shape
+    return scipy.fft.irfft2(spectrum[:, :w // 2 + 1], s=(h, w))
 
 
 def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
@@ -277,10 +299,10 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     if any(_hr_shape(o) != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
 
-    transfers = [_observation_transfer(o, hr_shape) for o in observations]
+    transfers = _transfers(observations, hr_shape)
     y_hat = [scipy.fft.fft2(o.image) for o in observations]
     x_hat = _cubic_spectrum(y_hat[0], decimation, band_limit=True)
-    x = scipy.fft.ifft2(x_hat).real
+    x = _real_inverse(x_hat)
     resid = _residual_spectra(y_hat, transfers, x_hat, decimation)
     del x_hat
     floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image, o.image))
@@ -299,7 +321,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         g_hat = np.zeros(hr_shape, dtype=complex)
         for r, t in zip(resid, transfers):
             g_hat -= unfold(t, 2.0 * r, decimation)
-        g = scipy.fft.ifft2(g_hat).real
+        g = _real_inverse(g_hat)
         if signs is not None:
             g_prior = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
             g_prior *= cfg.lam

@@ -71,8 +71,11 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> np.ndarray:
     """Rasterize a spoke target onto an HR grid of the given (height, width).
 
     Each cell is the mean of the continuous pattern over supersample^2
-    sub-points covering the cell.  Deterministic: identical spec gives
-    bit-identical output.
+    sub-points covering the cell.  Sub-points are evaluated only over the
+    star's bounding box (outer radius + 1 px); every cell outside it
+    holds the mean of supersample^2 mean-level sub-points, summed in the
+    same order.  Deterministic: identical spec gives bit-identical
+    output.
 
     Raises if the star would be clipped by the grid.
     """
@@ -85,10 +88,13 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> np.ndarray:
 
     s = spec.supersample
     offsets = (np.arange(s) + 0.5) / s - 0.5
-    rows = np.arange(height, dtype=np.float64)
-    cols = np.arange(width, dtype=np.float64)
+    top, bottom = max(0, math.floor(r0 - rad - 1)), min(height, math.ceil(r0 + rad + 2))
+    left, right = max(0, math.floor(c0 - rad - 1)), min(width, math.ceil(c0 + rad + 2))
+    rows = np.arange(top, bottom, dtype=np.float64)
+    cols = np.arange(left, right, dtype=np.float64)
 
-    acc = np.zeros((height, width))
+    acc = np.zeros((bottom - top, right - left))
+    outside = 0.0
     for dy, dx in product(offsets, offsets):
         y = (rows + dy - r0)[:, None]
         x = (cols + dx - c0)[None, :]
@@ -98,8 +104,10 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> np.ndarray:
                          spec.bright_level, spec.dark_level)
         inside = (rr >= spec.inner_radius) & (rr <= spec.outer_radius)
         acc += np.where(inside, spoke, spec.mean_level)
-    acc /= s * s
-    return acc
+        outside += spec.mean_level
+    image = np.full((height, width), outside / (s * s))
+    image[top:bottom, left:right] = acc / (s * s)
+    return image
 
 
 def sector_mask(size: tuple[int, int], center: tuple[float, float],
@@ -110,16 +118,26 @@ def sector_mask(size: tuple[int, int], center: tuple[float, float],
     exactly at the center (angle undefined) is always 0, so the sector
     masks partition every other cell exactly once.
     """
-    if sector_count < 1:
-        raise ValueError("sector_count must be >= 1")
-    if not 0 <= sector_index < sector_count:
-        raise ValueError(f"sector_index {sector_index} outside [0, {sector_count})")
+    in_sector = _sector_test(sector_index, sector_count)
     height, width = int(size[0]), int(size[1])
     r0, c0 = center
     y = (np.arange(height, dtype=np.float64) - r0)[:, None]
     x = (np.arange(width, dtype=np.float64) - c0)[None, :]
-    alpha = pattern_angle(x, y)
+    return in_sector(x, y)
+
+
+def _sector_test(sector_index: int, sector_count: int):
+    """sector_mask's membership test as a function of the offsets (x, y)
+    from the center, for callers that hold sample offsets, not a grid."""
+    if sector_count < 1:
+        raise ValueError("sector_count must be >= 1")
+    if not 0 <= sector_index < sector_count:
+        raise ValueError(f"sector_index {sector_index} outside [0, {sector_count})")
     span = 2.0 * np.pi / sector_count
-    mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
-    mask &= ~((x == 0.0) & (y == 0.0))
-    return mask
+
+    def in_sector(x, y):
+        alpha = pattern_angle(x, y)
+        mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
+        mask &= ~((x == 0.0) & (y == 0.0))
+        return mask
+    return in_sector

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlab.metrology import (AliasedRingError, EmptyRingError,
-                             InsufficientCurveError, RingError, RingFit,
+from srlab.fourier import sinc_upsample
+from srlab.metrology import (ANALYSIS_OVERSAMPLE, AliasedRingError, EmptyRingError,
+                             InsufficientCurveError, RingError, RingFit, _ladder,
                              _ring_table, crossing_frequency,
                              frequency_to_resolution, measure_resolution,
                              mtf_curve, nem, ring_modulation)
+from srlab.mtf import GEOMETRY
+from srlab.simulator import simulate_observations
+from srlab.solver import super_resolve
 from srlab.target import StarSpec, generate_spoke_target, sector_mask
 
 
@@ -247,6 +251,27 @@ def test_sector_consistency(star_target, scenario):
         # the least-squares fit makes the full-circle value only
         # approximately a blend of the sector fits
         assert min(values) - 0.01 <= m <= max(values) + 0.01
+
+
+def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_params):
+    # a sector is tested on the ring samples' offsets; the fits must equal
+    # mtf_curve's on a full-grid sector_mask of the upsampled image (the
+    # rest of the report is a function of the curve)
+    star = scenario.star
+    obs = simulate_observations(star_target, nominal_params, 42)
+    image = super_resolve(list(obs), cfg=scenario.solver).image
+    upsampled = sinc_upsample(image, ANALYSIS_OVERSAMPLE)
+    center, radii = _ladder(star.center, star.cycles, star.outer_radius,
+                            scenario.n_rings, GEOMETRY)
+    for k in range(8):
+        report = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                                    nominal_params.noise_sigma, star.outer_radius,
+                                    n_rings=scenario.n_rings, sector=k)
+        mask = sector_mask(upsampled.shape, center, k, 8)
+        fits, dropped = mtf_curve(upsampled, center, star.cycles, radii, mask=mask)
+        assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation)
+                                for rf in fits]
+        assert report.rings_dropped == dropped
 
 
 def test_flag_for_modulation_above_one():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from srlab import montecarlo
+from srlab import metrology, montecarlo
 from srlab.metrology import measure_resolution
 from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
@@ -174,6 +174,49 @@ def test_campaign_histogram_and_determinism(tiny_scenario):
     assert a.mode_m == b.mode_m
     assert a.counts.sum() == a.n_resolved
     assert len(a.trials) == 6
+
+
+@pytest.mark.parametrize("scenario_name", ["scenario", "tiny_scenario"])
+def test_plan_warm_up_fills_the_ring_table_trials_read(request, scenario_name):
+    # without the warm-up every pool worker would build the table itself
+    scenario = request.getfixturevalue(scenario_name)
+    params, seed = SystemParams(), 11
+    metrology._ring_table.cache_clear()
+    target = montecarlo._plan_invariants([(params, seed)], scenario)
+    before = metrology._ring_table.cache_info()
+    trial = run_trial(params, scenario, seed, target=target)
+    after = metrology._ring_table.cache_info()
+    assert trial.error is None and trial.resolution_m is not None
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def test_repeated_campaign_reuses_the_target(tiny_scenario, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return generate_spoke_target(*args)
+    monkeypatch.setattr(montecarlo, "generate_spoke_target", counting)
+    montecarlo._plan_target.cache_clear()
+    metrology._ring_table.cache_clear()
+    first = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4, master_seed=9,
+                         threads=2)
+    assert len(calls) == 1
+    second = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4, master_seed=9,
+                          threads=2)
+    assert len(calls) == 1
+    # the parent measures nothing itself: its one table build is the
+    # warm-up the forked workers inherit
+    info = metrology._ring_table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+    def fields(trial):
+        record = asdict(trial)
+        del record["wall_time"]
+        return record
+    assert [fields(t) for t in second.trials] == [fields(t) for t in first.trials]
+    assert not montecarlo._plan_target(tiny_scenario.star,
+                                       tiny_scenario.grid_size).flags.writeable
 
 
 def test_campaign_single_trial_single_bin(tiny_scenario):

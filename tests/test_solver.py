@@ -489,9 +489,11 @@ def test_spectral_solver_matches_image_space_reference(
                                atol=1e-10 * np.abs(x).max())
 
 
-def test_fft_count(monkeypatch):
-    # counted at the scipy.fft entry points the package calls; numpy's
-    # transforms must not run at all
+def _counted_solve(monkeypatch, sigmas):
+    """super_resolve on two observations with these PSF sigmas, each kernel
+    built separately; returns (transform calls, result).  Calls are
+    counted at the scipy.fft entry points the package uses and at
+    numpy's, which must not run at all."""
     calls = {"scipy": 0, "numpy": 0}
 
     def counting(module, name, library):
@@ -506,14 +508,24 @@ def test_fft_count(monkeypatch):
         counting(scipy.fft, name, "scipy")
         counting(np.fft, name, "numpy")
     rng = np.random.default_rng(54)
-    observations = [make_obs((16, 8), shift, (1, 2), 1.0,
+    observations = [make_obs((16, 8), shift, (1, 2), sigma,
                              lr_data=rng.normal(100.0, 20.0, (16, 8)))
-                    for shift in [(0.0, 0.0), (0.0, 1.0)]]
+                    for shift, sigma in zip([(0.0, 0.0), (0.0, 1.0)], sigmas)]
     result = super_resolve(observations, cfg=SolverConfig())
-    # 2 transfers, 1 per observation's data spectrum, 1 to take the warm
-    # start's spectrum (which also gives the first residuals) to image
-    # space, then 2 per iteration
     assert result.iterations_run == 3
+    return calls, result
+
+
+def test_fft_count(monkeypatch):
+    # equal kernels are one PSF: 1 kernel transfer, 1 per observation's
+    # data spectrum, 1 to take the warm start's spectrum (which also gives
+    # the first residuals) to image space, then 2 per iteration
+    calls, result = _counted_solve(monkeypatch, (1.0, 1.0))
+    assert calls == {"scipy": 4 + 2 * result.iterations_run, "numpy": 0}
+
+
+def test_fft_count_two_psfs(monkeypatch):
+    calls, result = _counted_solve(monkeypatch, (1.0, 1.5))
     assert calls == {"scipy": 5 + 2 * result.iterations_run, "numpy": 0}
 
 

@@ -69,6 +69,58 @@ def test_ring_mean_balances_bright_and_dark():
         assert img[ring].mean() == pytest.approx(300.0, abs=2.0)
 
 
+def _full_grid_raster(spec: StarSpec, size) -> np.ndarray:
+    """Reference rasterization: every sub-point of every cell evaluated."""
+    height, width = size
+    r0, c0 = spec.center
+    s = spec.supersample
+    offsets = (np.arange(s) + 0.5) / s - 0.5
+    rows = np.arange(height, dtype=np.float64)
+    cols = np.arange(width, dtype=np.float64)
+    acc = np.zeros((height, width))
+    for dy in offsets:
+        for dx in offsets:
+            y = (rows + dy - r0)[:, None]
+            x = (cols + dx - c0)[None, :]
+            rr = np.hypot(x, y)
+            alpha = np.arctan2(x, y)
+            spoke = np.where(np.cos(spec.cycles * alpha) >= 0.0,
+                             spec.bright_level, spec.dark_level)
+            inside = (rr >= spec.inner_radius) & (rr <= spec.outer_radius)
+            acc += np.where(inside, spoke, spec.mean_level)
+    acc /= s * s
+    return acc
+
+
+@given(outer=st.floats(2.0, 22.0), inner_frac=st.floats(0.0, 0.9),
+       row=st.floats(0.0, 1.0), col=st.floats(0.0, 1.0),
+       cycles=st.integers(1, 150), supersample=st.integers(1, 4),
+       dark=st.floats(-50.0, 50.0), contrast=st.floats(0.1, 700.0))
+def test_star_box_raster_matches_full_grid(outer, inner_frac, row, col, cycles,
+                                           supersample, dark, contrast):
+    # cells outside the star's box are the mean of mean-level sub-points,
+    # whatever the levels; inside it every cell is computed as before
+    size = (48, 54)
+    center = (outer + row * (size[0] - 1 - 2 * outer),
+              outer + col * (size[1] - 1 - 2 * outer))
+    spec = StarSpec(cycles=cycles, outer_radius=outer, inner_radius=inner_frac * outer,
+                    dark_level=dark, bright_level=dark + contrast, center=center,
+                    supersample=supersample)
+    try:
+        expected = _full_grid_raster(spec, size)
+        image = generate_spoke_target(spec, size)
+    except ValueError as exc:  # the center's rounding put the star past an edge
+        assert "clipped" in str(exc)
+        return
+    assert np.array_equal(image, expected)
+
+
+def test_star_box_raster_matches_full_grid_at_default():
+    spec = StarSpec()
+    assert np.array_equal(generate_spoke_target(spec, (256, 256)),
+                          _full_grid_raster(spec, (256, 256)))
+
+
 def test_determinism():
     spec = small_star()
     a = generate_spoke_target(spec, (64, 64))
