@@ -214,18 +214,16 @@ def sample_parameters(spec: ParameterSpec, rng_seed: int,
     )
 
 
-def run_trial(params: SystemParams, scenario: Scenario, seed: int,
-              target=None) -> TrialResult:
+def run_trial(params: SystemParams, scenario: Scenario, seed: int) -> TrialResult:
     """Run target -> simulate -> super-resolve -> measure for one trial.
 
-    The NEM noise input is the per-trial sigma = 300/SNR.  Non-finite
-    pipeline values abort the trial with a recorded failure instead of
-    raising, so campaigns continue.
+    The target is the scenario's star as _plan_target memoizes it; the
+    NEM noise input is the per-trial sigma = 300/SNR.  Non-finite values
+    abort the trial with a recorded failure, so campaigns continue.
     """
     t0 = time.perf_counter()
     try:
-        if target is None:
-            target = _plan_target(scenario.star, tuple(scenario.grid_size))
+        target = _plan_target(scenario.star, tuple(scenario.grid_size))
         obs1, obs2 = simulate_observations(target, params, seed)
         sr = super_resolve([obs1, obs2], cfg=scenario.solver)
         report = measure_resolution(
@@ -252,55 +250,33 @@ def _plan_target(star: StarSpec, grid_size: tuple[int, int]) -> np.ndarray:
     return target
 
 
-def _plan_invariants(plan, scenario: Scenario) -> np.ndarray:
-    """What every trial of the plan shares: its target, returned, and the
-    ring table of each ladder its measurements read, built here into
-    metrology's cache so that pool workers forked after this inherit it
-    (spawned workers build it at their first measurement)."""
-    target = _plan_target(scenario.star, tuple(scenario.grid_size))
+def _plan_invariants(plan, scenario: Scenario) -> None:
+    """Fill the caches every trial of the plan reads: its target and each
+    ladder's ring table.  Pool workers forked after this inherit both;
+    spawned workers fill them at their first trial."""
     star = scenario.star
+    shape = _plan_target(star, tuple(scenario.grid_size)).shape
     for geometry in dict.fromkeys(params.geometry for params, _ in plan):
-        _warm_ring_table(target.shape, star.center, star.cycles, star.outer_radius,
+        _warm_ring_table(shape, star.center, star.cycles, star.outer_radius,
                          n_rings=scenario.n_rings, geometry=geometry)
-    return target
-
-
-# (scenario, target) of the plan a pool worker runs, set once per worker
-# by _init_worker so that tasks carry only (params, seed)
-_worker_plan: tuple[Scenario, object] | None = None
-
-
-def _init_worker(scenario: Scenario, target) -> None:
-    global _worker_plan
-    _worker_plan = (scenario, target)
-
-
-def _trial_task(task) -> TrialResult:
-    params, seed = task
-    scenario, target = _worker_plan
-    return run_trial(params, scenario, seed, target=target)
 
 
 def _run_plan(plan, scenario: Scenario, threads: int,
               progress=None) -> list[TrialResult]:
     """Run each (params, seed) pair of the plan through run_trial.
 
-    The plan's invariants (_plan_invariants) are built before the pool
-    starts, and the target is sent once to each pool worker, with the
-    scenario.  Results come back in plan order (map keeps it), so they
-    are identical for any worker count or completion order.
+    The plan's invariants are cached before the pool starts.  map keeps
+    plan order, so results are identical for any worker count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    target = _plan_invariants(plan, scenario)
+    _plan_invariants(plan, scenario)
+    params, seeds = zip(*plan)
     trials = []
-    with (ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
-                              initargs=(scenario, target)) if threads > 1
+    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
           else nullcontext()) as pool:
-        results = (pool.map(_trial_task, plan) if pool else
-                   (run_trial(params, scenario, seed, target=target)
-                    for params, seed in plan))
-        for trial in results:
+        for trial in (pool.map if pool else map)(
+                run_trial, params, itertools.repeat(scenario), seeds):
             trials.append(trial)
             if progress:
                 progress(len(trials), len(plan))
@@ -408,7 +384,7 @@ def _cell_means(trials: list[TrialResult], seeds_per_value: int):
 
 def sweep(parameter: str, values, scenario: Scenario, seeds_per_value: int = 5,
           base: SystemParams | None = None, master_seed: int = 0,
-          threads: int = 1, progress=None) -> SweepResult:
+          threads: int = 1) -> SweepResult:
     """Vary one parameter, holding the others at their nominal values.
 
     Seed j is shared across all swept values (paired noise realizations),
@@ -417,8 +393,7 @@ def sweep(parameter: str, values, scenario: Scenario, seeds_per_value: int = 5,
     """
     values = list(values)
     plan = _sweep_plan([(parameter, values)], base, seeds_per_value, master_seed)
-    trials, means = _cell_means(_run_plan(plan, scenario, threads, progress),
-                                seeds_per_value)
+    trials, means = _cell_means(_run_plan(plan, scenario, threads), seeds_per_value)
     return SweepResult(parameter=parameter, values=[float(v) for v in values],
                        trials=trials, mean_resolution_m=means)
 

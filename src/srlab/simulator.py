@@ -107,7 +107,11 @@ class Observation:
             raise ValueError("decimation factors must be >= 1")
         if not all(math.isfinite(s) for s in self.shift_hr):
             raise ValueError("shift components must be finite")
-        if abs(float(self.assumed_psf.sum()) - 1.0) > 1e-9:
+        self.assumed_psf = np.asarray(self.assumed_psf, dtype=np.float64)
+        if self.assumed_psf.ndim != 2 or not np.all(np.isfinite(self.assumed_psf)):
+            raise ValueError(f"assumed PSF must be a finite 2-D kernel, "
+                             f"got shape {self.assumed_psf.shape}")
+        if not abs(float(self.assumed_psf.sum()) - 1.0) <= 1e-9:
             raise ValueError("assumed PSF must sum to 1")
 
 

@@ -33,11 +33,10 @@ def record(num: int, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="session")
-def nominal_resolutions(scenario, star_target):
+def nominal_resolutions(scenario):
     values = []
     for j in range(SEEDS_PER_VALUE):
-        trial = run_trial(SystemParams(), scenario, child_seed(500, j),
-                          target=star_target)
+        trial = run_trial(SystemParams(), scenario, child_seed(500, j))
         assert trial.error is None
         values.append(trial.resolution_m)
     return values

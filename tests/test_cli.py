@@ -351,6 +351,19 @@ def test_montecarlo_csv_determinism(config_path, tmp_path):
     assert all(line.endswith(",0,False,False") for line in lines[1:])
 
 
+def test_montecarlo_progress(config_path, tmp_path, capsys):
+    # progress goes to stderr only; the trials are the same without it
+    runs = {}
+    for flags in ([], ["--progress"]):
+        out = tmp_path / ("mc" + "".join(flags))
+        assert main(["montecarlo", "--config", str(config_path), "--trials", "3",
+                     "--seed", "7", "--out-dir", str(out), *flags]) == 0
+        runs[bool(flags)] = ((out / "trials.csv").read_bytes(), capsys.readouterr().err)
+    assert runs[True][1].endswith("3/3 trials\n")
+    assert "trials" not in runs[False][1]
+    assert runs[True][0] == runs[False][0]
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_montecarlo_rejects_bad_trial_count(config_path, tmp_path, capsys, trials):
     out = tmp_path / "mc"
@@ -416,7 +429,7 @@ def _system_config(tmp_path, system: dict):
 def test_montecarlo_uses_system_section(tmp_path, monkeypatch):
     seen = []
 
-    def fake_trial(params, scenario, seed, target=None):
+    def fake_trial(params, scenario, seed):
         seen.append(params)
         return montecarlo.TrialResult(params, 1.0, False, seed, 0.0)
     monkeypatch.setattr(montecarlo, "run_trial", fake_trial)

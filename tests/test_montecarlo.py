@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from dataclasses import asdict, replace
@@ -9,8 +11,7 @@ from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               sweep, sweep_grid)
 from srlab.mtf import GeometryConstants
 from srlab.seeding import child_seed
-from srlab.simulator import (SIGMA_PER_FWHM, Observation, SystemParams,
-                             simulate_observations)
+from srlab.simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
 from srlab.solver import super_resolve
 from srlab.target import generate_spoke_target
 
@@ -132,21 +133,6 @@ def test_run_trial_records_failures(tiny_scenario):
             result.ladder_limited) == (0, False, False)
 
 
-def test_non_finite_target_is_recorded_failure(tiny_scenario):
-    # a NaN in the target is caught where the target enters the simulator;
-    # the trial records the failure rather than raising
-    target = generate_spoke_target(tiny_scenario.star, tiny_scenario.grid_size)
-    target[5, 7] = np.nan
-    result = run_trial(SystemParams(), tiny_scenario, 7, target=target)
-    assert isinstance(result, montecarlo.TrialResult)
-    assert result.error is not None and "non-finite" in result.error
-    assert result.resolution_m is None
-    image = np.zeros((8, 4))
-    image[3, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        Observation(image, (0.0, 0.5), (1, 2), np.full((3, 3), 1.0 / 9.0), 1.0)
-
-
 def test_campaign_trial_flags_match_measure_resolution(tiny_scenario):
     # an NEM signal this low puts the whole curve under the NEM, so the
     # crossing is degenerate
@@ -182,12 +168,19 @@ def test_plan_warm_up_fills_the_ring_table_trials_read(request, scenario_name):
     scenario = request.getfixturevalue(scenario_name)
     params, seed = SystemParams(), 11
     metrology._ring_table.cache_clear()
-    target = montecarlo._plan_invariants([(params, seed)], scenario)
+    montecarlo._plan_invariants([(params, seed)], scenario)
     before = metrology._ring_table.cache_info()
-    trial = run_trial(params, scenario, seed, target=target)
+    trial = run_trial(params, scenario, seed)
     after = metrology._ring_table.cache_info()
     assert trial.error is None and trial.resolution_m is not None
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def _fields(trial):
+    """A trial's record without its wall time."""
+    record = asdict(trial)
+    del record["wall_time"]
+    return record
 
 
 def test_repeated_campaign_reuses_the_target(tiny_scenario, monkeypatch):
@@ -209,14 +202,34 @@ def test_repeated_campaign_reuses_the_target(tiny_scenario, monkeypatch):
     # warm-up the forked workers inherit
     info = metrology._ring_table.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-
-    def fields(trial):
-        record = asdict(trial)
-        del record["wall_time"]
-        return record
-    assert [fields(t) for t in second.trials] == [fields(t) for t in first.trials]
+    assert [_fields(t) for t in second.trials] == [_fields(t) for t in first.trials]
     assert not montecarlo._plan_target(tiny_scenario.star,
                                        tiny_scenario.grid_size).flags.writeable
+
+
+def test_no_pool_worker_rasterizes(tiny_scenario, monkeypatch):
+    # the parent fills the target cache before its pool forks.  A worker
+    # that rasterized would raise AssertionError, which run_trial does not
+    # record as a failed trial, so it would fail the run.
+    pid = os.getpid()
+
+    def parent_only(*args):
+        if os.getpid() != pid:
+            raise AssertionError("a pool worker rasterized the target")
+        return generate_spoke_target(*args)
+    monkeypatch.setattr(montecarlo, "generate_spoke_target", parent_only)
+    montecarlo._plan_target.cache_clear()
+    parallel = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4,
+                            master_seed=9, threads=2)
+    serial = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4, master_seed=9)
+    assert [_fields(t) for t in parallel.trials] == [_fields(t) for t in serial.trials]
+    montecarlo._plan_target.cache_clear()
+    parallel = sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=2,
+                     master_seed=4, threads=2)
+    serial = sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=2,
+                   master_seed=4)
+    assert [[_fields(t) for t in cell] for cell in parallel.trials] == \
+        [[_fields(t) for t in cell] for cell in serial.trials]
 
 
 def test_campaign_single_trial_single_bin(tiny_scenario):
@@ -322,7 +335,7 @@ def _record_trials(monkeypatch):
     params it was given."""
     seen = []
 
-    def fake_trial(params, scenario, seed, target=None):
+    def fake_trial(params, scenario, seed):
         seen.append(params)
         return montecarlo.TrialResult(params, 1.0, False, seed, 0.0)
     monkeypatch.setattr(montecarlo, "run_trial", fake_trial)

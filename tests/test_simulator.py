@@ -10,6 +10,7 @@ from srlab.simulator import (SIGMA_PER_FWHM, Observation, SystemParams,
                              _blurred_spectrum, add_noise, render_blurred_scene,
                              simulate_observations)
 from srlab.seeding import child_seed
+from srlab.target import generate_spoke_target
 
 
 def sample(x, shift, decimation):
@@ -58,6 +59,27 @@ def test_observation_validation():
         Observation(img, (np.inf, 0.0), (1, 2), psf, 1.0)
     with pytest.raises(ValueError):
         Observation(img, (0.0, 0.0), (1, 2), psf * 2.0, 1.0)
+    # NaN and 1-D kernels are refused here, not deep inside the solver
+    nan_psf = psf.copy()
+    nan_psf[1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite 2-D"):
+        Observation(img, (0.0, 0.0), (1, 2), nan_psf, 1.0)
+    with pytest.raises(ValueError, match="finite 2-D"):
+        Observation(img, (0.0, 0.0), (1, 2), np.full(4, 0.25), 1.0)
+    # a 1x1 kernel is a valid (delta) PSF
+    Observation(img, (0.0, 0.0), (1, 2), np.ones((1, 1)), 1.0)
+    nan_image = img.copy()
+    nan_image[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Observation(nan_image, (0.0, 0.5), (1, 2), psf, 1.0)
+
+
+def test_non_finite_target_is_refused(tiny_scenario, nominal_params):
+    # no NaN reaches the solver: the simulator checks the target it is given
+    target = generate_spoke_target(tiny_scenario.star, tiny_scenario.grid_size)
+    target[5, 7] = np.nan
+    with pytest.raises(ValueError, match="target.*non-finite"):
+        simulate_observations(target, nominal_params, 7)
 
 
 def test_blur_preserves_constant(rng, nominal_params):
