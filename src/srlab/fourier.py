@@ -22,6 +22,8 @@ __all__ = [
     "unfold",
     "gaussian_kernel",
     "sinc_upsample",
+    "sinc_columns",
+    "sinc_rows",
     "kernel_transfer",
 ]
 
@@ -99,16 +101,26 @@ def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
     an even width is halved, and its conjugate twin at the negative
     frequency is implied by the half-plane layout, so the result stays
     real and symmetric.  Output sample k lies at input coordinate
-    k/factor.
+    k/factor.  This is sinc_rows over every row of sinc_columns.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return np.asarray(data, dtype=np.float64).copy()
     h, w = data.shape
-    big_h, big_w = h * factor, w * factor
+    return sinc_rows(sinc_columns(data, factor), w, factor, 0, h * factor)
+
+
+def sinc_columns(data: np.ndarray, factor: int) -> np.ndarray:
+    """Column stage of sinc_upsample (factor >= 2): the half-plane
+    spectrum zero-padded to factor times the rows and inverse-transformed
+    along them, (h * factor, w//2 + 1) complex.  Only the input's w//2+1
+    columns of the padded half-plane are nonzero, so only they are
+    transformed (irfft2 would transform the zero columns too, and hold a
+    third full-size complex array as its intermediate)."""
+    h, w = data.shape
+    big_h = h * factor
     spectrum = scipy.fft.rfft2(data)
-    # only the input's w//2+1 columns of the padded half-plane are nonzero
     padded = np.zeros((big_h, w // 2 + 1), dtype=complex)
     n_pos, n_neg = (h + 1) // 2, (h - 1) // 2  # rows of frequency 0.., ..-1
     padded[:n_pos] = spectrum[:n_pos]
@@ -118,11 +130,19 @@ def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
         padded[big_h - h // 2] = padded[h // 2]
     if w % 2 == 0:
         padded[:, w // 2] *= 0.5
-    # columns, then rows: irfft2 would hold a third full-size complex
-    # array as its intermediate and transform the zero columns too
-    columns = np.zeros((big_h, big_w // 2 + 1), dtype=complex)
-    columns[:, :w // 2 + 1] = scipy.fft.ifft(padded, axis=0, overwrite_x=True)
-    out = scipy.fft.irfft(columns, n=big_w, axis=1, overwrite_x=True)
+    return scipy.fft.ifft(padded, axis=0, overwrite_x=True)
+
+
+def sinc_rows(columns: np.ndarray, width: int, factor: int, lo: int,
+              hi: int) -> np.ndarray:
+    """Rows lo:hi of sinc_upsample(data, factor) from its column stage
+    columns = sinc_columns(data, factor); width is data's width.  Rows
+    transform independently, so any row range is bit-identical to the
+    same rows of the whole image."""
+    big_w = width * factor
+    rows = np.zeros((hi - lo, big_w // 2 + 1), dtype=complex)
+    rows[:, :width // 2 + 1] = columns[lo:hi]
+    out = scipy.fft.irfft(rows, n=big_w, axis=1, overwrite_x=True)
     out *= factor * factor
     return out
 

@@ -6,14 +6,16 @@ cycle count, giving mean level a, amplitude beta and modulation
 M = beta/a.  A radius ladder's rings are found once per (image shape,
 center, radii, cycles) and cached as a read-only ring table: every
 ring's pixel indices, grouped by ring and row-major within it, with the
-cos/sin columns of the harmonic.  All rings are then fit in one
-vectorized pass over the table: one gather of the image, a mask or an
-angular sector applied as a selection on that gather (a sector is tested
-on the samples' own offsets), segment sums for each ring's normal
-equations and one batched solve.  The modulation curve is intersected
-with the noise-equivalent modulation 4*sigma/signal; the crossing
-frequency maps to meters through the HR ground sample
-(0.5 cycles/px = 1.25 m).
+cos/sin columns of the harmonic and the samples' row-major order.  All
+rings are then fit in one vectorized pass over the table: the image's
+value at every sample, a mask or an angular sector applied as a
+selection on those values (a sector is tested on the samples' own
+offsets), segment sums for each ring's normal equations and one batched
+solve.  measure_resolution computes its upsampled image a band of rows
+at a time, straight into the samples' values, and never holds it whole.
+The modulation curve is intersected with the noise-equivalent
+modulation 4*sigma/signal; the crossing frequency maps to meters
+through the HR ground sample (0.5 cycles/px = 1.25 m).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import sinc_upsample
+from .fourier import sinc_columns, sinc_rows
 from .grid import check_image
 from .mtf import GEOMETRY, GeometryConstants
 from .target import _sector_test
@@ -115,7 +117,8 @@ class ResolutionReport:
     degenerate_crossing: bool = False
 
 
-# rows of the ring table's bounding box binned per hypot call
+# rows of the ring table's bounding box binned per hypot call, and
+# upsampled per sinc_rows call (about 1 MB at the default 1024 columns)
 _TABLE_BAND_ROWS = 64
 
 
@@ -125,7 +128,9 @@ class _RingTable:
 
     Ring i owns samples[starts[i]:starts[i] + counts[i]], flat pixel
     indices in row-major order; cos and sin hold cos/sin(cycles * alpha)
-    of each sample.
+    of each sample.  samples[row_major] runs through every ring's samples
+    in row-major order; bands holds (first row, end row, end in
+    row_major) of each _TABLE_BAND_ROWS-row band they lie in.
     """
 
     samples: np.ndarray
@@ -133,6 +138,8 @@ class _RingTable:
     counts: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
+    row_major: np.ndarray
+    bands: tuple[tuple[int, int, int], ...]
 
 
 @functools.lru_cache(maxsize=4)
@@ -145,8 +152,8 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     are computed over the outer ring's bounding box, a band of rows at a
     time, and each is binned against the ladder's edges; a stable sort
     by ring then groups the samples and keeps them row-major within each
-    ring.  The arrays are read-only: every caller with this key shares
-    them.
+    ring, and its inverse is the row-major order.  The arrays are
+    read-only: every caller with this key shares them.
     """
     h, w = shape
     r0, c0 = center
@@ -156,10 +163,10 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     lo_r, hi_r = max(0, math.floor(r0 - top - 1)), min(h, math.ceil(r0 + top + 2))
     lo_c, hi_c = max(0, math.floor(c0 - top - 1)), min(w, math.ceil(c0 + top + 2))
     x = (np.arange(lo_c, hi_c, dtype=np.float64) - c0)[None, :]
-    pixels, rings = [], []
+    pixels, rings, bands, stop = [], [], [], 0
     for band in range(lo_r, hi_r, _TABLE_BAND_ROWS):
-        y = (np.arange(band, min(band + _TABLE_BAND_ROWS, hi_r), dtype=np.float64)
-             - r0)[:, None]
+        end = min(band + _TABLE_BAND_ROWS, hi_r)
+        y = (np.arange(band, end, dtype=np.float64) - r0)[:, None]
         dist = np.hypot(x, y)
         rows, cols = np.nonzero((dist >= lower[0]) & (dist < upper[-1]))
         dist = dist[rows, cols]
@@ -169,16 +176,22 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
         within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         pixels.append(np.repeat((rows + band) * w + cols + lo_c, reps))
         rings.append(np.repeat(first, reps) + within)
+        stop += pixels[-1].size
+        bands.append((band, end, stop))
     ring = len(radii) - 1 - np.concatenate(rings)  # index into radii
     # small unsigned keys take numpy's linear-time radix sort
     order = np.argsort(ring.astype(np.min_scalar_type(len(radii))), kind="stable")
     samples = np.concatenate(pixels)[order]
+    row_major = np.empty(order.size, dtype=np.int32)
+    row_major[order] = np.arange(order.size, dtype=np.int32)
     counts = np.bincount(ring, minlength=len(radii))
     starts = np.cumsum(counts) - counts
     sample_rows, sample_cols = np.divmod(samples, w)
     angle = cycles * np.arctan2(sample_cols - c0, sample_rows - r0)
-    table = _RingTable(samples, starts, counts, np.cos(angle), np.sin(angle))
-    for array in (table.samples, table.starts, table.counts, table.cos, table.sin):
+    table = _RingTable(samples, starts, counts, np.cos(angle), np.sin(angle),
+                       row_major, tuple(bands))
+    for array in (table.samples, table.starts, table.counts, table.cos, table.sin,
+                  table.row_major):
         array.flags.writeable = False
     return table
 
@@ -205,23 +218,30 @@ def _mask_select(mask: np.ndarray | None, shape: tuple[int, int]):
     return lambda samples: flat[samples] > 0.5
 
 
-def _fit_rings(image: np.ndarray, center: tuple[float, float], radii, cycles: int,
-               select=None) -> list[RingFit | RingError]:
-    """Fit the angular harmonic on every ring of a strictly decreasing
-    ladder in one pass; entry i is ring i's fit or the RingError that
-    refuses it.
+def _gather(image: np.ndarray):
+    """The image's values at a ring table's samples, as _fit_rings reads them."""
+    flat = image.reshape(-1)
+    return lambda table: flat[table.samples]
 
-    One gather takes every ring's samples from the ring table, select
-    (flat sample indices -> which to keep) picks among them, segment
-    sums form each ring's normal equations and one batched solve fits
-    them all.  Values and columns enter the sums less their ring means,
-    so a large image offset stays out of the harmonic's rounding.
+
+def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], radii,
+               cycles: int, select=None) -> list[RingFit | RingError]:
+    """Fit the angular harmonic on every ring of a strictly decreasing
+    ladder on an image of this shape in one pass; entry i is ring i's
+    fit or the RingError that refuses it.
+
+    values_of(table) gives the image's value at each sample of the ring
+    table, select (flat sample indices -> which to keep) picks among
+    them, segment sums form each ring's normal equations and one
+    batched solve fits them all.  Values and columns enter the sums less
+    their ring means, so a large image offset stays out of the
+    harmonic's rounding.
     """
     if any(r < 2 for r in radii):
         raise ValueError("radius must be >= 2 pixels")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    outside, key = _table_key(image.shape, center, radii, cycles)
+    outside, key = _table_key(shape, center, radii, cycles)
     results: list[RingFit | RingError] = [
         EmptyRingError(f"empty ring: radius {r} leaves the image") for r in outside]
     radii = key[2]
@@ -229,12 +249,12 @@ def _fit_rings(image: np.ndarray, center: tuple[float, float], radii, cycles: in
         return results
 
     table = _ring_table(*key)
-    index, cos, sin = table.samples, table.cos, table.sin
+    values, cos, sin = values_of(table), table.cos, table.sin
     n_full = table.counts
     n, starts = n_full, table.starts
     if select is not None:
-        keep = select(index)
-        index, cos, sin = index[keep], cos[keep], sin[keep]
+        keep = select(table.samples)
+        values, cos, sin = values[keep], cos[keep], sin[keep]
         kept_before = np.concatenate(([0], np.cumsum(keep)))
         starts = kept_before[table.starts]
         n = kept_before[table.starts + n_full] - starts
@@ -259,7 +279,7 @@ def _fit_rings(image: np.ndarray, center: tuple[float, float], radii, cycles: in
         def ring_sums(values):
             return np.add.reduceat(values, starts[filled])[fit[filled]]
 
-        vals, mean = centred(image.reshape(-1)[index])
+        vals, mean = centred(values)
         cos, mean_cos = centred(cos)
         sin, mean_sin = centred(sin)
         s_cs = ring_sums(cos * sin)
@@ -300,7 +320,8 @@ def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: floa
     the annulus leaves the image or holds fewer than 8 samples.
     """
     image = check_image(image, "image")
-    (result,) = _fit_rings(image, center, [radius], cycles, _mask_select(mask, image.shape))
+    (result,) = _fit_rings(_gather(image), image.shape, center, [radius], cycles,
+                           _mask_select(mask, image.shape))
     if isinstance(result, RingError):
         raise result
     return result
@@ -317,15 +338,17 @@ def mtf_curve(image: np.ndarray, center: tuple[float, float], cycles: int,
     survive.
     """
     image = check_image(image, "image")
-    return _curve(image, center, cycles, radii, _mask_select(mask, image.shape))
+    return _curve(_gather(image), image.shape, center, cycles, radii,
+                  _mask_select(mask, image.shape))
 
 
-def _curve(image: np.ndarray, center, cycles: int, radii, select):
-    """mtf_curve on an image already checked, its mask as a selection."""
+def _curve(values_of, shape: tuple[int, int], center, cycles: int, radii, select):
+    """mtf_curve on an image of this shape given by its values at the
+    ring samples (see _fit_rings), its mask as a selection."""
     radii = list(radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    fits = [fit for fit in _fit_rings(image, center, radii, cycles, select)
+    fits = [fit for fit in _fit_rings(values_of, shape, center, radii, cycles, select)
             if isinstance(fit, RingFit)]
     dropped = len(radii) - len(fits)
     if dropped:
@@ -426,6 +449,23 @@ def _warm_ring_table(shape: tuple[int, int], center: tuple[float, float], cycles
         _ring_table(*key)
 
 
+def _upsampled_values(image: np.ndarray, table: _RingTable) -> np.ndarray:
+    """sinc_upsample(image, ANALYSIS_OVERSAMPLE) at each sample of the
+    ring table, upsampled one band of the table's rows at a time: only
+    the rows the rings read are transformed, and no more than one band
+    of the upsampled image is held at once."""
+    factor, width = ANALYSIS_OVERSAMPLE, image.shape[1]
+    columns = sinc_columns(image, factor)
+    values = np.empty(table.samples.size)
+    start = 0
+    for lo, hi, stop in table.bands:
+        band = sinc_rows(columns, width, factor, lo, hi).reshape(-1)
+        at = table.row_major[start:stop]
+        values[at] = band[table.samples[at] - lo * width * factor]
+        start = stop
+    return values
+
+
 def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: int,
                        signal: float, noise_sigma: float, outer_radius: float, *,
                        n_rings: int, sector: int | None = None,
@@ -434,9 +474,10 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     (a target, blurred scene or reconstruction).
 
     Rings are evaluated on a sinc-upsampled copy of the image
-    (ANALYSIS_OVERSAMPLE per axis) so the harmonic fit stays well
-    sampled out to the HR Nyquist; the information content is unchanged
-    and frequencies are still reported in cycles per HR pixel.  The
+    (ANALYSIS_OVERSAMPLE per axis, computed only at the ring samples) so
+    the harmonic fit stays well sampled out to the HR Nyquist; the
+    information content is unchanged and frequencies are still reported
+    in cycles per HR pixel.  The
     radius ladder holds n_rings radii (Scenario.n_rings), geometric from
     just inside the star's outer radius down to the aliasing / HR-band
     limit.  The NEM comes from the scenario signal and noise values
@@ -452,18 +493,20 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     then pins the crossing to the finest measured frequency and sets
     ladder_limited.
     """
-    image = sinc_upsample(check_image(image, "image"), ANALYSIS_OVERSAMPLE)
+    image = check_image(image, "image")
     center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
+    shape = (image.shape[0] * ANALYSIS_OVERSAMPLE, image.shape[1] * ANALYSIS_OVERSAMPLE)
     select = None
     if sector is not None:
         in_sector = _sector_test(sector, SECTOR_COUNT)
-        width, (r0, c0) = image.shape[1], center_grid
+        r0, c0 = center_grid
 
         def select(samples):
-            rows, cols = np.divmod(samples, width)
+            rows, cols = np.divmod(samples, shape[1])
             return in_sector(cols - c0, rows - r0)
 
-    fits, dropped = _curve(image, center_grid, cycles, radii, select)
+    fits, dropped = _curve(functools.partial(_upsampled_values, image), shape,
+                           center_grid, cycles, radii, select)
     curve = [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
                         _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))

@@ -265,15 +265,18 @@ def _run_plan(plan, scenario: Scenario, threads: int,
               progress=None) -> list[TrialResult]:
     """Run each (params, seed) pair of the plan through run_trial.
 
-    The plan's invariants are cached before the pool starts.  map keeps
-    plan order, so results are identical for any worker count.
+    The plan's invariants are cached before the pool starts.  The pool
+    holds no more workers than the plan has trials (a fork-context pool
+    forks them all at once).  map keeps plan order, so results are
+    identical for any worker count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _plan_invariants(plan, scenario)
     params, seeds = zip(*plan)
+    workers = min(threads, len(plan))
     trials = []
-    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for trial in (pool.map if pool else map)(
                 run_trial, params, itertools.repeat(scenario), seeds):

@@ -37,9 +37,10 @@ class Scenario:
     n_rings: int = 80
 
     def __post_init__(self):
-        if self.nem_signal <= 0:
-            raise ValueError("NEM reference signal must be > 0")
-        if self.n_rings < 3:
+        if not 0.0 < self.nem_signal < math.inf:
+            raise ValueError(f"NEM reference signal must be finite and > 0, "
+                             f"got {self.nem_signal!r}")
+        if not self.n_rings >= 3:
             raise ValueError("need at least 3 measurement rings")
         if any(n % 2 for n in self.grid_size):
             raise ValueError(f"grid dimensions must be even (the blur needs "

@@ -64,19 +64,22 @@ class SystemParams:
     geometry: GeometryConstants = field(default_factory=GeometryConstants)
 
     def __post_init__(self):
+        # every test is written so that NaN fails it; an infinite SNR is
+        # the noise-free case
         if not 0.0 < self.optics_mtf_at_hr_nyq <= 1.0:
             raise ValueError("optics MTF at HR Nyquist must be in (0, 1]")
-        if self.n_phi < 1:
+        if not self.n_phi >= 1:
             raise ValueError("clock phase count must be >= 1")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter sigma must be >= 0")
-        if self.snr_at_300 <= 0:
-            raise ValueError("SNR must be > 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter sigma must be finite and >= 0, got {self.jitter_sigma!r}")
+        if not self.snr_at_300 > 0:
+            raise ValueError(f"SNR must be > 0, got {self.snr_at_300!r}")
         if not 0.0 <= self.subarray_shift_ax < 1.0:
             raise ValueError("subarray shift must be in [0, 1) LR pixels")
-        if self.assumed_psf_sigma <= 0:
-            raise ValueError("assumed PSF sigma must be > 0")
-        if self.subarray_shift_al_lines < 0:
+        if not 0.0 < self.assumed_psf_sigma < math.inf:
+            raise ValueError(f"assumed PSF sigma must be finite and > 0, "
+                             f"got {self.assumed_psf_sigma!r}")
+        if not self.subarray_shift_al_lines >= 0:
             raise ValueError("along-track separation must be >= 0 lines")
 
     @property

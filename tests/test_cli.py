@@ -420,6 +420,28 @@ def test_sweep_fractional_clock_phase_exits_2(config_path, tmp_path, capsys):
     assert json.loads((out / "sweep_summary.json").read_text())["values"] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_scenario_refuses_bad_nem_signal(value):
+    with pytest.raises(ValueError, match="NEM reference signal"):
+        Scenario(nem_signal=value)
+
+
+@pytest.mark.parametrize("param, values, message", [
+    ("psf_sigma", "1,inf", "assumed PSF sigma"), ("jitter", "nan,1", "jitter sigma")])
+def test_sweep_non_finite_value_exits_2(config_path, tmp_path, capsys, monkeypatch,
+                                        param, values, message):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--param", param,
+                 "--values", values, "--seeds-per-value", "1",
+                 "--seed", "3", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "sweep.csv").exists()
+
+
 def _system_config(tmp_path, system: dict):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({**CONFIG, "system": system}))

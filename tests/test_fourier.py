@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srlab.fourier import (fold, gaussian_kernel, kernel_transfer,
-                           shift_multiplier_2d, sinc_upsample, unfold)
+                           shift_multiplier_2d, sinc_columns, sinc_rows,
+                           sinc_upsample, unfold)
 
 
 def shift(x, delta):
@@ -147,6 +150,16 @@ def full_width_upsample(data, factor):
 def test_sinc_upsample_equals_full_width_column_pass(rng, shape, factor):
     x = rng.normal(size=shape)
     assert np.array_equal(sinc_upsample(x, factor), full_width_upsample(x, factor))
+
+
+@given(h=st.integers(5, 20), w=st.integers(5, 20), factor=st.integers(2, 4),
+       data=st.data())
+def test_row_stage_equals_rows_of_the_upsample(h, w, factor, data):
+    x = np.random.default_rng(h * 100 + w).normal(size=(h, w))
+    lo = data.draw(st.integers(0, h * factor), label="lo")
+    hi = data.draw(st.integers(lo, h * factor), label="hi")
+    rows = sinc_rows(sinc_columns(x, factor), w, factor, lo, hi)
+    assert np.array_equal(rows, sinc_upsample(x, factor)[lo:hi])
 
 
 def zero_pad_upsample(data, factor):

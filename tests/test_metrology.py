@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srlab import metrology
 from srlab.fourier import sinc_upsample
-from srlab.metrology import (ANALYSIS_OVERSAMPLE, AliasedRingError, EmptyRingError,
-                             InsufficientCurveError, RingError, RingFit, _ladder,
+from srlab.metrology import (ANALYSIS_OVERSAMPLE, SECTOR_COUNT, AliasedRingError,
+                             EmptyRingError, InsufficientCurveError, RingError,
+                             RingFit, _ladder,
                              _ring_table, crossing_frequency,
                              frequency_to_resolution, measure_resolution,
                              mtf_curve, nem, ring_modulation)
@@ -272,6 +275,78 @@ def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_param
         assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation)
                                 for rf in fits]
         assert report.rings_dropped == dropped
+
+
+def _reconstruction(scenario, params):
+    target = generate_spoke_target(scenario.star, scenario.grid_size)
+    obs = simulate_observations(target, params, 42)
+    return super_resolve(list(obs), cfg=scenario.solver).image
+
+
+@pytest.mark.parametrize("scenario_name", ["scenario", "tiny_scenario"])
+def test_full_report_matches_the_upsampled_image(request, scenario_name, nominal_params):
+    # measure_resolution upsamples only the ring table's rows, a band at a
+    # time; its fits must equal mtf_curve's on the whole upsampled image
+    scenario = request.getfixturevalue(scenario_name)
+    star = scenario.star
+    image = _reconstruction(scenario, nominal_params)
+    report = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                                nominal_params.noise_sigma, star.outer_radius,
+                                n_rings=scenario.n_rings)
+    center, radii = _ladder(star.center, star.cycles, star.outer_radius,
+                            scenario.n_rings, GEOMETRY)
+    fits, dropped = mtf_curve(sinc_upsample(image, ANALYSIS_OVERSAMPLE), center,
+                              star.cycles, radii)
+    assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
+    assert report.rings_dropped == dropped
+
+
+def test_measurement_never_holds_the_full_upsample(scenario, nominal_params):
+    # a default measurement peaks below one 1024^2 float64 image
+    star = scenario.star
+    image = _reconstruction(scenario, nominal_params)
+
+    def measure():
+        return measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                                  nominal_params.noise_sigma, star.outer_radius,
+                                  n_rings=scenario.n_rings)
+    measure()  # the ring table is built once per process, outside the budget
+    tracemalloc.start()
+    try:
+        measure()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_bad_sector_is_refused_before_any_transform(monkeypatch):
+    def no_transform(*args):
+        raise AssertionError("the image was transformed")
+    monkeypatch.setattr(metrology, "sinc_columns", no_transform)
+    image = np.full((64, 64), 100.0)
+    for sector in (-1, SECTOR_COUNT):
+        with pytest.raises(ValueError, match="sector_index"):
+            measure_resolution(image, (32.0, 32.0), 16, 300.0, 1.0, 28.0,
+                               n_rings=10, sector=sector)
+
+
+def test_ring_table_row_major_order():
+    # the order measure_resolution streams its bands in: every sample
+    # once, ascending flat index, each band's samples inside its rows
+    shape, radii = (40, 37), (15.0, 14.5, 9.0, 3.0)
+    table = _ring_table(shape, (19.5, 18.25), radii, 7)
+    assert not table.row_major.flags.writeable
+    assert table.row_major.dtype == np.int32
+    assert np.array_equal(np.sort(table.row_major), np.arange(table.samples.size))
+    ordered = table.samples[table.row_major]
+    assert np.all(np.diff(ordered) >= 0)
+    start = 0
+    for lo, hi, stop in table.bands:
+        rows = ordered[start:stop] // shape[1]
+        assert np.all((rows >= lo) & (rows < hi))
+        start = stop
+    assert start == table.samples.size
 
 
 def test_flag_for_modulation_above_one():

@@ -342,6 +342,33 @@ def _record_trials(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("threads, n_trials, workers", [(16, 4, 4), (2, 5, 2), (3, 1, None)])
+def test_pool_is_sized_to_the_plan(tiny_scenario, monkeypatch, threads, n_trials,
+                                   workers):
+    # a fork-context pool forks all its workers at once, so a small plan
+    # must not start more of them than it has trials; a one-trial plan
+    # starts no pool
+    _record_trials(monkeypatch)
+    started = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
+    camp = run_campaign(ParameterSpec(), tiny_scenario, n_trials=n_trials,
+                        master_seed=5, threads=threads)
+    assert len(camp.trials) == n_trials
+    assert started == ([] if workers is None else [workers])
+
+
 def test_campaign_samples_on_base(tiny_scenario, monkeypatch):
     seen = _record_trials(monkeypatch)
     base = replace(SystemParams(), subarray_shift_al_lines=4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -47,6 +49,23 @@ def test_system_params_defaults_and_validation():
         SystemParams(subarray_shift_ax=1.0)
     with pytest.raises(ValueError):
         SystemParams(assumed_psf_sigma=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("jitter_sigma", math.nan), ("jitter_sigma", math.inf), ("jitter_sigma", -0.1),
+    ("snr_at_300", math.nan), ("snr_at_300", 0.0),
+    ("assumed_psf_sigma", math.nan), ("assumed_psf_sigma", math.inf),
+    ("assumed_psf_sigma", 0.0),
+    ("optics_mtf_at_hr_nyq", math.nan), ("subarray_shift_ax", math.nan),
+    ("n_phi", math.nan), ("subarray_shift_al_lines", math.nan),
+])
+def test_system_params_refuse_non_finite(field, value):
+    with pytest.raises(ValueError):
+        SystemParams(**{field: value})
+
+
+def test_infinite_snr_is_the_noise_free_case():
+    assert SystemParams(snr_at_300=math.inf).noise_sigma == 0.0
 
 
 def test_observation_validation():
