@@ -13,7 +13,7 @@ from .metrology import (ResolutionReport, RingFit, crossing_frequency,
                         nem, ring_modulation)
 from .montecarlo import (CampaignResult, ParameterDistribution, ParameterSpec,
                          SweepResult, TrialResult, run_campaign, run_trial,
-                         sample_parameters, sweep, sweep_grid)
+                         sample_parameters, sweep)
 from .mtf import (GeometryConstants, footprint_mtf, jitter_mtf, optics_mtf,
                   sampling_mtf, smear_mtf, system_otf)
 from .scenario import Scenario, ScenarioConfig, load_config

@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -226,27 +227,29 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
 
 def cmd_sweep(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
-    values = [float(v) for v in args.values.split(",")]
-    result = sweep(args.param, values, config.scenario,
+    result = sweep([(args.param, args.values.split(","))], config.scenario,
                    seeds_per_value=args.seeds_per_value, base=config.system,
                    master_seed=seed, threads=args.threads)
+    parameter, values = result.axes[0]
     rows = []
-    for value, group in zip(result.values, result.trials):
-        for trial in group:
+    for value, cell in zip(values, result.trials):
+        for trial in cell:
             rows.append([repr(value), str(trial.seed), _fmt(trial.resolution_m),
                          str(trial.solver_converged), trial.error or ""])
     _write_csv(out / "sweep.csv",
-               [args.param, "seed", "resolution_m", "solver_converged", "error"],
+               [parameter, "seed", "resolution_m", "solver_converged", "error"],
                rows)
+    # JSON has no NaN: a cell that resolved nothing is written as null
+    means = [None if math.isnan(m) else m for m in result.mean_resolution_m.tolist()]
     summary = {
-        "parameter": result.parameter,
-        "values": result.values,
-        "mean_resolution_m": result.mean_resolution_m,
+        "parameter": parameter,
+        "values": values,
+        "mean_resolution_m": means,
         "seeds_per_value": args.seeds_per_value,
         "master_seed": seed,
     }
     _write_json(out / "sweep_summary.json", summary)
-    logger.info("sweep %s: %s", result.parameter, result.mean_resolution_m)
+    logger.info("sweep %s: %s", parameter, means)
     return 0
 
 

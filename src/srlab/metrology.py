@@ -362,10 +362,10 @@ def _curve(values_of, shape: tuple[int, int], center, cycles: int, radii, select
 
 def nem(signal: float, noise_sigma: float) -> float:
     """Noise-equivalent modulation 4*sigma/signal."""
-    if signal <= 0:
-        raise ValueError("signal must be > 0")
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be >= 0")
+    if not 0 < signal < math.inf:
+        raise ValueError(f"signal must be finite and > 0, got {signal!r}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma!r}")
     return 4.0 * noise_sigma / signal
 
 
@@ -494,6 +494,7 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     ladder_limited.
     """
     image = check_image(image, "image")
+    nem_value = nem(signal, noise_sigma)
     center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
     shape = (image.shape[0] * ANALYSIS_OVERSAMPLE, image.shape[1] * ANALYSIS_OVERSAMPLE)
     select = None
@@ -510,7 +511,6 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     curve = [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
                         _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))
-    nem_value = nem(signal, noise_sigma)
 
     ladder_limited = False
     degenerate = False

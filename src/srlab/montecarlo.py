@@ -1,10 +1,11 @@
-"""Monte Carlo campaigns and one-at-a-time parameter sweeps.
+"""Monte Carlo campaigns and parameter sweeps.
 
 Each trial runs the full simulate -> super-resolve -> measure pipeline
 for one (system parameters, noise seed) pair and records the achieved
 resolution.  A campaign or sweep is a plan of such pairs run by one
 executor: campaigns sample the parameters from their distributions,
-sweeps take the product of value axes.  Seeds derive from (master seed,
+sweeps run the product of any number of value axes (one axis for a
+one-at-a-time sweep, two for a grid).  Seeds derive from (master seed,
 index), so results are bit-reproducible regardless of worker count or
 execution order.
 """
@@ -40,7 +41,6 @@ __all__ = [
     "run_trial",
     "run_campaign",
     "sweep",
-    "sweep_grid",
     "PARAMETER_FIELDS",
 ]
 
@@ -181,12 +181,16 @@ class CampaignResult:
 
 @dataclass
 class SweepResult:
-    """One-at-a-time sweep: per-value trials and mean resolutions."""
+    """A sweep over the product of value axes.
 
-    parameter: str
-    values: list[float]
+    axes holds the (parameter, values) pairs, each value a float; trials
+    holds one list per cell in row-major order; mean_resolution_m is
+    shaped like the axes, NaN where no trial in the cell resolved.
+    """
+
+    axes: list[tuple[str, list[float]]]
     trials: list[list[TrialResult]]
-    mean_resolution_m: list[float | None]
+    mean_resolution_m: np.ndarray
 
 
 def sample_parameters(spec: ParameterSpec, rng_seed: int,
@@ -303,7 +307,7 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    if bin_width_m <= 0:
+    if not bin_width_m > 0:
         raise ValueError("bin width must be > 0")
     base = base or SystemParams()
     for name in PARAMETER_FIELDS.values():
@@ -355,9 +359,13 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
     """
     if seeds_per_value < 1:
         raise ValueError("seeds_per_value must be >= 1")
+    if not axes:
+        raise ValueError("sweep needs at least one parameter axis")
     if any(len(values) < 2 for _, values in axes):
         raise ValueError("sweep needs at least 2 values per parameter")
     names = [_resolve_field(parameter) for parameter, _ in axes]
+    if len(set(names)) < len(names):
+        raise ValueError(f"sweep axes {[p for p, _ in axes]} set one parameter twice")
     base = base or SystemParams()
     seeds = [child_seed(master_seed, j) for j in range(seeds_per_value)]
     for name, (_, values) in zip(names, axes):
@@ -373,46 +381,25 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
     return plan
 
 
-def _cell_means(trials: list[TrialResult], seeds_per_value: int):
-    """Split plan-ordered trials into cells; mean resolution per cell over
-    resolved trials (None if none resolved)."""
-    cells = [trials[i:i + seeds_per_value]
-             for i in range(0, len(trials), seeds_per_value)]
-    means: list[float | None] = []
-    for cell in cells:
-        resolved = [t.resolution_m for t in cell if t.resolution_m is not None]
-        means.append(float(np.mean(resolved)) if resolved else None)
-    return cells, means
-
-
-def sweep(parameter: str, values, scenario: Scenario, seeds_per_value: int = 5,
+def sweep(axes, scenario: Scenario, seeds_per_value: int = 5,
           base: SystemParams | None = None, master_seed: int = 0,
           threads: int = 1) -> SweepResult:
-    """Vary one parameter, holding the others at their nominal values.
+    """Run every cell of the product of the (parameter, values) axes.
 
-    Seed j is shared across all swept values (paired noise realizations),
-    which stabilizes the monotonicity comparisons.  Mean resolution per
-    value covers resolved trials only (None if none resolved).
+    Each cell sets its values on base (default SystemParams()) and
+    holds every other field there.  Seed j is shared across all cells
+    (paired noise realizations), which stabilizes the monotonicity
+    comparisons.  A cell's mean resolution covers its resolved trials
+    only (NaN if none resolved).
     """
-    values = list(values)
-    plan = _sweep_plan([(parameter, values)], base, seeds_per_value, master_seed)
-    trials, means = _cell_means(_run_plan(plan, scenario, threads), seeds_per_value)
-    return SweepResult(parameter=parameter, values=[float(v) for v in values],
-                       trials=trials, mean_resolution_m=means)
-
-
-def sweep_grid(param_a: str, values_a, param_b: str, values_b,
-               scenario: Scenario, seeds_per_value: int = 5,
-               base: SystemParams | None = None, master_seed: int = 0,
-               threads: int = 1) -> np.ndarray:
-    """Two-parameter grid of mean resolutions (rows: values_a, cols: values_b).
-
-    Seeds are paired across cells as in sweep.  Entries are NaN where no
-    trial resolved.
-    """
-    values_a, values_b = list(values_a), list(values_b)
-    plan = _sweep_plan([(param_a, values_a), (param_b, values_b)], base,
-                       seeds_per_value, master_seed)
-    _, means = _cell_means(_run_plan(plan, scenario, threads), seeds_per_value)
-    return np.array([np.nan if m is None else m for m in means]).reshape(
-        len(values_a), len(values_b))
+    axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
+    plan = _sweep_plan(axes, base, seeds_per_value, master_seed)
+    trials = _run_plan(plan, scenario, threads)
+    cells = [trials[i:i + seeds_per_value]
+             for i in range(0, len(trials), seeds_per_value)]
+    means = np.full(len(cells), np.nan)
+    for k, cell in enumerate(cells):
+        resolved = [t.resolution_m for t in cell if t.resolution_m is not None]
+        if resolved:
+            means[k] = np.mean(resolved)
+    return SweepResult(axes, cells, means.reshape([len(v) for _, v in axes]))

@@ -58,8 +58,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.bin_width_m <= 0:
-            raise ValueError("bin width must be > 0")
+        if not self.bin_width_m > 0:
+            raise ValueError(f"bin width must be > 0, got {self.bin_width_m!r}")
 
 
 @dataclass(frozen=True)

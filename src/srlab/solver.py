@@ -79,13 +79,15 @@ class SolverConfig:
     sr_factor: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not self.lam >= 0:
+            raise ValueError(f"lambda must be >= 0, got {self.lam!r}")
         _check_btv(self.alpha, self.p_radius)
-        if self.beta0 <= 0:
-            raise ValueError("initial step size must be > 0")
+        if not self.beta0 > 0:
+            raise ValueError(f"initial step size must be > 0, got {self.beta0!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not self.rel_tol >= 0:
+            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 from srlab.cli import main as cli_main
 from srlab.fourier import gaussian_kernel
 from srlab.metrology import measure_resolution, nem
-from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep, sweep_grid
+from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.mtf import jitter_mtf, smear_mtf
 from srlab.seeding import child_seed
 from srlab.simulator import Observation, SystemParams, simulate_observations
@@ -169,24 +169,24 @@ def _means(result):
 
 def test_criterion_6_sensitivity_monotonicity(scenario):
     base = SystemParams()
-    optics = _means(sweep("optics_mtf", [0.10, 0.30, 0.50], scenario,
+    optics = _means(sweep([("optics_mtf", [0.10, 0.30, 0.50])], scenario,
                           seeds_per_value=SEEDS_PER_VALUE, base=base,
                           master_seed=11))
-    snr = _means(sweep("snr", [30.0, 60.0, 100.0], scenario,
+    snr = _means(sweep([("snr", [30.0, 60.0, 100.0])], scenario,
                        seeds_per_value=SEEDS_PER_VALUE, base=base,
                        master_seed=11))
-    jitter = _means(sweep("jitter", [0.1, 0.15, 0.2], scenario,
+    jitter = _means(sweep([("jitter", [0.1, 0.15, 0.2])], scenario,
                           seeds_per_value=SEEDS_PER_VALUE, base=base,
                           master_seed=11))
-    clock = _means(sweep("clock_phase", [1, 2, 4], scenario,
+    clock = _means(sweep([("clock_phase", [1, 2, 4])], scenario,
                          seeds_per_value=SEEDS_PER_VALUE, base=base,
                          master_seed=11))
-    shift = _means(sweep("subarray_shift", [0.1, 0.2, 0.3, 0.4, 0.5], scenario,
+    shift = _means(sweep([("subarray_shift", [0.1, 0.2, 0.3, 0.4, 0.5])], scenario,
                          seeds_per_value=SEEDS_PER_VALUE, base=base,
                          master_seed=11))
-    grid = sweep_grid("optics_mtf", [0.10, 0.50], "snr", [30.0, 100.0],
-                      scenario, seeds_per_value=SEEDS_PER_VALUE,
-                      master_seed=11)
+    grid = _means(sweep([("optics_mtf", [0.10, 0.50]), ("snr", [30.0, 100.0])],
+                        scenario, seeds_per_value=SEEDS_PER_VALUE,
+                        master_seed=11))
 
     optics_ok = all(a > b for a, b in zip(optics, optics[1:]))  # strictly finer
     snr_ok = all(a >= b for a, b in zip(snr, snr[1:]))          # non-worsening

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from srlab import montecarlo
 from srlab.cli import main
 from srlab.grid import read_pgm
-from srlab.metrology import measure_resolution
-from srlab.montecarlo import run_trial
+from srlab.metrology import measure_resolution, nem
+from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_config
 from srlab.simulator import SystemParams
 from srlab.solver import SolverConfig
@@ -424,6 +424,65 @@ def test_sweep_fractional_clock_phase_exits_2(config_path, tmp_path, capsys):
 def test_scenario_refuses_bad_nem_signal(value):
     with pytest.raises(ValueError, match="NEM reference signal"):
         Scenario(nem_signal=value)
+
+
+@pytest.mark.parametrize("check, value, message", [
+    (lambda v: SolverConfig(lam=v), "nan", "lambda"),
+    (lambda v: SolverConfig(beta0=v), "nan", "step size"),
+    (lambda v: SolverConfig(rel_tol=v), "nan", "rel_tol"),
+    (lambda v: SolverConfig(rel_tol=v), "-1.0", "rel_tol"),
+    (lambda v: MonteCarloConfig(bin_width_m=v), "nan", "bin width"),
+    (lambda v: run_campaign(ParameterSpec(), Scenario(), 1, 0, bin_width_m=v), "nan",
+     "bin width"),
+    (lambda v: nem(v, 5.0), "nan", "signal"),
+    (lambda v: nem(v, 5.0), "inf", "signal"),
+    (lambda v: nem(300.0, v), "nan", "noise sigma"),
+    (lambda v: nem(300.0, v), "inf", "noise sigma")],
+    ids=["lam", "beta0", "rel_tol", "rel_tol-negative", "config-bin-width",
+         "campaign-bin-width", "nem-signal", "nem-signal-inf", "nem-noise",
+         "nem-noise-inf"])
+def test_checks_refuse_bad_values(check, value, message):
+    with pytest.raises(ValueError, match=message):
+        check(float(value))
+
+
+def test_sweep_writes_null_for_unresolved_cell(config_path, tmp_path, monkeypatch):
+    def unresolved_at_high_snr(params, scenario, seed):
+        resolution = None if params.snr_at_300 == 100.0 else 1.0
+        return montecarlo.TrialResult(params, resolution, False, seed, 0.0)
+    monkeypatch.setattr(montecarlo, "run_trial", unresolved_at_high_snr)
+    result = sweep([("snr", [30.0, 100.0])], load_config(config_path).scenario,
+                   seeds_per_value=2)
+    np.testing.assert_array_equal(result.mean_resolution_m, [1.0, np.nan])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--param", "snr",
+                 "--values", "30,100", "--seeds-per-value", "2",
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+
+    def no_constant(name):
+        raise ValueError(f"sweep_summary.json holds {name}")
+    summary = json.loads((out / "sweep_summary.json").read_text(),
+                         parse_constant=no_constant)
+    assert summary["mean_resolution_m"] == [1.0, None]
+
+
+@pytest.mark.parametrize("noise_sigma", ["nan", "inf"])
+def test_measure_non_finite_noise_sigma_exits_2(config_path, tmp_path, capsys,
+                                                noise_sigma):
+    # json.load reads NaN and Infinity literals, so the sidecar's value
+    # reaches nem
+    assert main(["target", "--config", str(config_path)]) == 0
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({
+        "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
+        "nem_signal": 300.0, "noise_sigma": float(noise_sigma)}))
+    out = tmp_path / "meas"
+    assert main(["measure", "--config", str(config_path),
+                 "--image", str(tmp_path / "out" / "star.pgm"),
+                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "noise sigma" in err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("param, values, message", [

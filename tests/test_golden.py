@@ -8,7 +8,7 @@ and at two.
 
 import pytest
 
-from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep, sweep_grid
+from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.scenario import Scenario
 from srlab.seeding import child_seed
 from srlab.simulator import SystemParams
@@ -29,14 +29,14 @@ CAMPAIGN_TRIALS = [(4306970560664876850, 1.8632644133851615),
 CAMPAIGN_MODE = 1.525
 CAMPAIGN_COUNTS = [1, 2, 1, 1, 0, 0, 0, 0, 1]
 
-# sweep("clock_phase", [1, 2, 4], tiny_scenario, seeds_per_value=2, master_seed=4)
+# sweep([("clock_phase", [1, 2, 4])], tiny_scenario, seeds_per_value=2, master_seed=4)
 SWEEP_RESOLUTIONS = [[1.5199932254146145, 1.520858789976326],
                      [1.497908238205167, 1.4990531552085158],
                      [1.492144935595622, 1.493355052309691]]
 SWEEP_MEANS = [1.52042600769547, 1.4984806967068414, 1.4927499939526565]
 
-# sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0], tiny_scenario,
-#            seeds_per_value=2, master_seed=4)
+# sweep([("optics_mtf", [0.1, 0.5]), ("snr", [30.0, 100.0])], tiny_scenario,
+#       seeds_per_value=2, master_seed=4).mean_resolution_m
 GRID = [[1.9011641444391691, 1.5984179169064094],
         [1.565032396600408, 1.391105459564952]]
 
@@ -62,7 +62,7 @@ def test_golden_campaign(tiny_scenario, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_golden_sweep(tiny_scenario, threads):
-    result = sweep("clock_phase", [1, 2, 4], tiny_scenario, seeds_per_value=2,
+    result = sweep([("clock_phase", [1, 2, 4])], tiny_scenario, seeds_per_value=2,
                    master_seed=4, threads=threads)
     assert [[t.seed for t in group] for group in result.trials] == \
         [[child_seed(4, 0), child_seed(4, 1)]] * 3
@@ -72,7 +72,7 @@ def test_golden_sweep(tiny_scenario, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_golden_sweep_grid(tiny_scenario, threads):
-    grid = sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0], tiny_scenario,
-                      seeds_per_value=2, master_seed=4, threads=threads)
+def test_golden_two_axis_sweep(tiny_scenario, threads):
+    grid = sweep([("optics_mtf", [0.1, 0.5]), ("snr", [30.0, 100.0])], tiny_scenario,
+                 seeds_per_value=2, master_seed=4, threads=threads).mean_resolution_m
     assert grid.tolist() == [pytest.approx(row, rel=REL) for row in GRID]

@@ -8,7 +8,7 @@ from srlab import metrology, montecarlo
 from srlab.metrology import measure_resolution
 from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
-                              sweep, sweep_grid)
+                              sweep)
 from srlab.mtf import GeometryConstants
 from srlab.seeding import child_seed
 from srlab.simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
@@ -224,9 +224,9 @@ def test_no_pool_worker_rasterizes(tiny_scenario, monkeypatch):
     serial = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4, master_seed=9)
     assert [_fields(t) for t in parallel.trials] == [_fields(t) for t in serial.trials]
     montecarlo._plan_target.cache_clear()
-    parallel = sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=2,
+    parallel = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
                      master_seed=4, threads=2)
-    serial = sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=2,
+    serial = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
                    master_seed=4)
     assert [[_fields(t) for t in cell] for cell in parallel.trials] == \
         [[_fields(t) for t in cell] for cell in serial.trials]
@@ -251,10 +251,11 @@ def test_plans_reject_bad_thread_count(tiny_scenario, threads):
         run_campaign(ParameterSpec(), tiny_scenario, n_trials=2, master_seed=1,
                      threads=threads)
     with pytest.raises(ValueError, match="threads"):
-        sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=1, threads=threads)
+        sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=1,
+              threads=threads)
     with pytest.raises(ValueError, match="threads"):
-        sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0], tiny_scenario,
-                   seeds_per_value=1, threads=threads)
+        sweep([("optics_mtf", [0.1, 0.5]), ("snr", [30.0, 100.0])], tiny_scenario,
+              seeds_per_value=1, threads=threads)
 
 
 def test_campaign_raises_when_everything_fails(tiny_scenario):
@@ -270,9 +271,9 @@ def test_campaign_raises_when_everything_fails(tiny_scenario):
 
 
 def test_sweep_paired_seeds(tiny_scenario):
-    result = sweep("snr", [30.0, 100.0], tiny_scenario, seeds_per_value=2,
+    result = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
                    master_seed=4)
-    assert result.values == [30.0, 100.0]
+    assert result.axes == [("snr", [30.0, 100.0])]
     # seed j is shared across values
     assert result.trials[0][0].seed == result.trials[1][0].seed
     assert result.trials[0][0].seed == child_seed(4, 0)
@@ -280,25 +281,25 @@ def test_sweep_paired_seeds(tiny_scenario):
 
 
 def test_sweep_accepts_field_names(tiny_scenario):
-    result = sweep("snr_at_300", [30.0, 100.0], tiny_scenario,
+    result = sweep([("snr_at_300", [30.0, 100.0])], tiny_scenario,
                    seeds_per_value=1, master_seed=4)
-    assert result.parameter == "snr_at_300"
+    assert result.axes[0][0] == "snr_at_300"
 
 
 def test_sweep_validation(tiny_scenario):
     with pytest.raises(ValueError, match="unknown parameter"):
-        sweep("warp_speed", [1, 2], tiny_scenario)
+        sweep([("warp_speed", [1, 2])], tiny_scenario)
     with pytest.raises(ValueError):
-        sweep("snr", [60.0], tiny_scenario)
+        sweep([("snr", [60.0])], tiny_scenario)
     with pytest.raises(ValueError):
-        sweep("snr", [30.0, 60.0], tiny_scenario, seeds_per_value=0)
+        sweep([("snr", [30.0, 60.0])], tiny_scenario, seeds_per_value=0)
     with pytest.raises(ValueError, match="seeds_per_value"):
-        sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0], tiny_scenario,
-                   seeds_per_value=0)
+        sweep([("optics_mtf", [0.1, 0.5]), ("snr", [30.0, 100.0])], tiny_scenario,
+              seeds_per_value=0)
     with pytest.raises(ValueError, match="at least 2 values"):
-        sweep_grid("optics_mtf", [0.1], "snr", [30.0, 100.0], tiny_scenario)
+        sweep([("optics_mtf", [0.1]), ("snr", [30.0, 100.0])], tiny_scenario)
     with pytest.raises(ValueError, match="unknown parameter"):
-        sweep_grid("optics_mtf", [0.1, 0.5], "warp_speed", [1, 2], tiny_scenario)
+        sweep([("optics_mtf", [0.1, 0.5]), ("warp_speed", [1, 2])], tiny_scenario)
 
 
 def test_sweep_rejects_out_of_range_value_before_any_trial(tiny_scenario,
@@ -307,11 +308,11 @@ def test_sweep_rejects_out_of_range_value_before_any_trial(tiny_scenario,
         raise AssertionError("a trial ran")
     monkeypatch.setattr(montecarlo, "run_trial", no_trial)
     with pytest.raises(ValueError, match="clock phase"):
-        sweep("clock_phase", [0, 1], tiny_scenario, seeds_per_value=1)
+        sweep([("clock_phase", [0, 1])], tiny_scenario, seeds_per_value=1)
 
 
 def test_sweep_clock_phase_is_integer(tiny_scenario):
-    result = sweep("clock_phase", [1, 2], tiny_scenario, seeds_per_value=1,
+    result = sweep([("clock_phase", [1, 2])], tiny_scenario, seeds_per_value=1,
                    master_seed=4)
     assert result.trials[0][0].params.n_phi == 1
     assert isinstance(result.trials[1][0].params.n_phi, int)
@@ -322,12 +323,27 @@ def test_sweep_rejects_fractional_clock_phase(tiny_scenario, monkeypatch):
         raise AssertionError("a trial ran")
     monkeypatch.setattr(montecarlo, "run_trial", no_trial)
     with pytest.raises(ValueError, match="whole number, got 1.5"):
-        sweep("clock_phase", [1.5, 2], tiny_scenario, seeds_per_value=1)
+        sweep([("clock_phase", [1.5, 2])], tiny_scenario, seeds_per_value=1)
     with pytest.raises(ValueError, match="got 2.7"):
-        sweep_grid("snr", [30.0, 60.0], "clock_phase", [1, 2.7], tiny_scenario,
-                   seeds_per_value=1)
+        sweep([("snr", [30.0, 60.0]), ("clock_phase", [1, 2.7])], tiny_scenario,
+              seeds_per_value=1)
     plan = montecarlo._sweep_plan([("clock_phase", [1, 2.0])], None, 1, 0)
     assert [params.n_phi for params, _ in plan] == [1, 2]
+
+
+@pytest.mark.parametrize("axes, message", [
+    ([("snr", [30.0, 100.0]), ("snr_at_300", [40.0, 50.0])], "twice"),
+    ([("jitter", [0.1, 0.2]), ("jitter", [0.1, 0.2])], "twice"),
+    ([], "at least one parameter axis")])
+def test_sweep_rejects_repeated_or_missing_axes(tiny_scenario, monkeypatch, axes,
+                                                message):
+    # a repeated field would silently override the earlier axis, and no
+    # axes would run one unlabelled cell at the base parameters
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    with pytest.raises(ValueError, match=message):
+        sweep(axes, tiny_scenario, seeds_per_value=1)
 
 
 def _record_trials(monkeypatch):
@@ -390,9 +406,9 @@ def test_campaign_rejects_base_with_drawn_field(tiny_scenario, monkeypatch):
     assert not seen
 
 
-def test_sweep_grid_shape(tiny_scenario):
-    grid = sweep_grid("optics_mtf", [0.1, 0.5], "snr", [30.0, 100.0],
-                      tiny_scenario, seeds_per_value=1, master_seed=4)
+def test_two_axis_sweep_shape(tiny_scenario):
+    grid = sweep([("optics_mtf", [0.1, 0.5]), ("snr", [30.0, 100.0])],
+                 tiny_scenario, seeds_per_value=1, master_seed=4).mean_resolution_m
     assert grid.shape == (2, 2)
     assert np.all(np.isfinite(grid))
 
