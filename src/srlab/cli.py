@@ -19,11 +19,12 @@ import math
 import sys
 from pathlib import Path
 
+from .fourier import check_gaussian_fits, gaussian_kernel
 from .grid import read_pgm, write_pgm
 from .metrology import measure_resolution
 from .montecarlo import ParameterSpec, run_campaign, sweep
 from .mtf import mtf_curve_table
-from .scenario import ScenarioConfig, load_config
+from .scenario import ScenarioConfig, _checked, load_config
 from .simulator import Observation, simulate_observations
 from .solver import super_resolve
 from .target import generate_spoke_target
@@ -125,23 +126,33 @@ def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def _load_observation(meta: dict, entry: dict, meta_dir: Path) -> Observation:
-    from .fourier import gaussian_kernel
-    return Observation(
-        image=read_pgm(meta_dir / entry["file"]),
-        shift_hr=tuple(entry["shift_hr"]),
-        decimation=tuple(meta["decimation"]),
-        assumed_psf=gaussian_kernel(meta["assumed_psf_sigma"]),
-        noise_sigma=meta["noise_sigma"],
-    )
+def _fields(section, hints: dict, what: str) -> dict:
+    """The values of a sidecar mapping's keys, each type-checked against
+    its hint as config keys are; a missing key is a KeyError."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{what} must be a mapping")
+    return {key: _checked(section[key], hint, what, key) for key, hint in hints.items()}
+
+
+def _read_sidecar(path: Path, hints: dict) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _fields(json.load(fh), hints, str(path))
 
 
 def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
     meta_path = Path(args.meta)
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    observations = [_load_observation(meta, entry, meta_path.parent)
-                    for entry in meta["observations"]]
+    meta = _read_sidecar(meta_path, {
+        "decimation": tuple[int, int], "assumed_psf_sigma": float,
+        "noise_sigma": float, "hr_size": tuple[int, int], "observations": list})
+    entries = [_fields(entry, {"file": str, "shift_hr": tuple[float, float]},
+                       f"{meta_path} observations[{i}]")
+               for i, entry in enumerate(meta["observations"])]
+    check_gaussian_fits(meta["assumed_psf_sigma"], meta["hr_size"])
+    psf = gaussian_kernel(meta["assumed_psf_sigma"])
+    observations = [Observation(image=read_pgm(meta_path.parent / entry["file"]),
+                                shift_hr=entry["shift_hr"], decimation=meta["decimation"],
+                                assumed_psf=psf, noise_sigma=meta["noise_sigma"])
+                    for entry in entries]
     result = super_resolve(observations, cfg=config.scenario.solver)
     write_pgm(out / "sr.pgm", result.image)
     _write_csv(out / "cost_trace.csv", ["iteration", "cost"],
@@ -152,12 +163,13 @@ def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
 
 
 def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
-    with open(args.meta, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_sidecar(Path(args.meta), {"star": dict, "nem_signal": float,
+                                           "noise_sigma": float})
+    star = _fields(meta["star"], {"center": tuple[float, float], "cycles": int,
+                                  "outer_radius": float}, f"{args.meta} star")
     image = read_pgm(args.image)
-    star = meta["star"]
     report = measure_resolution(
-        image, tuple(star["center"]), star["cycles"], meta["nem_signal"],
+        image, star["center"], star["cycles"], meta["nem_signal"],
         meta["noise_sigma"], star["outer_radius"], sector=args.sector,
         n_rings=config.scenario.n_rings)
     _write_csv(out / "curve.csv", ["f_cyc_per_hr_px", "modulation", "nem"],

@@ -1,31 +1,59 @@
 """FFT helpers shared by the simulator and the solver.
 
 All operators here assume periodic (circular) boundaries, which makes
-forward/adjoint pairs exact transposes.  Shift multipliers are forced
+forward/adjoint pairs exact transposes.  Every image in srlab is real,
+so its spectrum is Hermitian and only its half-plane is kept: the
+rfft2 layout with the half axis on the rows (rfft2_rows), row bins
+0..h//2 by every column bin.  Row bin a past h//2 is the conjugate of
+row bin h - a with the column bin negated.  Shift multipliers are forced
 Hermitian by replacing the Nyquist-bin phase with its real part, so
 applying them to a real image returns a real image and the conjugate
-multiplier is the exact adjoint.  Decimation is one pair on spectra,
-fold and its adjoint unfold: the simulator samples its subarrays and
-the solver models them through it.  Every transform in srlab goes
-through scipy.fft.
+multiplier is the exact adjoint; they and kernel transfers are given on
+the half-plane.  Decimation is one pair on half-plane spectra, fold and
+its adjoint unfold: the simulator samples its subarrays and the solver
+models them through it.  Decimation folds the spectrum (Zhao et al.,
+IEEE TIP 25(8), 2016): along the columns, LR bin l is the mean of the HR
+bins l + j*n1; along decimated rows, LR bin k collects HR bins k + i*n0,
+and those past the HR half enter as the conjugates of their mirror bins.
+An odd side has no Nyquist line.  On the half-plane, Parseval weights
+each row by 2, except bin 0 and an even height's Nyquist row, which are
+their own twins and count once.  Every transform in srlab goes through
+scipy.fft.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.fft
 
 __all__ = [
+    "rfft2_rows",
+    "irfft2_rows",
     "shift_multiplier_1d",
     "shift_multiplier_2d",
+    "full_rows",
     "fold",
     "unfold",
     "gaussian_kernel",
+    "check_gaussian_fits",
     "sinc_upsample",
     "sinc_columns",
     "sinc_rows",
     "kernel_transfer",
 ]
+
+
+def rfft2_rows(image: np.ndarray) -> np.ndarray:
+    """Half-plane spectrum of a real image: row bins 0..h//2, every
+    column bin."""
+    return scipy.fft.rfft2(image, axes=(1, 0))
+
+
+def irfft2_rows(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Real image of the given shape whose half-plane spectrum this is."""
+    return scipy.fft.irfft2(spectrum, s=(shape[1], shape[0]), axes=(1, 0))
 
 
 def shift_multiplier_1d(n: int, delta: float) -> np.ndarray:
@@ -42,40 +70,63 @@ def shift_multiplier_1d(n: int, delta: float) -> np.ndarray:
 
 
 def shift_multiplier_2d(shape: tuple[int, int], shift: tuple[float, float]) -> np.ndarray:
-    """Separable 2-D shift multiplier for sampling at (row+d0, col+d1)."""
-    m0 = shift_multiplier_1d(shape[0], shift[0])
+    """Separable 2-D shift multiplier for sampling at (row+d0, col+d1), on
+    the half-plane of an image of this shape."""
+    m0 = shift_multiplier_1d(shape[0], shift[0])[:shape[0] // 2 + 1]
     m1 = shift_multiplier_1d(shape[1], shift[1])
     return m0[:, None] * m1[None, :]
 
 
-def _blocks(spectrum: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
-    """(s0, n0, s1, n1) view of an HR spectrum: block [i, :, j, :] holds
-    the bins that alias onto the LR spectrum under decimation (s0, s1)."""
-    (s0, s1), (n0, n1) = decimation, spectrum.shape
-    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1)
+def full_rows(half: np.ndarray, height: int) -> np.ndarray:
+    """The full spectrum, of this height, whose half-plane is half."""
+    mirror = half[(height - 1) // 2:0:-1]  # the twins of rows height//2 + 1..
+    return np.concatenate([half, np.conj(np.roll(mirror[:, ::-1], 1, axis=1))])
+
+
+def _height(rows: int, factor: int) -> int:
+    """The height of a half-plane of this many rows that a row factor > 1
+    divides: of 2*rows - 2 and 2*rows - 1 only one is its multiple."""
+    height = 2 * rows - 2
+    if height % factor:
+        height += 1
+    if height % factor:
+        raise ValueError(f"no height with {rows} half-plane rows is a multiple "
+                         f"of {factor}")
+    return height
 
 
 def fold(transfer: np.ndarray, spectrum: np.ndarray,
          decimation: tuple[int, int]) -> np.ndarray:
-    """LR spectrum of transfer * spectrum decimated to samples (i*s0, j*s1):
-    the mean of its blocks.  Each HR side is a multiple of its factor."""
+    """LR half-plane spectrum of transfer * spectrum (both HR half-plane)
+    decimated to samples (i*s0, j*s1).  Each HR side is a multiple of its
+    factor."""
     s0, s1 = decimation
-    t_blocks, x_blocks = _blocks(transfer, decimation), _blocks(spectrum, decimation)
-    out = t_blocks[0, :, 0, :] * x_blocks[0, :, 0, :]
-    for k in range(1, s0 * s1):
-        i, j = divmod(k, s1)
-        out += t_blocks[i, :, j, :] * x_blocks[i, :, j, :]
+    rows, n1 = len(spectrum), spectrum.shape[1] // s1
+    t_blocks = transfer.reshape(rows, s1, n1)
+    x_blocks = spectrum.reshape(rows, s1, n1)
+    out = t_blocks[:, 0] * x_blocks[:, 0]
+    for j in range(1, s1):
+        out += t_blocks[:, j] * x_blocks[:, j]
+    if s0 > 1:
+        n0 = _height(rows, s0) // s0
+        out = full_rows(out, n0 * s0).reshape(s0, n0, n1).sum(axis=0)[:n0 // 2 + 1]
     out *= 1.0 / (s0 * s1)  # as numpy divides a complex array by an integer
     return out
 
 
 def unfold(transfer: np.ndarray, lr_spectrum: np.ndarray,
            decimation: tuple[int, int]) -> np.ndarray:
-    """conj(transfer) * tile(lr_spectrum), the adjoint of fold, as one
-    fresh HR spectrum."""
+    """conj(transfer) * lr_spectrum tiled over the HR half-plane, the
+    adjoint of fold, as one fresh HR half-plane spectrum: HR bin (a, b)
+    takes LR bin (a mod n0, b mod n1)."""
+    s0, s1 = decimation
     out = np.conj(transfer)
-    blocks = _blocks(out, decimation)
-    blocks *= lr_spectrum[None, :, None, :]
+    rows = len(out)
+    if s0 > 1:
+        n0 = _height(rows, s0) // s0
+        lr_spectrum = np.tile(full_rows(lr_spectrum, n0), (s0, 1))[:rows]
+    blocks = out.reshape(rows, s1, -1)
+    blocks *= lr_spectrum[:, None, :]
     return out
 
 
@@ -84,13 +135,26 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
     Used as the solver-side blur estimate; sigma is in HR pixels.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    radius = max(1, int(np.ceil(4.0 * sigma)))
+    radius = _gaussian_radius(sigma)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-0.5 * (t / sigma) ** 2)
     k = g[:, None] * g[None, :]
     return k / k.sum()
+
+
+def _gaussian_radius(sigma: float) -> int:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    return max(1, math.ceil(4.0 * sigma))
+
+
+def check_gaussian_fits(sigma: float, shape: tuple[int, int]) -> None:
+    """ValueError unless gaussian_kernel(sigma) fits a grid of this shape,
+    found before the kernel is built (kernel_transfer refuses it after)."""
+    side = 2 * _gaussian_radius(sigma) + 1
+    if side > min(shape):
+        raise ValueError(f"PSF sigma {sigma!r}: kernel ({side}, {side}) larger "
+                         f"than grid {tuple(shape)}")
 
 
 def sinc_upsample(data: np.ndarray, factor: int) -> np.ndarray:
@@ -148,7 +212,8 @@ def sinc_rows(columns: np.ndarray, width: int, factor: int, lo: int,
 
 
 def kernel_transfer(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Transfer function of a small centered kernel on a periodic grid.
+    """Transfer function of a small centered kernel on a periodic grid,
+    on its half-plane.
 
     The kernel center lands on sample (0, 0) so convolution by the
     returned multiplier introduces no shift.
@@ -159,4 +224,4 @@ def kernel_transfer(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     padded = np.zeros(shape)
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return scipy.fft.fft2(padded)
+    return rfft2_rows(padded)

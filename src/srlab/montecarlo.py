@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fourier import check_gaussian_fits
 from .metrology import _warm_ring_table, measure_resolution
 from .scenario import Scenario
 from .seeding import child_seed
@@ -390,10 +391,13 @@ def sweep(axes, scenario: Scenario, seeds_per_value: int = 5,
     holds every other field there.  Seed j is shared across all cells
     (paired noise realizations), which stabilizes the monotonicity
     comparisons.  A cell's mean resolution covers its resolved trials
-    only (NaN if none resolved).
+    only (NaN if none resolved).  A solver PSF too wide for the grid is
+    refused before any trial runs.
     """
     axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
     plan = _sweep_plan(axes, base, seeds_per_value, master_seed)
+    for params, _ in plan:
+        check_gaussian_fits(params.assumed_psf_sigma, scenario.grid_size)
     trials = _run_plan(plan, scenario, threads)
     cells = [trials[i:i + seeds_per_value]
              for i in range(0, len(trials), seeds_per_value)]

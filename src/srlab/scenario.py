@@ -77,12 +77,12 @@ _SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius", "alpha": "alpha"}
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a str, int, float (an int fits too; a
-    bool, NaN or infinity fits neither), fixed-length tuple or optional
-    field annotation."""
+    """Whether a JSON value fits a str, list, dict, int, float (an int fits
+    too; a bool, NaN or infinity fits neither), fixed-length tuple or
+    optional field annotation."""
     args = typing.get_args(hint)
-    if hint is str:
-        return isinstance(value, str)
+    if hint in (str, list, dict):
+        return isinstance(value, hint)
     if isinstance(hint, types.UnionType):  # X | None
         return value is None or any(_conforms(value, a) for a in args)
     if typing.get_origin(hint) is tuple:
@@ -93,13 +93,12 @@ def _conforms(value, hint) -> bool:
             and (isinstance(value, int) or math.isfinite(value)))
 
 
-def _checked(value, hint, what: str, key: str):
+def _checked(value, hint, where: str, key: str):
     """value as the field stores it (JSON lists become tuples); raises
-    ValueError naming the section and key when its type is wrong."""
+    ValueError naming where the key is and the key when its type is wrong."""
     if not _conforms(value, hint):
         name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise ValueError(f"config section {what!r}: key {key!r} must be {name}, "
-                         f"got {value!r}")
+        raise ValueError(f"{where}: key {key!r} must be {name}, got {value!r}")
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -119,7 +118,7 @@ def _apply(base, section: dict, what: str, key_map: dict | None = None):
         name = (key_map or {}).get(key, key)
         if name not in hints or is_dataclass(hints[name]):
             raise ValueError(f"unknown key {key!r} in config section {what!r}")
-        kwargs[name] = _checked(value, hints[name], what, key)
+        kwargs[name] = _checked(value, hints[name], f"config section {what!r}", key)
     return replace(base, **kwargs)
 
 
@@ -153,7 +152,7 @@ def load_config(path) -> ScenarioConfig:
     scenario = replace(
         _apply(default, top, "top level"),
         star=_apply(default.star, raw.get("star", {}), "star"),
-        grid_size=tuple(_checked(grid.get(key, n), int, "grid", key)
+        grid_size=tuple(_checked(grid.get(key, n), int, "config section 'grid'", key)
                         for key, n in (("height", height), ("width", width))),
         solver=_apply(default.solver, raw.get("solver", {}), "solver",
                       key_map=_SOLVER_KEY_MAP))
@@ -162,4 +161,4 @@ def load_config(path) -> ScenarioConfig:
         system=_apply(config.system, raw.get("system", {}), "system"),
         montecarlo=_apply(config.montecarlo, raw.get("montecarlo", {}), "montecarlo"),
         output_dir=_checked(raw.get("output_dir", config.output_dir), str,
-                            "top level", "output_dir"))
+                            "config section 'top level'", "output_dir"))

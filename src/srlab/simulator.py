@@ -4,7 +4,9 @@ Chain: an HR target is filtered by the composed system OTF in the
 frequency domain, each subarray observation is its blurred spectrum
 under a sub-pixel shift ramp folded onto the LR grid (fourier.fold, the
 decimation the solver models), and white Gaussian noise is added at the
-configured SNR.  Boundaries are periodic throughout; scenario targets
+configured SNR.  Spectra are the images' row half-planes
+(fourier.rfft2_rows): the OTF is even, so it is evaluated on row bins
+0..h//2 only.  Boundaries are periodic throughout; scenario targets
 keep a uniform border so wraparound never touches the star.
 
 No quantization happens inside the pipeline; values stay float end to
@@ -17,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
-from .fourier import fold, gaussian_kernel, shift_multiplier_2d
+from .fourier import (check_gaussian_fits, fold, gaussian_kernel, irfft2_rows,
+                      rfft2_rows, shift_multiplier_2d)
 from .grid import check_image
 from .mtf import GeometryConstants, system_otf
 from .seeding import child_seed
@@ -119,7 +121,7 @@ class Observation:
 
 
 def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Spectrum of an HR target filtered by the system OTF.
+    """Half-plane spectrum of an HR target filtered by the system OTF.
 
     The OTF is evaluated on the target's frequency grid in cycles per HR
     sample.  DC gain is 1, so the mean is preserved.
@@ -129,13 +131,13 @@ def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
     if h % 2 or w % 2:
         raise ValueError(f"target dimensions must be even, got {h}x{w}")
 
-    otf = system_otf(params, np.fft.fftfreq(w)[None, :], np.fft.fftfreq(h)[:, None])
-    return scipy.fft.fft2(target) * otf
+    otf = system_otf(params, np.fft.fftfreq(w)[None, :], np.fft.rfftfreq(h)[:, None])
+    return rfft2_rows(target) * otf
 
 
 def render_blurred_scene(target: np.ndarray, params: SystemParams) -> np.ndarray:
     """Filter an HR target by the system OTF (see _blurred_spectrum)."""
-    return scipy.fft.ifft2(_blurred_spectrum(target, params)).real
+    return irfft2_rows(_blurred_spectrum(target, params), np.shape(target))
 
 
 def add_noise(image: np.ndarray, snr_at_300: float, rng_seed: int
@@ -162,10 +164,14 @@ def simulate_observations(target: np.ndarray, params: SystemParams, rng_seed: in
     along-track line separation plus the across-track stagger, both in
     HR pixels (1 LR pixel = 2 HR samples).  Noise streams are derived as
     child seeds (seed, observation index), so the pair is independent
-    of evaluation order.
+    of evaluation order.  A solver PSF whose kernel would not fit the
+    target is refused before the kernel is built.
     """
     spectrum = _blurred_spectrum(target, params)
+    shape = np.shape(target)
+    check_gaussian_fits(params.assumed_psf_sigma, shape)
     decimation = (1, 2)
+    lr_shape = (shape[0] // decimation[0], shape[1] // decimation[1])
     lr_per_hr = params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
     shifts = [
         (0.0, 0.0),
@@ -175,8 +181,8 @@ def simulate_observations(target: np.ndarray, params: SystemParams, rng_seed: in
     psf = gaussian_kernel(params.assumed_psf_sigma)
     observations = []
     for k, shift in enumerate(shifts):
-        ramp = shift_multiplier_2d(spectrum.shape, shift)
-        sampled = scipy.fft.ifft2(fold(ramp, spectrum, decimation)).real
+        ramp = shift_multiplier_2d(shape, shift)
+        sampled = irfft2_rows(fold(ramp, spectrum, decimation), lr_shape)
         noisy, sigma = add_noise(sampled, params.snr_at_300, child_seed(rng_seed, k))
         observations.append(Observation(image=noisy, shift_hr=shift,
                                         decimation=decimation, assumed_psf=psf,

@@ -1,18 +1,22 @@
 """MAP super-resolution: L2 fidelity + bilateral-TV prior, steepest descent.
 
-Per observation, blur (the assumed PSF) and sub-pixel shift are one
-Hermitian multiplier T_k on the HR spectrum; decimation folds the
-spectrum onto the LR grid (fourier.fold, the operator the simulator
-samples through) and the exact adjoint (fourier.unfold) broadcasts it
-back over the blocks under conj(T_k).  The warm start is the first
-observation's cubic-spline upsample, one closed-form multiplier on its
-tiled spectrum, cut at the LR Nyquist so that no alias ghost reads as
-modulation the data cannot correct; that HR spectrum gives the first
-residuals.  The solver carries each LR residual spectrum: the data cost
-is its energy (Parseval) and it is linear in the step, so the step
-search takes no FFT and an iteration takes two, both through scipy.fft:
-the Hermitian data gradient to image space for the BTV prior (irfft2 on
-its half-plane) and the prior gradient back.
+Every image is real, so every spectrum the solver carries is Hermitian
+and kept as its row half-plane (fourier.rfft2_rows; a common blur
+commutes with the shifts, Elad & Hel-Or, IEEE TIP 10(8), 2001).  Per
+observation, blur (the assumed PSF) and sub-pixel shift are one
+Hermitian multiplier T_k on the HR half-plane; decimation folds the
+spectrum onto the LR half-plane (fourier.fold, the operator the
+simulator samples through) and the exact adjoint (fourier.unfold)
+broadcasts it back over the blocks under conj(T_k).  The warm start is
+the first observation's cubic-spline upsample, one closed-form separable
+multiplier evaluated on the half-plane of its tiled spectrum, cut at the
+LR Nyquist so that no alias ghost reads as modulation the data cannot
+correct; that HR spectrum gives the first residuals.  The solver carries
+each LR residual spectrum: the data cost is its energy by Parseval,
+2*vdot(all rows) - vdot(bin-0 row) - vdot(Nyquist row), and it is linear
+in the step, so the step search takes no FFT and an iteration takes two,
+both through scipy.fft: the data gradient to image space for the BTV
+prior (irfft2) and the prior gradient back (rfft2).
 The BTV prior is one pass over the shift differences, taken as slices of
 one wrap-padded copy of the image: it gives the penalty at each
 candidate and the int8 signs from which the accepted candidate's
@@ -25,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .fourier import fold, kernel_transfer, shift_multiplier_2d, unfold
+from .fourier import (fold, full_rows, irfft2_rows, kernel_transfer, rfft2_rows,
+                      shift_multiplier_2d, unfold)
 from .grid import check_image
 from .simulator import Observation
 
@@ -108,7 +112,7 @@ def _hr_shape(obs: Observation) -> tuple[int, int]:
 
 
 def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
-    """Each observation's multiplier of blur + shift on the HR grid
+    """Each observation's multiplier of blur + shift on the HR half-plane
     (Hermitian).  kernel_transfer runs once per distinct PSF: kernels are
     compared by value, since observations read from files carry equal but
     separately built kernels."""
@@ -124,14 +128,9 @@ def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
 
 
 def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.ndarray:
-    """One observation's multiplier of blur + shift on the HR grid."""
-    return _transfers([obs], hr_shape)[0]
-
-
-def _real_inverse(spectrum: np.ndarray) -> np.ndarray:
-    """Image of a Hermitian HR spectrum, by irfft2 on its half-plane."""
-    h, w = spectrum.shape
-    return scipy.fft.irfft2(spectrum[:, :w // 2 + 1], s=(h, w))
+    """One observation's multiplier of blur + shift on the full HR plane,
+    for image-space references that multiply full spectra."""
+    return full_rows(_transfers([obs], hr_shape)[0], hr_shape[0])
 
 
 def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
@@ -139,25 +138,36 @@ def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
     return [y - fold(t, x_hat, decimation) for y, t in zip(y_hat, transfers)]
 
 
-def _data_cost(residuals) -> float:
-    """Sum of squared residuals, by Parseval from their spectra."""
-    return sum(float(np.vdot(r, r).real) / r.size for r in residuals)
+def _energy(r: np.ndarray, height: int) -> float:
+    """Sum of squares of the real image of this height whose half-plane
+    spectrum is r, by Parseval: the rows of bin 0 and, for an even
+    height, Nyquist are their own twins and count once, all others twice."""
+    energy = 2.0 * np.vdot(r, r).real - np.vdot(r[0], r[0]).real
+    if height % 2 == 0:
+        energy -= np.vdot(r[-1], r[-1]).real
+    return float(energy) / (height * r.shape[1])
+
+
+def _data_cost(residuals, height: int) -> float:
+    """Sum of squared residuals of LR images of this height."""
+    return sum(_energy(r, height) for r in residuals)
 
 
 def _estimate_transfer(x: np.ndarray, obs: Observation) -> np.ndarray:
-    """Observation transfer on the HR grid, checking the estimate's shape."""
+    """Observation transfer on the HR half-plane, checking the estimate's
+    shape."""
     hr_shape = _hr_shape(obs)
     if x.shape != hr_shape:
         raise ValueError(f"estimate shape {x.shape} does not match observation "
                          f"geometry {hr_shape}")
-    return _observation_transfer(obs, hr_shape)
+    return _transfers([obs], hr_shape)[0]
 
 
 def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
     """Apply the observation operator: blur, shift, decimate."""
     x = check_image(x, "estimate")
-    spectrum = fold(_estimate_transfer(x, obs), scipy.fft.fft2(x), obs.decimation)
-    return scipy.fft.ifft2(spectrum).real
+    spectrum = fold(_estimate_transfer(x, obs), rfft2_rows(x), obs.decimation)
+    return irfft2_rows(spectrum, obs.image.shape)
 
 
 def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
@@ -166,8 +176,9 @@ def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
     if r.shape != obs.image.shape:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
-    transfer = _observation_transfer(obs, _hr_shape(obs))
-    return scipy.fft.ifft2(unfold(transfer, scipy.fft.fft2(r), obs.decimation)).real
+    hr_shape = _hr_shape(obs)
+    transfer = _transfers([obs], hr_shape)[0]
+    return irfft2_rows(unfold(transfer, rfft2_rows(r), obs.decimation), hr_shape)
 
 
 def _btv_pairs(p_radius: int):
@@ -237,22 +248,25 @@ def _prior(x: np.ndarray, cfg: SolverConfig):
 def cost(x: np.ndarray, observations, cfg: SolverConfig) -> float:
     """Full MAP cost: sum of squared residuals plus lam * BTV."""
     x = check_image(x, "estimate")
-    x_hat = scipy.fft.fft2(x)
-    residuals = [scipy.fft.fft2(o.image) - fold(_estimate_transfer(x, o), x_hat,
-                                                o.decimation) for o in observations]
-    return _data_cost(residuals) + _prior(x, cfg)[0]
+    x_hat = rfft2_rows(x)
+    data = sum(_energy(rfft2_rows(o.image) - fold(_estimate_transfer(x, o), x_hat,
+                                                  o.decimation), o.image.shape[0])
+               for o in observations)
+    return data + _prior(x, cfg)[0]
 
 
-def _cubic_spectrum(lr_hat: np.ndarray, decimation: tuple[int, int],
-                    band_limit: bool = False) -> np.ndarray:
-    """HR spectrum of the periodic cubic-spline upsample of the LR image with
-    spectrum lr_hat (Unser, Aldroubi & Eden, IEEE TSP 41(2), 1993): on an axis
-    of LR length n and factor s, signed bin k of the tiled spectrum is weighted
-    sum_{|r|<2s} beta3(r/s) cos(2 pi nu r/s) / (2/3 + cos(2 pi nu)/3), nu = k/n.
-    band_limit zeroes |k| >= n/2 on each decimated axis."""
+def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
+                    decimation: tuple[int, int], band_limit: bool = False) -> np.ndarray:
+    """HR half-plane spectrum of the periodic cubic-spline upsample of the LR
+    image of this shape with half-plane spectrum lr_hat (Unser, Aldroubi &
+    Eden, IEEE TSP 41(2), 1993): on an axis of LR length n and factor s,
+    signed bin k of the tiled spectrum is weighted
+    sum_{|r|<2s} beta3(r/s) cos(2 pi nu r/s) / (2/3 + cos(2 pi nu)/3), nu = k/n,
+    an even function of k, so the rows take bins 0..n*s//2.  band_limit
+    zeroes |k| >= n/2 on each decimated axis."""
     axes = []
-    for n, s in zip(lr_hat.shape, decimation):
-        k = np.rint(np.fft.fftfreq(n * s) * (n * s))
+    for freqs, n, s in zip((np.fft.rfftfreq, np.fft.fftfreq), lr_shape, decimation):
+        k = np.rint(freqs(n * s) * (n * s))
         t = np.abs(np.arange(1 - 2 * s, 2 * s)) / s
         beta3 = np.where(t < 1, 2 / 3 - t**2 + t**3 / 2, (2 - t)**3 / 6)
         m = np.cos(2 * np.pi * np.outer(k / n, t)) @ beta3
@@ -265,7 +279,9 @@ def _cubic_spectrum(lr_hat: np.ndarray, decimation: tuple[int, int],
 
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
     """Cubic-spline upsample aligned so output[i*s] == input[i], periodic."""
-    return scipy.fft.ifft2(_cubic_spectrum(scipy.fft.fft2(lr), decimation)).real
+    lr = np.asarray(lr, dtype=np.float64)
+    hr_shape = (lr.shape[0] * decimation[0], lr.shape[1] * decimation[1])
+    return irfft2_rows(_cubic_spectrum(rfft2_rows(lr), lr.shape, decimation), hr_shape)
 
 
 MAX_HALVINGS = 30
@@ -301,17 +317,18 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     if any(_hr_shape(o) != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
 
+    lr_shape = observations[0].image.shape
     transfers = _transfers(observations, hr_shape)
-    y_hat = [scipy.fft.fft2(o.image) for o in observations]
-    x_hat = _cubic_spectrum(y_hat[0], decimation, band_limit=True)
-    x = _real_inverse(x_hat)
+    y_hat = [rfft2_rows(o.image) for o in observations]
+    x_hat = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True)
+    x = irfft2_rows(x_hat, hr_shape)
     resid = _residual_spectra(y_hat, transfers, x_hat, decimation)
     del x_hat
     floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image, o.image))
                                            for o in observations)
 
     penalty, signs = _prior(x, cfg)
-    current = _data_cost(resid) + penalty
+    current = _data_cost(resid, lr_shape[0]) + penalty
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
@@ -320,14 +337,14 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     iterations, halvings, final_beta = 0, 0, 0.0
 
     for iterations in range(1, cfg.max_iters + 1):
-        g_hat = np.zeros(hr_shape, dtype=complex)
+        g_hat = np.zeros_like(transfers[0])
         for r, t in zip(resid, transfers):
             g_hat -= unfold(t, 2.0 * r, decimation)
-        g = _real_inverse(g_hat)
+        g = irfft2_rows(g_hat, hr_shape)
         if signs is not None:
             g_prior = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
             g_prior *= cfg.lam
-            g_hat += scipy.fft.fft2(g_prior)
+            g_hat += rfft2_rows(g_prior)
             g_prior += g
             g = g_prior
         # the residual at x - beta * g is resid + beta * step
@@ -336,7 +353,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         for _ in range(MAX_HALVINGS + 1):
             candidate = x - beta * g
             trial = [r + beta * step for r, step in zip(resid, steps)]
-            data = _data_cost(trial)
+            data = _data_cost(trial, lr_shape[0])
             penalty, candidate_signs = _prior(candidate, cfg)
             c_new = data + penalty
             if not np.isfinite(c_new):
@@ -353,9 +370,9 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         if data < floor:
             # the carried residuals are down to the data's rounding, where
             # their recursion no longer follows x: measure the step afresh
-            trial = _residual_spectra(y_hat, transfers, scipy.fft.fft2(candidate),
+            trial = _residual_spectra(y_hat, transfers, rfft2_rows(candidate),
                                       decimation)
-            c_new = _data_cost(trial) + penalty
+            c_new = _data_cost(trial, lr_shape[0]) + penalty
             if not c_new < current:
                 converged = True
                 iterations -= 1

@@ -469,8 +469,8 @@ def test_sweep_writes_null_for_unresolved_cell(config_path, tmp_path, monkeypatc
 @pytest.mark.parametrize("noise_sigma", ["nan", "inf"])
 def test_measure_non_finite_noise_sigma_exits_2(config_path, tmp_path, capsys,
                                                 noise_sigma):
-    # json.load reads NaN and Infinity literals, so the sidecar's value
-    # reaches nem
+    # json.load reads NaN and Infinity literals; the sidecar's type check
+    # refuses them, naming the key
     assert main(["target", "--config", str(config_path)]) == 0
     meta = tmp_path / "meta.json"
     meta.write_text(json.dumps({
@@ -481,12 +481,14 @@ def test_measure_non_finite_noise_sigma_exits_2(config_path, tmp_path, capsys,
                  "--image", str(tmp_path / "out" / "star.pgm"),
                  "--meta", str(meta), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "noise sigma" in err
+    assert err.startswith("error:") and "noise_sigma" in err
     assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("param, values, message", [
-    ("psf_sigma", "1,inf", "assumed PSF sigma"), ("jitter", "nan,1", "jitter sigma")])
+    ("psf_sigma", "1,inf", "assumed PSF sigma"), ("jitter", "nan,1", "jitter sigma"),
+    # the second kernel would be a 466 TiB array: refused before any trial
+    ("psf_sigma", "1,1e6", "larger than grid")])
 def test_sweep_non_finite_value_exits_2(config_path, tmp_path, capsys, monkeypatch,
                                         param, values, message):
     def no_trial(*args, **kwargs):
@@ -529,6 +531,46 @@ def test_montecarlo_rejects_sampled_system_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "snr_at_300" in err
     assert not (out / "trials.csv").exists()
+
+
+SIDECAR = {
+    "decimation": [1, 2], "assumed_psf_sigma": 0.85, "noise_sigma": 5.0,
+    "hr_size": [128, 128], "nem_signal": 300.0,
+    "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
+    "observations": [{"file": "obs1.pgm", "shift_hr": [0.0, 0.0]},
+                     {"file": "obs2.pgm", "shift_hr": [20.0, 1.0]}]}
+
+
+def _edited(sidecar, path, value):
+    """A copy of sidecar with the value at the path of keys replaced."""
+    if not path:
+        return value
+    copy = dict(sidecar) if isinstance(sidecar, dict) else list(sidecar)
+    copy[path[0]] = _edited(sidecar[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("superresolve", (), [SIDECAR], "must be a mapping"),
+    ("measure", (), [SIDECAR], "must be a mapping"),
+    ("measure", ("star", "cycles"), "a", "'cycles'"),
+    ("superresolve", ("observations", 1, "shift_hr"), "x", "'shift_hr'"),
+    ("superresolve", ("decimation",), [1, 2, 3], "'decimation'"),
+    ("superresolve", ("assumed_psf_sigma",), 1e6, "larger than grid"),
+], ids=["superresolve-list-root", "measure-list-root", "cycles", "shift_hr",
+        "decimation", "oversize-psf"])
+def test_bad_sidecar_exits_2(config_path, tmp_path, capsys, command, path, value,
+                             message):
+    # refused as the sidecar is read, before any image is: none exists here
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps(_edited(SIDECAR, path, value)))
+    out = tmp_path / "stage"
+    image = ["--image", str(tmp_path / "sr.pgm")] if command == "measure" else []
+    assert main([command, "--config", str(config_path), *image,
+                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not any(out.iterdir())
 
 
 def test_missing_input_exits_2(config_path):

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from srlab.fourier import (fold, gaussian_kernel, kernel_transfer,
-                           shift_multiplier_2d, sinc_columns, sinc_rows,
-                           sinc_upsample, unfold)
+from srlab.fourier import (check_gaussian_fits, fold, full_rows, gaussian_kernel,
+                           irfft2_rows, kernel_transfer, rfft2_rows,
+                           shift_multiplier_1d, shift_multiplier_2d, sinc_columns,
+                           sinc_rows, sinc_upsample, unfold)
 
 
 def shift(x, delta):
     """x sampled at (row + d0, col + d1) through the shift multiplier."""
-    return scipy.fft.ifft2(scipy.fft.fft2(x) * shift_multiplier_2d(x.shape, delta)).real
+    return irfft2_rows(rfft2_rows(x) * shift_multiplier_2d(x.shape, delta), x.shape)
 
 
 def test_integer_shift_matches_roll(rng):
@@ -30,9 +31,10 @@ def test_fractional_shift_matches_cosine_phase(rng):
 
 
 def test_shift_multiplier_is_hermitian():
-    m = shift_multiplier_2d((8, 8), (0.3, -0.7))
-    full = np.fft.ifft2(np.fft.fft2(np.eye(8)) * m)
-    assert np.abs(full.imag).max() < 1e-12
+    for shape in [(8, 8), (7, 9)]:
+        m = full_rows(shift_multiplier_2d(shape, (0.3, -0.7)), shape[0])
+        full = np.fft.ifft2(np.fft.fft2(np.eye(*shape)) * m)
+        assert np.abs(full.imag).max() < 1e-12
 
 
 def test_shift_roundtrip_bandlimited(rng):
@@ -58,22 +60,100 @@ def test_fractional_shift_attenuates_nyquist():
 def test_fold_is_spectrum_of_decimated_image(rng, decimation):
     x = rng.normal(size=(12, 16))
     transfer = shift_multiplier_2d(x.shape, (0.3, -1.7))
-    lr = scipy.fft.ifft2(fold(transfer, scipy.fft.fft2(x), decimation)).real
     s0, s1 = decimation
+    lr = irfft2_rows(fold(transfer, rfft2_rows(x), decimation), (12 // s0, 16 // s1))
     np.testing.assert_allclose(lr, shift(x, (0.3, -1.7))[::s0, ::s1], rtol=0, atol=1e-12)
+
+
+def half_plane_dot(a, b, height):
+    """Inner product of the real images of this height whose half-plane
+    spectra are a and b, by Parseval (up to the factor of the image size):
+    the bin-0 row and an even height's Nyquist row count once, every other
+    row twice."""
+    dot = 2.0 * np.vdot(a, b) - np.vdot(a[0], b[0])
+    if height % 2 == 0:
+        dot -= np.vdot(a[-1], b[-1])
+    return dot.real
+
+
+def check_adjoint(transfer, hr_image, lr_image, decimation):
+    """<fold(T X), R> * s0 * s1 == <X, unfold(T, R)>: fold averages the
+    s0*s1 blocks that unfold tiles."""
+    x, y = rfft2_rows(hr_image), rfft2_rows(lr_image)
+    lhs = half_plane_dot(y, fold(transfer, x, decimation),
+                         len(lr_image)) * decimation[0] * decimation[1]
+    rhs = half_plane_dot(unfold(transfer, y, decimation), x, len(hr_image))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 @pytest.mark.parametrize("decimation", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
 def test_unfold_is_adjoint_of_fold(rng, decimation):
     hr = (12, 16)
-    transfer = scipy.fft.fft2(rng.normal(size=hr))
-    x = rng.normal(size=hr) + 1j * rng.normal(size=hr)
-    y = rng.normal(size=(hr[0] // decimation[0], hr[1] // decimation[1])) + 0j
-    # fold averages the s0*s1 blocks that unfold tiles
-    lhs = np.vdot(y, fold(transfer, x, decimation)) * decimation[0] * decimation[1]
-    rhs = np.vdot(unfold(transfer, y, decimation), x)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert unfold(transfer, y, decimation).shape == hr
+    transfer = rfft2_rows(rng.normal(size=hr))
+    y = rng.normal(size=(hr[0] // decimation[0], hr[1] // decimation[1]))
+    check_adjoint(transfer, rng.normal(size=hr), y, decimation)
+    assert unfold(transfer, rfft2_rows(y), decimation).shape == (hr[0] // 2 + 1, hr[1])
+
+
+def _blocks(spectrum, decimation):
+    """(s0, n0, s1, n1) view of an HR spectrum: block [i, :, j, :] holds
+    the bins that alias onto the LR spectrum under decimation (s0, s1)."""
+    (s0, s1), (n0, n1) = decimation, spectrum.shape
+    return spectrum.reshape(s0, n0 // s0, s1, n1 // s1)
+
+
+def full_plane_fold(transfer, spectrum, decimation):
+    """Reference: fold on full spectra, the mean of the blocks, as srlab
+    folded before it kept half-planes."""
+    s0, s1 = decimation
+    t_blocks, x_blocks = _blocks(transfer, decimation), _blocks(spectrum, decimation)
+    out = t_blocks[0, :, 0, :] * x_blocks[0, :, 0, :]
+    for k in range(1, s0 * s1):
+        i, j = divmod(k, s1)
+        out += t_blocks[i, :, j, :] * x_blocks[i, :, j, :]
+    out *= 1.0 / (s0 * s1)
+    return out
+
+
+def full_plane_unfold(transfer, lr_spectrum, decimation):
+    """Reference: unfold on full spectra, conj(transfer) * tile(lr_spectrum)."""
+    out = np.conj(transfer)
+    blocks = _blocks(out, decimation)
+    blocks *= lr_spectrum[None, :, None, :]
+    return out
+
+
+@given(lr_shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+       decimation=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       delta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       sigma=st.floats(0.2, 0.7), seed=st.integers(0, 2**16))
+def test_half_plane_fold_matches_full_plane(lr_shape, decimation, delta, sigma, seed):
+    # odd and even sides on both axes; the rows are the half axis
+    hr = (lr_shape[0] * decimation[0], lr_shape[1] * decimation[1])
+    kernel = gaussian_kernel(sigma)
+    assume(len(kernel) <= min(hr))
+    padded = np.zeros(hr)
+    padded[:len(kernel), :len(kernel)] = kernel
+    padded = np.roll(padded, (-(len(kernel) // 2),) * 2, axis=(0, 1))
+    full_transfer = scipy.fft.fft2(padded) * np.outer(
+        shift_multiplier_1d(hr[0], delta[0]), shift_multiplier_1d(hr[1], delta[1]))
+    transfer = kernel_transfer(kernel, hr) * shift_multiplier_2d(hr, delta)
+    np.testing.assert_allclose(transfer, full_transfer[:hr[0] // 2 + 1],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(full_rows(transfer, hr[0]), full_transfer,
+                               rtol=0, atol=1e-14)
+
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=hr), rng.normal(size=lr_shape)
+    expected = full_plane_fold(full_transfer, scipy.fft.fft2(x), decimation)
+    np.testing.assert_allclose(fold(transfer, rfft2_rows(x), decimation),
+                               expected[:lr_shape[0] // 2 + 1],
+                               rtol=0, atol=1e-12 * np.abs(expected).max())
+    expected = full_plane_unfold(full_transfer, scipy.fft.fft2(y), decimation)
+    np.testing.assert_allclose(unfold(transfer, rfft2_rows(y), decimation),
+                               expected[:hr[0] // 2 + 1],
+                               rtol=0, atol=1e-12 * np.abs(expected).max())
+    check_adjoint(transfer, x, y, decimation)
 
 
 def test_gaussian_kernel_unit_sum():
@@ -82,8 +162,11 @@ def test_gaussian_kernel_unit_sum():
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
         assert k.shape[0] == k.shape[1]
         assert k.shape[0] % 2 == 1
-    with pytest.raises(ValueError):
-        gaussian_kernel(0.0)
+    for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            gaussian_kernel(sigma)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            check_gaussian_fits(sigma, (64, 64))
 
 
 def test_kernel_transfer_dc_gain():
@@ -96,6 +179,16 @@ def test_kernel_transfer_dc_gain():
 def test_kernel_transfer_rejects_oversized():
     with pytest.raises(ValueError):
         kernel_transfer(np.ones((9, 9)) / 81, (8, 8))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 1.9, 2.0, 40.0, 1e6])
+def test_check_gaussian_fits_agrees_with_the_kernel(sigma):
+    side = 2 * max(1, int(np.ceil(4.0 * sigma))) + 1
+    check_gaussian_fits(sigma, (side, side + 2))
+    with pytest.raises(ValueError, match="larger than grid"):
+        check_gaussian_fits(sigma, (side + 2, side - 1))
+    if side < 400:
+        assert gaussian_kernel(sigma).shape == (side, side)
 
 
 def test_sinc_upsample_interpolates_at_nodes(rng):

@@ -258,6 +258,13 @@ def test_plans_reject_bad_thread_count(tiny_scenario, threads):
               seeds_per_value=1, threads=threads)
 
 
+def test_run_trial_refuses_oversize_psf_before_building_it(tiny_scenario):
+    # a 466 TiB kernel: recorded as a failed trial, not a MemoryError
+    result = run_trial(SystemParams(assumed_psf_sigma=1e6), tiny_scenario, 7)
+    assert result.resolution_m is None
+    assert "larger than grid" in result.error
+
+
 def test_campaign_raises_when_everything_fails(tiny_scenario):
     # an assumed-PSF width far beyond the grid makes every trial fail
     spec = replace(
