@@ -7,7 +7,7 @@ modulation, and runs Monte Carlo sensitivity campaigns over the system
 parameters.
 """
 
-from .grid import check_image, read_pgm, write_pgm
+from .grid import check_image, read_image, read_pgm, write_pgm
 from .metrology import (ResolutionReport, RingFit, crossing_frequency,
                         frequency_to_resolution, measure_resolution, mtf_curve,
                         nem, ring_modulation)

@@ -19,8 +19,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .fourier import check_gaussian_fits, gaussian_kernel
-from .grid import read_pgm, write_pgm
+from .grid import read_image, write_pgm
 from .metrology import measure_resolution
 from .montecarlo import ParameterSpec, run_campaign, sweep
 from .mtf import mtf_curve_table
@@ -89,22 +91,15 @@ def cmd_mtf_curves(args, config: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def _observation_meta(obs: Observation, name: str) -> dict:
-    return {
-        "file": name,
-        "shift_hr": list(obs.shift_hr),
-        "noise_sigma": obs.noise_sigma,
-    }
-
-
 def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
     scenario, system = config.scenario, config.system
     target = generate_spoke_target(scenario.star, scenario.grid_size)
     obs1, obs2 = simulate_observations(target, system, seed)
     write_pgm(out / "truth.pgm", target)
-    write_pgm(out / "obs1.pgm", obs1.image)
-    write_pgm(out / "obs2.pgm", obs2.image)
+    for k, obs in ((1, obs1), (2, obs2)):  # .npy for the next stage, .pgm to view
+        write_pgm(out / f"obs{k}.pgm", obs.image)
+        np.save(out / f"obs{k}.npy", obs.image)
     meta = {
         "seed": seed,
         "snr_at_300": system.snr_at_300,
@@ -118,11 +113,12 @@ def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
             "cycles": scenario.star.cycles,
             "outer_radius": scenario.star.outer_radius,
         },
-        "observations": [_observation_meta(obs1, "obs1.pgm"),
-                         _observation_meta(obs2, "obs2.pgm")],
+        "observations": [{"file": f"obs{k}.npy", "shift_hr": list(obs.shift_hr),
+                          "noise_sigma": obs.noise_sigma}
+                         for k, obs in ((1, obs1), (2, obs2))],
     }
     _write_json(out / "meta.json", meta)
-    logger.info("wrote obs1.pgm, obs2.pgm, truth.pgm, meta.json to %s", out)
+    logger.info("wrote obs1/obs2 .npy and .pgm, truth.pgm, meta.json to %s", out)
     return 0
 
 
@@ -149,12 +145,13 @@ def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
                for i, entry in enumerate(meta["observations"])]
     check_gaussian_fits(meta["assumed_psf_sigma"], meta["hr_size"])
     psf = gaussian_kernel(meta["assumed_psf_sigma"])
-    observations = [Observation(image=read_pgm(meta_path.parent / entry["file"]),
+    observations = [Observation(image=read_image(meta_path.parent / entry["file"]),
                                 shift_hr=entry["shift_hr"], decimation=meta["decimation"],
                                 assumed_psf=psf, noise_sigma=meta["noise_sigma"])
                     for entry in entries]
     result = super_resolve(observations, cfg=config.scenario.solver)
     write_pgm(out / "sr.pgm", result.image)
+    np.save(out / "sr.npy", result.image)
     _write_csv(out / "cost_trace.csv", ["iteration", "cost"],
                [[i, repr(c)] for i, c in enumerate(result.cost_trace)])
     logger.info("solver ran %d iterations (converged=%s)",
@@ -167,7 +164,7 @@ def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
                                            "noise_sigma": float})
     star = _fields(meta["star"], {"center": tuple[float, float], "cycles": int,
                                   "outer_radius": float}, f"{args.meta} star")
-    image = read_pgm(args.image)
+    image = read_image(args.image)
     report = measure_resolution(
         image, star["center"], star["cycles"], meta["nem_signal"],
         meta["noise_sigma"], star["outer_radius"], sector=args.sector,
@@ -302,7 +299,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("measure", help="measure resolution of a star image")
     common(p)
-    p.add_argument("--image", required=True, help="PGM image to measure")
+    p.add_argument("--image", required=True, help="image to measure (.npy or PGM)")
     p.add_argument("--meta", required=True, help="metadata sidecar from simulate")
     p.add_argument("--sector", type=int, default=None,
                    help="restrict to one of 8 angular sectors")
@@ -345,7 +342,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, KeyError) as exc:
+    except (OSError, ValueError, RuntimeError, KeyError, FloatingPointError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

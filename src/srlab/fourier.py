@@ -143,8 +143,8 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _gaussian_radius(sigma: float) -> int:
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    if not 0.0 < 4.0 * sigma < math.inf:  # ceil cannot take the inf of 4 * 1e308
+        raise ValueError(f"sigma must be finite and > 0, as must 4 sigma, got {sigma!r}")
     return max(1, math.ceil(4.0 * sigma))
 
 

@@ -1,4 +1,4 @@
-"""Image checks plus 16-bit PGM I/O.
+"""Image checks, .npy stage-image reads, and 16-bit PGM I/O.
 
 Every image in the pipeline (targets, blurred scenes, low-resolution
 observations, reconstructions) is a row-major float64 ndarray in
@@ -13,13 +13,14 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["check_image", "write_pgm", "read_pgm"]
+__all__ = ["check_image", "write_pgm", "read_pgm", "read_image"]
 
 PGM_MAXVAL = 65535
-PGM_MAX_PIXELS = 1 << 26  # largest header size read_pgm reads (8192 x 8192)
+MAX_PIXELS = 1 << 26  # largest image a file header may declare (8192 x 8192)
 
 
 def check_image(data, what: str) -> np.ndarray:
@@ -86,10 +87,32 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = map(int, _read_header_tokens(fh, 3))
         if maxval != PGM_MAXVAL:
             raise ValueError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
-        if not (width > 0 and height > 0 and width * height <= PGM_MAX_PIXELS):
+        if not (width > 0 and height > 0 and width * height <= MAX_PIXELS):
             raise ValueError(f"{path}: PGM size {width}x{height} out of range")
         raw = fh.read(width * height * 2)
     if len(raw) != width * height * 2:
         raise ValueError(f"{path}: truncated pixel data")
     data = np.frombuffer(raw, dtype=">u2").reshape(height, width)
+    return check_image(data, str(path))
+
+
+def read_image(path) -> np.ndarray:
+    """Read a stage image: a .npy file as its exact float64 array, any
+    other file as a PGM (read_pgm).  A .npy header's shape and dtype are
+    checked before any pixel is read, and nothing is unpickled."""
+    if not str(path).endswith(".npy"):
+        return read_pgm(path)
+    with open(path, "rb") as fh:
+        try:
+            version = npy_format.read_magic(fh)
+            shape, _, dtype = (npy_format.read_array_header_1_0 if version == (1, 0)
+                               else npy_format.read_array_header_2_0)(fh)
+            if not (dtype == np.float64 and len(shape) == 2 and min(shape) > 0
+                    and shape[0] * shape[1] <= MAX_PIXELS):
+                raise ValueError(f"expected a 2-D float64 array of at most "
+                                 f"{MAX_PIXELS} pixels, got {dtype} of shape {shape}")
+            fh.seek(0)
+            data = np.load(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return check_image(data, str(path))

@@ -72,8 +72,8 @@ class SystemParams:
             raise ValueError("optics MTF at HR Nyquist must be in (0, 1]")
         if not self.n_phi >= 1:
             raise ValueError("clock phase count must be >= 1")
-        if not 0.0 <= self.jitter_sigma < math.inf:
-            raise ValueError(f"jitter sigma must be finite and >= 0, got {self.jitter_sigma!r}")
+        if not 0.0 <= self.jitter_sigma * abs(self.jitter_sigma) < math.inf:
+            raise ValueError(f"jitter sigma must be >= 0 with a finite square, got {self.jitter_sigma!r}")
         if not self.snr_at_300 > 0:
             raise ValueError(f"SNR must be > 0, got {self.snr_at_300!r}")
         if not 0.0 <= self.subarray_shift_ax < 1.0:
@@ -112,6 +112,8 @@ class Observation:
             raise ValueError("decimation factors must be >= 1")
         if not all(math.isfinite(s) for s in self.shift_hr):
             raise ValueError("shift components must be finite")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
         self.assumed_psf = np.asarray(self.assumed_psf, dtype=np.float64)
         if self.assumed_psf.ndim != 2 or not np.all(np.isfinite(self.assumed_psf)):
             raise ValueError(f"assumed PSF must be a finite 2-D kernel, "

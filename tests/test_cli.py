@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib import format as npy_format
 
-from srlab import montecarlo
+from srlab import cli, montecarlo
 from srlab.cli import main
 from srlab.grid import read_pgm
 from srlab.metrology import measure_resolution, nem
 from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_config
-from srlab.simulator import SystemParams
-from srlab.solver import SolverConfig
-from srlab.target import StarSpec
+from srlab.simulator import SystemParams, simulate_observations
+from srlab.solver import SolverConfig, super_resolve
+from srlab.target import StarSpec, generate_spoke_target
 
 
 CONFIG = {
@@ -240,10 +241,12 @@ def test_pipeline_roundtrip(config_path, tmp_path):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--seed", "42",
                  "--out-dir", str(sim_dir)]) == 0
-    for name in ("obs1.pgm", "obs2.pgm", "truth.pgm", "meta.json"):
+    for name in ("obs1.npy", "obs2.npy", "obs1.pgm", "obs2.pgm", "truth.pgm",
+                 "meta.json"):
         assert (sim_dir / name).exists()
     meta = json.loads((sim_dir / "meta.json").read_text())
     assert meta["seed"] == 42
+    assert [entry["file"] for entry in meta["observations"]] == ["obs1.npy", "obs2.npy"]
     assert meta["decimation"] == [1, 2]
     assert meta["noise_sigma"] == pytest.approx(5.0)
     assert meta["observations"][1]["shift_hr"] == [20.0, 1.0]
@@ -252,7 +255,7 @@ def test_pipeline_roundtrip(config_path, tmp_path):
     assert main(["superresolve", "--config", str(config_path),
                  "--meta", str(sim_dir / "meta.json"),
                  "--out-dir", str(sr_dir)]) == 0
-    assert (sr_dir / "sr.pgm").exists()
+    assert (sr_dir / "sr.npy").exists() and (sr_dir / "sr.pgm").exists()
     trace = (sr_dir / "cost_trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,cost"
     costs = [float(line.split(",")[1]) for line in trace[1:]]
@@ -260,7 +263,7 @@ def test_pipeline_roundtrip(config_path, tmp_path):
 
     meas_dir = tmp_path / "meas"
     assert main(["measure", "--config", str(config_path),
-                 "--image", str(sr_dir / "sr.pgm"),
+                 "--image", str(sr_dir / "sr.npy"),
                  "--meta", str(sim_dir / "meta.json"),
                  "--out-dir", str(meas_dir)]) == 0
     report = json.loads((meas_dir / "report.json").read_text())
@@ -299,21 +302,99 @@ def test_measure_sector_matches_in_process(config_path, tmp_path, capsys):
         assert not (out / "report.json").exists()
 
 
-def test_minimal_config_pipeline_matches_run_trial(tmp_path):
-    # every omitted section takes the defaults run_trial uses, and measure
-    # uses the config's ring ladder; what is left is 16-bit PGM quantization
+def _minimal_chain(tmp_path):
+    """simulate -> superresolve on the all-defaults config with seed 42;
+    returns the config path and the two stage directories."""
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps({"montecarlo": {"master_seed": 42}}))
-    sim, sr, meas = tmp_path / "sim", tmp_path / "sr", tmp_path / "meas"
+    sim, sr = tmp_path / "sim", tmp_path / "sr"
     assert main(["simulate", "--config", str(path), "--out-dir", str(sim)]) == 0
     assert main(["superresolve", "--config", str(path),
                  "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
-    assert main(["measure", "--config", str(path), "--image", str(sr / "sr.pgm"),
-                 "--meta", str(sim / "meta.json"), "--out-dir", str(meas)]) == 0
-    report = json.loads((meas / "report.json").read_text())
+    return path, sim, sr
+
+
+def _measured(path, sim, image, out, *flags):
+    """report.json and the curve of srlab measure on image."""
+    assert main(["measure", "--config", str(path), "--image", str(image),
+                 "--meta", str(sim / "meta.json"), "--out-dir", str(out), *flags]) == 0
+    rows = (out / "curve.csv").read_text().splitlines()[1:]
+    curve = [(float(f), float(m)) for f, m, _ in (row.split(",") for row in rows)]
+    return json.loads((out / "report.json").read_text()), curve
+
+
+def test_minimal_config_pipeline_matches_run_trial(tmp_path):
+    # every omitted section takes the defaults run_trial uses, measure uses
+    # the config's ring ladder, and the stages hand each other the exact
+    # float64 arrays, so the chain is the trial bit for bit
+    path, sim, sr = _minimal_chain(tmp_path)
     trial = run_trial(SystemParams(), Scenario(), 42)
     assert trial.resolution_m is not None
+    scenario, params = Scenario(), SystemParams()
+    target = generate_spoke_target(scenario.star, scenario.grid_size)
+    image = super_resolve(list(simulate_observations(target, params, 42)),
+                          cfg=scenario.solver).image
+    star = scenario.star
+    reports = {}
+    for sector in (None, 3):
+        flags = [] if sector is None else ["--sector", str(sector)]
+        reports[sector], curve = _measured(path, sim, sr / "sr.npy",
+                                           tmp_path / f"meas{sector}", *flags)
+        want = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                                  params.noise_sigma, star.outer_radius, sector=sector,
+                                  n_rings=scenario.n_rings)
+        assert curve == want.curve
+        assert reports[sector] == {key: getattr(want, key) for key in reports[sector]}
+    assert reports[None]["resolution_m"] == trial.resolution_m
+    assert reports[3]["sector"] == 3
+
+
+def test_pgm_exports_still_feed_the_chain(tmp_path):
+    # a sidecar that names the 16-bit PGM exports still runs superresolve ->
+    # measure; quantizing the observations and sr.pgm moves the result by
+    # no more than 1e-3
+    path, sim, _ = _minimal_chain(tmp_path)
+    meta = json.loads((sim / "meta.json").read_text())
+    for entry in meta["observations"]:
+        entry["file"] = entry["file"].replace(".npy", ".pgm")
+    (sim / "meta.json").write_text(json.dumps(meta))
+    sr = tmp_path / "sr-pgm"
+    assert main(["superresolve", "--config", str(path),
+                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
+    report, _ = _measured(path, sim, sr / "sr.pgm", tmp_path / "meas")
+    trial = run_trial(SystemParams(), Scenario(), 42)
     assert report["resolution_m"] == pytest.approx(trial.resolution_m, rel=1e-3)
+    assert report["resolution_m"] != trial.resolution_m  # the PGM files were read
+
+
+class _Unpickled:
+    """Unpickling this creates the marker file its path names."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+@pytest.mark.parametrize("kind", ["oversize-header", "object"])
+def test_bad_npy_image_exits_2(config_path, tmp_path, capsys, kind):
+    image, marker = tmp_path / "bad.npy", tmp_path / "unpickled"
+    if kind == "object":
+        np.save(image, np.array([[_Unpickled(marker)] * 2] * 2, dtype=object),
+                allow_pickle=True)
+    else:
+        # 131072² float64 is 128 GiB: refused from the header alone
+        with open(image, "wb") as fh:
+            npy_format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (131072, 131072)})
+    out = tmp_path / "meas"
+    assert main(["measure", "--config", str(config_path), "--image", str(image),
+                 "--meta", str(measure_meta(tmp_path)), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2-D float64" in err and "Traceback" not in err
+    assert not marker.exists()
+    assert not (out / "report.json").exists()
 
 
 def test_simulate_requires_seed(config_path, tmp_path):
@@ -609,6 +690,17 @@ def test_bad_pgm_size_exits_2(config_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "out of range" in err
     assert not (out / "report.json").exists()
+
+
+def test_memory_error_exits_2(config_path, tmp_path, capsys, monkeypatch):
+    # an allocation that fails (a 100000² grid asks for 74.5 GiB) is a
+    # runtime failure with an error: line, not a traceback
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+    monkeypatch.setattr(cli, "generate_spoke_target", no_memory)
+    assert main(["target", "--config", str(config_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
 
 
 def test_unknown_subcommand_exits_1():

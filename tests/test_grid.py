@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srlab.grid import check_image, read_pgm, write_pgm
+from srlab.grid import check_image, read_image, read_pgm, write_pgm
 
 
 def test_basic_properties():
@@ -106,3 +106,28 @@ def test_pgm_roundtrip_property(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("pgm") / "p.pgm"
     write_pgm(path, data)
     assert np.array_equal(read_pgm(path), data)
+
+
+def test_read_image_chooses_by_suffix(tmp_path):
+    # a .npy file is the exact float64 array; any other file is a PGM
+    data = np.random.default_rng(1).normal(300.0, 50.0, size=(6, 4))
+    np.save(tmp_path / "img.npy", data)
+    write_pgm(tmp_path / "img.pgm", data)
+    assert np.array_equal(read_image(tmp_path / "img.npy"), data)
+    assert np.array_equal(read_image(tmp_path / "img.pgm"), np.rint(data))
+    np.save(tmp_path / "fortran.npy", np.asfortranarray(data))
+    assert np.array_equal(read_image(tmp_path / "fortran.npy"), data)
+
+
+@pytest.mark.parametrize("array, message", [
+    (np.zeros(6), "2-D float64"), (np.zeros((2, 2, 2)), "2-D float64"),
+    (np.zeros((3, 3), dtype=np.float32), "2-D float64"),
+    (np.zeros((3, 3), dtype=object), "2-D float64"),
+    (np.full((3, 3), np.nan), "non-finite"), (np.zeros((1, 3)), "too small")])
+def test_read_image_refuses_bad_npy(tmp_path, array, message):
+    np.save(tmp_path / "bad.npy", array, allow_pickle=True)
+    with pytest.raises(ValueError, match=f"bad.npy: .*{message}"):
+        read_image(tmp_path / "bad.npy")
+    (tmp_path / "cut.npy").write_bytes((tmp_path / "bad.npy").read_bytes()[:-4])
+    with pytest.raises(ValueError, match="cut.npy: "):
+        read_image(tmp_path / "cut.npy")

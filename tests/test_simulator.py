@@ -93,6 +93,11 @@ def test_observation_validation():
     nan_image[3, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Observation(nan_image, (0.0, 0.5), (1, 2), psf, 1.0)
+    # a zero sigma is the noise-free case; NaN, infinite and negative are not
+    Observation(img, (0.0, 0.0), (1, 2), psf, 0.0)
+    for sigma in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="noise sigma"):
+            Observation(np.zeros((4, 4)), (0.0, 0.0), (1, 2), np.array([[1.0]]), sigma)
 
 
 def test_non_finite_target_is_refused(tiny_scenario, nominal_params):
