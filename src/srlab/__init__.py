@@ -9,8 +9,8 @@ parameters.
 
 from .grid import check_image, read_image, read_pgm, write_pgm
 from .metrology import (ResolutionReport, RingFit, crossing_frequency,
-                        frequency_to_resolution, measure_resolution, mtf_curve,
-                        nem, ring_modulation)
+                        frequency_to_resolution, measure_resolution, nem,
+                        ring_modulation)
 from .montecarlo import (CampaignResult, ParameterDistribution, ParameterSpec,
                          SweepResult, TrialResult, run_campaign, run_trial,
                          sample_parameters, sweep)
@@ -20,8 +20,7 @@ from .scenario import Scenario, ScenarioConfig, load_config
 from .simulator import (Observation, SystemParams, add_noise,
                         render_blurred_scene, simulate_observations)
 from .solver import (SolverConfig, SrResult, adjoint_model, bicubic_upsample,
-                     btv_gradient, btv_penalty, cost, forward_model,
-                     super_resolve)
-from .target import StarSpec, generate_spoke_target, sector_mask
+                     btv_gradient, btv_penalty, forward_model, super_resolve)
+from .target import StarSpec, generate_spoke_target
 
 __version__ = "0.1.0"

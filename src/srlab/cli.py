@@ -24,7 +24,7 @@ import numpy as np
 from .fourier import check_gaussian_fits, gaussian_kernel
 from .grid import read_image, write_pgm
 from .metrology import measure_resolution
-from .montecarlo import ParameterSpec, run_campaign, sweep
+from .montecarlo import PARAMETER_FIELDS, ParameterSpec, run_campaign, sweep
 from .mtf import mtf_curve_table
 from .scenario import ScenarioConfig, _checked, load_config
 from .simulator import Observation, simulate_observations
@@ -185,19 +185,17 @@ def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-_TRIAL_COLUMNS = ["trial", "seed", "optics_mtf_at_hr_nyq", "n_phi", "jitter_sigma",
-                  "snr_at_300", "subarray_shift_ax", "assumed_psf_sigma",
-                  "resolution_m", "solver_converged", "error", "rings_dropped",
-                  "degenerate_crossing", "ladder_limited"]
+_TRIAL_COLUMNS = ["trial", "seed", *PARAMETER_FIELDS.values(), "resolution_m",
+                  "solver_converged", "error", "rings_dropped", "degenerate_crossing",
+                  "ladder_limited"]
 
 
 def _trial_row(index: int, trial) -> list[str]:
-    p = trial.params
-    return [str(index), str(trial.seed), repr(p.optics_mtf_at_hr_nyq), str(p.n_phi),
-            repr(p.jitter_sigma), repr(p.snr_at_300), repr(p.subarray_shift_ax),
-            repr(p.assumed_psf_sigma), _fmt(trial.resolution_m),
-            str(trial.solver_converged), trial.error or "", str(trial.rings_dropped),
-            str(trial.degenerate_crossing), str(trial.ladder_limited)]
+    return [str(index), str(trial.seed),
+            *(_fmt(getattr(trial.params, name)) for name in PARAMETER_FIELDS.values()),
+            _fmt(trial.resolution_m), str(trial.solver_converged), trial.error or "",
+            str(trial.rings_dropped), str(trial.degenerate_crossing),
+            str(trial.ladder_limited)]
 
 
 def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:

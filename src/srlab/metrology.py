@@ -30,7 +30,7 @@ import numpy as np
 from .fourier import sinc_columns, sinc_rows
 from .grid import check_image
 from .mtf import GEOMETRY, GeometryConstants
-from .target import _sector_test
+from .target import pattern_angle
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +42,6 @@ __all__ = [
     "EmptyRingError",
     "InsufficientCurveError",
     "ring_modulation",
-    "mtf_curve",
     "nem",
     "crossing_frequency",
     "frequency_to_resolution",
@@ -57,6 +56,24 @@ ANALYSIS_OVERSAMPLE = 4
 CROSSING_SMOOTH = 5
 # angular sectors the circle is split into for sector measurements
 SECTOR_COUNT = 8
+
+
+def _sector_test(sector_index: int, sector_count: int):
+    """Membership of the offsets (x, y) from the center in sector k =
+    sector_index, pattern_angle in [k, k+1) * (2*pi/sector_count).  The
+    center itself is in none; the sectors partition every other point."""
+    if sector_count < 1:
+        raise ValueError("sector_count must be >= 1")
+    if not 0 <= sector_index < sector_count:
+        raise ValueError(f"sector_index {sector_index} outside [0, {sector_count})")
+    span = 2.0 * np.pi / sector_count
+
+    def in_sector(x, y):
+        alpha = pattern_angle(x, y)
+        mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
+        mask &= ~((x == 0.0) & (y == 0.0))
+        return mask
+    return in_sector
 
 
 class RingError(ValueError):
@@ -208,22 +225,6 @@ def _table_key(shape: tuple[int, int], center, radii, cycles: int):
     return radii[:n_out], ((h, w), (r0, c0), radii[n_out:], cycles)
 
 
-def _mask_select(mask: np.ndarray | None, shape: tuple[int, int]):
-    """A binary mask of the image's shape as a selection of ring samples."""
-    if mask is None:
-        return None
-    if mask.shape != shape:
-        raise ValueError(f"mask shape {mask.shape} differs from image {shape}")
-    flat = mask.reshape(-1)
-    return lambda samples: flat[samples] > 0.5
-
-
-def _gather(image: np.ndarray):
-    """The image's values at a ring table's samples, as _fit_rings reads them."""
-    flat = image.reshape(-1)
-    return lambda table: flat[table.samples]
-
-
 def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], radii,
                cycles: int, select=None) -> list[RingFit | RingError]:
     """Fit the angular harmonic on every ring of a strictly decreasing
@@ -315,49 +316,26 @@ def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: floa
     Gathers pixels with center distance in [radius-0.5, radius+0.5),
     optionally restricted by a binary mask of the image's shape, and
     fits intensity by least squares to a mean plus cos/sin(cycles *
-    alpha).  This is mtf_curve's pass on a one-ring ladder.  Raises
-    AliasedRingError below 2 samples per cycle and EmptyRingError when
-    the annulus leaves the image or holds fewer than 8 samples.
+    alpha).  This is measure_resolution's pass on a one-ring ladder.
+    Raises AliasedRingError below 2 samples per cycle and EmptyRingError
+    when the annulus leaves the image or holds fewer than 8 samples.
     """
     image = check_image(image, "image")
-    (result,) = _fit_rings(_gather(image), image.shape, center, [radius], cycles,
-                           _mask_select(mask, image.shape))
+    select = None
+    if mask is not None:
+        if mask.shape != image.shape:
+            raise ValueError(f"mask shape {mask.shape} differs from image {image.shape}")
+        flat_mask = mask.reshape(-1)
+
+        def select(samples):
+            return flat_mask[samples] > 0.5
+
+    flat = image.reshape(-1)
+    (result,) = _fit_rings(lambda table: flat[table.samples], image.shape, center,
+                           [radius], cycles, select)
     if isinstance(result, RingError):
         raise result
     return result
-
-
-def mtf_curve(image: np.ndarray, center: tuple[float, float], cycles: int,
-              radii, mask=None) -> tuple[list[RingFit], int]:
-    """Fit one ring per radius; returns (fits sorted by ascending f, dropped).
-
-    radii must be strictly decreasing (outer to inner, so frequency
-    ascends).  All rings are fit in one pass over the ladder's cached
-    ring table.  Rings refused as aliased or empty are dropped and
-    counted.  Raises InsufficientCurveError if fewer than three rings
-    survive.
-    """
-    image = check_image(image, "image")
-    return _curve(_gather(image), image.shape, center, cycles, radii,
-                  _mask_select(mask, image.shape))
-
-
-def _curve(values_of, shape: tuple[int, int], center, cycles: int, radii, select):
-    """mtf_curve on an image of this shape given by its values at the
-    ring samples (see _fit_rings), its mask as a selection."""
-    radii = list(radii)
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    fits = [fit for fit in _fit_rings(values_of, shape, center, radii, cycles, select)
-            if isinstance(fit, RingFit)]
-    dropped = len(radii) - len(fits)
-    if dropped:
-        logger.warning("dropped %d of %d rings (aliased or empty)", dropped, len(radii))
-    if len(fits) < 3:
-        raise InsufficientCurveError(
-            f"insufficient curve: only {len(fits)} of {len(radii)} rings usable")
-    fits.sort(key=lambda rf: rf.f)
-    return fits, dropped
 
 
 def nem(signal: float, noise_sigma: float) -> float:
@@ -485,9 +463,11 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
 
     center and outer_radius are in HR pixels (star geometry metadata).
     sector, when given, restricts the fits to one of SECTOR_COUNT
-    angular sectors.  The report's curve holds the raw per-ring fits; the
+    angular sectors.  The report's curve holds the raw per-ring fits by
+    ascending f; rings refused as aliased or empty are dropped and
+    counted, and fewer than three left raise InsufficientCurveError.  The
     NEM intersection runs on a CROSSING_SMOOTH-point moving average of
-    it, which averages out the per-ring pixel-geometry jitter.
+    the curve, which averages out the per-ring pixel-geometry jitter.
 
     With zero noise the NEM is 0 and can never be crossed; the report
     then pins the crossing to the finest measured frequency and sets
@@ -506,8 +486,19 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
             rows, cols = np.divmod(samples, shape[1])
             return in_sector(cols - c0, rows - r0)
 
-    fits, dropped = _curve(functools.partial(_upsampled_values, image), shape,
-                           center_grid, cycles, radii, select)
+    radii = list(radii)
+    if any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
+    fits = [fit for fit in _fit_rings(functools.partial(_upsampled_values, image), shape,
+                                      center_grid, radii, cycles, select)
+            if isinstance(fit, RingFit)]
+    dropped = len(radii) - len(fits)
+    if dropped:
+        logger.warning("dropped %d of %d rings (aliased or empty)", dropped, len(radii))
+    if len(fits) < 3:
+        raise InsufficientCurveError(
+            f"insufficient curve: only {len(fits)} of {len(radii)} rings usable")
+    fits.sort(key=lambda rf: rf.f)
     curve = [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
                         _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))

@@ -110,8 +110,10 @@ class Observation:
         self.image = check_image(self.image, "observation image")
         if self.decimation[0] < 1 or self.decimation[1] < 1:
             raise ValueError("decimation factors must be >= 1")
-        if not all(math.isfinite(s) for s in self.shift_hr):
-            raise ValueError("shift components must be finite")
+        # the shift ramp's largest phase is pi * shift, at the Nyquist bin
+        if not all(math.isfinite(math.pi * s) for s in self.shift_hr):
+            raise ValueError(f"shift_hr components must be finite with a finite phase "
+                             f"ramp pi * shift, got {tuple(self.shift_hr)!r}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
         self.assumed_psf = np.asarray(self.assumed_psf, dtype=np.float64)
@@ -149,8 +151,8 @@ def add_noise(image: np.ndarray, snr_at_300: float, rng_seed: int
     The noise is signal-independent (white); returns the sigma used.
     Deterministic for a given seed.
     """
-    if snr_at_300 <= 0:
-        raise ValueError("SNR must be > 0")
+    if not snr_at_300 > 0:
+        raise ValueError(f"SNR must be > 0, got {snr_at_300!r}")
     sigma = REFERENCE_SIGNAL / snr_at_300
     rng = np.random.default_rng(rng_seed)
     return image + rng.normal(0.0, sigma, size=image.shape), sigma

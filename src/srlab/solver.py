@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import (fold, full_rows, irfft2_rows, kernel_transfer, rfft2_rows,
+from .fourier import (fold, irfft2_rows, kernel_transfer, rfft2_rows,
                       shift_multiplier_2d, unfold)
 from .grid import check_image
 from .simulator import Observation
@@ -42,7 +42,6 @@ __all__ = [
     "adjoint_model",
     "btv_penalty",
     "btv_gradient",
-    "cost",
     "super_resolve",
     "bicubic_upsample",
 ]
@@ -127,12 +126,6 @@ def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
     return transfers
 
 
-def _observation_transfer(obs: Observation, hr_shape: tuple[int, int]) -> np.ndarray:
-    """One observation's multiplier of blur + shift on the full HR plane,
-    for image-space references that multiply full spectra."""
-    return full_rows(_transfers([obs], hr_shape)[0], hr_shape[0])
-
-
 def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
     """LR spectra of y_k - forward_k(x), from the spectra of y_k and x."""
     return [y - fold(t, x_hat, decimation) for y, t in zip(y_hat, transfers)]
@@ -153,20 +146,14 @@ def _data_cost(residuals, height: int) -> float:
     return sum(_energy(r, height) for r in residuals)
 
 
-def _estimate_transfer(x: np.ndarray, obs: Observation) -> np.ndarray:
-    """Observation transfer on the HR half-plane, checking the estimate's
-    shape."""
+def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
+    """Apply the observation operator: blur, shift, decimate."""
+    x = check_image(x, "estimate")
     hr_shape = _hr_shape(obs)
     if x.shape != hr_shape:
         raise ValueError(f"estimate shape {x.shape} does not match observation "
                          f"geometry {hr_shape}")
-    return _transfers([obs], hr_shape)[0]
-
-
-def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
-    """Apply the observation operator: blur, shift, decimate."""
-    x = check_image(x, "estimate")
-    spectrum = fold(_estimate_transfer(x, obs), rfft2_rows(x), obs.decimation)
+    spectrum = fold(_transfers([obs], hr_shape)[0], rfft2_rows(x), obs.decimation)
     return irfft2_rows(spectrum, obs.image.shape)
 
 
@@ -243,16 +230,6 @@ def _prior(x: np.ndarray, cfg: SolverConfig):
         return 0.0, None
     penalty, signs = _btv_pass(x, cfg.alpha, cfg.p_radius)
     return cfg.lam * penalty, signs
-
-
-def cost(x: np.ndarray, observations, cfg: SolverConfig) -> float:
-    """Full MAP cost: sum of squared residuals plus lam * BTV."""
-    x = check_image(x, "estimate")
-    x_hat = rfft2_rows(x)
-    data = sum(_energy(rfft2_rows(o.image) - fold(_estimate_transfer(x, o), x_hat,
-                                                  o.decimation), o.image.shape[0])
-               for o in observations)
-    return data + _prior(x, cfg)[0]
 
 
 def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],

@@ -1,4 +1,4 @@
-"""Siemens-star (spoke) test targets and angular sector masks.
+"""Siemens-star (spoke) test targets.
 
 The spoke pattern is binary: bright where cos(cycles * alpha) >= 0, dark
 otherwise, with alpha = atan2(x, y) measured from the star center (x =
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["StarSpec", "generate_spoke_target", "sector_mask", "pattern_angle"]
+__all__ = ["StarSpec", "generate_spoke_target", "pattern_angle"]
 
 
 @dataclass(frozen=True)
@@ -109,35 +109,3 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> np.ndarray:
     image[top:bottom, left:right] = acc / (s * s)
     return image
 
-
-def sector_mask(size: tuple[int, int], center: tuple[float, float],
-                sector_index: int, sector_count: int) -> np.ndarray:
-    """Binary mask selecting one angular sector of the circle.
-
-    Sector k covers alpha in [k, k+1) * (2*pi/sector_count).  The cell
-    exactly at the center (angle undefined) is always 0, so the sector
-    masks partition every other cell exactly once.
-    """
-    in_sector = _sector_test(sector_index, sector_count)
-    height, width = int(size[0]), int(size[1])
-    r0, c0 = center
-    y = (np.arange(height, dtype=np.float64) - r0)[:, None]
-    x = (np.arange(width, dtype=np.float64) - c0)[None, :]
-    return in_sector(x, y)
-
-
-def _sector_test(sector_index: int, sector_count: int):
-    """sector_mask's membership test as a function of the offsets (x, y)
-    from the center, for callers that hold sample offsets, not a grid."""
-    if sector_count < 1:
-        raise ValueError("sector_count must be >= 1")
-    if not 0 <= sector_index < sector_count:
-        raise ValueError(f"sector_index {sector_index} outside [0, {sector_count})")
-    span = 2.0 * np.pi / sector_count
-
-    def in_sector(x, y):
-        alpha = pattern_angle(x, y)
-        mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
-        mask &= ~((x == 0.0) & (y == 0.0))
-        return mask
-    return in_sector

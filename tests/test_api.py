@@ -1,11 +1,13 @@
 """Every exported name resolves, and so does every function the benchmark
 tracer wraps, and every script's imports, so a deletion cannot silently
-break any of them.
+break any of them.  Every exported name also has a caller, so an export
+that nothing uses cannot linger.
 
 The package root re-exports with ``from .module import name``, which fails
 at import time for a missing name, so importing it is its check.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -23,6 +25,10 @@ MODULES = ["srlab"] + sorted(f"srlab.{m.name}"
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the code an export must be used by: the package, the scripts and the
+# acceptance criteria (the package root only re-exports)
+CALLERS = [p for p in sorted((ROOT / "src" / "srlab").glob("*.py"))
+           if p.name != "__init__.py"] + SCRIPTS + [ROOT / "tests" / "test_acceptance.py"]
 PACKAGE_ROOT = str(Path(srlab.__file__).resolve().parents[1])
 
 
@@ -48,6 +54,24 @@ def test_traced_functions_resolve():
         module = importlib.import_module(modname)
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+
+
+def test_every_export_has_a_caller():
+    # a use is a name or an attribute in code; docstrings, strings and
+    # __all__ itself do not count, and neither does the definition
+    used = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    traced = {name for names in _load(TRACER, "_perfbench_tracer").TRACED.values()
+              for name in names}
+    unused = [f"{modname}.{name}" for modname in MODULES
+              for name in getattr(importlib.import_module(modname), "__all__", ())
+              if name not in used | traced]
+    assert not unused, f"exported but called by nothing: {unused}"
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)

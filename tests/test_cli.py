@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -652,6 +653,26 @@ def test_bad_sidecar_exits_2(config_path, tmp_path, capsys, command, path, value
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not any(out.iterdir())
+
+
+def test_overflowing_shift_exits_2_naming_shift_hr(config_path, tmp_path, capsys):
+    # a shift whose ramp phase pi * shift overflows is refused as its
+    # observation is built, before the solver meets a non-finite cost
+    sim, out = tmp_path / "sim", tmp_path / "sr"
+    assert main(["simulate", "--config", str(config_path), "--seed", "42",
+                 "--out-dir", str(sim)]) == 0
+    meta = json.loads((sim / "meta.json").read_text())
+    (sim / "meta.json").write_text(json.dumps(
+        _edited(meta, ("observations", 1, "shift_hr"), [1e308, 0.0])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["superresolve", "--config", str(config_path),
+                     "--meta", str(sim / "meta.json"), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "shift_hr" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "sr.npy").exists()
 
 
 def test_missing_input_exits_2(config_path):

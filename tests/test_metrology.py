@@ -13,11 +13,11 @@ from srlab.metrology import (ANALYSIS_OVERSAMPLE, SECTOR_COUNT, AliasedRingError
                              RingFit, _ladder,
                              _ring_table, crossing_frequency,
                              frequency_to_resolution, measure_resolution,
-                             mtf_curve, nem, ring_modulation)
+                             nem, ring_modulation)
 from srlab.mtf import GEOMETRY
 from srlab.simulator import simulate_observations
 from srlab.solver import super_resolve
-from srlab.target import StarSpec, generate_spoke_target, sector_mask
+from srlab.target import StarSpec, generate_spoke_target
 
 
 def angular_field(size, center, func):
@@ -26,6 +26,36 @@ def angular_field(size, center, func):
     x = (np.arange(size[1], dtype=float) - center[1])[None, :]
     alpha = np.arctan2(x, y)
     return func(alpha)
+
+
+def sector_mask(size, center, sector_index, sector_count):
+    """Full-grid mask of one angular sector: metrology's sector test on
+    every pixel's offset from the center."""
+    y = (np.arange(size[0], dtype=np.float64) - center[0])[:, None]
+    x = (np.arange(size[1], dtype=np.float64) - center[1])[None, :]
+    return metrology._sector_test(sector_index, sector_count)(x, y)
+
+
+def curve_fits(image, center, cycles, radii, mask=None):
+    """(fits by ascending f, rings dropped) of metrology's one-pass ring
+    fit on a strictly decreasing ladder over the whole image, with a
+    mask as a selection of the ring samples."""
+    flat = image.reshape(-1)
+    select = None if mask is None else (lambda samples: mask.reshape(-1)[samples] > 0.5)
+    results = metrology._fit_rings(lambda table: flat[table.samples], image.shape,
+                                   center, list(radii), cycles, select)
+    fits = sorted((fit for fit in results if isinstance(fit, RingFit)),
+                  key=lambda rf: rf.f)
+    return fits, len(radii) - len(fits)
+
+
+def measure_on_ladder(monkeypatch, image, star, radii):
+    """measure_resolution with its ring ladder replaced by radii, in
+    samples of the ANALYSIS_OVERSAMPLE upsample."""
+    center = (star.center[0] * ANALYSIS_OVERSAMPLE, star.center[1] * ANALYSIS_OVERSAMPLE)
+    monkeypatch.setattr(metrology, "_ladder", lambda *args: (center, np.array(radii)))
+    return measure_resolution(image, star.center, star.cycles, 300.0, 0.0,
+                              star.outer_radius, n_rings=len(radii))
 
 
 def test_ring_fit_recovers_synthetic_harmonic():
@@ -79,29 +109,32 @@ def test_ring_mask_restricts_samples():
     assert sector.modulation == pytest.approx(full.modulation, abs=0.05)
 
 
-def test_mtf_curve_sorted_and_drops():
+def test_mtf_curve_sorted_and_drops(monkeypatch):
     star = StarSpec(cycles=144, outer_radius=104.0, inner_radius=8.0,
                     center=(128.0, 128.0), supersample=2)
     img = generate_spoke_target(star, (256, 256))
-    radii = [100.0, 80.0, 60.0, 30.0]  # last one is aliased at 144 cycles
-    fits, dropped = mtf_curve(img, star.center, star.cycles, radii)
-    assert dropped == 1
-    assert len(fits) == 3
-    fs = [rf.f for rf in fits]
+    # upsampled samples; the last one is aliased at 144 cycles
+    radii = [400.0, 320.0, 240.0, 40.0]
+    report = measure_on_ladder(monkeypatch, img, star, radii)
+    assert report.rings_dropped == 1
+    assert len(report.curve) == 3
+    fs = [f for f, _ in report.curve]
     assert fs == sorted(fs)
     assert all(f > 0 for f in fs)
 
 
-def test_mtf_curve_requires_decreasing_radii():
+def test_mtf_curve_requires_decreasing_radii(monkeypatch):
     img = np.full((128, 128), 1.0)
+    star = StarSpec(cycles=16, outer_radius=40.0, center=(64.0, 64.0))
     with pytest.raises(ValueError, match="decreasing"):
-        mtf_curve(img, (64.0, 64.0), 16, [30.0, 40.0, 20.0])
+        measure_on_ladder(monkeypatch, img, star, [120.0, 160.0, 80.0])
 
 
-def test_mtf_curve_insufficient():
+def test_mtf_curve_insufficient(monkeypatch):
     img = np.full((128, 128), 1.0)
+    star = StarSpec(cycles=144, outer_radius=40.0, center=(64.0, 64.0))
     with pytest.raises(InsufficientCurveError):
-        mtf_curve(img, (64.0, 64.0), 144, [30.0, 25.0, 20.0])  # all aliased
+        measure_on_ladder(monkeypatch, img, star, [30.0, 25.0, 20.0])  # all aliased
 
 
 def test_ideal_star_high_contrast_at_coarse_frequencies():
@@ -258,8 +291,8 @@ def test_sector_consistency(star_target, scenario):
 
 def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_params):
     # a sector is tested on the ring samples' offsets; the fits must equal
-    # mtf_curve's on a full-grid sector_mask of the upsampled image (the
-    # rest of the report is a function of the curve)
+    # those on a full-grid sector mask of the upsampled image (the rest of
+    # the report is a function of the curve)
     star = scenario.star
     obs = simulate_observations(star_target, nominal_params, 42)
     image = super_resolve(list(obs), cfg=scenario.solver).image
@@ -271,7 +304,7 @@ def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_param
                                     nominal_params.noise_sigma, star.outer_radius,
                                     n_rings=scenario.n_rings, sector=k)
         mask = sector_mask(upsampled.shape, center, k, 8)
-        fits, dropped = mtf_curve(upsampled, center, star.cycles, radii, mask=mask)
+        fits, dropped = curve_fits(upsampled, center, star.cycles, radii, mask=mask)
         assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation)
                                 for rf in fits]
         assert report.rings_dropped == dropped
@@ -286,7 +319,7 @@ def _reconstruction(scenario, params):
 @pytest.mark.parametrize("scenario_name", ["scenario", "tiny_scenario"])
 def test_full_report_matches_the_upsampled_image(request, scenario_name, nominal_params):
     # measure_resolution upsamples only the ring table's rows, a band at a
-    # time; its fits must equal mtf_curve's on the whole upsampled image
+    # time; its fits must equal those on the whole upsampled image
     scenario = request.getfixturevalue(scenario_name)
     star = scenario.star
     image = _reconstruction(scenario, nominal_params)
@@ -295,8 +328,8 @@ def test_full_report_matches_the_upsampled_image(request, scenario_name, nominal
                                 n_rings=scenario.n_rings)
     center, radii = _ladder(star.center, star.cycles, star.outer_radius,
                             scenario.n_rings, GEOMETRY)
-    fits, dropped = mtf_curve(sinc_upsample(image, ANALYSIS_OVERSAMPLE), center,
-                              star.cycles, radii)
+    fits, dropped = curve_fits(sinc_upsample(image, ANALYSIS_OVERSAMPLE), center,
+                               star.cycles, radii)
     assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     assert report.rings_dropped == dropped
 
@@ -454,11 +487,7 @@ def test_mtf_curve_matches_per_ring_reference(data, h, w, cycles, mask_kind, see
             want.append(bbox_ring_modulation(image, (r0, c0), r, cycles, mask=mask))
         except RingError:
             pass
-    if len(want) < 3:
-        with pytest.raises(InsufficientCurveError):
-            mtf_curve(image, (r0, c0), cycles, radii, mask=mask)
-        return
-    fits, dropped = mtf_curve(image, (r0, c0), cycles, radii, mask=mask)
+    fits, dropped = curve_fits(image, (r0, c0), cycles, radii, mask=mask)
     assert dropped == len(radii) - len(want)
     assert [f.radius for f in fits] == [f.radius for f in want]
     for got, ref in zip(fits, want):

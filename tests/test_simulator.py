@@ -98,6 +98,12 @@ def test_observation_validation():
     for sigma in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="noise sigma"):
             Observation(np.zeros((4, 4)), (0.0, 0.0), (1, 2), np.array([[1.0]]), sigma)
+    # a shift whose ramp phase pi * shift overflows is refused by name; one
+    # beyond a grid period is valid
+    for shift in ((1e308, 0.0), (0.0, -1e308), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="shift_hr"):
+            Observation(np.zeros((4, 4)), shift, (1, 2), np.array([[1.0]]), 0.0)
+    Observation(np.zeros((4, 4)), (-25.0, 25.0), (1, 2), np.array([[1.0]]), 0.0)
 
 
 def test_non_finite_target_is_refused(tiny_scenario, nominal_params):
@@ -192,6 +198,10 @@ def test_noise_sigma_value():
     img = np.zeros((16, 16))
     _, sigma = add_noise(img, 60.0, 0)
     assert sigma == 5.0
+    # NaN fails the SNR test like any other value that is not > 0
+    for snr in (float("nan"), -1.0, 0.0):
+        with pytest.raises(ValueError, match="SNR must be > 0"):
+            add_noise(img, snr, 0)
 
 
 def test_noise_statistics():

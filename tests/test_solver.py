@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from srlab.fourier import gaussian_kernel, irfft2_rows, rfft2_rows
+from srlab.fourier import (full_rows, gaussian_kernel, irfft2_rows, kernel_transfer,
+                           rfft2_rows, shift_multiplier_2d)
 from srlab.seeding import child_seed
 from srlab.simulator import Observation, SystemParams, simulate_observations
-from srlab.solver import (MAX_HALVINGS, SolverConfig, _cubic_spectrum,
-                          _observation_transfer, adjoint_model, bicubic_upsample,
-                          btv_gradient, btv_penalty, cost, forward_model,
+from srlab.solver import (MAX_HALVINGS, SolverConfig, _cubic_spectrum, adjoint_model,
+                          bicubic_upsample, btv_gradient, btv_penalty, forward_model,
                           super_resolve)
 
 
@@ -229,6 +229,13 @@ def test_btv_validation():
 
 # ---------------------------------------------------------------- cost
 
+def cost(x, observations, cfg):
+    """The MAP cost in image space: sum_k ||y_k - forward_model(x)||^2
+    plus lam * BTV."""
+    data = sum(float(np.sum((o.image - forward_model(x, o)) ** 2)) for o in observations)
+    return data + cfg.lam * btv_penalty(x, cfg.alpha, cfg.p_radius)
+
+
 def test_cost_zero_at_truth():
     rng = np.random.default_rng(40)
     truth = rng.normal(300.0, 50.0, (16, 16))
@@ -400,7 +407,9 @@ def image_space_super_resolve(observations, cfg):
     decimation = observations[0].decimation
     d0, d1 = decimation
     hr_shape = (observations[0].image.shape[0] * d0, observations[0].image.shape[1] * d1)
-    terms = [(o.image, _observation_transfer(o, hr_shape)) for o in observations]
+    terms = [(o.image, full_rows(kernel_transfer(o.assumed_psf, hr_shape)
+                                 * shift_multiplier_2d(hr_shape, o.shift_hr), hr_shape[0]))
+             for o in observations]
 
     def forward(x, t):
         return scipy.fft.ifft2(scipy.fft.fft2(x) * t).real[::d0, ::d1]

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.metrology import measure_resolution
-from srlab.target import StarSpec, generate_spoke_target, pattern_angle, sector_mask
+from srlab.target import StarSpec, generate_spoke_target, pattern_angle
+
+from test_metrology import sector_mask
 
 
 def small_star(**kw):
