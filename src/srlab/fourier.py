@@ -18,7 +18,7 @@ and those past the HR half enter as the conjugates of their mirror bins.
 An odd side has no Nyquist line.  On the half-plane, Parseval weights
 each row by 2, except bin 0 and an even height's Nyquist row, which are
 their own twins and count once.  Every transform in srlab goes through
-scipy.fft.
+numpy.fft.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "rfft2_rows",
@@ -48,12 +47,12 @@ __all__ = [
 def rfft2_rows(image: np.ndarray) -> np.ndarray:
     """Half-plane spectrum of a real image: row bins 0..h//2, every
     column bin."""
-    return scipy.fft.rfft2(image, axes=(1, 0))
+    return np.fft.rfft2(image, axes=(1, 0))
 
 
 def irfft2_rows(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Real image of the given shape whose half-plane spectrum this is."""
-    return scipy.fft.irfft2(spectrum, s=(shape[1], shape[0]), axes=(1, 0))
+    return np.fft.irfft2(spectrum, s=(shape[1], shape[0]), axes=(1, 0))
 
 
 def shift_multiplier_1d(n: int, delta: float) -> np.ndarray:
@@ -184,7 +183,7 @@ def sinc_columns(data: np.ndarray, factor: int) -> np.ndarray:
     third full-size complex array as its intermediate)."""
     h, w = data.shape
     big_h = h * factor
-    spectrum = scipy.fft.rfft2(data)
+    spectrum = np.fft.rfft2(data)
     padded = np.zeros((big_h, w // 2 + 1), dtype=complex)
     n_pos, n_neg = (h + 1) // 2, (h - 1) // 2  # rows of frequency 0.., ..-1
     padded[:n_pos] = spectrum[:n_pos]
@@ -194,7 +193,7 @@ def sinc_columns(data: np.ndarray, factor: int) -> np.ndarray:
         padded[big_h - h // 2] = padded[h // 2]
     if w % 2 == 0:
         padded[:, w // 2] *= 0.5
-    return scipy.fft.ifft(padded, axis=0, overwrite_x=True)
+    return np.fft.ifft(padded, axis=0, out=padded)
 
 
 def sinc_rows(columns: np.ndarray, width: int, factor: int, lo: int,
@@ -206,7 +205,7 @@ def sinc_rows(columns: np.ndarray, width: int, factor: int, lo: int,
     big_w = width * factor
     rows = np.zeros((hi - lo, big_w // 2 + 1), dtype=complex)
     rows[:, :width // 2 + 1] = columns[lo:hi]
-    out = scipy.fft.irfft(rows, n=big_w, axis=1, overwrite_x=True)
+    out = np.fft.irfft(rows, n=big_w, axis=1)
     out *= factor * factor
     return out
 

@@ -81,8 +81,15 @@ class SystemParams:
         if not 0.0 < self.assumed_psf_sigma < math.inf:
             raise ValueError(f"assumed PSF sigma must be finite and > 0, "
                              f"got {self.assumed_psf_sigma!r}")
-        if not self.subarray_shift_al_lines >= 0:
-            raise ValueError("along-track separation must be >= 0 lines")
+        # the HR shift simulate_observations makes of it must pass Observation
+        lr_per_hr = self.geometry.lr_pixel_pitch_um / self.geometry.hr_sample_pitch_um
+        try:
+            phase = math.pi * (self.subarray_shift_al_lines * lr_per_hr)
+        except OverflowError:  # an int past the float range
+            phase = math.inf
+        if not 0.0 <= phase < math.inf:
+            raise ValueError("subarray_shift_al_lines must be >= 0 with a finite HR "
+                             "shift and phase ramp pi * shift")
 
     @property
     def noise_sigma(self) -> float:

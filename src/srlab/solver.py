@@ -15,7 +15,7 @@ correct; that HR spectrum gives the first residuals.  The solver carries
 each LR residual spectrum: the data cost is its energy by Parseval,
 2*vdot(all rows) - vdot(bin-0 row) - vdot(Nyquist row), and it is linear
 in the step, so the step search takes no FFT and an iteration takes two,
-both through scipy.fft: the data gradient to image space for the BTV
+both through numpy.fft: the data gradient to image space for the BTV
 prior (irfft2) and the prior gradient back (rfft2).
 The BTV prior is one pass over the shift differences, taken as slices of
 one wrap-padded copy of the image: it gives the penalty at each

@@ -53,6 +53,15 @@ class StarSpec:
             raise ValueError("dark_level must be < bright_level")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
+        # a cell sums supersample^2 sub-point levels, the mean level among them
+        try:
+            bound = (abs(self.dark_level) + abs(self.bright_level)) * self.supersample ** 2
+        except OverflowError:  # a sub-point count past the float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(f"dark_level {self.dark_level!r} and bright_level "
+                             f"{self.bright_level!r} overflow when summed over "
+                             f"supersample^2 sub-points")
 
     @property
     def mean_level(self) -> float:

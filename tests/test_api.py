@@ -79,11 +79,13 @@ def test_scripts_import(script):
     assert callable(_load(script, f"_script_{script.stem}").main)
 
 
-def test_import_leaves_out_scipy_ndimage():
-    # every interpolation is a spectral multiplier; scipy.ndimage stays a
-    # test-only reference
-    probe = "import sys, srlab; print('scipy.ndimage' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
-    assert out.stdout.strip() == "False"
+def test_import_loads_no_scipy():
+    # every transform is numpy.fft's and every interpolation a spectral
+    # multiplier; scipy is a test-only reference
+    for module in ("srlab", "srlab.cli"):
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+        assert out.stdout.strip() == "[]", module

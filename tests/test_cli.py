@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -17,6 +20,8 @@ from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_conf
 from srlab.simulator import SystemParams, simulate_observations
 from srlab.solver import SolverConfig, super_resolve
 from srlab.target import StarSpec, generate_spoke_target
+
+from test_api import PACKAGE_ROOT
 
 
 CONFIG = {
@@ -134,6 +139,30 @@ def test_config_out_of_range_exits_2(tmp_path, capsys, config, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     # rejected at config load: no stage ran, no output directory was made
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["target"], ["simulate", "--seed", "7"]],
+                         ids=["target", "simulate"])
+@pytest.mark.parametrize("config, key", [
+    ({"system": {"subarray_shift_al_lines": 10**309}}, "subarray_shift_al_lines"),
+    ({"system": {"subarray_shift_al_lines": 3 * 10**307}}, "subarray_shift_al_lines"),
+    ({"star": {"bright_level": 1e308}}, "bright_level"),
+    ({"star": {"dark_level": -1e308, "supersample": 2}}, "dark_level")],
+    ids=["lines-past-float", "lines-shift-ramp-inf", "bright-level-sum",
+         "dark-level-sum"])
+def test_config_overflow_exits_2_naming_key(tmp_path, capsys, config, key, command):
+    # a value whose float arithmetic would overflow in a stage is refused
+    # at config load, by its key, before numpy can warn
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -366,6 +395,35 @@ def test_pgm_exports_still_feed_the_chain(tmp_path):
     trial = run_trial(SystemParams(), Scenario(), 42)
     assert report["resolution_m"] == pytest.approx(trial.resolution_m, rel=1e-3)
     assert report["resolution_m"] != trial.resolution_m  # the PGM files were read
+
+
+# the stage chain in a process where every scipy import fails
+_SCIPY_BLOCKED_CHAIN = """
+import sys
+sys.modules["scipy"] = None
+from srlab.cli import main
+config, root = sys.argv[1:]
+sim, sr = f"{root}/sim", f"{root}/sr"
+for argv in (["simulate", "--seed", "42", "--out-dir", sim],
+             ["superresolve", "--meta", f"{sim}/meta.json", "--out-dir", sr],
+             ["measure", "--image", f"{sr}/sr.npy", "--meta", f"{sim}/meta.json",
+              "--out-dir", f"{root}/meas"]):
+    assert main([*argv, "--config", config]) == 0, argv
+"""
+
+
+def test_stage_chain_runs_without_scipy(config_path, tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable the
+    # chain still runs, and equals run_trial on the same config
+    subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_CHAIN, str(config_path),
+                    str(tmp_path)], check=True,
+                   env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    config = load_config(config_path)
+    trial = run_trial(config.system, config.scenario, 42)
+    assert trial.resolution_m is not None
+    report = json.loads((tmp_path / "meas" / "report.json").read_text())
+    keys = ("resolution_m", "rings_dropped", "ladder_limited", "degenerate_crossing")
+    assert {key: report[key] for key in keys} == {key: getattr(trial, key) for key in keys}
 
 
 class _Unpickled:
