@@ -18,7 +18,8 @@ from .mtf import (GeometryConstants, footprint_mtf, jitter_mtf, optics_mtf,
                   sampling_mtf, smear_mtf, system_otf)
 from .scenario import Scenario, ScenarioConfig, load_config
 from .simulator import (Observation, SystemParams, add_noise,
-                        render_blurred_scene, simulate_observations)
+                        render_blurred_scene, simulate_observations,
+                        subarray_observations)
 from .solver import (SolverConfig, SrResult, adjoint_model, bicubic_upsample,
                      btv_gradient, btv_penalty, forward_model, super_resolve)
 from .target import StarSpec, generate_spoke_target

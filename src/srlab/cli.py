@@ -1,9 +1,10 @@
 """Command-line interface: one executable, one subcommand per stage.
 
 Subcommands: target, mtf-curves, simulate, superresolve, measure,
-montecarlo, sweep.  All share one JSON config schema (each reads only
-its section), write machine-readable outputs to files only, and log to
-stderr.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+montecarlo, sweep.  All share one JSON config schema, every stage's
+only input besides its images; they write machine-readable outputs to
+files only, and log to stderr.  Exit codes: 0 success, 1 usage error,
+2 runtime failure.
 
 Determinism is a contract: campaign seeds come from --seed or the
 config; there is no wall-clock fallback.
@@ -21,13 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import check_gaussian_fits, gaussian_kernel
 from .grid import read_image, write_pgm
 from .metrology import measure_resolution
 from .montecarlo import PARAMETER_FIELDS, ParameterSpec, run_campaign, sweep
 from .mtf import mtf_curve_table
-from .scenario import ScenarioConfig, _checked, load_config
-from .simulator import Observation, simulate_observations
+from .scenario import ScenarioConfig, load_config
+from .simulator import simulate_observations, subarray_observations
 from .solver import super_resolve
 from .target import generate_spoke_target
 
@@ -93,62 +93,26 @@ def cmd_mtf_curves(args, config: ScenarioConfig, out: Path) -> int:
 
 def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
-    scenario, system = config.scenario, config.system
+    scenario = config.scenario
     target = generate_spoke_target(scenario.star, scenario.grid_size)
-    obs1, obs2 = simulate_observations(target, system, seed)
+    observations = simulate_observations(target, config.system, seed)
     write_pgm(out / "truth.pgm", target)
-    for k, obs in ((1, obs1), (2, obs2)):  # .npy for the next stage, .pgm to view
+    for k, obs in enumerate(observations, 1):  # .npy for the next stage, .pgm to view
         write_pgm(out / f"obs{k}.pgm", obs.image)
         np.save(out / f"obs{k}.npy", obs.image)
-    meta = {
-        "seed": seed,
-        "snr_at_300": system.snr_at_300,
-        "noise_sigma": obs1.noise_sigma,
-        "decimation": list(obs1.decimation),
-        "assumed_psf_sigma": system.assumed_psf_sigma,
-        "hr_size": list(scenario.grid_size),
-        "nem_signal": scenario.nem_signal,
-        "star": {
-            "center": list(scenario.star.center),
-            "cycles": scenario.star.cycles,
-            "outer_radius": scenario.star.outer_radius,
-        },
-        "observations": [{"file": f"obs{k}.npy", "shift_hr": list(obs.shift_hr),
-                          "noise_sigma": obs.noise_sigma}
-                         for k, obs in ((1, obs1), (2, obs2))],
-    }
-    _write_json(out / "meta.json", meta)
-    logger.info("wrote obs1/obs2 .npy and .pgm, truth.pgm, meta.json to %s", out)
+    logger.info("wrote obs1/obs2 .npy and .pgm and truth.pgm (seed %d) to %s", seed, out)
     return 0
 
 
-def _fields(section, hints: dict, what: str) -> dict:
-    """The values of a sidecar mapping's keys, each type-checked against
-    its hint as config keys are; a missing key is a KeyError."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{what} must be a mapping")
-    return {key: _checked(section[key], hint, what, key) for key, hint in hints.items()}
-
-
-def _read_sidecar(path: Path, hints: dict) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _fields(json.load(fh), hints, str(path))
-
-
 def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
-    meta_path = Path(args.meta)
-    meta = _read_sidecar(meta_path, {
-        "decimation": tuple[int, int], "assumed_psf_sigma": float,
-        "noise_sigma": float, "hr_size": tuple[int, int], "observations": list})
-    entries = [_fields(entry, {"file": str, "shift_hr": tuple[float, float]},
-                       f"{meta_path} observations[{i}]")
-               for i, entry in enumerate(meta["observations"])]
-    check_gaussian_fits(meta["assumed_psf_sigma"], meta["hr_size"])
-    psf = gaussian_kernel(meta["assumed_psf_sigma"])
-    observations = [Observation(image=read_image(meta_path.parent / entry["file"]),
-                                shift_hr=entry["shift_hr"], decimation=meta["decimation"],
-                                assumed_psf=psf, noise_sigma=meta["noise_sigma"])
-                    for entry in entries]
+    observations = subarray_observations([read_image(p) for p in args.observations],
+                                         config.system)
+    grid = config.scenario.grid_size
+    for path, obs in zip(args.observations, observations):
+        hr_shape = tuple(n * s for n, s in zip(obs.image.shape, obs.decimation))
+        if hr_shape != grid:
+            raise ValueError(f"{path}: observation of shape {obs.image.shape} samples "
+                             f"an HR grid {hr_shape}, not the config's grid {grid}")
     result = super_resolve(observations, cfg=config.scenario.solver)
     write_pgm(out / "sr.pgm", result.image)
     np.save(out / "sr.npy", result.image)
@@ -160,15 +124,11 @@ def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
 
 
 def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
-    meta = _read_sidecar(Path(args.meta), {"star": dict, "nem_signal": float,
-                                           "noise_sigma": float})
-    star = _fields(meta["star"], {"center": tuple[float, float], "cycles": int,
-                                  "outer_radius": float}, f"{args.meta} star")
-    image = read_image(args.image)
+    scenario, star = config.scenario, config.scenario.star
     report = measure_resolution(
-        image, star["center"], star["cycles"], meta["nem_signal"],
-        meta["noise_sigma"], star["outer_radius"], sector=args.sector,
-        n_rings=config.scenario.n_rings)
+        read_image(args.image), star.center, star.cycles, scenario.nem_signal,
+        config.system.noise_sigma, star.outer_radius, sector=args.sector,
+        n_rings=scenario.n_rings, geometry=config.system.geometry)
     _write_csv(out / "curve.csv", ["f_cyc_per_hr_px", "modulation", "nem"],
                [[repr(f), repr(m), repr(report.nem)] for f, m in report.curve])
     summary = {
@@ -292,13 +252,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("superresolve", help="reconstruct an HR image from observations")
     common(p)
-    p.add_argument("--meta", required=True, help="metadata sidecar from simulate")
+    p.add_argument("--observations", required=True, nargs=2, metavar=("OBS1", "OBS2"),
+                   help="the two subarray images from simulate (.npy or PGM)")
     p.set_defaults(func=cmd_superresolve)
 
     p = sub.add_parser("measure", help="measure resolution of a star image")
     common(p)
     p.add_argument("--image", required=True, help="image to measure (.npy or PGM)")
-    p.add_argument("--meta", required=True, help="metadata sidecar from simulate")
     p.add_argument("--sector", type=int, default=None,
                    help="restrict to one of 8 angular sectors")
     p.set_defaults(func=cmd_measure)

@@ -14,7 +14,7 @@ import typing
 from dataclasses import dataclass, field, is_dataclass, replace
 
 from .simulator import SystemParams
-from .solver import SolverConfig
+from .solver import SolverConfig, check_btv_fits
 from .target import StarSpec
 
 __all__ = ["Scenario", "MonteCarloConfig", "ScenarioConfig", "load_config"]
@@ -45,6 +45,7 @@ class Scenario:
         if any(n % 2 for n in self.grid_size):
             raise ValueError(f"grid dimensions must be even (the blur needs "
                              f"them), got {self.grid_size[0]}x{self.grid_size[1]}")
+        check_btv_fits(self.solver.p_radius, self.grid_size)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "render_blurred_scene",
     "add_noise",
     "simulate_observations",
+    "subarray_observations",
     "REFERENCE_SIGNAL",
 ]
 
@@ -41,6 +42,9 @@ SIGMA_PER_FWHM = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 # 15% albedo reference signal in counts; SNR and NEM are quoted at it
 REFERENCE_SIGNAL = 300.0
+
+# how a subarray image samples the HR grid (along, across track)
+_DECIMATION = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,9 @@ class SystemParams:
         if not 0.0 < self.assumed_psf_sigma < math.inf:
             raise ValueError(f"assumed PSF sigma must be finite and > 0, "
                              f"got {self.assumed_psf_sigma!r}")
-        # the HR shift simulate_observations makes of it must pass Observation
-        lr_per_hr = self.geometry.lr_pixel_pitch_um / self.geometry.hr_sample_pitch_um
+        # the HR shift _subarray_shifts makes of it must pass Observation
         try:
-            phase = math.pi * (self.subarray_shift_al_lines * lr_per_hr)
+            phase = math.pi * _subarray_shifts(self)[1][0]
         except OverflowError:  # an int past the float range
             phase = math.inf
         if not 0.0 <= phase < math.inf:
@@ -131,6 +134,15 @@ class Observation:
             raise ValueError("assumed PSF must sum to 1")
 
 
+def _subarray_shifts(params: SystemParams) -> tuple[tuple[float, float], ...]:
+    """Each subarray's (along, across) shift in HR pixels: the first at
+    (0, 0), the second at the along-track line separation plus the
+    across-track stagger."""
+    lr_per_hr = params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
+    return ((0.0, 0.0), (params.subarray_shift_al_lines * lr_per_hr,
+                         params.subarray_shift_ax * lr_per_hr))
+
+
 def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
     """Half-plane spectrum of an HR target filtered by the system OTF.
 
@@ -165,37 +177,39 @@ def add_noise(image: np.ndarray, snr_at_300: float, rng_seed: int
     return image + rng.normal(0.0, sigma, size=image.shape), sigma
 
 
+def subarray_observations(images, params: SystemParams) -> tuple[Observation, Observation]:
+    """The Observations of the two subarray images, built from params alone:
+    decimation (1, 2) (1 LR pixel = 2 HR samples across track), the shifts
+    of _subarray_shifts, the solver PSF gaussian_kernel(assumed_psf_sigma)
+    (refused before it is built if it would not fit the HR grid the first
+    image samples) and params.noise_sigma."""
+    first, second = images
+    check_gaussian_fits(params.assumed_psf_sigma,
+                        tuple(n * s for n, s in zip(np.shape(first), _DECIMATION)))
+    psf = gaussian_kernel(params.assumed_psf_sigma)
+    return tuple(Observation(image=image, shift_hr=shift, decimation=_DECIMATION,
+                             assumed_psf=psf, noise_sigma=params.noise_sigma)
+                 for image, shift in zip((first, second), _subarray_shifts(params)))
+
+
 def simulate_observations(target: np.ndarray, params: SystemParams, rng_seed: int
                           ) -> tuple[Observation, Observation]:
     """Produce the two staggered subarray observations of a target.
 
     One blurred spectrum feeds both subarrays: a subarray image samples
     it at (i*s_al + d_al, j*s_ax + d_ax), a shift ramp folded onto the
-    LR grid.  Observation 1 is at shift (0, 0); observation 2 at the
-    along-track line separation plus the across-track stagger, both in
-    HR pixels (1 LR pixel = 2 HR samples).  Noise streams are derived as
-    child seeds (seed, observation index), so the pair is independent
-    of evaluation order.  A solver PSF whose kernel would not fit the
-    target is refused before the kernel is built.
+    LR grid, at the shifts subarray_observations records.  Noise streams
+    are derived as child seeds (seed, observation index), so the pair is
+    independent of evaluation order.  The noisy images go through
+    subarray_observations, the builder srlab superresolve uses on the
+    images it reads.
     """
     spectrum = _blurred_spectrum(target, params)
     shape = np.shape(target)
-    check_gaussian_fits(params.assumed_psf_sigma, shape)
-    decimation = (1, 2)
-    lr_shape = (shape[0] // decimation[0], shape[1] // decimation[1])
-    lr_per_hr = params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
-    shifts = [
-        (0.0, 0.0),
-        (params.subarray_shift_al_lines * lr_per_hr,
-         params.subarray_shift_ax * lr_per_hr),
-    ]
-    psf = gaussian_kernel(params.assumed_psf_sigma)
-    observations = []
-    for k, shift in enumerate(shifts):
+    lr_shape = (shape[0] // _DECIMATION[0], shape[1] // _DECIMATION[1])
+    images = []
+    for k, shift in enumerate(_subarray_shifts(params)):
         ramp = shift_multiplier_2d(shape, shift)
-        sampled = irfft2_rows(fold(ramp, spectrum, decimation), lr_shape)
-        noisy, sigma = add_noise(sampled, params.snr_at_300, child_seed(rng_seed, k))
-        observations.append(Observation(image=noisy, shift_hr=shift,
-                                        decimation=decimation, assumed_psf=psf,
-                                        noise_sigma=sigma))
-    return observations[0], observations[1]
+        sampled = irfft2_rows(fold(ramp, spectrum, _DECIMATION), lr_shape)
+        images.append(add_noise(sampled, params.snr_at_300, child_seed(rng_seed, k))[0])
+    return subarray_observations(images, params)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fourier import (fold, irfft2_rows, kernel_transfer, rfft2_rows,
                       shift_multiplier_2d, unfold)
-from .grid import check_image
+from .grid import MAX_PIXELS, check_image
 from .simulator import Observation
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "btv_gradient",
     "super_resolve",
     "bicubic_upsample",
+    "check_btv_fits",
 ]
 
 
@@ -52,6 +53,16 @@ def _check_btv(alpha: float, p_radius: int) -> None:
         raise ValueError("alpha must be in (0, 1]")
     if p_radius < 1:
         raise ValueError("BTV window radius must be >= 1")
+
+
+def check_btv_fits(p_radius: int, hr_shape: tuple[int, int]) -> None:
+    """ValueError unless the BTV pass's 3P(P+1)/2 int8 sign planes of an
+    HR grid of this shape hold at most grid.MAX_PIXELS values, found
+    before any shift pair is built."""
+    planes = 3 * p_radius * (p_radius + 1) // 2
+    if planes * hr_shape[0] * hr_shape[1] > MAX_PIXELS:
+        raise ValueError(f"solver P {p_radius}: the BTV window's {planes} sign planes "
+                         f"of grid {tuple(hr_shape)} hold more than {MAX_PIXELS} values")
 
 
 @dataclass(frozen=True)
@@ -113,8 +124,8 @@ def _hr_shape(obs: Observation) -> tuple[int, int]:
 def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
     """Each observation's multiplier of blur + shift on the HR half-plane
     (Hermitian).  kernel_transfer runs once per distinct PSF: kernels are
-    compared by value, since observations read from files carry equal but
-    separately built kernels."""
+    compared by value, so hand-built observations with equal but separately
+    built kernels share one transfer, as subarray_observations' pair does."""
     blurs: list[tuple[np.ndarray, np.ndarray]] = []
     transfers = []
     for o in observations:
@@ -293,6 +304,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     hr_shape = _hr_shape(observations[0])
     if any(_hr_shape(o) != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
+    check_btv_fits(cfg.p_radius, hr_shape)
 
     lr_shape = observations[0].image.shape
     transfers = _transfers(observations, hr_shape)

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .grid import MAX_PIXELS
+
 __all__ = ["StarSpec", "generate_spoke_target", "pattern_angle"]
 
 
@@ -53,11 +55,15 @@ class StarSpec:
             raise ValueError("dark_level must be < bright_level")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
+        # generate_spoke_target evaluates supersample^2 sub-points per cell
+        # of the star's box
+        box = (2 * math.ceil(self.outer_radius) + 3) ** 2
+        if self.supersample ** 2 * box > MAX_PIXELS:
+            raise ValueError(f"supersample {self.supersample}: the star's {box}-cell "
+                             f"box at supersample^2 sub-points per cell is more than "
+                             f"{MAX_PIXELS} sub-points")
         # a cell sums supersample^2 sub-point levels, the mean level among them
-        try:
-            bound = (abs(self.dark_level) + abs(self.bright_level)) * self.supersample ** 2
-        except OverflowError:  # a sub-point count past the float range
-            bound = math.inf
+        bound = (abs(self.dark_level) + abs(self.bright_level)) * self.supersample ** 2
         if not math.isfinite(bound):
             raise ValueError(f"dark_level {self.dark_level!r} and bright_level "
                              f"{self.bright_level!r} overflow when summed over "

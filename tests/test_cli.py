@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from srlab.grid import read_pgm
 from srlab.metrology import measure_resolution, nem
 from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_config
-from srlab.simulator import SystemParams, simulate_observations
+from srlab.simulator import SystemParams, simulate_observations, subarray_observations
 from srlab.solver import SolverConfig, super_resolve
 from srlab.target import StarSpec, generate_spoke_target
 
@@ -142,8 +143,10 @@ def test_config_out_of_range_exits_2(tmp_path, capsys, config, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["target"], ["simulate", "--seed", "7"]],
-                         ids=["target", "simulate"])
+@pytest.mark.parametrize("command", [
+    ["target"], ["simulate", "--seed", "7"],
+    ["superresolve", "--observations", "obs1.npy", "obs2.npy"]],
+    ids=["target", "simulate", "superresolve"])
 @pytest.mark.parametrize("config, key", [
     ({"system": {"subarray_shift_al_lines": 10**309}}, "subarray_shift_al_lines"),
     ({"system": {"subarray_shift_al_lines": 3 * 10**307}}, "subarray_shift_al_lines"),
@@ -271,19 +274,13 @@ def test_pipeline_roundtrip(config_path, tmp_path):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--seed", "42",
                  "--out-dir", str(sim_dir)]) == 0
-    for name in ("obs1.npy", "obs2.npy", "obs1.pgm", "obs2.pgm", "truth.pgm",
-                 "meta.json"):
-        assert (sim_dir / name).exists()
-    meta = json.loads((sim_dir / "meta.json").read_text())
-    assert meta["seed"] == 42
-    assert [entry["file"] for entry in meta["observations"]] == ["obs1.npy", "obs2.npy"]
-    assert meta["decimation"] == [1, 2]
-    assert meta["noise_sigma"] == pytest.approx(5.0)
-    assert meta["observations"][1]["shift_hr"] == [20.0, 1.0]
+    # the images and their viewable exports, and nothing else
+    assert sorted(p.name for p in sim_dir.iterdir()) == [
+        "obs1.npy", "obs1.pgm", "obs2.npy", "obs2.pgm", "truth.pgm"]
 
     sr_dir = tmp_path / "sr"
-    assert main(["superresolve", "--config", str(config_path),
-                 "--meta", str(sim_dir / "meta.json"),
+    assert main(["superresolve", "--config", str(config_path), "--observations",
+                 str(sim_dir / "obs1.npy"), str(sim_dir / "obs2.npy"),
                  "--out-dir", str(sr_dir)]) == 0
     assert (sr_dir / "sr.npy").exists() and (sr_dir / "sr.pgm").exists()
     trace = (sr_dir / "cost_trace.csv").read_text().splitlines()
@@ -293,9 +290,7 @@ def test_pipeline_roundtrip(config_path, tmp_path):
 
     meas_dir = tmp_path / "meas"
     assert main(["measure", "--config", str(config_path),
-                 "--image", str(sr_dir / "sr.npy"),
-                 "--meta", str(sim_dir / "meta.json"),
-                 "--out-dir", str(meas_dir)]) == 0
+                 "--image", str(sr_dir / "sr.npy"), "--out-dir", str(meas_dir)]) == 0
     report = json.loads((meas_dir / "report.json").read_text())
     assert report["nem"] == pytest.approx(0.0667, abs=1e-4)
     assert report["resolution_m"] is None or report["resolution_m"] > 0
@@ -307,17 +302,15 @@ def test_measure_sector_matches_in_process(config_path, tmp_path, capsys):
     sim, sr, meas = tmp_path / "sim", tmp_path / "sr", tmp_path / "meas"
     assert main(["simulate", "--config", str(config_path), "--seed", "42",
                  "--out-dir", str(sim)]) == 0
-    assert main(["superresolve", "--config", str(config_path),
-                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
-    measure = ["measure", "--config", str(config_path), "--image", str(sr / "sr.pgm"),
-               "--meta", str(sim / "meta.json")]
+    assert main(["superresolve", "--config", str(config_path), "--observations",
+                 str(sim / "obs1.npy"), str(sim / "obs2.npy"), "--out-dir", str(sr)]) == 0
+    measure = ["measure", "--config", str(config_path), "--image", str(sr / "sr.pgm")]
     assert main([*measure, "--sector", "3", "--out-dir", str(meas)]) == 0
-    meta = json.loads((sim / "meta.json").read_text())
-    star = meta["star"]
-    want = measure_resolution(read_pgm(sr / "sr.pgm"), tuple(star["center"]),
-                              star["cycles"], meta["nem_signal"], meta["noise_sigma"],
-                              star["outer_radius"], sector=3,
-                              n_rings=load_config(config_path).scenario.n_rings)
+    config = load_config(config_path)
+    scenario, star = config.scenario, config.scenario.star
+    want = measure_resolution(read_pgm(sr / "sr.pgm"), star.center, star.cycles,
+                              scenario.nem_signal, config.system.noise_sigma,
+                              star.outer_radius, sector=3, n_rings=scenario.n_rings)
     rows = (meas / "curve.csv").read_text().splitlines()[1:]
     assert [(float(f), float(m)) for f, m, _ in (row.split(",") for row in rows)] == \
         want.curve
@@ -339,15 +332,15 @@ def _minimal_chain(tmp_path):
     path.write_text(json.dumps({"montecarlo": {"master_seed": 42}}))
     sim, sr = tmp_path / "sim", tmp_path / "sr"
     assert main(["simulate", "--config", str(path), "--out-dir", str(sim)]) == 0
-    assert main(["superresolve", "--config", str(path),
-                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
+    assert main(["superresolve", "--config", str(path), "--observations",
+                 str(sim / "obs1.npy"), str(sim / "obs2.npy"), "--out-dir", str(sr)]) == 0
     return path, sim, sr
 
 
-def _measured(path, sim, image, out, *flags):
+def _measured(path, image, out, *flags):
     """report.json and the curve of srlab measure on image."""
     assert main(["measure", "--config", str(path), "--image", str(image),
-                 "--meta", str(sim / "meta.json"), "--out-dir", str(out), *flags]) == 0
+                 "--out-dir", str(out), *flags]) == 0
     rows = (out / "curve.csv").read_text().splitlines()[1:]
     curve = [(float(f), float(m)) for f, m, _ in (row.split(",") for row in rows)]
     return json.loads((out / "report.json").read_text()), curve
@@ -357,7 +350,7 @@ def test_minimal_config_pipeline_matches_run_trial(tmp_path):
     # every omitted section takes the defaults run_trial uses, measure uses
     # the config's ring ladder, and the stages hand each other the exact
     # float64 arrays, so the chain is the trial bit for bit
-    path, sim, sr = _minimal_chain(tmp_path)
+    path, _, sr = _minimal_chain(tmp_path)
     trial = run_trial(SystemParams(), Scenario(), 42)
     assert trial.resolution_m is not None
     scenario, params = Scenario(), SystemParams()
@@ -368,7 +361,7 @@ def test_minimal_config_pipeline_matches_run_trial(tmp_path):
     reports = {}
     for sector in (None, 3):
         flags = [] if sector is None else ["--sector", str(sector)]
-        reports[sector], curve = _measured(path, sim, sr / "sr.npy",
+        reports[sector], curve = _measured(path, sr / "sr.npy",
                                            tmp_path / f"meas{sector}", *flags)
         want = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
                                   params.noise_sigma, star.outer_radius, sector=sector,
@@ -380,21 +373,70 @@ def test_minimal_config_pipeline_matches_run_trial(tmp_path):
 
 
 def test_pgm_exports_still_feed_the_chain(tmp_path):
-    # a sidecar that names the 16-bit PGM exports still runs superresolve ->
-    # measure; quantizing the observations and sr.pgm moves the result by
-    # no more than 1e-3
+    # the 16-bit PGM exports still run superresolve -> measure; quantizing
+    # the observations and sr.pgm moves the result by no more than 1e-3
     path, sim, _ = _minimal_chain(tmp_path)
-    meta = json.loads((sim / "meta.json").read_text())
-    for entry in meta["observations"]:
-        entry["file"] = entry["file"].replace(".npy", ".pgm")
-    (sim / "meta.json").write_text(json.dumps(meta))
     sr = tmp_path / "sr-pgm"
-    assert main(["superresolve", "--config", str(path),
-                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
-    report, _ = _measured(path, sim, sr / "sr.pgm", tmp_path / "meas")
+    assert main(["superresolve", "--config", str(path), "--observations",
+                 str(sim / "obs1.pgm"), str(sim / "obs2.pgm"), "--out-dir", str(sr)]) == 0
+    report, _ = _measured(path, sr / "sr.pgm", tmp_path / "meas")
     trial = run_trial(SystemParams(), Scenario(), 42)
     assert report["resolution_m"] == pytest.approx(trial.resolution_m, rel=1e-3)
     assert report["resolution_m"] != trial.resolution_m  # the PGM files were read
+
+
+def test_every_stage_reads_its_values_from_its_own_config(config_path, tmp_path):
+    # simulate runs on config A; superresolve and measure run on config B,
+    # whose SNR, solver PSF and ring count differ, and equal the in-process
+    # calls on B's values: no value travels from simulate to the later stages
+    sim, sr, meas = tmp_path / "sim", tmp_path / "sr", tmp_path / "meas"
+    assert main(["simulate", "--config", str(config_path), "--seed", "42",
+                 "--out-dir", str(sim)]) == 0
+    path_b = tmp_path / "b.json"
+    path_b.write_text(json.dumps({
+        **CONFIG, "n_rings": 24,
+        "system": {**CONFIG["system"], "snr_at_300": 30.0, "assumed_psf_sigma": 1.1}}))
+    obs = [str(sim / "obs1.npy"), str(sim / "obs2.npy")]
+    assert main(["superresolve", "--config", str(path_b), "--observations", *obs,
+                 "--out-dir", str(sr)]) == 0
+    assert main(["measure", "--config", str(path_b), "--image", str(sr / "sr.npy"),
+                 "--out-dir", str(meas)]) == 0
+
+    b = load_config(path_b)
+    scenario, star = b.scenario, b.scenario.star
+    image = super_resolve(subarray_observations([np.load(p) for p in obs], b.system),
+                          b.scenario.solver).image
+    assert (np.load(sr / "sr.npy") == image).all()
+    want = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                              b.system.noise_sigma, star.outer_radius,
+                              n_rings=scenario.n_rings, geometry=b.system.geometry)
+    rows = (meas / "curve.csv").read_text().splitlines()[1:]
+    assert [(float(f), float(m)) for f, m, _ in (row.split(",") for row in rows)] == \
+        want.curve
+    report = json.loads((meas / "report.json").read_text())
+    assert report == {key: getattr(want, key) for key in report}
+    assert report["nem"] == nem(scenario.nem_signal, 10.0)  # 300 / SNR 30
+
+
+@pytest.mark.parametrize("config, command, key", [
+    ({"star": {"supersample": 100000}}, ["target"], "supersample 100000:"),
+    ({"solver": {"P": 10**6}}, ["superresolve", "--observations", "o1.npy", "o2.npy"],
+     "solver P 1000000:"),
+    ({"solver": {"P": 10**6}}, ["montecarlo", "--trials", "1", "--seed", "3"],
+     "solver P 1000000:")],
+    ids=["supersample-target", "P-superresolve", "P-montecarlo"])
+def test_oversize_work_exits_2_naming_key(tmp_path, capsys, config, command, key):
+    # a sub-point count or a BTV window too large for any grid is refused
+    # at config load, by its key, instead of running until killed
+    path = tmp_path / "oversize.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ")
+    assert not out.exists()
 
 
 # the stage chain in a process where every scipy import fails
@@ -405,9 +447,9 @@ from srlab.cli import main
 config, root = sys.argv[1:]
 sim, sr = f"{root}/sim", f"{root}/sr"
 for argv in (["simulate", "--seed", "42", "--out-dir", sim],
-             ["superresolve", "--meta", f"{sim}/meta.json", "--out-dir", sr],
-             ["measure", "--image", f"{sr}/sr.npy", "--meta", f"{sim}/meta.json",
-              "--out-dir", f"{root}/meas"]):
+             ["superresolve", "--observations", f"{sim}/obs1.npy", f"{sim}/obs2.npy",
+              "--out-dir", sr],
+             ["measure", "--image", f"{sr}/sr.npy", "--out-dir", f"{root}/meas"]):
     assert main([*argv, "--config", config]) == 0, argv
 """
 
@@ -449,7 +491,7 @@ def test_bad_npy_image_exits_2(config_path, tmp_path, capsys, kind):
                 fh, {"descr": "<f8", "fortran_order": False, "shape": (131072, 131072)})
     out = tmp_path / "meas"
     assert main(["measure", "--config", str(config_path), "--image", str(image),
-                 "--meta", str(measure_meta(tmp_path)), "--out-dir", str(out)]) == 2
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "2-D float64" in err and "Traceback" not in err
     assert not marker.exists()
@@ -471,10 +513,12 @@ def test_seed_flag_overrides_config(config_path, tmp_path):
                  "--seed", "5", "--out-dir", str(d1)]) == 0
     assert main(["simulate", "--config", str(config_path),
                  "--out-dir", str(d2)]) == 0  # falls back to config seed 11
-    m1 = json.loads((d1 / "meta.json").read_text())
-    m2 = json.loads((d2 / "meta.json").read_text())
-    assert m1["seed"] == 5
-    assert m2["seed"] == 11
+    config = load_config(config_path)
+    target = generate_spoke_target(config.scenario.star, config.scenario.grid_size)
+    for out, seed in ((d1, 5), (d2, 11)):
+        want = simulate_observations(target, config.system, seed)
+        for k, obs in enumerate(want, 1):
+            assert np.array_equal(np.load(out / f"obs{k}.npy"), obs.image)
 
 
 def test_montecarlo_csv_determinism(config_path, tmp_path):
@@ -609,19 +653,17 @@ def test_sweep_writes_null_for_unresolved_cell(config_path, tmp_path, monkeypatc
 @pytest.mark.parametrize("noise_sigma", ["nan", "inf"])
 def test_measure_non_finite_noise_sigma_exits_2(config_path, tmp_path, capsys,
                                                 noise_sigma):
-    # json.load reads NaN and Infinity literals; the sidecar's type check
-    # refuses them, naming the key
+    # measure's noise sigma is 300 / system.snr_at_300; json.load reads NaN
+    # and Infinity literals, and the config's type check refuses them,
+    # naming the key
     assert main(["target", "--config", str(config_path)]) == 0
-    meta = tmp_path / "meta.json"
-    meta.write_text(json.dumps({
-        "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
-        "nem_signal": 300.0, "noise_sigma": float(noise_sigma)}))
+    path = _system_config(tmp_path, {"snr_at_300": float(noise_sigma)})
     out = tmp_path / "meas"
-    assert main(["measure", "--config", str(config_path),
+    assert main(["measure", "--config", str(path),
                  "--image", str(tmp_path / "out" / "star.pgm"),
-                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "noise_sigma" in err
+    assert err.startswith("error:") and "snr_at_300" in err
     assert not (out / "report.json").exists()
 
 
@@ -673,99 +715,65 @@ def test_montecarlo_rejects_sampled_system_key(tmp_path, capsys):
     assert not (out / "trials.csv").exists()
 
 
-SIDECAR = {
-    "decimation": [1, 2], "assumed_psf_sigma": 0.85, "noise_sigma": 5.0,
-    "hr_size": [128, 128], "nem_signal": 300.0,
-    "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
-    "observations": [{"file": "obs1.pgm", "shift_hr": [0.0, 0.0]},
-                     {"file": "obs2.pgm", "shift_hr": [20.0, 1.0]}]}
-
-
-def _edited(sidecar, path, value):
-    """A copy of sidecar with the value at the path of keys replaced."""
-    if not path:
-        return value
-    copy = dict(sidecar) if isinstance(sidecar, dict) else list(sidecar)
-    copy[path[0]] = _edited(sidecar[path[0]], path[1:], value)
-    return copy
-
-
-@pytest.mark.parametrize("command, path, value, message", [
-    ("superresolve", (), [SIDECAR], "must be a mapping"),
-    ("measure", (), [SIDECAR], "must be a mapping"),
-    ("measure", ("star", "cycles"), "a", "'cycles'"),
-    ("superresolve", ("observations", 1, "shift_hr"), "x", "'shift_hr'"),
-    ("superresolve", ("decimation",), [1, 2, 3], "'decimation'"),
-    ("superresolve", ("assumed_psf_sigma",), 1e6, "larger than grid"),
-], ids=["superresolve-list-root", "measure-list-root", "cycles", "shift_hr",
-        "decimation", "oversize-psf"])
-def test_bad_sidecar_exits_2(config_path, tmp_path, capsys, command, path, value,
-                             message):
-    # refused as the sidecar is read, before any image is: none exists here
-    meta = tmp_path / "meta.json"
-    meta.write_text(json.dumps(_edited(SIDECAR, path, value)))
-    out = tmp_path / "stage"
-    image = ["--image", str(tmp_path / "sr.pgm")] if command == "measure" else []
-    assert main([command, "--config", str(config_path), *image,
-                 "--meta", str(meta), "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err and "Traceback" not in err
-    assert not any(out.iterdir())
-
-
-def test_overflowing_shift_exits_2_naming_shift_hr(config_path, tmp_path, capsys):
-    # a shift whose ramp phase pi * shift overflows is refused as its
-    # observation is built, before the solver meets a non-finite cost
-    sim, out = tmp_path / "sim", tmp_path / "sr"
+@pytest.fixture()
+def observations(config_path, tmp_path):
+    """The two .npy observations simulate writes for the test config."""
+    sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--seed", "42",
                  "--out-dir", str(sim)]) == 0
-    meta = json.loads((sim / "meta.json").read_text())
-    (sim / "meta.json").write_text(json.dumps(
-        _edited(meta, ("observations", 1, "shift_hr"), [1e308, 0.0])))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["superresolve", "--config", str(config_path),
-                     "--meta", str(sim / "meta.json"), "--out-dir", str(out)]) == 2
+    return [str(sim / "obs1.npy"), str(sim / "obs2.npy")]
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("superresolve", lambda cfg: [cfg], "must be a mapping"),
+    ("measure", lambda cfg: [cfg], "must be a mapping"),
+    ("measure", lambda cfg: {**cfg, "star": {**cfg["star"], "cycles": "a"}}, "'cycles'"),
+    ("superresolve", lambda cfg: {**cfg, "system": {"subarray_shift_ax": "x"}},
+     "'subarray_shift_ax'"),
+    ("superresolve", lambda cfg: {**cfg, "system": {"assumed_psf_sigma": 1e6}},
+     "larger than grid"),
+    ("superresolve", lambda cfg: {**cfg, "grid": {"height": 256, "width": 256}},
+     "not the config's grid"),
+], ids=["superresolve-list-root", "measure-list-root", "cycles", "shift", "oversize-psf",
+        "grid"])
+def test_bad_stage_config_exits_2(tmp_path, capsys, observations, command, edit, message):
+    # superresolve and measure take every value from the config: a bad one
+    # is refused by key, and observations that sample another grid are refused
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(CONFIG)))
+    out = tmp_path / "stage"
+    stage = (["--observations", *observations] if command == "superresolve"
+             else ["--image", observations[0]])
+    assert main([command, "--config", str(path), *stage, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "shift_hr" in err
-    assert "Traceback" not in err and "RuntimeWarning" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (out / "sr.npy").exists()
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_missing_input_exits_2(config_path):
     assert main(["measure", "--config", str(config_path),
-                 "--image", "/nonexistent/sr.pgm",
-                 "--meta", "/nonexistent/meta.json"]) == 2
-
-
-def measure_meta(tmp_path):
-    meta = tmp_path / "meta.json"
-    meta.write_text(json.dumps({
-        "star": {"center": [64.0, 64.0], "cycles": 64, "outer_radius": 40.0},
-        "nem_signal": 300.0, "noise_sigma": 5.0}))
-    return meta
+                 "--image", "/nonexistent/sr.pgm"]) == 2
+    assert main(["superresolve", "--config", str(config_path),
+                 "--observations", "/nonexistent/obs1.npy", "/nonexistent/obs2.npy"]) == 2
 
 
 def test_too_small_image_exits_2(config_path, tmp_path, capsys):
-    meta = measure_meta(tmp_path)
     image = tmp_path / "row.pgm"
     image.write_bytes(b"P5\n5 1\n65535\n" + bytes(10))
     out = tmp_path / "meas"
     assert main(["measure", "--config", str(config_path), "--image", str(image),
-                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "too small" in err
     assert not (out / "report.json").exists()
 
 
 def test_bad_pgm_size_exits_2(config_path, tmp_path, capsys):
-    meta = measure_meta(tmp_path)
     image = tmp_path / "negative.pgm"
     image.write_bytes(b"P5\n-1 8\n65535\n" + bytes(16))
     out = tmp_path / "meas"
     assert main(["measure", "--config", str(config_path), "--image", str(image),
-                 "--meta", str(meta), "--out-dir", str(out)]) == 2
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "out of range" in err
     assert not (out / "report.json").exists()

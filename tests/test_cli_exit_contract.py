@@ -1,7 +1,7 @@
 """The CLI's exit contract under bad input: ``main`` returns 0, 1 or 2 and
-never raises, whatever a config section, a ``meta.json`` key or a stage
-image holds.  Every case runs ``cli.main`` in process on the 128² test
-scenario, starting from a valid simulate → superresolve output."""
+never raises, whatever a config section or a stage image holds.  Every
+case runs ``cli.main`` in process on the 128² test scenario, starting
+from a valid simulate → superresolve output."""
 
 import contextlib
 import io
@@ -15,27 +15,27 @@ from numpy.lib import format as npy_format
 
 from srlab.cli import main
 
-from test_cli import CONFIG, SIDECAR, _edited
+from test_cli import CONFIG
 
 BAD_VALUES = st.sampled_from([
     "x", "", True, None, [], {}, [1.0], [[]], float("nan"), float("inf"),
     float("-inf"), 1e308, -1e308, -1, 0, -0.5, [float("nan"), 1.0],
     [1e308, 1e308], [-1, -1], [0, 0]])
 
-# every command; the {meta} sidecar and the {image} are valid stage
-# outputs unless the case replaces them
+# every command; the observations {obs1} {obs2} and the {image} are
+# valid stage outputs unless the case replaces them
 COMMANDS = [
     ["target"],
     ["mtf-curves", "--points", "8"],
     ["simulate", "--seed", "3"],
-    ["superresolve", "--meta", "{meta}"],
-    ["measure", "--image", "{image}", "--meta", "{meta}"],
-    ["measure", "--image", "{image}", "--meta", "{meta}", "--sector", "3"],
+    ["superresolve", "--observations", "{obs1}", "{obs2}"],
+    ["measure", "--image", "{image}"],
+    ["measure", "--image", "{image}", "--sector", "3"],
     ["montecarlo", "--trials", "1", "--seed", "3"],
     ["sweep", "--param", "snr", "--values", "30", "--seeds-per-value", "1",
      "--seed", "3"],
 ]
-READS_STAGES = [c for c in COMMANDS if "--meta" in c]
+READS_STAGES = [c for c in COMMANDS if c[0] in ("superresolve", "measure")]
 
 
 def _key_paths(tree, prefix=()):
@@ -49,7 +49,15 @@ def _key_paths(tree, prefix=()):
 
 BASE = {**CONFIG, "output_dir": "unused"}  # every run passes --out-dir
 CONFIG_PATHS = [p for p in _key_paths(BASE) if p]
-SIDECAR_PATHS = list(_key_paths(SIDECAR))
+
+
+def _edited(tree, path, value):
+    """A copy of a JSON tree with the value at the path of keys set."""
+    if not path:
+        return value
+    copy = dict(tree) if isinstance(tree, dict) else list(tree)
+    copy[path[0]] = value if len(path) == 1 else _edited(tree[path[0]], path[1:], value)
+    return copy
 
 
 def _header(shape):
@@ -96,52 +104,49 @@ def bad_npy(draw):
 
 cases = st.one_of(
     st.tuples(st.just("config"), st.sampled_from(CONFIG_PATHS), BAD_VALUES),
-    st.tuples(st.just("meta"), st.sampled_from(SIDECAR_PATHS), BAD_VALUES),
     st.tuples(st.just("npy"), st.just(None), bad_npy()))
 
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
-    """A valid config, and a sidecar naming its observations by absolute
-    path beside the reconstruction, to corrupt one part of."""
+    """A valid config, its two observations and their reconstruction, for
+    a case to replace one part of."""
     root = tmp_path_factory.mktemp("stages")
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     sim, sr = root / "sim", root / "sr"
     assert main(["simulate", "--config", str(config), "--seed", "42",
                  "--out-dir", str(sim)]) == 0
-    assert main(["superresolve", "--config", str(config),
-                 "--meta", str(sim / "meta.json"), "--out-dir", str(sr)]) == 0
-    meta = json.loads((sim / "meta.json").read_text())
-    for entry in meta["observations"]:
-        entry["file"] = str(sim / entry["file"])
-    return config, meta, sr / "sr.npy"
+    observations = [sim / "obs1.npy", sim / "obs2.npy"]
+    assert main(["superresolve", "--config", str(config), "--observations",
+                 *map(str, observations), "--out-dir", str(sr)]) == 0
+    return config, observations, sr / "sr.npy"
 
 
 @settings(max_examples=200)
-# defects this test found, each kept as a case that always runs
+# defects this test found, each kept as the config key that now supplies
+# the value, and a case that always runs
 @example(case=("config", ("system", "jitter_sigma"), 1e308))  # OverflowError
-@example(case=("meta", ("assumed_psf_sigma",), 1e308))  # OverflowError
-# FloatingPointError in the solver; Observation now refuses it, naming shift_hr
-@example(case=("meta", ("observations", 1, "shift_hr", 0), 1e308))
+@example(case=("config", ("system", "assumed_psf_sigma"), 1e308))  # OverflowError
+# FloatingPointError in the solver once; refused at config load, by key
+@example(case=("config", ("system", "subarray_shift_al_lines"), 10**308))
+# ran until killed once; refused at config load, by key
+@example(case=("config", ("star", "supersample"), 100000))
+@example(case=("config", ("solver", "P"), 10**6))
 @given(case=cases)
 def test_main_exits_0_1_or_2_and_never_raises(stages, tmp_path_factory, case):
     part, path, value = case
-    config, meta, image = stages
+    config, (obs1, obs2), image = stages
     work = tmp_path_factory.mktemp("case")
     commands = COMMANDS if part == "config" else READS_STAGES
     if part == "config":
         config = work / "config.json"
         config.write_text(json.dumps(_edited(BASE, path, value)))
-    elif part == "meta":
-        meta = _edited(meta, path, value)
     else:
-        image = work / "bad.npy"
+        obs2 = image = work / "bad.npy"
         image.write_bytes(value)
-        meta = _edited(meta, ("observations", 1, "file"), str(image))
-    (work / "meta.json").write_text(json.dumps(meta))
     for command in commands:
-        argv = [a.format(meta=work / "meta.json", image=image) for a in command]
+        argv = [a.format(obs1=obs1, obs2=obs2, image=image) for a in command]
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             status = main([*argv, "--config", str(config), "--out-dir", str(work / "out")])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from srlab.fourier import (fold, irfft2_rows, rfft2_rows, shift_multiplier_1d,
                            shift_multiplier_2d)
 from srlab.mtf import system_otf
+from srlab import simulator
+from srlab.fourier import gaussian_kernel
 from srlab.simulator import (SIGMA_PER_FWHM, Observation, SystemParams,
                              _blurred_spectrum, add_noise, render_blurred_scene,
-                             simulate_observations)
+                             simulate_observations, subarray_observations)
 from srlab.seeding import child_seed
 from srlab.target import generate_spoke_target
 
@@ -245,6 +248,39 @@ def test_observation_pair_determinism(star_target, nominal_params):
     assert a2.shift_hr == (20.0, 1.0)
     assert a1.decimation == (1, 2)
     assert a1.noise_sigma == pytest.approx(5.0)
+
+
+def test_simulate_builds_its_observations_with_subarray_observations(star_target):
+    # every field besides the image comes from the params alone, so the
+    # observations superresolve builds from read images are simulate's
+    params = SystemParams(subarray_shift_al_lines=3, subarray_shift_ax=0.25,
+                          snr_at_300=40.0, assumed_psf_sigma=1.3)
+    simulated = simulate_observations(star_target, params, 9)
+    built = subarray_observations([o.image for o in simulated], params)
+    for a, b in zip(simulated, built):
+        assert (a.image == b.image).all()
+        assert (a.shift_hr, a.decimation, a.noise_sigma) == \
+            (b.shift_hr, b.decimation, b.noise_sigma)
+        assert (a.assumed_psf == gaussian_kernel(1.3)).all()
+        assert (b.assumed_psf == a.assumed_psf).all()
+    assert [o.shift_hr for o in built] == [(0.0, 0.0), (6.0, 0.5)]
+    assert built[0].decimation == (1, 2)
+    assert built[0].noise_sigma == params.noise_sigma == 7.5
+
+
+def test_subarray_observations_refuses_bad_input(monkeypatch, nominal_params):
+    images = [np.zeros((16, 8)), np.zeros((16, 8))]
+    with pytest.raises(ValueError, match="observation image: .*non-finite"):
+        subarray_observations([images[0], np.full((16, 8), np.nan)], nominal_params)
+    with pytest.raises(ValueError):
+        subarray_observations(images[:1], nominal_params)
+
+    # a PSF whose kernel would not fit the HR grid is refused before it is built
+    def no_kernel(sigma):
+        raise AssertionError("kernel built")
+    monkeypatch.setattr(simulator, "gaussian_kernel", no_kernel)
+    with pytest.raises(ValueError, match="larger than grid"):
+        subarray_observations(images, replace(nominal_params, assumed_psf_sigma=2.0))
 
 
 def test_zero_stagger_pair_differs_only_by_noise(star_target):

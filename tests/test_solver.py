@@ -9,9 +9,11 @@ from srlab.fourier import (full_rows, gaussian_kernel, irfft2_rows, kernel_trans
                            rfft2_rows, shift_multiplier_2d)
 from srlab.seeding import child_seed
 from srlab.simulator import Observation, SystemParams, simulate_observations
+from srlab import solver
+from srlab.scenario import Scenario
 from srlab.solver import (MAX_HALVINGS, SolverConfig, _cubic_spectrum, adjoint_model,
-                          bicubic_upsample, btv_gradient, btv_penalty, forward_model,
-                          super_resolve)
+                          bicubic_upsample, btv_gradient, btv_penalty, check_btv_fits,
+                          forward_model, super_resolve)
 
 
 def make_obs(lr_shape, shift, decimation, psf_sigma=0.9, lr_data=None):
@@ -561,6 +563,24 @@ def test_super_resolve_validation():
         super_resolve([a, b])
     with pytest.raises(ValueError, match="sr_factor"):
         super_resolve([a], cfg=SolverConfig(sr_factor=(2, 2)))
+
+
+@pytest.mark.parametrize("p_radius, grid", [(25, 256), (51, 128)])
+def test_btv_window_is_bounded_by_the_grid(monkeypatch, p_radius, grid):
+    # the largest window whose 3P(P+1)/2 int8 sign planes hold at most
+    # 2**26 values passes; one more is refused by Scenario at config load
+    # and by super_resolve before any shift pair is built
+    check_btv_fits(p_radius, (grid, grid))
+    Scenario(grid_size=(grid, grid), solver=SolverConfig(p_radius=p_radius))
+    with pytest.raises(ValueError, match=f"solver P {p_radius + 1}: "):
+        Scenario(grid_size=(grid, grid), solver=SolverConfig(p_radius=p_radius + 1))
+
+    def no_pairs(p):
+        raise AssertionError("pairs built")
+    monkeypatch.setattr(solver, "_btv_pairs", no_pairs)
+    obs = make_obs((grid, grid // 2), (0.0, 0.0), (1, 2))
+    with pytest.raises(ValueError, match=f"solver P {p_radius + 1}: "):
+        super_resolve([obs], cfg=SolverConfig(p_radius=p_radius + 1))
 
 
 def test_config_validation():

@@ -31,6 +31,16 @@ def test_spec_validation():
         StarSpec(outer_radius=float("nan"))
 
 
+def test_supersample_is_bounded_by_the_star_box():
+    # the default star's box is (2*104 + 3)^2 = 44521 cells: 38^2 sub-points
+    # per cell stay within 2**26 in all, 39^2 do not
+    assert StarSpec(supersample=38).supersample == 38
+    with pytest.raises(ValueError, match="^supersample 39: .*44521-cell box"):
+        StarSpec(supersample=39)
+    with pytest.raises(ValueError, match="^supersample 100000: "):
+        StarSpec(supersample=100000)
+
+
 def test_clipping_rejected():
     spec = small_star(center=(10.0, 31.5))  # radius 24 around row 10 clips
     with pytest.raises(ValueError, match="clipped"):
