@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -158,6 +157,12 @@ def _trial_row(index: int, trial) -> list[str]:
             str(trial.ladder_limited)]
 
 
+def _write_trials(path: Path, trials) -> None:
+    """The trial table of a campaign or a sweep: one _trial_row per trial,
+    indexed in plan order."""
+    _write_csv(path, _TRIAL_COLUMNS, [_trial_row(i, t) for i, t in enumerate(trials)])
+
+
 def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
     seed = _resolve_seed(args, config)
     n_trials = config.montecarlo.n_trials if args.trials is None else args.trials
@@ -171,8 +176,7 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
                             base=config.system)
     if args.progress:
         print(file=sys.stderr)
-    _write_csv(out / "trials.csv", _TRIAL_COLUMNS,
-               [_trial_row(i, t) for i, t in enumerate(campaign.trials)])
+    _write_trials(out / "trials.csv", campaign.trials)
     _write_csv(out / "histogram.csv", ["bin_left_m", "bin_right_m", "count"],
                [[repr(float(le)), repr(float(le + campaign.bin_width_m)), str(int(c))]
                 for le, c in zip(campaign.bin_edges[:-1], campaign.counts)])
@@ -193,30 +197,24 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
 
 
 def cmd_sweep(args, config: ScenarioConfig, out: Path) -> int:
+    if len(args.param) != len(args.values):
+        raise _UsageError(f"{len(args.param)} --param but {len(args.values)} --values: "
+                          "give each --param its --values")
     seed = _resolve_seed(args, config)
-    result = sweep([(args.param, args.values.split(","))], config.scenario,
-                   seeds_per_value=args.seeds_per_value, base=config.system,
-                   master_seed=seed, threads=args.threads)
-    parameter, values = result.axes[0]
-    rows = []
-    for value, cell in zip(values, result.trials):
-        for trial in cell:
-            rows.append([repr(value), str(trial.seed), _fmt(trial.resolution_m),
-                         str(trial.solver_converged), trial.error or ""])
-    _write_csv(out / "sweep.csv",
-               [parameter, "seed", "resolution_m", "solver_converged", "error"],
-               rows)
+    axes = [(name, values.split(",")) for name, values in zip(args.param, args.values)]
+    result = sweep(axes, config.scenario, seeds_per_value=args.seeds_per_value,
+                   base=config.system, master_seed=seed, threads=args.threads)
+    _write_trials(out / "sweep.csv", [trial for cell in result.trials for trial in cell])
     # JSON has no NaN: a cell that resolved nothing is written as null
-    means = [None if math.isnan(m) else m for m in result.mean_resolution_m.tolist()]
+    means = result.mean_resolution_m
     summary = {
-        "parameter": parameter,
-        "values": values,
-        "mean_resolution_m": means,
+        "axes": [{"parameter": name, "values": values} for name, values in result.axes],
+        "mean_resolution_m": np.where(np.isnan(means), None, means).tolist(),
         "seeds_per_value": args.seeds_per_value,
         "master_seed": seed,
     }
     _write_json(out / "sweep_summary.json", summary)
-    logger.info("sweep %s: %s", parameter, means)
+    logger.info("sweep %s: %s", " x ".join(args.param), summary["mean_resolution_m"])
     return 0
 
 
@@ -271,11 +269,13 @@ def build_parser() -> _Parser:
                    help="report completed trials on stderr")
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("sweep", help="vary one parameter, others nominal")
+    p = sub.add_parser("sweep", help="run the product of parameter axes, others nominal")
     common(p, seeded=True, threaded=True)
-    p.add_argument("--param", required=True,
-                   help="optics_mtf | clock_phase | jitter | snr | subarray_shift | psf_sigma")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--param", required=True, action="append",
+                   help=" | ".join(PARAMETER_FIELDS) + "; repeat for one axis per "
+                        "--param/--values pair")
+    p.add_argument("--values", required=True, action="append",
+                   help="comma-separated values of the matching --param")
     p.add_argument("--seeds-per-value", type=int, default=5)
     p.set_defaults(func=cmd_sweep)
 
@@ -300,8 +300,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, KeyError, FloatingPointError,
-            MemoryError) as exc:
+    except MemoryError as exc:
+        # numpy's names the allocation; a bare MemoryError() names nothing
+        message = str(exc) or f"{args.command} ran out of memory"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, RuntimeError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import sinc_columns, sinc_rows
-from .grid import check_image
+from .grid import MAX_PIXELS, check_image
 from .mtf import GEOMETRY, GeometryConstants
 from .target import pattern_angle
 
@@ -46,6 +46,7 @@ __all__ = [
     "crossing_frequency",
     "frequency_to_resolution",
     "measure_resolution",
+    "check_ladder_fits",
 ]
 
 # rings below this many samples per cycle are refused as aliased
@@ -408,6 +409,17 @@ def _ladder(center, cycles: int, outer_radius: float, n_rings: int,
                          f"above the aliasing radius {r_bottom * pitch:.1f}")
     radii = np.geomspace(r_top, r_bottom, n_rings)
     return (center[0] / pitch, center[1] / pitch), radii
+
+
+def check_ladder_fits(n_rings: int, outer_radius: float) -> None:
+    """ValueError if measure_resolution's n_rings-ring ladder for a star
+    of this outer radius would hold more than grid.MAX_PIXELS samples,
+    found before any ring is built.  A ring of radius r holds about
+    2*pi*r samples; each ring is counted at _ladder's outermost radius."""
+    per_ring = 2.0 * math.pi * (outer_radius - 3.0) * ANALYSIS_OVERSAMPLE
+    if per_ring > 0 and n_rings > MAX_PIXELS / per_ring:
+        raise ValueError(f"n_rings {n_rings}: a ladder of rings of up to {per_ring:.0f} "
+                         f"samples each would hold more than {MAX_PIXELS} samples")
 
 
 def _warm_ring_table(shape: tuple[int, int], center: tuple[float, float], cycles: int,

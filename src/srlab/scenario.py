@@ -13,6 +13,7 @@ import types
 import typing
 from dataclasses import dataclass, field, is_dataclass, replace
 
+from .metrology import check_ladder_fits
 from .simulator import SystemParams
 from .solver import SolverConfig, check_btv_fits
 from .target import StarSpec
@@ -42,6 +43,7 @@ class Scenario:
                              f"got {self.nem_signal!r}")
         if not self.n_rings >= 3:
             raise ValueError("need at least 3 measurement rings")
+        check_ladder_fits(self.n_rings, self.star.outer_radius)
         if any(n % 2 for n in self.grid_size):
             raise ValueError(f"grid dimensions must be even (the blur needs "
                              f"them), got {self.grid_size[0]}x{self.grid_size[1]}")
@@ -150,13 +152,14 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError(f"{path}: grid section takes only height and width")
     height, width = default.grid_size
     top = {key: raw[key] for key in ("nem_signal", "n_rings") if key in raw}
-    scenario = replace(
-        _apply(default, top, "top level"),
+    # the star first: n_rings is bounded by the star's outer radius
+    scenario = _apply(replace(
+        default,
         star=_apply(default.star, raw.get("star", {}), "star"),
         grid_size=tuple(_checked(grid.get(key, n), int, "config section 'grid'", key)
                         for key, n in (("height", height), ("width", width))),
         solver=_apply(default.solver, raw.get("solver", {}), "solver",
-                      key_map=_SOLVER_KEY_MAP))
+                      key_map=_SOLVER_KEY_MAP)), top, "top level")
     return replace(
         config, scenario=scenario,
         system=_apply(config.system, raw.get("system", {}), "system"),

@@ -1,7 +1,7 @@
 """Every exported name resolves, and so does every function the benchmark
-tracer wraps, and every script's imports, so a deletion cannot silently
-break any of them.  Every exported name also has a caller, so an export
-that nothing uses cannot linger.
+tracer wraps, so a deletion cannot silently break any of them.  Every
+exported name also has a caller, so an export that nothing uses cannot
+linger.
 
 The package root re-exports with ``from .module import name``, which fails
 at import time for a missing name, so importing it is its check.
@@ -24,11 +24,10 @@ MODULES = ["srlab"] + sorted(f"srlab.{m.name}"
                              for m in pkgutil.iter_modules(srlab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-# the code an export must be used by: the package, the scripts and the
-# acceptance criteria (the package root only re-exports)
+# the code an export must be used by: the package and the acceptance
+# criteria (the package root only re-exports)
 CALLERS = [p for p in sorted((ROOT / "src" / "srlab").glob("*.py"))
-           if p.name != "__init__.py"] + SCRIPTS + [ROOT / "tests" / "test_acceptance.py"]
+           if p.name != "__init__.py"] + [ROOT / "tests" / "test_acceptance.py"]
 PACKAGE_ROOT = str(Path(srlab.__file__).resolve().parents[1])
 
 
@@ -40,7 +39,7 @@ def test_all_names_resolve(modname):
 
 
 def _load(path: Path, name: str):
-    """Execute a file as a module (a script's main guard keeps main from running)."""
+    """Execute a file as a module."""
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -72,11 +71,6 @@ def test_every_export_has_a_caller():
               for name in getattr(importlib.import_module(modname), "__all__", ())
               if name not in used | traced]
     assert not unused, f"exported but called by nothing: {unused}"
-
-
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_scripts_import(script):
-    assert callable(_load(script, f"_script_{script.stem}").main)
 
 
 def test_import_loads_no_scipy():

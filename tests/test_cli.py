@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -418,16 +419,38 @@ def test_every_stage_reads_its_values_from_its_own_config(config_path, tmp_path)
     assert report["nem"] == nem(scenario.nem_signal, 10.0)  # 300 / SNR 30
 
 
+def _first_refused_n_rings() -> int:
+    """The smallest n_rings that Scenario() refuses, found by bisection."""
+    low, high = 3, 2**40
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            Scenario(n_rings=mid)
+            low = mid + 1
+        except ValueError:
+            high = mid
+    return low
+
+
+N_RINGS_REFUSED = _first_refused_n_rings()
+
+
 @pytest.mark.parametrize("config, command, key", [
     ({"star": {"supersample": 100000}}, ["target"], "supersample 100000:"),
     ({"solver": {"P": 10**6}}, ["superresolve", "--observations", "o1.npy", "o2.npy"],
      "solver P 1000000:"),
     ({"solver": {"P": 10**6}}, ["montecarlo", "--trials", "1", "--seed", "3"],
-     "solver P 1000000:")],
-    ids=["supersample-target", "P-superresolve", "P-montecarlo"])
+     "solver P 1000000:"),
+    ({"n_rings": N_RINGS_REFUSED}, ["measure", "--image", "sr.npy"],
+     f"n_rings {N_RINGS_REFUSED}:"),
+    ({"n_rings": N_RINGS_REFUSED}, ["montecarlo", "--trials", "1", "--seed", "3"],
+     f"n_rings {N_RINGS_REFUSED}:")],
+    ids=["supersample-target", "P-superresolve", "P-montecarlo", "n_rings-measure",
+         "n_rings-montecarlo"])
 def test_oversize_work_exits_2_naming_key(tmp_path, capsys, config, command, key):
-    # a sub-point count or a BTV window too large for any grid is refused
-    # at config load, by its key, instead of running until killed
+    # a sub-point count, a BTV window or a ring ladder too large for any
+    # grid is refused at config load, by its key, instead of running
+    # until killed
     path = tmp_path / "oversize.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -437,6 +460,29 @@ def test_oversize_work_exits_2_naming_key(tmp_path, capsys, config, command, key
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ")
     assert not out.exists()
+
+
+def test_n_rings_bound_follows_the_configured_star(tmp_path):
+    # 2^26 ring samples: the default star's ladder may hold tens of
+    # thousands of rings, and the test star's smaller one more
+    assert 1000 < N_RINGS_REFUSED < 10**6
+    Scenario(n_rings=N_RINGS_REFUSED - 1)
+    path = tmp_path / "rings.json"
+    path.write_text(json.dumps({**CONFIG, "n_rings": N_RINGS_REFUSED}))
+    assert load_config(path).scenario.n_rings == N_RINGS_REFUSED
+
+
+@pytest.mark.parametrize("n_rings", [80, 400])
+def test_default_and_hundreds_of_rings_still_measure(config_path, tmp_path, n_rings):
+    assert main(["target", "--config", str(config_path)]) == 0
+    path = tmp_path / "rings.json"
+    path.write_text(json.dumps({**CONFIG, "n_rings": n_rings}))
+    out = tmp_path / "meas"
+    assert main(["measure", "--config", str(path),
+                 "--image", str(tmp_path / "out" / "star.pgm"), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    curve = (out / "curve.csv").read_text().splitlines()[1:]
+    assert len(curve) == n_rings - report["rings_dropped"]
 
 
 # the stage chain in a process where every scipy import fails
@@ -576,10 +622,52 @@ def test_sweep_subcommand(config_path, tmp_path):
                  "--values", "30,100", "--seeds-per-value", "1",
                  "--seed", "3", "--out-dir", str(out)]) == 0
     summary = json.loads((out / "sweep_summary.json").read_text())
-    assert summary["parameter"] == "snr"
-    assert summary["values"] == [30.0, 100.0]
+    (axis,) = summary["axes"]
+    assert axis["parameter"] == "snr"
+    assert axis["values"] == [30.0, 100.0]
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_two_axis_sweep_equals_in_process_sweep(config_path, tmp_path):
+    out, mc = tmp_path / "sweep", tmp_path / "mc"
+    assert main(["sweep", "--config", str(config_path),
+                 "--param", "optics_mtf", "--values", "0.1,0.5",
+                 "--param", "snr", "--values", "30,100", "--seeds-per-value", "2",
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    config = load_config(config_path)
+    want = sweep([("optics_mtf", [0.1, 0.5]), ("snr", [30, 100])], config.scenario,
+                 seeds_per_value=2, base=config.system, master_seed=3)
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary == {
+        "axes": [{"parameter": "optics_mtf", "values": [0.1, 0.5]},
+                 {"parameter": "snr", "values": [30.0, 100.0]}],
+        "mean_resolution_m": want.mean_resolution_m.tolist(),
+        "seeds_per_value": 2, "master_seed": 3}
+    # one row per trial in row-major cell order, under trials.csv's header
+    trials = [trial for cell in want.trials for trial in cell]
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [cli._trial_row(i, t) for i, t in enumerate(trials)]
+    assert main(["montecarlo", "--config", str(config_path), "--trials", "1",
+                 "--seed", "3", "--out-dir", str(mc)]) == 0
+    with open(mc / "trials.csv", newline="") as fh:
+        assert rows[0] == next(csv.reader(fh)) == cli._TRIAL_COLUMNS
+
+
+@pytest.mark.parametrize("axes", [
+    ["--param", "snr", "--param", "jitter", "--values", "30,100"],
+    ["--param", "snr", "--values", "30,100", "--values", "0.1,0.2"]],
+    ids=["two-params-one-values", "one-param-two-values"])
+def test_sweep_unpaired_axes_exit_1(config_path, tmp_path, capsys, monkeypatch, axes):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), *axes, "--seeds-per-value", "1",
+                 "--seed", "3", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not any(out.iterdir())
 
 
 def test_sweep_out_of_range_value_exits_2(config_path, tmp_path, capsys):
@@ -601,7 +689,8 @@ def test_sweep_fractional_clock_phase_exits_2(config_path, tmp_path, capsys):
     assert main(["sweep", "--config", str(config_path), "--param", "clock_phase",
                  "--values", "1,2.0", "--seeds-per-value", "1",
                  "--seed", "3", "--out-dir", str(out)]) == 0
-    assert json.loads((out / "sweep_summary.json").read_text())["values"] == [1.0, 2.0]
+    (axis,) = json.loads((out / "sweep_summary.json").read_text())["axes"]
+    assert axis["values"] == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
@@ -648,6 +737,14 @@ def test_sweep_writes_null_for_unresolved_cell(config_path, tmp_path, monkeypatc
     summary = json.loads((out / "sweep_summary.json").read_text(),
                          parse_constant=no_constant)
     assert summary["mean_resolution_m"] == [1.0, None]
+    # a second axis nests the means like the axes, null cells included
+    assert main(["sweep", "--config", str(config_path), "--param", "snr",
+                 "--values", "30,100", "--param", "jitter", "--values", "0.1,0.2",
+                 "--seeds-per-value", "2", "--seed", "3", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text(),
+                         parse_constant=no_constant)
+    assert [axis["parameter"] for axis in summary["axes"]] == ["snr", "jitter"]
+    assert summary["mean_resolution_m"] == [[1.0, 1.0], [None, None]]
 
 
 @pytest.mark.parametrize("noise_sigma", ["nan", "inf"])
@@ -781,13 +878,17 @@ def test_bad_pgm_size_exits_2(config_path, tmp_path, capsys):
 
 def test_memory_error_exits_2(config_path, tmp_path, capsys, monkeypatch):
     # an allocation that fails (a 100000² grid asks for 74.5 GiB) is a
-    # runtime failure with an error: line, not a traceback
-    def no_memory(*args):
-        raise MemoryError("Unable to allocate 74.5 GiB")
-    monkeypatch.setattr(cli, "generate_spoke_target", no_memory)
-    assert main(["target", "--config", str(config_path),
-                 "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
+    # runtime failure with an error: line, not a traceback; a bare
+    # MemoryError() carries no message, so the line names the command
+    for exc, line in [(MemoryError("Unable to allocate 74.5 GiB"),
+                       "error: Unable to allocate 74.5 GiB\n"),
+                      (MemoryError(), "error: target ran out of memory\n")]:
+        def no_memory(*args):
+            raise exc
+        monkeypatch.setattr(cli, "generate_spoke_target", no_memory)
+        assert main(["target", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == line
 
 
 def test_unknown_subcommand_exits_1():

@@ -104,6 +104,8 @@ def bad_npy(draw):
 
 cases = st.one_of(
     st.tuples(st.just("config"), st.sampled_from(CONFIG_PATHS), BAD_VALUES),
+    # ring counts past the test star's 2^26-sample ladder bound (72167)
+    st.tuples(st.just("config"), st.just(("n_rings",)), st.integers(2**17, 2**80)),
     st.tuples(st.just("npy"), st.just(None), bad_npy()))
 
 
@@ -133,6 +135,7 @@ def stages(tmp_path_factory):
 # ran until killed once; refused at config load, by key
 @example(case=("config", ("star", "supersample"), 100000))
 @example(case=("config", ("solver", "P"), 10**6))
+@example(case=("config", ("n_rings",), 100000000))
 @given(case=cases)
 def test_main_exits_0_1_or_2_and_never_raises(stages, tmp_path_factory, case):
     part, path, value = case
