@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _file(out: Path, name: str) -> Path:
+    """out / name, making out first: a command makes its output directory
+    only once it writes, so one refused before that leaves none."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _fmt(value) -> str:
+    """A CSV cell: every float as repr(float(v)) (numpy's repr spells its
+    type), None as "", anything else (ints, bools, text) by str."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -66,26 +84,17 @@ def _resolve_seed(args, config: ScenarioConfig) -> int:
                       "in the config (wall-clock seeding is not supported)")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_target(args, config: ScenarioConfig, out: Path) -> int:
     star = config.scenario.star
     grid = generate_spoke_target(star, config.scenario.grid_size)
-    write_pgm(out / "star.pgm", grid)
+    write_pgm(_file(out, "star.pgm"), grid)
     logger.info("wrote %s", out / "star.pgm")
     return 0
 
 
 def cmd_mtf_curves(args, config: ScenarioConfig, out: Path) -> int:
     header, rows = mtf_curve_table(config.system, n_points=args.points)
-    _write_csv(out / "mtf_curves.csv", header,
-               [[repr(float(v)) for v in row] for row in rows])
+    _write_csv(_file(out, "mtf_curves.csv"), header, rows)
     logger.info("wrote %s", out / "mtf_curves.csv")
     return 0
 
@@ -95,10 +104,10 @@ def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
     scenario = config.scenario
     target = generate_spoke_target(scenario.star, scenario.grid_size)
     observations = simulate_observations(target, config.system, seed)
-    write_pgm(out / "truth.pgm", target)
+    write_pgm(_file(out, "truth.pgm"), target)
     for k, obs in enumerate(observations, 1):  # .npy for the next stage, .pgm to view
-        write_pgm(out / f"obs{k}.pgm", obs.image)
-        np.save(out / f"obs{k}.npy", obs.image)
+        write_pgm(_file(out, f"obs{k}.pgm"), obs.image)
+        np.save(_file(out, f"obs{k}.npy"), obs.image)
     logger.info("wrote obs1/obs2 .npy and .pgm and truth.pgm (seed %d) to %s", seed, out)
     return 0
 
@@ -108,15 +117,14 @@ def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
                                          config.system)
     grid = config.scenario.grid_size
     for path, obs in zip(args.observations, observations):
-        hr_shape = tuple(n * s for n, s in zip(obs.image.shape, obs.decimation))
-        if hr_shape != grid:
+        if obs.hr_shape != grid:
             raise ValueError(f"{path}: observation of shape {obs.image.shape} samples "
-                             f"an HR grid {hr_shape}, not the config's grid {grid}")
+                             f"an HR grid {obs.hr_shape}, not the config's grid {grid}")
     result = super_resolve(observations, cfg=config.scenario.solver)
-    write_pgm(out / "sr.pgm", result.image)
-    np.save(out / "sr.npy", result.image)
-    _write_csv(out / "cost_trace.csv", ["iteration", "cost"],
-               [[i, repr(c)] for i, c in enumerate(result.cost_trace)])
+    write_pgm(_file(out, "sr.pgm"), result.image)
+    np.save(_file(out, "sr.npy"), result.image)
+    _write_csv(_file(out, "cost_trace.csv"), ["iteration", "cost"],
+               enumerate(result.cost_trace))
     logger.info("solver ran %d iterations (converged=%s)",
                 result.iterations_run, result.converged)
     return 0
@@ -128,18 +136,10 @@ def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
         read_image(args.image), star.center, star.cycles, scenario.nem_signal,
         config.system.noise_sigma, star.outer_radius, sector=args.sector,
         n_rings=scenario.n_rings, geometry=config.system.geometry)
-    _write_csv(out / "curve.csv", ["f_cyc_per_hr_px", "modulation", "nem"],
-               [[repr(f), repr(m), repr(report.nem)] for f, m in report.curve])
-    summary = {
-        "nem": report.nem,
-        "f_cross": report.f_cross,
-        "resolution_m": report.resolution_m,
-        "sector": report.sector,
-        "rings_dropped": report.rings_dropped,
-        "ladder_limited": report.ladder_limited,
-        "degenerate_crossing": report.degenerate_crossing,
-    }
-    _write_json(out / "report.json", summary)
+    _write_csv(_file(out, "curve.csv"), ["f_cyc_per_hr_px", "modulation", "nem"],
+               [(f, m, report.nem) for f, m in report.curve])
+    _write_json(_file(out, "report.json"),
+                {key: value for key, value in asdict(report).items() if key != "curve"})
     logger.info("resolution: %s m", report.resolution_m)
     return 0
 
@@ -149,12 +149,10 @@ _TRIAL_COLUMNS = ["trial", "seed", *PARAMETER_FIELDS.values(), "resolution_m",
                   "ladder_limited"]
 
 
-def _trial_row(index: int, trial) -> list[str]:
-    return [str(index), str(trial.seed),
-            *(_fmt(getattr(trial.params, name)) for name in PARAMETER_FIELDS.values()),
-            _fmt(trial.resolution_m), str(trial.solver_converged), trial.error or "",
-            str(trial.rings_dropped), str(trial.degenerate_crossing),
-            str(trial.ladder_limited)]
+def _trial_row(index: int, trial) -> list:
+    params = (getattr(trial.params, name) for name in PARAMETER_FIELDS.values())
+    return [index, trial.seed, *params, trial.resolution_m, trial.solver_converged,
+            trial.error, trial.rings_dropped, trial.degenerate_crossing, trial.ladder_limited]
 
 
 def _write_trials(path: Path, trials) -> None:
@@ -176,9 +174,9 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
                             base=config.system)
     if args.progress:
         print(file=sys.stderr)
-    _write_trials(out / "trials.csv", campaign.trials)
-    _write_csv(out / "histogram.csv", ["bin_left_m", "bin_right_m", "count"],
-               [[repr(float(le)), repr(float(le + campaign.bin_width_m)), str(int(c))]
+    _write_trials(_file(out, "trials.csv"), campaign.trials)
+    _write_csv(_file(out, "histogram.csv"), ["bin_left_m", "bin_right_m", "count"],
+               [(le, le + campaign.bin_width_m, c)
                 for le, c in zip(campaign.bin_edges[:-1], campaign.counts)])
     summary = {
         "n_trials": len(campaign.trials),
@@ -190,7 +188,7 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
         "p10_m": campaign.p10_m,
         "p90_m": campaign.p90_m,
     }
-    _write_json(out / "summary.json", summary)
+    _write_json(_file(out, "summary.json"), summary)
     logger.info("campaign: mode %.3f m over %d resolved trials",
                 campaign.mode_m, campaign.n_resolved)
     return 0
@@ -204,7 +202,7 @@ def cmd_sweep(args, config: ScenarioConfig, out: Path) -> int:
     axes = [(name, values.split(",")) for name, values in zip(args.param, args.values)]
     result = sweep(axes, config.scenario, seeds_per_value=args.seeds_per_value,
                    base=config.system, master_seed=seed, threads=args.threads)
-    _write_trials(out / "sweep.csv", [trial for cell in result.trials for trial in cell])
+    _write_trials(_file(out, "sweep.csv"), [trial for cell in result.trials for trial in cell])
     # JSON has no NaN: a cell that resolved nothing is written as null
     means = result.mean_resolution_m
     summary = {
@@ -213,7 +211,7 @@ def cmd_sweep(args, config: ScenarioConfig, out: Path) -> int:
         "seeds_per_value": args.seeds_per_value,
         "master_seed": seed,
     }
-    _write_json(out / "sweep_summary.json", summary)
+    _write_json(_file(out, "sweep_summary.json"), summary)
     logger.info("sweep %s: %s", " x ".join(args.param), summary["mean_resolution_m"])
     return 0
 
@@ -294,9 +292,7 @@ def main(argv=None) -> int:
         logging.getLogger().setLevel(logging.INFO)
     try:
         config = load_config(args.config)
-        out = Path(args.out_dir or config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, config, out)
+        return args.func(args, config, Path(args.out_dir or config.output_dir))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -53,8 +53,22 @@ class GeometryConstants:
         if self.f_nyq_lr != self.f_nyq_hr / 2.0:
             raise ValueError("LR Nyquist must be half the HR Nyquist")
 
+    @property
+    def hr_per_lr(self) -> float:
+        """HR samples per detector pixel (2.0): the footprint aperture's
+        width, and the HR length of a shift given in LR pixels."""
+        return self.lr_pixel_pitch_um / self.hr_sample_pitch_um
+
 
 GEOMETRY = GeometryConstants()
+
+
+def _frequencies(f) -> np.ndarray:
+    """f as a float64 array; ValueError if any frequency is negative."""
+    f = np.asarray(f, dtype=np.float64)
+    if np.any(f < 0):
+        raise ValueError("frequency must be >= 0")
+    return f
 
 
 def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):
@@ -63,9 +77,7 @@ def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):
     Single-parameter stand-in for the aberrated-optics curve: value 1 at
     DC, m_nyq at 0.5 cycles/sample, m_nyq**(f/0.5) elsewhere.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be >= 0")
+    f = _frequencies(f)
     m_nyq = float(m_nyq)
     if not 0.0 < m_nyq <= 1.0:
         raise ValueError("m_nyq must be in (0, 1]")
@@ -74,9 +86,7 @@ def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):
 
 def footprint_mtf(f, w):
     """Detector footprint MTF |sinc(f*w)| for a square aperture of width w HR pixels."""
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be >= 0")
+    f = _frequencies(f)
     if w <= 0:
         raise ValueError("detector width must be > 0")
     return np.abs(np.sinc(f * w))
@@ -89,12 +99,7 @@ def sampling_mtf(f, samp_pitch):
     decimation, so this factor is never applied as blur (that would
     double-count the sampling).
     """
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be >= 0")
-    if samp_pitch <= 0:
-        raise ValueError("sampling pitch must be > 0")
-    return np.abs(np.sinc(f * samp_pitch))
+    return footprint_mtf(f, samp_pitch)
 
 
 def smear_mtf(f, f_N=0.5, n_phi=1):
@@ -104,9 +109,7 @@ def smear_mtf(f, f_N=0.5, n_phi=1):
     smoother charge motion; n_phi -> inf approaches 1 everywhere.
     Applies along-track only.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be >= 0")
+    f = _frequencies(f)
     if f_N <= 0:
         raise ValueError("reference frequency must be > 0")
     if n_phi < 1:
@@ -118,18 +121,10 @@ def smear_mtf(f, f_N=0.5, n_phi=1):
 
 def jitter_mtf(f, sigma):
     """Line-of-sight jitter MTF exp(-2 pi^2 sigma^2 f^2) for Gaussian motion."""
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise ValueError("frequency must be >= 0")
+    f = _frequencies(f)
     if sigma < 0:
         raise ValueError("jitter sigma must be >= 0")
     return np.exp(-2.0 * np.pi**2 * sigma**2 * f * f)
-
-
-def _detector_width(params: SystemParams) -> float:
-    """Square detector aperture in HR samples: 2.0, the 8 um pixel on
-    the 4 um grid."""
-    return params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
 
 
 def system_otf(params: SystemParams, fx, fy):
@@ -152,7 +147,7 @@ def system_otf(params: SystemParams, fx, fy):
     fx = np.abs(np.asarray(fx, dtype=np.float64))
     fy = np.abs(np.asarray(fy, dtype=np.float64))
     fr = np.hypot(fx, fy)
-    width = _detector_width(params)
+    width = params.geometry.hr_per_lr
     otf = optics_mtf(fr, params.optics_mtf_at_hr_nyq, params.geometry)
     otf = otf * footprint_mtf(fx, width)
     otf = otf * footprint_mtf(fy, width)
@@ -172,13 +167,12 @@ def mtf_curve_table(params: SystemParams, n_points: int = 512):
     if n_points < 2:
         raise ValueError(f"MTF curve needs at least 2 points, got {n_points}")
     geometry = params.geometry
-    width = _detector_width(params)
     f = np.linspace(0.0, geometry.f_nyq_hr, n_points)
     cols = [
         f,
         optics_mtf(f, params.optics_mtf_at_hr_nyq, geometry),
-        footprint_mtf(f, width),
-        sampling_mtf(f, width),
+        footprint_mtf(f, geometry.hr_per_lr),
+        sampling_mtf(f, geometry.hr_per_lr),
         smear_mtf(f, n_phi=params.n_phi),
         jitter_mtf(f, params.jitter_sigma),
         system_otf(params, 0.0, f),

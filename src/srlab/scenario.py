@@ -13,6 +13,7 @@ import types
 import typing
 from dataclasses import dataclass, field, is_dataclass, replace
 
+from .grid import MAX_PIXELS
 from .metrology import check_ladder_fits
 from .simulator import SystemParams
 from .solver import SolverConfig, check_btv_fits
@@ -47,6 +48,9 @@ class Scenario:
         if any(n % 2 for n in self.grid_size):
             raise ValueError(f"grid dimensions must be even (the blur needs "
                              f"them), got {self.grid_size[0]}x{self.grid_size[1]}")
+        if self.grid_size[0] * self.grid_size[1] > MAX_PIXELS:
+            raise ValueError(f"grid {self.grid_size[0]}x{self.grid_size[1]}: more than "
+                             f"{MAX_PIXELS} pixels, the budget of an image file")
         check_btv_fits(self.solver.p_radius, self.grid_size)
 
 

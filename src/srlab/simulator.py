@@ -133,14 +133,19 @@ class Observation:
         if not abs(float(self.assumed_psf.sum()) - 1.0) <= 1e-9:
             raise ValueError("assumed PSF must sum to 1")
 
+    @property
+    def hr_shape(self) -> tuple[int, int]:
+        """The HR grid the image samples: its shape times the decimation."""
+        return tuple(n * s for n, s in zip(self.image.shape, self.decimation))
+
 
 def _subarray_shifts(params: SystemParams) -> tuple[tuple[float, float], ...]:
     """Each subarray's (along, across) shift in HR pixels: the first at
     (0, 0), the second at the along-track line separation plus the
     across-track stagger."""
-    lr_per_hr = params.geometry.lr_pixel_pitch_um / params.geometry.hr_sample_pitch_um
-    return ((0.0, 0.0), (params.subarray_shift_al_lines * lr_per_hr,
-                         params.subarray_shift_ax * lr_per_hr))
+    hr_per_lr = params.geometry.hr_per_lr
+    return ((0.0, 0.0), (params.subarray_shift_al_lines * hr_per_lr,
+                         params.subarray_shift_ax * hr_per_lr))
 
 
 def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -163,18 +168,16 @@ def render_blurred_scene(target: np.ndarray, params: SystemParams) -> np.ndarray
     return irfft2_rows(_blurred_spectrum(target, params), np.shape(target))
 
 
-def add_noise(image: np.ndarray, snr_at_300: float, rng_seed: int
-              ) -> tuple[np.ndarray, float]:
-    """Add i.i.d. zero-mean Gaussian noise at sigma = 300/SNR counts.
+def add_noise(image: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
+    """Add i.i.d. zero-mean Gaussian noise of standard deviation sigma
+    counts (SystemParams.noise_sigma, 300/SNR, in the simulator).
 
-    The noise is signal-independent (white); returns the sigma used.
-    Deterministic for a given seed.
+    The noise is signal-independent (white).  Deterministic for a given seed.
     """
-    if not snr_at_300 > 0:
-        raise ValueError(f"SNR must be > 0, got {snr_at_300!r}")
-    sigma = REFERENCE_SIGNAL / snr_at_300
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"noise sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(rng_seed)
-    return image + rng.normal(0.0, sigma, size=image.shape), sigma
+    return image + rng.normal(0.0, sigma, size=image.shape)
 
 
 def subarray_observations(images, params: SystemParams) -> tuple[Observation, Observation]:
@@ -211,5 +214,5 @@ def simulate_observations(target: np.ndarray, params: SystemParams, rng_seed: in
     for k, shift in enumerate(_subarray_shifts(params)):
         ramp = shift_multiplier_2d(shape, shift)
         sampled = irfft2_rows(fold(ramp, spectrum, _DECIMATION), lr_shape)
-        images.append(add_noise(sampled, params.snr_at_300, child_seed(rng_seed, k))[0])
+        images.append(add_noise(sampled, params.noise_sigma, child_seed(rng_seed, k)))
     return subarray_observations(images, params)

@@ -111,14 +111,14 @@ class SrResult:
 
     image: np.ndarray
     cost_trace: list[float]
-    iterations_run: int
     converged: bool
     step_halvings: int
     final_beta: float
 
-
-def _hr_shape(obs: Observation) -> tuple[int, int]:
-    return tuple(n * s for n, s in zip(obs.image.shape, obs.decimation))
+    @property
+    def iterations_run(self) -> int:
+        """Accepted steps: the cost trace holds the start and one cost each."""
+        return len(self.cost_trace) - 1
 
 
 def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
@@ -160,11 +160,10 @@ def _data_cost(residuals, height: int) -> float:
 def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
     """Apply the observation operator: blur, shift, decimate."""
     x = check_image(x, "estimate")
-    hr_shape = _hr_shape(obs)
-    if x.shape != hr_shape:
+    if x.shape != obs.hr_shape:
         raise ValueError(f"estimate shape {x.shape} does not match observation "
-                         f"geometry {hr_shape}")
-    spectrum = fold(_transfers([obs], hr_shape)[0], rfft2_rows(x), obs.decimation)
+                         f"geometry {obs.hr_shape}")
+    spectrum = fold(_transfers([obs], obs.hr_shape)[0], rfft2_rows(x), obs.decimation)
     return irfft2_rows(spectrum, obs.image.shape)
 
 
@@ -174,9 +173,8 @@ def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
     if r.shape != obs.image.shape:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
-    hr_shape = _hr_shape(obs)
-    transfer = _transfers([obs], hr_shape)[0]
-    return irfft2_rows(unfold(transfer, rfft2_rows(r), obs.decimation), hr_shape)
+    transfer = _transfers([obs], obs.hr_shape)[0]
+    return irfft2_rows(unfold(transfer, rfft2_rows(r), obs.decimation), obs.hr_shape)
 
 
 def _btv_pairs(p_radius: int):
@@ -275,6 +273,9 @@ def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
 MAX_HALVINGS = 30
 
 
+# a step too large for float64 overflows to a non-finite cost, which the
+# step search reports by name; numpy's warnings would only precede it
+@np.errstate(over="ignore", invalid="ignore")
 def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     """Minimize the MAP cost by adaptive-step steepest descent.
 
@@ -301,8 +302,8 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     if cfg.sr_factor is not None and tuple(cfg.sr_factor) != tuple(decimation):
         raise ValueError(f"sr_factor {cfg.sr_factor} does not match observation "
                          f"decimation {decimation}")
-    hr_shape = _hr_shape(observations[0])
-    if any(_hr_shape(o) != hr_shape for o in observations):
+    hr_shape = observations[0].hr_shape
+    if any(o.hr_shape != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
     check_btv_fits(cfg.p_radius, hr_shape)
 
@@ -323,9 +324,9 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     trace = [current]
     beta = cfg.beta0
     converged = False
-    iterations, halvings, final_beta = 0, 0, 0.0
+    halvings, final_beta = 0, 0.0
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         g_hat = np.zeros_like(transfers[0])
         for r, t in zip(resid, transfers):
             g_hat -= unfold(t, 2.0 * r, decimation)
@@ -346,7 +347,8 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             penalty, candidate_signs = _prior(candidate, cfg)
             c_new = data + penalty
             if not np.isfinite(c_new):
-                raise FloatingPointError("non-finite cost during iteration")
+                raise FloatingPointError(f"solver beta0 {cfg.beta0!r}: the step of size "
+                                         f"{beta!r} overflowed to a non-finite cost")
             if c_new < current:
                 break
             beta *= 0.5
@@ -354,7 +356,6 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         else:
             # step size collapsed: stationary within numerical resolution
             converged = True
-            iterations -= 1
             break
         if data < floor:
             # the carried residuals are down to the data's rounding, where
@@ -364,7 +365,6 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             c_new = _data_cost(trial, lr_shape[0]) + penalty
             if not c_new < current:
                 converged = True
-                iterations -= 1
                 break
         x, resid, signs, final_beta = candidate, trial, candidate_signs, beta
         del g, steps  # not held through the next gradient build
@@ -375,5 +375,5 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             converged = True
             break
 
-    return SrResult(image=x, cost_trace=trace, iterations_run=iterations,
-                    converged=converged, step_halvings=halvings, final_beta=final_beta)
+    return SrResult(image=x, cost_trace=trace, converged=converged,
+                    step_halvings=halvings, final_beta=final_beta)

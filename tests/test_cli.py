@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from numpy.lib import format as npy_format
 from srlab import cli, montecarlo
 from srlab.cli import main
 from srlab.grid import read_pgm
-from srlab.metrology import measure_resolution, nem
+from srlab.metrology import ResolutionReport, measure_resolution, nem
 from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.scenario import MonteCarloConfig, Scenario, ScenarioConfig, load_config
 from srlab.simulator import SystemParams, simulate_observations, subarray_observations
@@ -416,6 +416,8 @@ def test_every_stage_reads_its_values_from_its_own_config(config_path, tmp_path)
         want.curve
     report = json.loads((meas / "report.json").read_text())
     assert report == {key: getattr(want, key) for key in report}
+    # every field of the report but its curve, which curve.csv holds
+    assert set(report) == {f.name for f in fields(ResolutionReport)} - {"curve"}
     assert report["nem"] == nem(scenario.nem_signal, 10.0)  # 300 / SNR 30
 
 
@@ -444,13 +446,16 @@ N_RINGS_REFUSED = _first_refused_n_rings()
     ({"n_rings": N_RINGS_REFUSED}, ["measure", "--image", "sr.npy"],
      f"n_rings {N_RINGS_REFUSED}:"),
     ({"n_rings": N_RINGS_REFUSED}, ["montecarlo", "--trials", "1", "--seed", "3"],
-     f"n_rings {N_RINGS_REFUSED}:")],
+     f"n_rings {N_RINGS_REFUSED}:"),
+    ({"grid": {"height": 100000, "width": 100000}}, ["target"], "grid 100000x100000:"),
+    ({"grid": {"height": 8194, "width": 8192}},
+     ["montecarlo", "--trials", "1", "--seed", "3"], "grid 8194x8192:")],
     ids=["supersample-target", "P-superresolve", "P-montecarlo", "n_rings-measure",
-         "n_rings-montecarlo"])
+         "n_rings-montecarlo", "grid-target", "grid-montecarlo"])
 def test_oversize_work_exits_2_naming_key(tmp_path, capsys, config, command, key):
-    # a sub-point count, a BTV window or a ring ladder too large for any
-    # grid is refused at config load, by its key, instead of running
-    # until killed
+    # a sub-point count, a BTV window, a ring ladder or a grid too large
+    # is refused at config load, by its key, instead of running until
+    # killed
     path = tmp_path / "oversize.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -553,6 +558,33 @@ def test_simulate_requires_seed(config_path, tmp_path):
     assert main(["simulate", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--param", "snr", "--param", "jitter", "--values", "30,100", "--seed", "3"],
+    ["montecarlo", "--trials", "1"]], ids=["sweep-unpaired-axes", "montecarlo-no-seed"])
+def test_usage_error_leaves_no_output_directory(tmp_path, capsys, command):
+    # a command makes its output directory when it first writes, so one
+    # refused for its arguments leaves none (the config sets no seed)
+    path = tmp_path / "noseed.json"
+    path.write_text(json.dumps({**CONFIG, "montecarlo": {"n_trials": 4}}))
+    out = tmp_path / "X"
+    assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_csv_cell_spelling():
+    # every CSV cell goes through _fmt: a float, numpy's included (whose
+    # repr is 'np.float64(0.1)'), as repr(float(v)); an int, numpy's
+    # included, or a flag by str; a missing value as ""
+    assert cli._fmt(np.float64(0.1)) == repr(float(np.float64(0.1))) == "0.1"
+    assert cli._fmt(0.1) == repr(0.1)
+    assert cli._fmt(np.int64(5)) == str(int(np.int64(5))) == "5"
+    assert cli._fmt(True) == "True"
+    assert cli._fmt(np.bool_(False)) == "False"
+    assert cli._fmt(None) == ""
+    assert cli._fmt("non-finite cost") == "non-finite cost"
+
+
 def test_seed_flag_overrides_config(config_path, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(config_path),
@@ -613,7 +645,7 @@ def test_bad_thread_count_exits_2(config_path, tmp_path, capsys, command, thread
     assert main([*command, "--config", str(config_path), "--threads", threads,
                  "--seed", "7", "--out-dir", str(out)]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_sweep_subcommand(config_path, tmp_path):
@@ -648,7 +680,8 @@ def test_two_axis_sweep_equals_in_process_sweep(config_path, tmp_path):
     trials = [trial for cell in want.trials for trial in cell]
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1:] == [cli._trial_row(i, t) for i, t in enumerate(trials)]
+    assert rows[1:] == [[cli._fmt(v) for v in cli._trial_row(i, t)]
+                        for i, t in enumerate(trials)]
     assert main(["montecarlo", "--config", str(config_path), "--trials", "1",
                  "--seed", "3", "--out-dir", str(mc)]) == 0
     with open(mc / "trials.csv", newline="") as fh:
@@ -667,7 +700,7 @@ def test_sweep_unpaired_axes_exit_1(config_path, tmp_path, capsys, monkeypatch, 
     assert main(["sweep", "--config", str(config_path), *axes, "--seeds-per-value", "1",
                  "--seed", "3", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_sweep_out_of_range_value_exits_2(config_path, tmp_path, capsys):
@@ -812,6 +845,22 @@ def test_montecarlo_rejects_sampled_system_key(tmp_path, capsys):
     assert not (out / "trials.csv").exists()
 
 
+def test_overflowing_beta0_exits_2_naming_key(tmp_path, capsys, observations):
+    # a first step so large that float64 overflows ends the solve with one
+    # error line naming beta0, and numpy warns of nothing before it
+    path = tmp_path / "beta0.json"
+    path.write_text(json.dumps({**CONFIG, "solver": {**CONFIG["solver"], "beta0": 1e308}}))
+    out = tmp_path / "sr"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["superresolve", "--config", str(path), "--observations",
+                     *observations, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver beta0 1e+308:") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.fixture()
 def observations(config_path, tmp_path):
     """The two .npy observations simulate writes for the test config."""
@@ -844,7 +893,7 @@ def test_bad_stage_config_exits_2(tmp_path, capsys, observations, command, edit,
     assert main([command, "--config", str(path), *stage, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_missing_input_exits_2(config_path):

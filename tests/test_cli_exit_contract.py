@@ -32,7 +32,7 @@ COMMANDS = [
     ["measure", "--image", "{image}"],
     ["measure", "--image", "{image}", "--sector", "3"],
     ["montecarlo", "--trials", "1", "--seed", "3"],
-    ["sweep", "--param", "snr", "--values", "30", "--seeds-per-value", "1",
+    ["sweep", "--param", "snr", "--values", "30,100", "--seeds-per-value", "1",
      "--seed", "3"],
 ]
 READS_STAGES = [c for c in COMMANDS if c[0] in ("superresolve", "measure")]
@@ -106,6 +106,9 @@ cases = st.one_of(
     st.tuples(st.just("config"), st.sampled_from(CONFIG_PATHS), BAD_VALUES),
     # ring counts past the test star's 2^26-sample ladder bound (72167)
     st.tuples(st.just("config"), st.just(("n_rings",)), st.integers(2**17, 2**80)),
+    # even grid sides past the 2^26-pixel budget beside the other side's 128
+    st.tuples(st.just("config"), st.sampled_from([("grid", "height"), ("grid", "width")]),
+              st.integers(2**18 + 1, 2**39).map(lambda n: 2 * n)),
     st.tuples(st.just("npy"), st.just(None), bad_npy()))
 
 
@@ -136,6 +139,9 @@ def stages(tmp_path_factory):
 @example(case=("config", ("star", "supersample"), 100000))
 @example(case=("config", ("solver", "P"), 10**6))
 @example(case=("config", ("n_rings",), 100000000))
+@example(case=("config", ("grid",), {"height": 100000, "width": 100000}))
+# RuntimeWarnings, then an error that named no key, once; named by key
+@example(case=("config", ("solver", "beta0"), 1e308))
 @given(case=cases)
 def test_main_exits_0_1_or_2_and_never_raises(stages, tmp_path_factory, case):
     part, path, value = case

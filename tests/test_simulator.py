@@ -198,38 +198,41 @@ def test_fold_sampling_matches_spatial_sampling(h, w, decimation, d0, d1, seed):
 
 
 def test_noise_sigma_value():
-    img = np.zeros((16, 16))
-    _, sigma = add_noise(img, 60.0, 0)
-    assert sigma == 5.0
-    # NaN fails the SNR test like any other value that is not > 0
+    # the sigma is SystemParams.noise_sigma, 300 / SNR; the SNR is range
+    # checked there, and NaN fails it like any other value that is not > 0
+    assert SystemParams(snr_at_300=60.0).noise_sigma == 5.0
     for snr in (float("nan"), -1.0, 0.0):
         with pytest.raises(ValueError, match="SNR must be > 0"):
-            add_noise(img, snr, 0)
+            SystemParams(snr_at_300=snr)
+    img = np.zeros((16, 16))
+    for sigma in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="noise sigma must be finite and >= 0"):
+            add_noise(img, sigma, 0)
 
 
 def test_noise_statistics():
     img = np.zeros((1024, 1024))
-    noisy, sigma = add_noise(img, 60.0, 9)
+    noisy = add_noise(img, SystemParams(snr_at_300=60.0).noise_sigma, 9)
     assert noisy.std() == pytest.approx(5.0, abs=0.02)
     assert noisy.mean() == pytest.approx(0.0, abs=0.02)
 
 
 def test_noise_vanishes_at_huge_snr():
     img = np.full((16, 16), 300.0)
-    noisy, _ = add_noise(img, 1e12, 0)
+    noisy = add_noise(img, SystemParams(snr_at_300=1e12).noise_sigma, 0)
     assert np.allclose(noisy, img, atol=1e-6)
 
 
 def test_noise_deterministic():
     img = np.zeros((16, 16))
-    a, _ = add_noise(img, 60.0, 7)
-    b, _ = add_noise(img, 60.0, 7)
+    a = add_noise(img, 5.0, 7)
+    b = add_noise(img, 5.0, 7)
     assert np.array_equal(a, b)
 
 
 def test_noise_whiteness():
     img = np.zeros((512, 512))
-    noisy, _ = add_noise(img, 60.0, 11)
+    noisy = add_noise(img, 5.0, 11)
     flat = noisy.ravel()
     flat = flat - flat.mean()
     denom = float(flat @ flat)
@@ -329,5 +332,5 @@ def test_noise_streams_derived_from_child_seeds(star_target, nominal_params):
     h, w = star_target.shape
     clean = irfft2_rows(fold(shift_multiplier_2d(star_target.shape, (0.0, 0.0)),
                              spectrum, (1, 2)), (h, w // 2))
-    redo, _ = add_noise(clean, nominal_params.snr_at_300, child_seed(42, 0))
+    redo = add_noise(clean, nominal_params.noise_sigma, child_seed(42, 0))
     assert np.array_equal(o1.image, redo)

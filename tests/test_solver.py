@@ -491,7 +491,7 @@ def test_spectral_solver_matches_image_space_reference(
     x, trace, iterations, converged, halvings, final_beta = \
         image_space_super_resolve(observations, cfg)
     result = super_resolve(observations, cfg=cfg)
-    assert result.iterations_run == iterations
+    assert result.iterations_run == iterations == len(result.cost_trace) - 1
     assert result.converged == converged
     assert result.step_halvings == halvings
     assert result.final_beta == final_beta
