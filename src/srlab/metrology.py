@@ -5,17 +5,20 @@ are fit by least squares to the single angular harmonic at the known
 cycle count, giving mean level a, amplitude beta and modulation
 M = beta/a.  A radius ladder's rings are found once per (image shape,
 center, radii, cycles) and cached as a read-only ring table: every
-ring's pixel indices, grouped by ring and row-major within it, with the
-cos/sin columns of the harmonic and the samples' row-major order.  All
-rings are then fit in one vectorized pass over the table: the image's
-value at every sample, a mask or an angular sector applied as a
-selection on those values (a sector is tested on the samples' own
-offsets), segment sums for each ring's normal equations and one batched
-solve.  measure_resolution computes its upsampled image a band of rows
-at a time, straight into the samples' values, and never holds it whole.
-The modulation curve is intersected with the noise-equivalent
-modulation 4*sigma/signal; the crossing frequency maps to meters
-through the HR ground sample (0.5 cycles/px = 1.25 m).
+ring's pixel indices, grouped by ring and row-major within it, the
+samples' row-major order, and every constant of the full-ring fits (the
+harmonic's cos/sin columns less their ring means, those means and each
+ring's 2x2 normal matrix).  All rings are then fit in one vectorized
+pass over the table: the image's value at every sample, centred per
+ring, two segment sums per ring and one batched solve.  A mask or an
+angular sector (tested on the samples' own offsets) selects among the
+samples; the sector and mask paths then recompute cos/sin and the
+normal matrices for the kept samples.  measure_resolution computes its
+upsampled image a band of rows at a time, straight into the samples'
+values, and never holds it whole.  The modulation curve is intersected
+with the noise-equivalent modulation 4*sigma/signal; the crossing
+frequency maps to meters through the HR ground sample (0.5 cycles/px =
+1.25 m).
 """
 
 from __future__ import annotations
@@ -142,11 +145,17 @@ _TABLE_BAND_ROWS = 64
 
 @dataclass(frozen=True)
 class _RingTable:
-    """The annulus samples of a radius ladder (see _ring_table).
+    """The annulus samples of a radius ladder and every constant of their
+    full-ring fits (see _ring_table).
 
     Ring i owns samples[starts[i]:starts[i] + counts[i]], flat pixel
-    indices in row-major order; cos and sin hold cos/sin(cycles * alpha)
-    of each sample.  samples[row_major] runs through every ring's samples
+    indices in row-major order.  cos and sin hold cos/sin(cycles * alpha)
+    of each sample less its ring's mean, mean_cos and mean_sin those
+    means, and normal each ring's 2x2 normal matrix of the centred
+    columns (zero for a ring with no samples): a full-ring fit needs only
+    the image's values.  A selection of the samples changes the means,
+    so the sector and mask paths recompute cos and sin from the samples
+    (_harmonic).  samples[row_major] runs through every ring's samples
     in row-major order; bands holds (first row, end row, end in
     row_major) of each _TABLE_BAND_ROWS-row band they lie in.
     """
@@ -154,10 +163,55 @@ class _RingTable:
     samples: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
     row_major: np.ndarray
     bands: tuple[tuple[int, int, int], ...]
+    cos: np.ndarray
+    sin: np.ndarray
+    mean_cos: np.ndarray
+    mean_sin: np.ndarray
+    normal: np.ndarray
+
+
+def _ring_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each ring's sum of its segment of values (0 for a ring with no
+    samples)."""
+    filled = counts > 0
+    sums = np.zeros(counts.size)
+    sums[filled] = np.add.reduceat(values, starts[filled])
+    return sums
+
+
+def _centre(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Subtract each ring's mean from its segment of values, in place,
+    and return the means (0 for a ring with no samples)."""
+    mean = _ring_sums(values, starts, counts)
+    filled = counts > 0
+    mean[filled] /= counts[filled]
+    values -= np.repeat(mean, counts)
+    return mean
+
+
+def _harmonic(samples: np.ndarray, width: int, center: tuple[float, float], cycles: int,
+              starts: np.ndarray, counts: np.ndarray):
+    """(cos, sin, mean_cos, mean_sin, normal) of _RingTable for the
+    ring-grouped flat pixel indices samples of an image width pixels
+    wide, with alpha = arctan2(col - c0, row - r0).  Each temporary is
+    dropped once used, so the peak stays near the result's size."""
+    rows, cols = np.divmod(samples, width)
+    x = cols - center[1]
+    del cols
+    angle = rows - center[0]
+    del rows
+    np.arctan2(x, angle, out=angle)
+    del x
+    angle *= cycles
+    cos = np.cos(angle)
+    sin = np.sin(angle, out=angle)
+    mean_cos, mean_sin = _centre(cos, starts, counts), _centre(sin, starts, counts)
+    s_cs = _ring_sums(cos * sin, starts, counts)
+    normal = np.stack([_ring_sums(cos * cos, starts, counts), s_cs, s_cs,
+                       _ring_sums(sin * sin, starts, counts)], axis=-1).reshape(-1, 2, 2)
+    return cos, sin, mean_cos, mean_sin, normal
 
 
 @functools.lru_cache(maxsize=4)
@@ -170,8 +224,10 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     are computed over the outer ring's bounding box, a band of rows at a
     time, and each is binned against the ladder's edges; a stable sort
     by ring then groups the samples and keeps them row-major within each
-    ring, and its inverse is the row-major order.  The arrays are
-    read-only: every caller with this key shares them.
+    ring, and its inverse is the row-major order.  Pixel indices are
+    int32 and ring keys the smallest unsigned type, and each temporary is
+    dropped once used, so the build peaks near the table's own size.
+    The arrays are read-only: every caller with this key shares them.
     """
     h, w = shape
     r0, c0 = center
@@ -181,6 +237,10 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     lo_r, hi_r = max(0, math.floor(r0 - top - 1)), min(h, math.ceil(r0 + top + 2))
     lo_c, hi_c = max(0, math.floor(c0 - top - 1)), min(w, math.ceil(c0 + top + 2))
     x = (np.arange(lo_c, hi_c, dtype=np.float64) - c0)[None, :]
+    # int32 holds the flat index of any image a file may hold, upsampled
+    index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
+    # small unsigned keys take numpy's linear-time radix sort
+    key = np.min_scalar_type(len(radii))
     pixels, rings, bands, stop = [], [], [], 0
     for band in range(lo_r, hi_r, _TABLE_BAND_ROWS):
         end = min(band + _TABLE_BAND_ROWS, hi_r)
@@ -192,25 +252,26 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
         first = np.searchsorted(upper, dist, side="right")
         reps = np.searchsorted(lower, dist, side="right") - first
         within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        pixels.append(np.repeat((rows + band) * w + cols + lo_c, reps))
-        rings.append(np.repeat(first, reps) + within)
+        pixels.append(np.repeat(((rows + band) * w + cols + lo_c).astype(index), reps))
+        # index into radii
+        rings.append((len(radii) - 1 - np.repeat(first, reps) - within).astype(key))
         stop += pixels[-1].size
         bands.append((band, end, stop))
-    ring = len(radii) - 1 - np.concatenate(rings)  # index into radii
-    # small unsigned keys take numpy's linear-time radix sort
-    order = np.argsort(ring.astype(np.min_scalar_type(len(radii))), kind="stable")
+    rings = np.concatenate(rings)
+    order = np.argsort(rings, kind="stable")
+    counts = np.bincount(rings, minlength=len(radii))
+    del rings
     samples = np.concatenate(pixels)[order]
+    del pixels
     row_major = np.empty(order.size, dtype=np.int32)
     row_major[order] = np.arange(order.size, dtype=np.int32)
-    counts = np.bincount(ring, minlength=len(radii))
+    del order
     starts = np.cumsum(counts) - counts
-    sample_rows, sample_cols = np.divmod(samples, w)
-    angle = cycles * np.arctan2(sample_cols - c0, sample_rows - r0)
-    table = _RingTable(samples, starts, counts, np.cos(angle), np.sin(angle),
-                       row_major, tuple(bands))
-    for array in (table.samples, table.starts, table.counts, table.cos, table.sin,
-                  table.row_major):
-        array.flags.writeable = False
+    table = _RingTable(samples, starts, counts, row_major, tuple(bands),
+                       *_harmonic(samples, w, center, cycles, starts, counts))
+    for array in vars(table).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
     return table
 
 
@@ -232,12 +293,14 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
     ladder on an image of this shape in one pass; entry i is ring i's
     fit or the RingError that refuses it.
 
-    values_of(table) gives the image's value at each sample of the ring
-    table, select (flat sample indices -> which to keep) picks among
-    them, segment sums form each ring's normal equations and one
-    batched solve fits them all.  Values and columns enter the sums less
-    their ring means, so a large image offset stays out of the
-    harmonic's rounding.
+    values_of(table) gives a new array of the image's value at each
+    sample of the ring table, which the fit centres in place.  Without a
+    selection the table holds every other constant of the fits; select
+    (flat sample indices -> which to keep) picks among the samples, and
+    the harmonic's columns and normal matrices are then recomputed for
+    the kept ones.  One batched solve fits all rings.  Values and
+    columns enter the sums less their ring means, so a large image
+    offset stays out of the harmonic's rounding.
     """
     if any(r < 2 for r in radii):
         raise ValueError("radius must be >= 2 pixels")
@@ -251,15 +314,19 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
         return results
 
     table = _ring_table(*key)
-    values, cos, sin = values_of(table), table.cos, table.sin
-    n_full = table.counts
-    n, starts = n_full, table.starts
-    if select is not None:
+    values, n_full = values_of(table), table.counts
+    if select is None:
+        n, starts = n_full, table.starts
+        cos, sin, mean_cos, mean_sin, normal = (table.cos, table.sin, table.mean_cos,
+                                                table.mean_sin, table.normal)
+    else:
         keep = select(table.samples)
-        values, cos, sin = values[keep], cos[keep], sin[keep]
+        values = values[keep]
         kept_before = np.concatenate(([0], np.cumsum(keep)))
         starts = kept_before[table.starts]
         n = kept_before[table.starts + n_full] - starts
+        cos, sin, mean_cos, mean_sin, normal = _harmonic(
+            table.samples[keep], shape[1], key[1], cycles, starts, n)
     # a mask thins a ring without changing how densely it samples a cycle
     samples_per_cycle = n_full / cycles
     empty = n < 8
@@ -271,25 +338,11 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
         # constant image must fit to zero modulation).  With every column
         # less its ring mean the mean splits off and the harmonic is a
         # 2x2 solve, well conditioned even on a one-sector arc.
-        filled = n > 0
-
-        def centred(values):
-            mean = np.zeros(len(radii))
-            mean[filled] = np.add.reduceat(values, starts[filled]) / n[filled]
-            return values - np.repeat(mean, n), mean[fit]
-
-        def ring_sums(values):
-            return np.add.reduceat(values, starts[filled])[fit[filled]]
-
-        vals, mean = centred(values)
-        cos, mean_cos = centred(cos)
-        sin, mean_sin = centred(sin)
-        s_cs = ring_sums(cos * sin)
-        normal = np.stack([ring_sums(cos * cos), s_cs, s_cs, ring_sums(sin * sin)],
-                          axis=-1).reshape(-1, 2, 2)
-        rhs = np.stack([ring_sums(vals * cos), ring_sums(vals * sin)], axis=-1)
-        c, s = np.linalg.solve(normal, rhs[..., None])[..., 0].T
-        a = mean - c * mean_cos - s * mean_sin
+        mean = _centre(values, starts, n)[fit]
+        rhs = np.stack([_ring_sums(values * cos, starts, n),
+                        _ring_sums(values * sin, starts, n)], axis=-1)[fit]
+        c, s = np.linalg.solve(normal[fit], rhs[..., None])[..., 0].T
+        a = mean - c * mean_cos[fit] - s * mean_sin[fit]
         fitted = zip(a.tolist(), c.tolist(), s.tolist())
 
     for k, radius in enumerate(radii):

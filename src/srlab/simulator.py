@@ -47,6 +47,13 @@ REFERENCE_SIGNAL = 300.0
 _DECIMATION = (1, 2)
 
 
+def _hr_shape(shape, decimation, inverse: bool = False) -> tuple[int, ...]:
+    """The HR grid an image of this shape samples at this decimation, its
+    shape times the decimation; with inverse, the shape of the image
+    that samples an HR grid of this shape."""
+    return tuple(n // s if inverse else n * s for n, s in zip(shape, decimation))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full per-trial system parameter record.
@@ -136,7 +143,7 @@ class Observation:
     @property
     def hr_shape(self) -> tuple[int, int]:
         """The HR grid the image samples: its shape times the decimation."""
-        return tuple(n * s for n, s in zip(self.image.shape, self.decimation))
+        return _hr_shape(self.image.shape, self.decimation)
 
 
 def _subarray_shifts(params: SystemParams) -> tuple[tuple[float, float], ...]:
@@ -187,8 +194,7 @@ def subarray_observations(images, params: SystemParams) -> tuple[Observation, Ob
     (refused before it is built if it would not fit the HR grid the first
     image samples) and params.noise_sigma."""
     first, second = images
-    check_gaussian_fits(params.assumed_psf_sigma,
-                        tuple(n * s for n, s in zip(np.shape(first), _DECIMATION)))
+    check_gaussian_fits(params.assumed_psf_sigma, _hr_shape(np.shape(first), _DECIMATION))
     psf = gaussian_kernel(params.assumed_psf_sigma)
     return tuple(Observation(image=image, shift_hr=shift, decimation=_DECIMATION,
                              assumed_psf=psf, noise_sigma=params.noise_sigma)
@@ -209,7 +215,7 @@ def simulate_observations(target: np.ndarray, params: SystemParams, rng_seed: in
     """
     spectrum = _blurred_spectrum(target, params)
     shape = np.shape(target)
-    lr_shape = (shape[0] // _DECIMATION[0], shape[1] // _DECIMATION[1])
+    lr_shape = _hr_shape(shape, _DECIMATION, inverse=True)
     images = []
     for k, shift in enumerate(_subarray_shifts(params)):
         ramp = shift_multiplier_2d(shape, shift)

@@ -33,7 +33,7 @@ import numpy as np
 from .fourier import (fold, irfft2_rows, kernel_transfer, rfft2_rows,
                       shift_multiplier_2d, unfold)
 from .grid import MAX_PIXELS, check_image
-from .simulator import Observation
+from .simulator import Observation, _hr_shape
 
 __all__ = [
     "SolverConfig",
@@ -266,8 +266,8 @@ def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
     """Cubic-spline upsample aligned so output[i*s] == input[i], periodic."""
     lr = np.asarray(lr, dtype=np.float64)
-    hr_shape = (lr.shape[0] * decimation[0], lr.shape[1] * decimation[1])
-    return irfft2_rows(_cubic_spectrum(rfft2_rows(lr), lr.shape, decimation), hr_shape)
+    return irfft2_rows(_cubic_spectrum(rfft2_rows(lr), lr.shape, decimation),
+                       _hr_shape(lr.shape, decimation))
 
 
 MAX_HALVINGS = 30

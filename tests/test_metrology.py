@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -350,7 +351,51 @@ def test_measurement_never_holds_the_full_upsample(scenario, nominal_params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 5 * 2**20  # 4.6 MiB with numpy 2.4
+
+
+def default_table_key(scenario):
+    """The _ring_table key of a default measurement's ladder."""
+    star = scenario.star
+    center, radii = _ladder(star.center, star.cycles, star.outer_radius,
+                            scenario.n_rings, GEOMETRY)
+    shape = tuple(n * ANALYSIS_OVERSAMPLE for n in scenario.grid_size)
+    return metrology._table_key(shape, center, radii, star.cycles)[1]
+
+
+def test_ring_table_build_peaks_below_twice_its_size(scenario):
+    # the temporaries of a build stay in the heap of every forked worker
+    key = default_table_key(scenario)
+    tracemalloc.start()
+    try:
+        table = _ring_table.__wrapped__(*key)  # a fresh build, outside the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(array.nbytes for array in vars(table).values()
+               if isinstance(array, np.ndarray))
+    assert peak <= 2 * kept
+
+
+@pytest.mark.parametrize("grid", ["default", "odd"])
+def test_cached_fit_constants_equal_the_recomputed_ones(scenario, grid):
+    # a selection that keeps every sample recomputes the harmonic's columns,
+    # means and normal matrices from the samples; the fits must equal those
+    # from the constants the ring table holds
+    if grid == "default":
+        shape, center, radii, cycles = default_table_key(scenario)
+    else:
+        shape, center, radii, cycles = (37, 41), (18.3, 20.6), (17.5, 12.5, 12.2, 6.0, 3.0), 5
+    image = 100.0 + np.random.default_rng(3).normal(size=shape)
+    flat = image.reshape(-1)
+
+    def fits(select):
+        results = metrology._fit_rings(lambda table: flat[table.samples], shape, center,
+                                       list(radii), cycles, select)
+        return [fit if isinstance(fit, RingFit) else str(fit) for fit in results]
+    cached = fits(None)
+    assert sum(isinstance(fit, RingFit) for fit in cached) >= 4
+    assert fits(lambda samples: np.ones(samples.size, dtype=bool)) == cached
 
 
 def test_bad_sector_is_refused_before_any_transform(monkeypatch):
@@ -512,8 +557,11 @@ def test_ring_table_is_shared_read_only():
     radii = (9.0, 8.5, 4.25)  # the first two rings share pixels
     table = _ring_table((32, 33), (15.5, 16.25), radii, 5)
     assert _ring_table((32, 33), (15.5, 16.25), radii, 5) is table
-    for array in (table.samples, table.starts, table.counts, table.cos, table.sin):
-        assert not array.flags.writeable
+    arrays = {field.name: getattr(table, field.name) for field in dataclasses.fields(table)
+              if isinstance(getattr(table, field.name), np.ndarray)}
+    assert {"cos", "sin", "mean_cos", "mean_sin", "normal"} <= arrays.keys()
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
     with pytest.raises(ValueError):
         table.cos[0] = 0.0
     for start, count in zip(table.starts, table.counts):
