@@ -17,14 +17,15 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .grid import read_image, write_pgm
 from .metrology import measure_resolution
-from .montecarlo import PARAMETER_FIELDS, ParameterSpec, run_campaign, sweep
+from .montecarlo import (PARAMETER_FIELDS, SEEDS_PER_VALUE, ParameterSpec, TrialResult,
+                         run_campaign, sweep)
 from .mtf import mtf_curve_table
 from .scenario import ScenarioConfig, load_config
 from .simulator import simulate_observations, subarray_observations
@@ -144,15 +145,15 @@ def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-_TRIAL_COLUMNS = ["trial", "seed", *PARAMETER_FIELDS.values(), "resolution_m",
-                  "solver_converged", "error", "rings_dropped", "degenerate_crossing",
-                  "ladder_limited"]
+# a trial's outcome columns: TrialResult's fields in declaration order
+_OUTCOME_FIELDS = [f.name for f in fields(TrialResult)
+                   if f.name not in ("params", "seed", "wall_time")]
+_TRIAL_COLUMNS = ["trial", "seed", *PARAMETER_FIELDS.values(), *_OUTCOME_FIELDS]
 
 
 def _trial_row(index: int, trial) -> list:
     params = (getattr(trial.params, name) for name in PARAMETER_FIELDS.values())
-    return [index, trial.seed, *params, trial.resolution_m, trial.solver_converged,
-            trial.error, trial.rings_dropped, trial.degenerate_crossing, trial.ladder_limited]
+    return [index, trial.seed, *params, *(getattr(trial, name) for name in _OUTCOME_FIELDS)]
 
 
 def _write_trials(path: Path, trials) -> None:
@@ -178,17 +179,9 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
     _write_csv(_file(out, "histogram.csv"), ["bin_left_m", "bin_right_m", "count"],
                [(le, le + campaign.bin_width_m, c)
                 for le, c in zip(campaign.bin_edges[:-1], campaign.counts)])
-    summary = {
-        "n_trials": len(campaign.trials),
-        "n_resolved": campaign.n_resolved,
-        "n_failed": campaign.n_failed,
-        "master_seed": campaign.master_seed,
-        "mode_m": campaign.mode_m,
-        "mean_m": campaign.mean_m,
-        "p10_m": campaign.p10_m,
-        "p90_m": campaign.p90_m,
-    }
-    _write_json(_file(out, "summary.json"), summary)
+    summary = {key: value for key, value in vars(campaign).items()
+               if key not in ("trials", "bin_width_m", "bin_edges", "counts")}
+    _write_json(_file(out, "summary.json"), {**summary, "n_trials": len(campaign.trials)})
     logger.info("campaign: mode %.3f m over %d resolved trials",
                 campaign.mode_m, campaign.n_resolved)
     return 0
@@ -274,7 +267,7 @@ def build_parser() -> _Parser:
                         "--param/--values pair")
     p.add_argument("--values", required=True, action="append",
                    help="comma-separated values of the matching --param")
-    p.add_argument("--seeds-per-value", type=int, default=5)
+    p.add_argument("--seeds-per-value", type=int, default=SEEDS_PER_VALUE)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -10,15 +10,14 @@ samples' row-major order, and every constant of the full-ring fits (the
 harmonic's cos/sin columns less their ring means, those means and each
 ring's 2x2 normal matrix).  All rings are then fit in one vectorized
 pass over the table: the image's value at every sample, centred per
-ring, two segment sums per ring and one batched solve.  A mask or an
-angular sector (tested on the samples' own offsets) selects among the
-samples; the sector and mask paths then recompute cos/sin and the
-normal matrices for the kept samples.  measure_resolution computes its
-upsampled image a band of rows at a time, straight into the samples'
-values, and never holds it whole.  The modulation curve is intersected
-with the noise-equivalent modulation 4*sigma/signal; the crossing
-frequency maps to meters through the HR ground sample (0.5 cycles/px =
-1.25 m).
+ring, two segment sums per ring and one batched solve.  An angular
+sector (tested on the samples' own offsets) selects among the samples;
+the sector path then recomputes cos/sin and the normal matrices for the
+kept samples.  measure_resolution computes its upsampled image a band
+of rows at a time, straight into the samples' values, and never holds
+it whole.  The modulation curve is intersected with the noise-equivalent
+modulation 4*sigma/signal; the crossing frequency maps to meters through
+the HR ground sample (0.5 cycles/px = 1.25 m).
 """
 
 from __future__ import annotations
@@ -62,15 +61,13 @@ CROSSING_SMOOTH = 5
 SECTOR_COUNT = 8
 
 
-def _sector_test(sector_index: int, sector_count: int):
+def _sector_test(sector_index: int):
     """Membership of the offsets (x, y) from the center in sector k =
-    sector_index, pattern_angle in [k, k+1) * (2*pi/sector_count).  The
+    sector_index, pattern_angle in [k, k+1) * (2*pi/SECTOR_COUNT).  The
     center itself is in none; the sectors partition every other point."""
-    if sector_count < 1:
-        raise ValueError("sector_count must be >= 1")
-    if not 0 <= sector_index < sector_count:
-        raise ValueError(f"sector_index {sector_index} outside [0, {sector_count})")
-    span = 2.0 * np.pi / sector_count
+    if not 0 <= sector_index < SECTOR_COUNT:
+        raise ValueError(f"sector_index {sector_index} outside [0, {SECTOR_COUNT})")
+    span = 2.0 * np.pi / SECTOR_COUNT
 
     def in_sector(x, y):
         alpha = pattern_angle(x, y)
@@ -154,7 +151,7 @@ class _RingTable:
     means, and normal each ring's 2x2 normal matrix of the centred
     columns (zero for a ring with no samples): a full-ring fit needs only
     the image's values.  A selection of the samples changes the means,
-    so the sector and mask paths recompute cos and sin from the samples
+    so the sector path recomputes cos and sin from the samples
     (_harmonic).  samples[row_major] runs through every ring's samples
     in row-major order; bands holds (first row, end row, end in
     row_major) of each _TABLE_BAND_ROWS-row band they lie in.
@@ -327,7 +324,7 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
         n = kept_before[table.starts + n_full] - starts
         cos, sin, mean_cos, mean_sin, normal = _harmonic(
             table.samples[keep], shape[1], key[1], cycles, starts, n)
-    # a mask thins a ring without changing how densely it samples a cycle
+    # a selection thins a ring without changing how densely it samples a cycle
     samples_per_cycle = n_full / cycles
     empty = n < 8
     fit = ~empty & ~(samples_per_cycle < MIN_SAMPLES_PER_CYCLE)
@@ -364,29 +361,19 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
 
 
 def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: float,
-                    cycles: int, mask: np.ndarray | None = None) -> RingFit:
+                    cycles: int) -> RingFit:
     """Fit the angular harmonic at the known cycle count on one annulus.
 
-    Gathers pixels with center distance in [radius-0.5, radius+0.5),
-    optionally restricted by a binary mask of the image's shape, and
+    Gathers pixels with center distance in [radius-0.5, radius+0.5) and
     fits intensity by least squares to a mean plus cos/sin(cycles *
     alpha).  This is measure_resolution's pass on a one-ring ladder.
     Raises AliasedRingError below 2 samples per cycle and EmptyRingError
     when the annulus leaves the image or holds fewer than 8 samples.
     """
     image = check_image(image, "image")
-    select = None
-    if mask is not None:
-        if mask.shape != image.shape:
-            raise ValueError(f"mask shape {mask.shape} differs from image {image.shape}")
-        flat_mask = mask.reshape(-1)
-
-        def select(samples):
-            return flat_mask[samples] > 0.5
-
     flat = image.reshape(-1)
     (result,) = _fit_rings(lambda table: flat[table.samples], image.shape, center,
-                           [radius], cycles, select)
+                           [radius], cycles)
     if isinstance(result, RingError):
         raise result
     return result
@@ -544,7 +531,7 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     shape = (image.shape[0] * ANALYSIS_OVERSAMPLE, image.shape[1] * ANALYSIS_OVERSAMPLE)
     select = None
     if sector is not None:
-        in_sector = _sector_test(sector, SECTOR_COUNT)
+        in_sector = _sector_test(sector)
         r0, c0 = center_grid
 
         def select(samples):

@@ -24,9 +24,9 @@ import numpy as np
 
 from .fourier import check_gaussian_fits
 from .metrology import _warm_ring_table, measure_resolution
-from .scenario import Scenario
+from .scenario import MonteCarloConfig, Scenario
 from .seeding import child_seed
-from .simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
+from .simulator import ASSUMED_PSF_FWHM, SIGMA_PER_FWHM, SystemParams, simulate_observations
 from .solver import super_resolve
 from .target import StarSpec, generate_spoke_target
 
@@ -57,6 +57,12 @@ PARAMETER_FIELDS = {
 
 # smallest assumed-PSF sigma a perturbed draw may produce, HR pixels
 PSF_SIGMA_FLOOR = 0.25
+
+# noise seeds each sweep cell runs when none is given
+SEEDS_PER_VALUE = 5
+
+# the nominal system, whose fields are the sampled rows' nominals
+_NOMINAL = SystemParams()
 
 
 @dataclass(frozen=True)
@@ -108,10 +114,10 @@ class ParameterDistribution:
 class ParameterSpec:
     """The campaign's sampled-parameter table.
 
-    Defaults mirror the mission variation study: optics MTF 30% in
-    10..50% (gaussian), clock phase uniform over {1, 2, 4}, jitter 0.1 in
-    0.1..0.2 px (gaussian), SNR 60 in 30..100 (gaussian), subarray shift
-    uniform on 0.1..0.5 LR px.
+    Row nominals are SystemParams()'s; ranges mirror the mission variation
+    study: optics MTF 10..50% (gaussian), clock phase uniform over {1, 2,
+    4}, jitter 0.1..0.2 px (gaussian), SNR 30..100 (gaussian), subarray
+    shift uniform on 0.1..0.5 LR px.
 
     The assumed-PSF estimate is rebuilt per trial: the solver's Gaussian
     support FWHM is drawn uniformly from {2, 3} HR px and converted to
@@ -123,17 +129,17 @@ class ParameterSpec:
     """
 
     optics_mtf: ParameterDistribution = ParameterDistribution(
-        "optics_mtf", "gaussian", 0.30, 0.10, 0.50)
+        "optics_mtf", "gaussian", _NOMINAL.optics_mtf_at_hr_nyq, 0.10, 0.50)
     clock_phase: ParameterDistribution = ParameterDistribution(
-        "clock_phase", "choice", 1, choices=(1, 2, 4))
+        "clock_phase", "choice", _NOMINAL.n_phi, choices=(1, 2, 4))
     jitter: ParameterDistribution = ParameterDistribution(
-        "jitter", "gaussian", 0.1, 0.1, 0.2)
+        "jitter", "gaussian", _NOMINAL.jitter_sigma, 0.1, 0.2)
     snr: ParameterDistribution = ParameterDistribution(
-        "snr", "gaussian", 60.0, 30.0, 100.0)
+        "snr", "gaussian", _NOMINAL.snr_at_300, 30.0, 100.0)
     subarray_shift: ParameterDistribution = ParameterDistribution(
-        "subarray_shift", "uniform", 0.5, 0.1, 0.5)
+        "subarray_shift", "uniform", _NOMINAL.subarray_shift_ax, 0.1, 0.5)
     psf_width: ParameterDistribution = ParameterDistribution(
-        "psf_width", "choice", 2, choices=(2, 3))
+        "psf_width", "choice", ASSUMED_PSF_FWHM, choices=(2, 3))
     psf_error_sigma: ParameterDistribution = ParameterDistribution(
         "psf_error_sigma", "uniform", 0.0, 0.0, 0.0)
 
@@ -256,14 +262,13 @@ def _plan_target(star: StarSpec, grid_size: tuple[int, int]) -> np.ndarray:
 
 
 def _plan_invariants(plan, scenario: Scenario) -> None:
-    """Fill the caches every trial of the plan reads: its target and each
-    ladder's ring table.  Pool workers forked after this inherit both;
-    spawned workers fill them at their first trial."""
+    """Fill the caches every trial of the plan reads: its target and the
+    ring table of its ladder (a plan's trials share their base's geometry).
+    Forked pool workers inherit both; spawned ones fill them at first use."""
     star = scenario.star
     shape = _plan_target(star, tuple(scenario.grid_size)).shape
-    for geometry in dict.fromkeys(params.geometry for params, _ in plan):
-        _warm_ring_table(shape, star.center, star.cycles, star.outer_radius,
-                         n_rings=scenario.n_rings, geometry=geometry)
+    _warm_ring_table(shape, star.center, star.cycles, star.outer_radius,
+                     n_rings=scenario.n_rings, geometry=plan[0][0].geometry)
 
 
 def _run_plan(plan, scenario: Scenario, threads: int,
@@ -292,7 +297,7 @@ def _run_plan(plan, scenario: Scenario, threads: int,
 
 
 def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
-                 master_seed: int, bin_width_m: float = 0.05,
+                 master_seed: int, bin_width_m: float = MonteCarloConfig.bin_width_m,
                  threads: int = 1, progress=None,
                  base: SystemParams | None = None) -> CampaignResult:
     """Run n_trials sampled trials and aggregate the resolution histogram.
@@ -382,7 +387,7 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
     return plan
 
 
-def sweep(axes, scenario: Scenario, seeds_per_value: int = 5,
+def sweep(axes, scenario: Scenario, seeds_per_value: int = SEEDS_PER_VALUE,
           base: SystemParams | None = None, master_seed: int = 0,
           threads: int = 1) -> SweepResult:
     """Run every cell of the product of the (parameter, values) axes.

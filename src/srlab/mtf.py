@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .grid import MAX_PIXELS
+
 if TYPE_CHECKING:
     from .simulator import SystemParams
 
@@ -102,7 +104,7 @@ def sampling_mtf(f, samp_pitch):
     return footprint_mtf(f, samp_pitch)
 
 
-def smear_mtf(f, f_N=0.5, n_phi=1):
+def smear_mtf(f, f_N=GEOMETRY.f_nyq_hr, n_phi=1):
     """Discrete charge-transfer smear MTF sinc((pi/2)(f/f_N)/n_phi).
 
     sinc here is the unnormalized sin(x)/x.  More moves per stage means
@@ -140,7 +142,7 @@ def system_otf(params: SystemParams, fx, fy):
 
     Radial factors (optics, jitter) are evaluated at sqrt(fx^2+fy^2); the
     detector footprint applies separably per axis; smear applies to the
-    along-track component only, at smear_mtf's reference frequency.  The
+    along-track component only, referenced to the geometry's HR Nyquist.  The
     smear factor enters by magnitude so the composed OTF is non-negative
     beyond the first smear null.
     """
@@ -152,20 +154,24 @@ def system_otf(params: SystemParams, fx, fy):
     otf = otf * footprint_mtf(fx, width)
     otf = otf * footprint_mtf(fy, width)
     otf = otf * jitter_mtf(fr, params.jitter_sigma)
-    otf = otf * np.abs(smear_mtf(fy, n_phi=params.n_phi))
+    otf = otf * np.abs(smear_mtf(fy, params.geometry.f_nyq_hr, params.n_phi))
     return otf
 
 
-def mtf_curve_table(params: SystemParams, n_points: int = 512):
+def mtf_curve_table(params: SystemParams, n_points: int):
     """Tabulate every component MTF over [0, HR Nyquist].
 
     Returns (header, rows) where rows is an (n_points, 7) array with
     columns f, optics, footprint, sampling, smear, jitter, system.  The
     system column is the along-track composite system_otf(0, f), the axis
-    where all factors act.  n_points must be at least 2.
-    """
+    where all factors act.  n_points must be at least 2, and the table
+    at most grid.MAX_PIXELS values."""
+    header = ["f_cyc_per_hr_sample", "optics", "footprint", "sampling",
+              "smear", "jitter", "system"]
     if n_points < 2:
         raise ValueError(f"MTF curve needs at least 2 points, got {n_points}")
+    if len(header) * n_points > MAX_PIXELS:
+        raise ValueError(f"MTF curve of {n_points} points: more than {MAX_PIXELS} values")
     geometry = params.geometry
     f = np.linspace(0.0, geometry.f_nyq_hr, n_points)
     cols = [
@@ -173,10 +179,8 @@ def mtf_curve_table(params: SystemParams, n_points: int = 512):
         optics_mtf(f, params.optics_mtf_at_hr_nyq, geometry),
         footprint_mtf(f, geometry.hr_per_lr),
         sampling_mtf(f, geometry.hr_per_lr),
-        smear_mtf(f, n_phi=params.n_phi),
+        smear_mtf(f, geometry.f_nyq_hr, params.n_phi),
         jitter_mtf(f, params.jitter_sigma),
         system_otf(params, 0.0, f),
     ]
-    header = ["f_cyc_per_hr_sample", "optics", "footprint", "sampling",
-              "smear", "jitter", "system"]
     return header, np.column_stack(cols)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 
 from .grid import MAX_PIXELS
 from .metrology import check_ladder_fits
-from .simulator import SystemParams
+from .simulator import REFERENCE_SIGNAL, SystemParams
 from .solver import SolverConfig, check_btv_fits
 from .target import StarSpec
 
@@ -28,14 +28,14 @@ class Scenario:
 
     Desk-scale defaults: 256^2 HR grid, 144-cycle star with a 24 px
     quiet border (blur wraparound never touches the star), 80-ring
-    measurement ladder, 300-count reference signal for the NEM, and the
-    calibrated shallow solver budget.
+    measurement ladder, the simulator's reference signal for the NEM, and
+    the calibrated shallow solver budget.
     """
 
     star: StarSpec = field(default_factory=StarSpec)
     grid_size: tuple[int, int] = (256, 256)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    nem_signal: float = 300.0
+    nem_signal: float = REFERENCE_SIGNAL
     n_rings: int = 80
 
     def __post_init__(self):

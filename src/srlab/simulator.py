@@ -23,7 +23,7 @@ import numpy as np
 from .fourier import (check_gaussian_fits, fold, gaussian_kernel, irfft2_rows,
                       rfft2_rows, shift_multiplier_2d)
 from .grid import check_image
-from .mtf import GeometryConstants, system_otf
+from .mtf import GEOMETRY, GeometryConstants, system_otf
 from .seeding import child_seed
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "simulate_observations",
     "subarray_observations",
     "REFERENCE_SIGNAL",
+    "ASSUMED_PSF_FWHM",
 ]
 
 # Gaussian sigma for a given full-width-at-half-maximum
@@ -43,8 +44,11 @@ SIGMA_PER_FWHM = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 # 15% albedo reference signal in counts; SNR and NEM are quoted at it
 REFERENCE_SIGNAL = 300.0
 
+# FWHM in HR pixels of the solver's nominal Gaussian PSF estimate
+ASSUMED_PSF_FWHM = 2.0
+
 # how a subarray image samples the HR grid (along, across track)
-_DECIMATION = (1, 2)
+_DECIMATION = (1, int(GEOMETRY.hr_per_lr))
 
 
 def _hr_shape(shape, decimation, inverse: bool = False) -> tuple[int, ...]:
@@ -62,7 +66,7 @@ class SystemParams:
     Nyquist, one clock phase, 0.1 px jitter, SNR 60 at the 300-count
     reference signal, 0.5 LR px subarray stagger, 10 LR lines of
     along-track subarray separation.  assumed_psf_sigma is the solver's
-    Gaussian estimate of the blur (default: 2 HR px FWHM), deliberately
+    Gaussian estimate of the blur (default: ASSUMED_PSF_FWHM), deliberately
     distinct from the true OTF chain.  The first three fields and the
     geometry are what the system OTF (mtf.system_otf) reads.
     """
@@ -73,7 +77,7 @@ class SystemParams:
     snr_at_300: float = 60.0
     subarray_shift_ax: float = 0.5
     subarray_shift_al_lines: int = 10
-    assumed_psf_sigma: float = 2.0 * SIGMA_PER_FWHM
+    assumed_psf_sigma: float = ASSUMED_PSF_FWHM * SIGMA_PER_FWHM
     geometry: GeometryConstants = field(default_factory=GeometryConstants)
 
     def __post_init__(self):
@@ -121,7 +125,6 @@ class Observation:
     shift_hr: tuple[float, float]
     decimation: tuple[int, int]
     assumed_psf: np.ndarray
-    noise_sigma: float
 
     def __post_init__(self):
         self.image = check_image(self.image, "observation image")
@@ -131,8 +134,6 @@ class Observation:
         if not all(math.isfinite(math.pi * s) for s in self.shift_hr):
             raise ValueError(f"shift_hr components must be finite with a finite phase "
                              f"ramp pi * shift, got {tuple(self.shift_hr)!r}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
         self.assumed_psf = np.asarray(self.assumed_psf, dtype=np.float64)
         if self.assumed_psf.ndim != 2 or not np.all(np.isfinite(self.assumed_psf)):
             raise ValueError(f"assumed PSF must be a finite 2-D kernel, "
@@ -190,14 +191,12 @@ def add_noise(image: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
 def subarray_observations(images, params: SystemParams) -> tuple[Observation, Observation]:
     """The Observations of the two subarray images, built from params alone:
     decimation (1, 2) (1 LR pixel = 2 HR samples across track), the shifts
-    of _subarray_shifts, the solver PSF gaussian_kernel(assumed_psf_sigma)
-    (refused before it is built if it would not fit the HR grid the first
-    image samples) and params.noise_sigma."""
+    of _subarray_shifts and the solver PSF gaussian_kernel(assumed_psf_sigma),
+    refused before it is built if it would not fit the first image's HR grid."""
     first, second = images
     check_gaussian_fits(params.assumed_psf_sigma, _hr_shape(np.shape(first), _DECIMATION))
     psf = gaussian_kernel(params.assumed_psf_sigma)
-    return tuple(Observation(image=image, shift_hr=shift, decimation=_DECIMATION,
-                             assumed_psf=psf, noise_sigma=params.noise_sigma)
+    return tuple(Observation(image, shift, _DECIMATION, psf)
                  for image, shift in zip((first, second), _subarray_shifts(params)))
 
 

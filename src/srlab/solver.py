@@ -13,7 +13,7 @@ multiplier evaluated on the half-plane of its tiled spectrum, cut at the
 LR Nyquist so that no alias ghost reads as modulation the data cannot
 correct; that HR spectrum gives the first residuals.  The solver carries
 each LR residual spectrum: the data cost is its energy by Parseval,
-2*vdot(all rows) - vdot(bin-0 row) - vdot(Nyquist row), and it is linear
+2*|all rows|^2 - |bin-0 row|^2 - |Nyquist row|^2, and it is linear
 in the step, so the step search takes no FFT and an iteration takes two,
 both through numpy.fft: the data gradient to image space for the BTV
 prior (irfft2) and the prior gradient back (rfft2).
@@ -59,10 +59,11 @@ def check_btv_fits(p_radius: int, hr_shape: tuple[int, int]) -> None:
     """ValueError unless the BTV pass's 3P(P+1)/2 int8 sign planes of an
     HR grid of this shape hold at most grid.MAX_PIXELS values, found
     before any shift pair is built."""
-    planes = 3 * p_radius * (p_radius + 1) // 2
-    if planes * hr_shape[0] * hr_shape[1] > MAX_PIXELS:
+    (h, w), planes = hr_shape, 3 * p_radius * (p_radius + 1) // 2
+    if planes * h * w > MAX_PIXELS:
         raise ValueError(f"solver P {p_radius}: the BTV window's {planes} sign planes "
-                         f"of grid {tuple(hr_shape)} hold more than {MAX_PIXELS} values")
+                         f"of grid {h}x{w} hold more than {MAX_PIXELS} values "
+                         f"(lower grid or solver P)")
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,21 @@ def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
     return [y - fold(t, x_hat, decimation) for y, t in zip(y_hat, transfers)]
 
 
+def _sum_squares(a: np.ndarray) -> float:
+    """Sum of |a|^2 without BLAS, whose threaded dot product would make a
+    campaign's pool workers contend for the cores with their BLAS threads."""
+    v = a.ravel().view(np.float64)
+    return float(np.einsum("i,i->", v, v))
+
+
 def _energy(r: np.ndarray, height: int) -> float:
     """Sum of squares of the real image of this height whose half-plane
     spectrum is r, by Parseval: the rows of bin 0 and, for an even
     height, Nyquist are their own twins and count once, all others twice."""
-    energy = 2.0 * np.vdot(r, r).real - np.vdot(r[0], r[0]).real
+    energy = 2.0 * _sum_squares(r) - _sum_squares(r[0])
     if height % 2 == 0:
-        energy -= np.vdot(r[-1], r[-1]).real
-    return float(energy) / (height * r.shape[1])
+        energy -= _sum_squares(r[-1])
+    return energy / (height * r.shape[1])
 
 
 def _data_cost(residuals, height: int) -> float:
@@ -314,8 +322,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     x = irfft2_rows(x_hat, hr_shape)
     resid = _residual_spectra(y_hat, transfers, x_hat, decimation)
     del x_hat
-    floor = np.finfo(float).eps ** 2 * sum(float(np.vdot(o.image, o.image))
-                                           for o in observations)
+    floor = np.finfo(float).eps ** 2 * sum(_sum_squares(o.image) for o in observations)
 
     penalty, signs = _prior(x, cfg)
     current = _data_cost(resid, lr_shape[0]) + penalty

@@ -111,7 +111,7 @@ def test_criterion_4_solver_correctness(star_target, scenario):
             shift = (float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             psf = gaussian_kernel(float(rng.uniform(0.4, 1.8)))
             obs = Observation(np.zeros(lr), shift,
-                              decimation, psf, 0.0)
+                              decimation, psf)
             x = rng.normal(size=hr)
             y = rng.normal(size=lr)
             fx = forward_model(x, obs)
@@ -130,9 +130,9 @@ def test_criterion_4_solver_correctness(star_target, scenario):
     observations = []
     for shift in [(0.0, 0.0), (0.0, 1.0)]:
         meta = Observation(np.zeros((256, 128)),
-                           shift, (1, 2), psf, 0.0)
+                           shift, (1, 2), psf)
         lr = forward_model(star_target, meta)
-        observations.append(Observation(lr, shift, (1, 2), psf, 0.0))
+        observations.append(Observation(lr, shift, (1, 2), psf))
     sr = super_resolve(observations,
                        cfg=SolverConfig(lam=1e-4, max_iters=200, rel_tol=1e-7))
     err_sr = np.linalg.norm(sr.image - star_target)

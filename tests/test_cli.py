@@ -271,6 +271,17 @@ def test_mtf_curves_rejects_bad_point_count(config_path, tmp_path, capsys, point
     assert not (out / "mtf_curves.csv").exists()
 
 
+def test_mtf_curves_refuses_points_past_the_budget(config_path, tmp_path, capsys):
+    # refused before numpy is asked for 7 columns of 2**40 floats
+    out = tmp_path / "mtf"
+    start = time.perf_counter()
+    assert main(["mtf-curves", "--config", str(config_path), "--points", str(2**40),
+                 "--out-dir", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"error: MTF curve of {2**40} points:")
+    assert not out.exists()
+
+
 def test_pipeline_roundtrip(config_path, tmp_path):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--seed", "42",
@@ -464,6 +475,19 @@ def test_oversize_work_exits_2_naming_key(tmp_path, capsys, config, command, key
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ")
+    assert not out.exists()
+
+
+def test_grid_past_the_btv_bound_is_named_with_solver_p(tmp_path, capsys):
+    # a grid below grid.MAX_PIXELS whose BTV sign planes would not fit at
+    # the default P 2: refused at config load, on a command that runs no
+    # solver, naming the grid as well as the solver key
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"grid": {"height": 4096, "width": 4096}}))
+    out = tmp_path / "out"
+    assert main(["target", "--config", str(path), "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: solver P 2: ") and "grid 4096x4096" in line
     assert not out.exists()
 
 
@@ -686,6 +710,22 @@ def test_two_axis_sweep_equals_in_process_sweep(config_path, tmp_path):
                  "--seed", "3", "--out-dir", str(mc)]) == 0
     with open(mc / "trials.csv", newline="") as fh:
         assert rows[0] == next(csv.reader(fh)) == cli._TRIAL_COLUMNS
+
+
+def test_campaign_record_layouts(config_path, tmp_path):
+    # trials.csv's outcome columns are TrialResult's fields and summary.json
+    # is CampaignResult's scalars: the layouts every earlier run wrote
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(config_path), "--trials", "2",
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    header = (out / "trials.csv").read_text().splitlines()[0]
+    assert header == ("trial,seed,optics_mtf_at_hr_nyq,n_phi,jitter_sigma,snr_at_300,"
+                      "subarray_shift_ax,assumed_psf_sigma,resolution_m,solver_converged,"
+                      "error,rings_dropped,degenerate_crossing,ladder_limited")
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == ["master_seed", "mean_m", "mode_m", "n_failed",
+                               "n_resolved", "n_trials", "p10_m", "p90_m"]
+    assert (summary["n_trials"], summary["master_seed"]) == (2, 3)
 
 
 @pytest.mark.parametrize("axes", [

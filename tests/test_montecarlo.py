@@ -1,3 +1,4 @@
+import inspect
 import os
 
 import numpy as np
@@ -10,8 +11,10 @@ from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
                               sweep)
 from srlab.mtf import GeometryConstants
+from srlab.scenario import MonteCarloConfig, Scenario
 from srlab.seeding import child_seed
-from srlab.simulator import SIGMA_PER_FWHM, SystemParams, simulate_observations
+from srlab.simulator import (REFERENCE_SIGNAL, SIGMA_PER_FWHM, SystemParams,
+                             simulate_observations)
 from srlab.solver import super_resolve
 from srlab.target import generate_spoke_target
 
@@ -49,6 +52,20 @@ def test_defaults_match_variation_table():
     # support-width uncertainty is the default estimation-error model;
     # the extra continuous width error is off unless configured
     assert (spec.psf_error_sigma.low, spec.psf_error_sigma.high) == (0.0, 0.0)
+
+
+def test_spec_nominals_are_the_nominal_system():
+    # the nominal instrument is defined once, by SystemParams' defaults
+    spec, nominal = ParameterSpec(), SystemParams()
+    rows = {row.name: row for row in spec.rows()}
+    for name, field in montecarlo.PARAMETER_FIELDS.items():
+        if name in rows:
+            assert rows[name].nominal == getattr(nominal, field), name
+    assert nominal.assumed_psf_sigma == 2.0 * SIGMA_PER_FWHM
+    assert spec.psf_width.nominal * SIGMA_PER_FWHM == nominal.assumed_psf_sigma
+    assert Scenario().nem_signal == REFERENCE_SIGNAL
+    run_defaults = inspect.signature(run_campaign).parameters
+    assert run_defaults["bin_width_m"].default == MonteCarloConfig().bin_width_m
 
 
 def test_clock_phase_uniformity():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srlab.grid import MAX_PIXELS
 from srlab.mtf import (GeometryConstants, footprint_mtf, jitter_mtf,
                        mtf_curve_table, optics_mtf, sampling_mtf,
                        smear_mtf, system_otf)
@@ -123,6 +124,26 @@ def test_chain_params_validation():
 def test_curve_table_rejects_fewer_than_two_points(n_points):
     with pytest.raises(ValueError, match=f"at least 2 points, got {n_points}"):
         mtf_curve_table(NOMINAL, n_points=n_points)
+
+
+def test_curve_table_refuses_more_values_than_the_image_budget():
+    # 7 columns of this many points; refused before any is allocated
+    n_points = MAX_PIXELS // 7 + 1
+    with pytest.raises(ValueError, match=f"MTF curve of {n_points} points"):
+        mtf_curve_table(NOMINAL, n_points)
+
+
+def test_smear_is_referenced_to_the_geometry_nyquist():
+    # a geometry with another HR Nyquist moves the smear reference with it,
+    # as it moves the optics MTF's
+    geometry = GeometryConstants(f_nyq_hr=0.4, f_nyq_lr=0.2)
+    params = SystemParams(optics_mtf_at_hr_nyq=1.0, jitter_sigma=0.0, geometry=geometry)
+    f = np.linspace(0.0, 0.5, 11)
+    want = footprint_mtf(f, geometry.hr_per_lr) * np.abs(smear_mtf(f, 0.4, 1))
+    assert np.allclose(system_otf(params, 0.0, f), want, rtol=1e-12, atol=0.0)
+    _, rows = mtf_curve_table(params, 5)
+    assert np.array_equal(rows[:, 4], smear_mtf(rows[:, 0], 0.4, 1))
+    assert smear_mtf(0.25) == smear_mtf(0.25, 0.5, 1)
 
 
 def test_curve_table_shape_and_header():

@@ -76,37 +76,32 @@ def test_infinite_snr_is_the_noise_free_case():
 def test_observation_validation():
     img = np.zeros((8, 4))
     psf = np.full((3, 3), 1.0 / 9.0)
-    Observation(img, (0.0, 0.5), (1, 2), psf, 1.0)
+    Observation(img, (0.0, 0.5), (1, 2), psf)
     with pytest.raises(ValueError):
-        Observation(img, (0.0, 0.5), (0, 2), psf, 1.0)
+        Observation(img, (0.0, 0.5), (0, 2), psf)
     with pytest.raises(ValueError):
-        Observation(img, (np.inf, 0.0), (1, 2), psf, 1.0)
+        Observation(img, (np.inf, 0.0), (1, 2), psf)
     with pytest.raises(ValueError):
-        Observation(img, (0.0, 0.0), (1, 2), psf * 2.0, 1.0)
+        Observation(img, (0.0, 0.0), (1, 2), psf * 2.0)
     # NaN and 1-D kernels are refused here, not deep inside the solver
     nan_psf = psf.copy()
     nan_psf[1, 1] = np.nan
     with pytest.raises(ValueError, match="finite 2-D"):
-        Observation(img, (0.0, 0.0), (1, 2), nan_psf, 1.0)
+        Observation(img, (0.0, 0.0), (1, 2), nan_psf)
     with pytest.raises(ValueError, match="finite 2-D"):
-        Observation(img, (0.0, 0.0), (1, 2), np.full(4, 0.25), 1.0)
+        Observation(img, (0.0, 0.0), (1, 2), np.full(4, 0.25))
     # a 1x1 kernel is a valid (delta) PSF
-    Observation(img, (0.0, 0.0), (1, 2), np.ones((1, 1)), 1.0)
+    Observation(img, (0.0, 0.0), (1, 2), np.ones((1, 1)))
     nan_image = img.copy()
     nan_image[3, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        Observation(nan_image, (0.0, 0.5), (1, 2), psf, 1.0)
-    # a zero sigma is the noise-free case; NaN, infinite and negative are not
-    Observation(img, (0.0, 0.0), (1, 2), psf, 0.0)
-    for sigma in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="noise sigma"):
-            Observation(np.zeros((4, 4)), (0.0, 0.0), (1, 2), np.array([[1.0]]), sigma)
+        Observation(nan_image, (0.0, 0.5), (1, 2), psf)
     # a shift whose ramp phase pi * shift overflows is refused by name; one
     # beyond a grid period is valid
     for shift in ((1e308, 0.0), (0.0, -1e308), (np.nan, 0.0)):
         with pytest.raises(ValueError, match="shift_hr"):
-            Observation(np.zeros((4, 4)), shift, (1, 2), np.array([[1.0]]), 0.0)
-    Observation(np.zeros((4, 4)), (-25.0, 25.0), (1, 2), np.array([[1.0]]), 0.0)
+            Observation(np.zeros((4, 4)), shift, (1, 2), np.array([[1.0]]))
+    Observation(np.zeros((4, 4)), (-25.0, 25.0), (1, 2), np.array([[1.0]]))
 
 
 def test_non_finite_target_is_refused(tiny_scenario, nominal_params):
@@ -250,7 +245,6 @@ def test_observation_pair_determinism(star_target, nominal_params):
     assert a1.shift_hr == (0.0, 0.0)
     assert a2.shift_hr == (20.0, 1.0)
     assert a1.decimation == (1, 2)
-    assert a1.noise_sigma == pytest.approx(5.0)
 
 
 def test_simulate_builds_its_observations_with_subarray_observations(star_target):
@@ -262,13 +256,11 @@ def test_simulate_builds_its_observations_with_subarray_observations(star_target
     built = subarray_observations([o.image for o in simulated], params)
     for a, b in zip(simulated, built):
         assert (a.image == b.image).all()
-        assert (a.shift_hr, a.decimation, a.noise_sigma) == \
-            (b.shift_hr, b.decimation, b.noise_sigma)
+        assert (a.shift_hr, a.decimation) == (b.shift_hr, b.decimation)
         assert (a.assumed_psf == gaussian_kernel(1.3)).all()
         assert (b.assumed_psf == a.assumed_psf).all()
     assert [o.shift_hr for o in built] == [(0.0, 0.0), (6.0, 0.5)]
     assert built[0].decimation == (1, 2)
-    assert built[0].noise_sigma == params.noise_sigma == 7.5
 
 
 def test_subarray_observations_refuses_bad_input(monkeypatch, nominal_params):
@@ -292,7 +284,7 @@ def test_zero_stagger_pair_differs_only_by_noise(star_target):
     diff = o1.image - o2.image
     # deterministic paths identical; difference is two independent noise
     # draws, bounded by the Gaussian tail
-    assert np.abs(diff).max() <= 8 * o1.noise_sigma
+    assert np.abs(diff).max() <= 8 * params.noise_sigma
 
 
 def test_alongtrack_separation_is_row_permutation(star_target):

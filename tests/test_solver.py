@@ -19,13 +19,11 @@ from srlab.solver import (MAX_HALVINGS, SolverConfig, _cubic_spectrum, adjoint_m
 def make_obs(lr_shape, shift, decimation, psf_sigma=0.9, lr_data=None):
     if lr_data is None:
         lr_data = np.zeros(lr_shape)
-    return Observation(lr_data, shift, decimation,
-                       gaussian_kernel(psf_sigma), 0.0)
+    return Observation(lr_data, shift, decimation, gaussian_kernel(psf_sigma))
 
 
 def delta_obs(lr_data, shift=(0.0, 0.0), decimation=(1, 1)):
-    return Observation(lr_data, shift, decimation,
-                       np.array([[1.0]]), 0.0)
+    return Observation(lr_data, shift, decimation, np.array([[1.0]]))
 
 
 def phase_pair(seed):
@@ -243,7 +241,7 @@ def test_cost_zero_at_truth():
     truth = rng.normal(300.0, 50.0, (16, 16))
     meta = make_obs((16, 8), (0.0, 1.0), (1, 2), 1.0)
     lr = forward_model(truth, meta)
-    obs = Observation(lr, (0.0, 1.0), (1, 2), gaussian_kernel(1.0), 0.0)
+    obs = Observation(lr, (0.0, 1.0), (1, 2), gaussian_kernel(1.0))
     cfg = SolverConfig(lam=0.0)
     assert cost(truth, [obs], cfg) == pytest.approx(0.0, abs=1e-10)
 
@@ -262,7 +260,7 @@ def test_cost_gradient_first_order():
     truth = rng.normal(300.0, 50.0, (16, 16))
     meta = make_obs((16, 8), (0.0, 1.0), (1, 2), 1.0)
     lr = forward_model(truth, meta)
-    obs = Observation(lr, (0.0, 1.0), (1, 2), gaussian_kernel(1.0), 0.0)
+    obs = Observation(lr, (0.0, 1.0), (1, 2), gaussian_kernel(1.0))
     cfg = SolverConfig(lam=0.01)
     x = truth + rng.normal(0.0, 20.0, truth.shape)
 
@@ -311,9 +309,9 @@ def test_two_observation_beats_bicubic(star_target):
     observations = []
     for shift in [(0.0, 0.0), (0.0, 1.0)]:
         meta = Observation(np.zeros((256, 128)),
-                           shift, (1, 2), psf, 0.0)
+                           shift, (1, 2), psf)
         lr = forward_model(star_target, meta)
-        observations.append(Observation(lr, shift, (1, 2), psf, 0.0))
+        observations.append(Observation(lr, shift, (1, 2), psf))
     cfg = SolverConfig(lam=1e-4, max_iters=200, rel_tol=1e-7)
     result = super_resolve(observations, cfg=cfg)
     err_sr = np.linalg.norm(result.image - star_target)
@@ -375,9 +373,9 @@ def test_shift_information_property(star_target):
         observations = []
         for shift in [(0.0, 0.0), (0.0, d_across)]:
             meta = Observation(np.zeros((256, 128)),
-                               shift, (1, 2), psf, 0.0)
+                               shift, (1, 2), psf)
             lr = forward_model(star_target, meta)
-            observations.append(Observation(lr, shift, (1, 2), psf, 0.0))
+            observations.append(Observation(lr, shift, (1, 2), psf))
         cfg = SolverConfig(lam=1e-4, max_iters=60, rel_tol=1e-9)
         return super_resolve(observations, cfg=cfg).image
 
@@ -563,6 +561,21 @@ def test_super_resolve_validation():
         super_resolve([a, b])
     with pytest.raises(ValueError, match="sr_factor"):
         super_resolve([a], cfg=SolverConfig(sr_factor=(2, 2)))
+
+
+def test_solve_calls_no_blas_dot_product(monkeypatch, star_target, nominal_params):
+    # OpenBLAS threads a dot product of a residual spectrum's size, so each
+    # call would start its thread pool in every campaign worker, and two
+    # workers on two cores would contend with each other's BLAS threads
+    pair = simulate_observations(star_target, nominal_params, 42)
+    want = super_resolve(pair)
+
+    def no_vdot(*args, **kwargs):
+        raise AssertionError("numpy.vdot called")
+    monkeypatch.setattr(np, "vdot", no_vdot)
+    got = super_resolve(pair)
+    assert got.iterations_run == 3
+    assert np.array_equal(got.image, want.image) and got.cost_trace == want.cost_trace
 
 
 @pytest.mark.parametrize("p_radius, grid", [(25, 256), (51, 128)])
