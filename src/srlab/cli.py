@@ -224,7 +224,8 @@ def build_parser() -> _Parser:
                            help="master seed (overrides config)")
         if threaded:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes (results are identical for any count)")
+                           help="processes that run trials, this one among them "
+                                "(results are identical for any count)")
 
     p = sub.add_parser("target", help="render the star target to star.pgm")
     common(p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -215,7 +216,7 @@ def sample_parameters(spec: ParameterSpec, rng_seed: int,
     width = draws["psf_width"] + float(rng.normal(0.0, draws["psf_error_sigma"]))
     psf_sigma = max(width * SIGMA_PER_FWHM, PSF_SIGMA_FLOOR)
     return replace(
-        base or SystemParams(),
+        base or _NOMINAL,
         optics_mtf_at_hr_nyq=draws["optics_mtf"],
         n_phi=int(draws["clock_phase"]),
         jitter_sigma=draws["jitter"],
@@ -271,29 +272,80 @@ def _plan_invariants(plan, scenario: Scenario) -> None:
                      n_rings=scenario.n_rings, geometry=plan[0][0].geometry)
 
 
-def _run_plan(plan, scenario: Scenario, threads: int,
-              progress=None) -> list[TrialResult]:
-    """Run each (params, seed) pair of the plan through run_trial.
-
-    The plan's invariants are cached before the pool starts.  The pool
-    holds no more workers than the plan has trials (a fork-context pool
-    forks them all at once).  map keeps plan order, so results are
-    identical for any worker count.
-    """
+def _check_threads(threads: int) -> None:
+    """Refuse a thread count before any plan is drawn."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def _run_plan(plan, scenario: Scenario, threads: int,
+              progress=None) -> list[TrialResult]:
+    """Run each (params, seed) pair of the plan through run_trial on
+    `threads` processes: this one and min(threads, len(plan)) - 1 pool
+    workers, started after the plan's invariants are cached.
+
+    Each process takes the next plan index when it finishes a trial:
+    this one in its loop, a pool worker through its last trial's
+    done-callback, so no more trials are submitted than there are
+    workers.  An index is taken and submitted under one lock, and the
+    index source is closed before the pool shuts down.  Outcomes are
+    read in plan order after the shutdown (so results are identical for
+    any thread count), raising the first pool trial's exception.
+    progress runs on this thread only.
+    """
     _plan_invariants(plan, scenario)
-    params, seeds = zip(*plan)
-    workers = min(threads, len(plan))
-    trials = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+    workers = min(threads, len(plan)) - 1
+    outcomes = [None] * len(plan)
+    indices = (i for i in range(len(plan)))
+    # reentrant: a future done before its callback is added runs it in place
+    lock = threading.RLock()
+    finished = reported = 0
+
+    def take():
+        with lock:
+            return next(indices, None)
+
+    def record(i, outcome):
+        nonlocal finished
+        with lock:
+            outcomes[i] = outcome
+            finished += 1
+            return finished
+
+    def submit_next(pool):
+        with lock:
+            if (i := take()) is not None:
+                params, seed = plan[i]
+                pool.submit(run_trial, params, scenario, seed).add_done_callback(
+                    functools.partial(pool_done, pool, i))
+
+    def pool_done(pool, i, future):
+        error = future.exception()
+        record(i, error or future.result())
+        if error:
+            with lock:
+                indices.close()
+        submit_next(pool)
+
+    with (ProcessPoolExecutor(max_workers=workers) if workers
           else nullcontext()) as pool:
-        for trial in (pool.map if pool else map)(
-                run_trial, params, itertools.repeat(scenario), seeds):
-            trials.append(trial)
-            if progress:
-                progress(len(trials), len(plan))
-    return trials
+        try:
+            for _ in range(workers):
+                submit_next(pool)
+            while (i := take()) is not None:
+                params, seed = plan[i]
+                reported = record(i, run_trial(params, scenario, seed))
+                if progress:
+                    progress(reported, len(plan))
+        finally:
+            with lock:
+                indices.close()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    if progress and reported < len(plan):
+        progress(len(plan), len(plan))
+    return outcomes
 
 
 def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
@@ -311,13 +363,14 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
     fail or report no resolution are tallied but excluded from the
     histogram.
     """
+    _check_threads(threads)
     if n_trials < 1:
         raise ValueError("need at least one trial")
     if not bin_width_m > 0:
         raise ValueError("bin width must be > 0")
-    base = base or SystemParams()
+    base = base or _NOMINAL
     for name in PARAMETER_FIELDS.values():
-        if getattr(base, name) != getattr(SystemParams(), name):
+        if getattr(base, name) != getattr(_NOMINAL, name):
             raise ValueError(f"{name} is drawn per trial by the campaign; the "
                              f"base parameters must leave it at its default")
     plan = [(sample_parameters(spec, child_seed(master_seed, i, 0), base),
@@ -372,7 +425,7 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
     names = [_resolve_field(parameter) for parameter, _ in axes]
     if len(set(names)) < len(names):
         raise ValueError(f"sweep axes {[p for p, _ in axes]} set one parameter twice")
-    base = base or SystemParams()
+    base = base or _NOMINAL
     seeds = [child_seed(master_seed, j) for j in range(seeds_per_value)]
     for name, (_, values) in zip(names, axes):
         fractional = [v for v in values if not float(v).is_integer()]
@@ -399,6 +452,7 @@ def sweep(axes, scenario: Scenario, seeds_per_value: int = SEEDS_PER_VALUE,
     only (NaN if none resolved).  A solver PSF too wide for the grid is
     refused before any trial runs.
     """
+    _check_threads(threads)
     axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
     plan = _sweep_plan(axes, base, seeds_per_value, master_seed)
     for params, _ in plan:

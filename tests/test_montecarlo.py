@@ -1,5 +1,12 @@
 import inspect
+import logging
+import multiprocessing
 import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -215,10 +222,8 @@ def test_repeated_campaign_reuses_the_target(tiny_scenario, monkeypatch):
     second = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4, master_seed=9,
                           threads=2)
     assert len(calls) == 1
-    # the parent measures nothing itself: its one table build is the
-    # warm-up the forked workers inherit
-    info = metrology._ring_table.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    # one table build: the warm-up that the forked workers inherit
+    assert metrology._ring_table.cache_info().misses == 1
     assert [_fields(t) for t in second.trials] == [_fields(t) for t in first.trials]
     assert not montecarlo._plan_target(tiny_scenario.star,
                                        tiny_scenario.grid_size).flags.writeable
@@ -382,11 +387,13 @@ def _record_trials(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("threads, n_trials, workers", [(16, 4, 4), (2, 5, 2), (3, 1, None)])
+@pytest.mark.parametrize("threads, n_trials, workers",
+                         [(16, 4, 3), (2, 5, 1), (3, 1, 0), (1, 3, 0)])
 def test_pool_is_sized_to_the_plan(tiny_scenario, monkeypatch, threads, n_trials,
                                    workers):
     # a fork-context pool forks all its workers at once, so a small plan
-    # must not start more of them than it has trials; a one-trial plan
+    # must not start more of them than it has trials.  The calling
+    # process is one of the threads; a one-trial plan or one thread
     # starts no pool
     _record_trials(monkeypatch)
     started = []
@@ -401,12 +408,155 @@ def test_pool_is_sized_to_the_plan(tiny_scenario, monkeypatch, threads, n_trials
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        @staticmethod
+        def submit(fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
     camp = run_campaign(ParameterSpec(), tiny_scenario, n_trials=n_trials,
                         master_seed=5, threads=threads)
     assert len(camp.trials) == n_trials
-    assert started == ([] if workers is None else [workers])
+    assert started == ([workers] if workers else [])
+
+
+# directory in which _logged_trial records its calls; forked pool
+# workers inherit it
+_TRIAL_LOG = None
+
+
+def _logged_trial(params, scenario, seed):
+    """run_trial that first records its call as a file named pid-seed.
+    A module-level function, so a pool can pickle it by name."""
+    (_TRIAL_LOG / f"{os.getpid()}-{seed}").touch()
+    return run_trial(params, scenario, seed)
+
+
+def _log_trials(monkeypatch, log_dir):
+    """Route every trial through _logged_trial; returns a reader of the
+    (pid, seed) of each call so far."""
+    monkeypatch.setitem(globals(), "_TRIAL_LOG", log_dir)
+    monkeypatch.setattr(montecarlo, "run_trial", _logged_trial)
+    return lambda: [tuple(map(int, path.name.split("-")))
+                    for path in log_dir.iterdir()]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_campaign_runs_on_one_process_per_thread(tiny_scenario, monkeypatch,
+                                                 tmp_path, threads):
+    # the calling process is one of the threads: 2 threads fork one worker
+    calls = _log_trials(monkeypatch, tmp_path)
+    run_campaign(ParameterSpec(), tiny_scenario, n_trials=6, master_seed=9,
+                 threads=threads)
+    pids = {pid for pid, _ in calls()}
+    assert sorted(seed for _, seed in calls()) == \
+        sorted(child_seed(9, i, 1) for i in range(6))
+    assert os.getpid() in pids
+    assert len(pids) == 2 if threads == 2 else 2 <= len(pids) <= threads
+
+
+def test_pool_never_holds_more_trials_than_workers(tiny_scenario, monkeypatch):
+    lock = threading.Lock()
+    outstanding = submitted = peak = 0
+
+    def settled(_future):
+        nonlocal outstanding
+        with lock:
+            outstanding -= 1
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, *args):
+            nonlocal outstanding, submitted, peak
+            future = super().submit(*args)
+            with lock:
+                outstanding += 1
+                submitted += 1
+                peak = max(peak, outstanding)
+            # runs before the callback that submits this worker's next trial
+            future.add_done_callback(settled)
+            return future
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    run_campaign(ParameterSpec(), tiny_scenario, n_trials=8, master_seed=9, threads=3)
+    assert 1 <= peak <= 2
+    assert submitted < 8
+
+
+def test_interrupted_campaign_finishes_only_the_trials_in_flight(
+        tiny_scenario, monkeypatch, tmp_path, caplog):
+    calls = _log_trials(monkeypatch, tmp_path)
+    caplog.set_level(logging.ERROR, logger="concurrent.futures")
+    finished = []
+
+    def interrupt(done, total):
+        finished.append(done)
+        raise KeyboardInterrupt
+    threads = 3
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(ParameterSpec(), tiny_scenario, n_trials=24, master_seed=9,
+                     threads=threads, progress=interrupt)
+    assert len(finished) == 1
+    assert len(calls()) <= finished[0] + 1 + (threads - 1)
+    # no callback submitted to the pool after its shutdown
+    assert not caplog.records
+    assert multiprocessing.active_children() == []
+
+
+def test_progress_runs_on_the_calling_thread(tiny_scenario):
+    calls = []
+    run_campaign(ParameterSpec(), tiny_scenario, n_trials=6, master_seed=9, threads=2,
+                 progress=lambda done, total: calls.append(
+                     (threading.get_ident(), done, total)))
+    assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+    counts = [(done, total) for _, done, total in calls]
+    assert counts == sorted(counts)
+    assert counts[-1] == (6, 6)
+
+
+def _quick_trial(params, scenario, seed):
+    """A 1-ms trial that records its process id as its wall time."""
+    time.sleep(1e-3)
+    return montecarlo.TrialResult(params, 1.0, False, seed, float(os.getpid()))
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the executor did not finish")
+
+
+def test_executor_keeps_every_trial_under_contention(tiny_scenario, monkeypatch):
+    # more processes than cores, short trials and a short switch
+    # interval: an index taken twice or an outcome lost would show in
+    # the seeds read back
+    monkeypatch.setattr(montecarlo, "run_trial", _quick_trial)
+    plan = [(SystemParams(), seed) for seed in range(400)]
+    counts = []
+    interval = sys.getswitchinterval()
+    handler = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    sys.setswitchinterval(1e-6)
+    try:
+        trials = montecarlo._run_plan(plan, tiny_scenario, threads=2 * os.cpu_count(),
+                                      progress=lambda done, total: counts.append(done))
+    finally:
+        sys.setswitchinterval(interval)
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert [t.seed for t in trials] == list(range(400))
+    assert len({t.wall_time for t in trials}) > 1  # the pool ran trials too
+    assert counts == sorted(set(counts)) and counts[-1] == 400
+    assert multiprocessing.active_children() == []
+
+
+def test_bad_thread_count_is_refused_before_the_plan_is_drawn(tiny_scenario,
+                                                               monkeypatch):
+    def drawn(*args):
+        raise AssertionError("the plan was drawn")
+    monkeypatch.setattr(montecarlo, "sample_parameters", drawn)
+    monkeypatch.setattr(montecarlo, "_sweep_plan", drawn)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        run_campaign(ParameterSpec(), tiny_scenario, n_trials=10**7, master_seed=1,
+                     threads=0)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        sweep([("snr", [30.0, 100.0])], tiny_scenario, threads=0)
 
 
 def test_campaign_samples_on_base(tiny_scenario, monkeypatch):
