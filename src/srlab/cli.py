@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import read_image, write_pgm
-from .metrology import measure_resolution
+from .metrology import SECTOR_COUNT, measure_resolution
 from .montecarlo import (PARAMETER_FIELDS, SEEDS_PER_VALUE, ParameterSpec, TrialResult,
                          run_campaign, sweep)
 from .mtf import mtf_curve_table
@@ -249,8 +249,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("measure", help="measure resolution of a star image")
     common(p)
     p.add_argument("--image", required=True, help="image to measure (.npy or PGM)")
-    p.add_argument("--sector", type=int, default=None,
-                   help="restrict to one of 8 angular sectors")
+    span = f"{360 / SECTOR_COUNT:g}"
+    p.add_argument("--sector", type=int, default=None, metavar="K",
+                   help=f"fit sector K = 0..{SECTOR_COUNT - 1} only: pattern_angle in "
+                        f"[{span}K, {span}(K+1)) degrees from the +row (along-track) "
+                        "axis; in sectors 0, 3, 4 and 7 ring tangents run across track")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("montecarlo", help="run a sensitivity campaign")

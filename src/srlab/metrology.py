@@ -3,21 +3,20 @@
 Modulation is extracted ring by ring: pixels in a one-pixel-wide annulus
 are fit by least squares to the single angular harmonic at the known
 cycle count, giving mean level a, amplitude beta and modulation
-M = beta/a.  A radius ladder's rings are found once per (image shape,
-center, radii, cycles) and cached as a read-only ring table: every
-ring's pixel indices, grouped by ring and row-major within it, the
-samples' row-major order, and every constant of the full-ring fits (the
-harmonic's cos/sin columns less their ring means, those means and each
-ring's 2x2 normal matrix).  All rings are then fit in one vectorized
-pass over the table: the image's value at every sample, centred per
-ring, two segment sums per ring and one batched solve.  An angular
-sector (tested on the samples' own offsets) selects among the samples;
-the sector path then recomputes cos/sin and the normal matrices for the
-kept samples.  measure_resolution computes its upsampled image a band
-of rows at a time, straight into the samples' values, and never holds
-it whole.  The modulation curve is intersected with the noise-equivalent
-modulation 4*sigma/signal; the crossing frequency maps to meters through
-the HR ground sample (0.5 cycles/px = 1.25 m).
+M = beta/a.  A radius ladder's rings, on the full circle or in one
+angular sector, are found once per (image shape, center, radii, cycles,
+sector) and cached as a read-only ring table: every ring's pixel
+indices, grouped by ring and row-major within it, the samples'
+row-major order, each ring's full-circle count and every constant of
+the fits (the harmonic's cos/sin columns less their ring means, those
+means and each ring's 2x2 normal matrix).  All rings are then fit in
+one vectorized pass over the table: the image's value at every sample,
+centred per ring, two segment sums per ring and one batched solve.
+measure_resolution computes its upsampled image a band of rows at a
+time, straight into the samples' values, and never holds it whole.  The
+modulation curve is intersected with the noise-equivalent modulation
+4*sigma/signal; the crossing frequency maps to meters through the HR
+ground sample (0.5 cycles/px = 1.25 m).
 """
 
 from __future__ import annotations
@@ -142,24 +141,24 @@ _TABLE_BAND_ROWS = 64
 
 @dataclass(frozen=True)
 class _RingTable:
-    """The annulus samples of a radius ladder and every constant of their
-    full-ring fits (see _ring_table).
+    """The annulus samples of a radius ladder, on the full circle or in
+    one sector, and every constant of their fits (see _ring_table).
 
     Ring i owns samples[starts[i]:starts[i] + counts[i]], flat pixel
-    indices in row-major order.  cos and sin hold cos/sin(cycles * alpha)
-    of each sample less its ring's mean, mean_cos and mean_sin those
-    means, and normal each ring's 2x2 normal matrix of the centred
-    columns (zero for a ring with no samples): a full-ring fit needs only
-    the image's values.  A selection of the samples changes the means,
-    so the sector path recomputes cos and sin from the samples
-    (_harmonic).  samples[row_major] runs through every ring's samples
-    in row-major order; bands holds (first row, end row, end in
-    row_major) of each _TABLE_BAND_ROWS-row band they lie in.
+    indices in row-major order, and holds full_counts[i] samples on the
+    full circle.  cos and sin hold cos/sin(cycles * alpha) of each
+    sample less its ring's mean, mean_cos and mean_sin those means, and
+    normal each ring's 2x2 normal matrix of the centred columns (zero
+    for a ring with no samples): a fit needs only the image's values.
+    samples[row_major] runs through every ring's samples in row-major
+    order; bands holds (first row, end row, end in row_major) of each
+    _TABLE_BAND_ROWS-row band they lie in.
     """
 
     samples: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
+    full_counts: np.ndarray
     row_major: np.ndarray
     bands: tuple[tuple[int, int, int], ...]
     cos: np.ndarray
@@ -213,21 +212,25 @@ def _harmonic(samples: np.ndarray, width: int, center: tuple[float, float], cycl
 
 @functools.lru_cache(maxsize=4)
 def _ring_table(shape: tuple[int, int], center: tuple[float, float],
-                radii: tuple[float, ...], cycles: int) -> _RingTable:
-    """Samples of every ring of a strictly decreasing radius ladder.
+                radii: tuple[float, ...], cycles: int, sector: int | None) -> _RingTable:
+    """Samples of every ring of a strictly decreasing radius ladder, in
+    one sector (_sector_test) or, for sector None, on the full circle.
 
     Ring i holds the pixels with center distance in [radii[i] - 0.5,
     radii[i] + 0.5), so rings under 1 px apart share pixels.  Distances
     are computed over the outer ring's bounding box, a band of rows at a
-    time, and each is binned against the ladder's edges; a stable sort
-    by ring then groups the samples and keeps them row-major within each
-    ring, and its inverse is the row-major order.  Pixel indices are
-    int32 and ring keys the smallest unsigned type, and each temporary is
-    dropped once used, so the build peaks near the table's own size.
-    The arrays are read-only: every caller with this key shares them.
+    time, and each is binned against the ladder's edges, which gives the
+    full-circle counts; a sector then keeps the pixels whose offsets it
+    holds, and lists no band left empty.  A stable sort by ring groups
+    the samples, row-major within each ring, and its inverse is the
+    row-major order.  Pixel indices are int32 and ring keys the smallest
+    unsigned type, and each temporary is dropped once used, so the build
+    peaks near the table's own size.  The arrays are read-only: every
+    caller with this key shares them.
     """
     h, w = shape
     r0, c0 = center
+    in_sector = None if sector is None else _sector_test(sector)
     ascending = np.array(radii[::-1], dtype=np.float64)
     lower, upper = ascending - 0.5, ascending + 0.5
     top = ascending[-1]
@@ -238,6 +241,8 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
     # small unsigned keys take numpy's linear-time radix sort
     key = np.min_scalar_type(len(radii))
+    # per ascending ring: +1 per pixel whose rings start there, -1 past their end
+    steps = np.zeros(len(radii) + 1, dtype=np.int64)
     pixels, rings, bands, stop = [], [], [], 0
     for band in range(lo_r, hi_r, _TABLE_BAND_ROWS):
         end = min(band + _TABLE_BAND_ROWS, hi_r)
@@ -245,15 +250,22 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
         dist = np.hypot(x, y)
         rows, cols = np.nonzero((dist >= lower[0]) & (dist < upper[-1]))
         dist = dist[rows, cols]
-        # rings k with lower[k] <= dist < upper[k] are first <= k < stop
+        # rings k with lower[k] <= dist < upper[k] are first <= k < last
         first = np.searchsorted(upper, dist, side="right")
-        reps = np.searchsorted(lower, dist, side="right") - first
+        last = np.searchsorted(lower, dist, side="right")
+        steps += np.bincount(first, minlength=steps.size)
+        steps -= np.bincount(last, minlength=steps.size)
+        if in_sector is not None:
+            kept = in_sector(x[0, cols], y[rows, 0])
+            rows, cols, first, last = rows[kept], cols[kept], first[kept], last[kept]
+        reps = last - first
         within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         pixels.append(np.repeat(((rows + band) * w + cols + lo_c).astype(index), reps))
         # index into radii
         rings.append((len(radii) - 1 - np.repeat(first, reps) - within).astype(key))
-        stop += pixels[-1].size
-        bands.append((band, end, stop))
+        if pixels[-1].size:
+            stop += pixels[-1].size
+            bands.append((band, end, stop))
     rings = np.concatenate(rings)
     order = np.argsort(rings, kind="stable")
     counts = np.bincount(rings, minlength=len(radii))
@@ -264,7 +276,8 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     row_major[order] = np.arange(order.size, dtype=np.int32)
     del order
     starts = np.cumsum(counts) - counts
-    table = _RingTable(samples, starts, counts, row_major, tuple(bands),
+    full_counts = np.cumsum(steps)[-2::-1]  # in radii's order
+    table = _RingTable(samples, starts, counts, full_counts, row_major, tuple(bands),
                        *_harmonic(samples, w, center, cycles, starts, counts))
     for array in vars(table).values():
         if isinstance(array, np.ndarray):
@@ -272,7 +285,7 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     return table
 
 
-def _table_key(shape: tuple[int, int], center, radii, cycles: int):
+def _table_key(shape: tuple[int, int], center, radii, cycles: int, sector=None):
     """(radii that leave an image of this shape, _ring_table key of the
     rest) for a strictly decreasing ladder.  The fit and the ring-table
     warm-up both take their key from here, so they match."""
@@ -281,29 +294,26 @@ def _table_key(shape: tuple[int, int], center, radii, cycles: int):
     radii = tuple(float(r) for r in radii)
     margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
     n_out = sum(1 for r in radii if r + 0.5 > margin + 1e-9)
-    return radii[:n_out], ((h, w), (r0, c0), radii[n_out:], cycles)
+    return radii[:n_out], ((h, w), (r0, c0), radii[n_out:], cycles, sector)
 
 
 def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], radii,
-               cycles: int, select=None) -> list[RingFit | RingError]:
+               cycles: int, sector: int | None = None) -> list[RingFit | RingError]:
     """Fit the angular harmonic on every ring of a strictly decreasing
-    ladder on an image of this shape in one pass; entry i is ring i's
-    fit or the RingError that refuses it.
+    ladder on an image of this shape, on the full circle or in one
+    sector, in one pass; entry i is ring i's fit or its RingError.
 
     values_of(table) gives a new array of the image's value at each
-    sample of the ring table, which the fit centres in place.  Without a
-    selection the table holds every other constant of the fits; select
-    (flat sample indices -> which to keep) picks among the samples, and
-    the harmonic's columns and normal matrices are then recomputed for
-    the kept ones.  One batched solve fits all rings.  Values and
-    columns enter the sums less their ring means, so a large image
-    offset stays out of the harmonic's rounding.
+    sample of the ring table, which the fit centres in place; the table
+    holds every other constant of the fits.  One batched solve fits all
+    rings.  Values and columns enter the sums less their ring means, so
+    a large image offset stays out of the harmonic's rounding.
     """
     if any(r < 2 for r in radii):
         raise ValueError("radius must be >= 2 pixels")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    outside, key = _table_key(shape, center, radii, cycles)
+    outside, key = _table_key(shape, center, radii, cycles, sector)
     results: list[RingFit | RingError] = [
         EmptyRingError(f"empty ring: radius {r} leaves the image") for r in outside]
     radii = key[2]
@@ -311,21 +321,9 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
         return results
 
     table = _ring_table(*key)
-    values, n_full = values_of(table), table.counts
-    if select is None:
-        n, starts = n_full, table.starts
-        cos, sin, mean_cos, mean_sin, normal = (table.cos, table.sin, table.mean_cos,
-                                                table.mean_sin, table.normal)
-    else:
-        keep = select(table.samples)
-        values = values[keep]
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
-        starts = kept_before[table.starts]
-        n = kept_before[table.starts + n_full] - starts
-        cos, sin, mean_cos, mean_sin, normal = _harmonic(
-            table.samples[keep], shape[1], key[1], cycles, starts, n)
-    # a selection thins a ring without changing how densely it samples a cycle
-    samples_per_cycle = n_full / cycles
+    values, n, starts = values_of(table), table.counts, table.starts
+    # a sector thins a ring without changing how densely it samples a cycle
+    samples_per_cycle = table.full_counts / cycles
     empty = n < 8
     fit = ~empty & ~(samples_per_cycle < MIN_SAMPLES_PER_CYCLE)
 
@@ -336,10 +334,10 @@ def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], r
         # less its ring mean the mean splits off and the harmonic is a
         # 2x2 solve, well conditioned even on a one-sector arc.
         mean = _centre(values, starts, n)[fit]
-        rhs = np.stack([_ring_sums(values * cos, starts, n),
-                        _ring_sums(values * sin, starts, n)], axis=-1)[fit]
-        c, s = np.linalg.solve(normal[fit], rhs[..., None])[..., 0].T
-        a = mean - c * mean_cos[fit] - s * mean_sin[fit]
+        rhs = np.stack([_ring_sums(values * table.cos, starts, n),
+                        _ring_sums(values * table.sin, starts, n)], axis=-1)[fit]
+        c, s = np.linalg.solve(table.normal[fit], rhs[..., None])[..., 0].T
+        a = mean - c * table.mean_cos[fit] - s * table.mean_sin[fit]
         fitted = zip(a.tolist(), c.tolist(), s.tolist())
 
     for k, radius in enumerate(radii):
@@ -465,14 +463,10 @@ def check_ladder_fits(n_rings: int, outer_radius: float) -> None:
 def _warm_ring_table(shape: tuple[int, int], center: tuple[float, float], cycles: int,
                      outer_radius: float, *, n_rings: int,
                      geometry: GeometryConstants = GEOMETRY) -> None:
-    """Build the ring table that measure_resolution reads for an HR image
-    of this shape, so later measurements (and forked processes) find it
-    cached.  A ladder that measure_resolution refuses is left to refuse
-    there."""
-    try:
-        center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
-    except ValueError:
-        return
+    """Build the full-circle ring table that measure_resolution reads for
+    an HR image of this shape, so later measurements (and forked
+    processes) find it cached.  A ladder it refuses is refused here."""
+    center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
     up_shape = (shape[0] * ANALYSIS_OVERSAMPLE, shape[1] * ANALYSIS_OVERSAMPLE)
     _, key = _table_key(up_shape, center_grid, radii, cycles)
     if key[2]:
@@ -529,20 +523,13 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     nem_value = nem(signal, noise_sigma)
     center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
     shape = (image.shape[0] * ANALYSIS_OVERSAMPLE, image.shape[1] * ANALYSIS_OVERSAMPLE)
-    select = None
     if sector is not None:
-        in_sector = _sector_test(sector)
-        r0, c0 = center_grid
-
-        def select(samples):
-            rows, cols = np.divmod(samples, shape[1])
-            return in_sector(cols - c0, rows - r0)
-
+        _sector_test(sector)  # a bad index is refused before any transform
     radii = list(radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     fits = [fit for fit in _fit_rings(functools.partial(_upsampled_values, image), shape,
-                                      center_grid, radii, cycles, select)
+                                      center_grid, radii, cycles, sector)
             if isinstance(fit, RingFit)]
     dropped = len(radii) - len(fits)
     if dropped:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .fourier import check_gaussian_fits
 from .metrology import _warm_ring_table, measure_resolution
+from .mtf import GeometryConstants
 from .scenario import MonteCarloConfig, Scenario
 from .seeding import child_seed
 from .simulator import ASSUMED_PSF_FWHM, SIGMA_PER_FWHM, SystemParams, simulate_observations
@@ -262,14 +263,16 @@ def _plan_target(star: StarSpec, grid_size: tuple[int, int]) -> np.ndarray:
     return target
 
 
-def _plan_invariants(plan, scenario: Scenario) -> None:
-    """Fill the caches every trial of the plan reads: its target and the
-    ring table of its ladder (a plan's trials share their base's geometry).
+def _plan_invariants(scenario: Scenario, geometry: GeometryConstants) -> None:
+    """Fill the caches every trial of a plan reads: its target and the
+    ring table of its ladder (a plan's trials share their base's
+    geometry: no draw or sweep axis sets it).  Run before the plan is
+    drawn, it refuses a star that cannot be rasterized or measured.
     Forked pool workers inherit both; spawned ones fill them at first use."""
     star = scenario.star
     shape = _plan_target(star, tuple(scenario.grid_size)).shape
     _warm_ring_table(shape, star.center, star.cycles, star.outer_radius,
-                     n_rings=scenario.n_rings, geometry=plan[0][0].geometry)
+                     n_rings=scenario.n_rings, geometry=geometry)
 
 
 def _check_threads(threads: int) -> None:
@@ -282,7 +285,7 @@ def _run_plan(plan, scenario: Scenario, threads: int,
               progress=None) -> list[TrialResult]:
     """Run each (params, seed) pair of the plan through run_trial on
     `threads` processes: this one and min(threads, len(plan)) - 1 pool
-    workers, started after the plan's invariants are cached.
+    workers, started after the caller has cached the plan's invariants.
 
     Each process takes the next plan index when it finishes a trial:
     this one in its loop, a pool worker through its last trial's
@@ -293,7 +296,6 @@ def _run_plan(plan, scenario: Scenario, threads: int,
     any thread count), raising the first pool trial's exception.
     progress runs on this thread only.
     """
-    _plan_invariants(plan, scenario)
     workers = min(threads, len(plan)) - 1
     outcomes = [None] * len(plan)
     indices = (i for i in range(len(plan)))
@@ -373,6 +375,7 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
         if getattr(base, name) != getattr(_NOMINAL, name):
             raise ValueError(f"{name} is drawn per trial by the campaign; the "
                              f"base parameters must leave it at its default")
+    _plan_invariants(scenario, base.geometry)
     plan = [(sample_parameters(spec, child_seed(master_seed, i, 0), base),
              child_seed(master_seed, i, 1)) for i in range(n_trials)]
     trials = _run_plan(plan, scenario, threads, progress)
@@ -449,11 +452,12 @@ def sweep(axes, scenario: Scenario, seeds_per_value: int = SEEDS_PER_VALUE,
     holds every other field there.  Seed j is shared across all cells
     (paired noise realizations), which stabilizes the monotonicity
     comparisons.  A cell's mean resolution covers its resolved trials
-    only (NaN if none resolved).  A solver PSF too wide for the grid is
-    refused before any trial runs.
+    only (NaN if none resolved).  A star that cannot be measured and a
+    solver PSF too wide for the grid are refused before any trial runs.
     """
     _check_threads(threads)
     axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
+    _plan_invariants(scenario, (base or _NOMINAL).geometry)
     plan = _sweep_plan(axes, base, seeds_per_value, master_seed)
     for params, _ in plan:
         check_gaussian_fits(params.assumed_psf_sigma, scenario.grid_size)

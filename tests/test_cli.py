@@ -672,6 +672,18 @@ def test_bad_thread_count_exits_2(config_path, tmp_path, capsys, command, thread
     assert not out.exists()
 
 
+def test_sweep_of_a_star_without_rings_exits_2(tmp_path, capsys):
+    # every trial would fail its measurement: refused before any runs
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**CONFIG, "star": {**CONFIG["star"], "outer_radius": 20.0}}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--param", "snr", "--values", "30,100",
+                 "--seeds-per-value", "10", "--seed", "3", "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "no measurable rings" in line
+    assert not out.exists()
+
+
 def test_sweep_subcommand(config_path, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config_path), "--param", "snr",

@@ -3,21 +3,31 @@
 The values were recorded before the Monte Carlo engine and the solver
 defaults were consolidated; any refactor of the trial pipeline, the
 task plans or the defaults must reproduce them unchanged, at one worker
-and at two.
+and at two.  The sector values were recorded before sectors got ring
+tables of their own.
 """
 
 import pytest
 
+from srlab.metrology import SECTOR_COUNT, measure_resolution
 from srlab.montecarlo import ParameterSpec, run_campaign, run_trial, sweep
 from srlab.scenario import Scenario
 from srlab.seeding import child_seed
 from srlab.simulator import SystemParams
+
+from test_metrology import _reconstruction
 
 REL = 1e-9
 
 # run_trial(SystemParams(), Scenario(), child_seed(500, j)), j = 0..4
 NOMINAL_RESOLUTIONS = [1.5909302471957385, 1.5914360136194223, 1.5896457676931042,
                        1.59196447247703, 1.5906108308040248]
+
+# measure_resolution(..., sector=k) on the seed-42 reconstruction of
+# Scenario() at SystemParams(), k = 0..7
+SECTOR_RESOLUTIONS = [1.6308013169780726, 1.5512423501818966, 1.5564617353929102,
+                      1.636971106226086, 1.6306914479052017, 1.5604688128780566,
+                      1.5643489416836078, 1.6331216659719103]
 
 # run_campaign(ParameterSpec(), tiny_scenario, n_trials=6, master_seed=5)
 CAMPAIGN_TRIALS = [(4306970560664876850, 1.8632644133851615),
@@ -46,6 +56,16 @@ def test_golden_nominal_trials(scenario):
     got = [run_trial(SystemParams(), scenario, child_seed(500, j)).resolution_m
            for j in range(5)]
     assert got == pytest.approx(NOMINAL_RESOLUTIONS, rel=REL)
+
+
+def test_golden_sector_resolutions(scenario, nominal_params):
+    star = scenario.star
+    image = _reconstruction(scenario, nominal_params)
+    got = [measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                              nominal_params.noise_sigma, star.outer_radius,
+                              n_rings=scenario.n_rings, sector=k).resolution_m
+           for k in range(SECTOR_COUNT)]
+    assert got == pytest.approx(SECTOR_RESOLUTIONS, rel=REL)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -40,14 +40,13 @@ def sector_mask(size, center, sector_index, sector_count):
         return metrology._sector_test(sector_index)(x, y)
 
 
-def curve_fits(image, center, cycles, radii, mask=None):
+def curve_fits(image, center, cycles, radii, sector=None):
     """(fits by ascending f, rings dropped) of metrology's one-pass ring
-    fit on a strictly decreasing ladder over the whole image, with a
-    mask as a selection of the ring samples."""
+    fit on a strictly decreasing ladder over the whole image, on the
+    full circle or one angular sector."""
     flat = image.reshape(-1)
-    select = None if mask is None else (lambda samples: mask.reshape(-1)[samples] > 0.5)
     results = metrology._fit_rings(lambda table: flat[table.samples], image.shape,
-                                   center, list(radii), cycles, select)
+                                   center, list(radii), cycles, sector)
     fits = sorted((fit for fit in results if isinstance(fit, RingFit)),
                   key=lambda rf: rf.f)
     return fits, len(radii) - len(fits)
@@ -106,9 +105,8 @@ def test_ring_mask_restricts_samples():
     center = (128.0, 128.0)
     img = angular_field((256, 256), center,
                         lambda a: 200.0 + 80.0 * np.cos(32 * a))
-    mask = sector_mask((256, 256), center, 0, 8)
     full = ring_modulation(img, center, 80.0, 32)
-    (sector,), _ = curve_fits(img, center, 32, [80.0], mask=mask)
+    (sector,), _ = curve_fits(img, center, 32, [80.0], sector=0)
     assert sector.n_samples < full.n_samples
     assert sector.modulation == pytest.approx(full.modulation, abs=0.05)
 
@@ -294,9 +292,10 @@ def test_sector_consistency(star_target, scenario):
 
 
 def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_params):
-    # a sector is tested on the ring samples' offsets; the fits must equal
-    # those on a full-grid sector mask of the upsampled image (the rest of
-    # the report is a function of the curve)
+    # measure_resolution upsamples only the sector table's rows; its fits
+    # must equal those on the whole upsampled image (the rest of the
+    # report is a function of the curve).  That the table holds exactly
+    # the full-grid sector mask's samples is tested below
     star = scenario.star
     obs = simulate_observations(star_target, nominal_params, 42)
     image = super_resolve(list(obs), cfg=scenario.solver).image
@@ -307,8 +306,7 @@ def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_param
         report = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
                                     nominal_params.noise_sigma, star.outer_radius,
                                     n_rings=scenario.n_rings, sector=k)
-        mask = sector_mask(upsampled.shape, center, k, 8)
-        fits, dropped = curve_fits(upsampled, center, star.cycles, radii, mask=mask)
+        fits, dropped = curve_fits(upsampled, center, star.cycles, radii, sector=k)
         assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation)
                                 for rf in fits]
         assert report.rings_dropped == dropped
@@ -381,24 +379,39 @@ def test_ring_table_build_peaks_below_twice_its_size(scenario):
 
 
 @pytest.mark.parametrize("grid", ["default", "odd"])
-def test_cached_fit_constants_equal_the_recomputed_ones(scenario, grid):
-    # a selection that keeps every sample recomputes the harmonic's columns,
-    # means and normal matrices from the samples; the fits must equal those
-    # from the constants the ring table holds
+def test_sector_tables_hold_exactly_the_masked_annuli(scenario, grid):
+    # each ring of a sector table holds the full-grid annulus and sector
+    # mask's samples, in row-major order, and the full circle's count
     if grid == "default":
-        shape, center, radii, cycles = default_table_key(scenario)
+        key = default_table_key(scenario)
     else:
-        shape, center, radii, cycles = (37, 41), (18.3, 20.6), (17.5, 12.5, 12.2, 6.0, 3.0), 5
-    image = 100.0 + np.random.default_rng(3).normal(size=shape)
-    flat = image.reshape(-1)
+        key = metrology._table_key((37, 41), (18.3, 20.6), (17.5, 12.5, 12.2, 6.0, 3.0), 5)[1]
+    shape, center, radii, cycles, _ = key
+    y = (np.arange(shape[0], dtype=np.float64) - center[0])[:, None]
+    x = (np.arange(shape[1], dtype=np.float64) - center[1])[None, :]
+    dist = np.hypot(x, y)
+    annuli = [(dist >= r - 0.5) & (dist < r + 0.5) for r in radii]
+    for sector in (None, *range(SECTOR_COUNT)):
+        table = _ring_table(shape, center, radii, cycles, sector)
+        mask = True if sector is None else sector_mask(shape, center, sector, SECTOR_COUNT)
+        for annulus, start, count, full in zip(annuli, table.starts, table.counts,
+                                               table.full_counts):
+            assert np.array_equal(table.samples[start:start + count],
+                                  np.flatnonzero(annulus & mask))
+            assert full == np.count_nonzero(annulus)
 
-    def fits(select):
-        results = metrology._fit_rings(lambda table: flat[table.samples], shape, center,
-                                       list(radii), cycles, select)
-        return [fit if isinstance(fit, RingFit) else str(fit) for fit in results]
-    cached = fits(None)
-    assert sum(isinstance(fit, RingFit) for fit in cached) >= 4
-    assert fits(lambda samples: np.ones(samples.size, dtype=bool)) == cached
+
+def test_repeated_sector_measurement_reads_the_cached_table(star_target, scenario):
+    star = scenario.star
+
+    def measure():
+        return measure_resolution(star_target, star.center, star.cycles, 300.0, 5.0,
+                                  star.outer_radius, n_rings=scenario.n_rings, sector=3)
+    first = measure()
+    before = _ring_table.cache_info()
+    assert measure() == first
+    after = _ring_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_bad_sector_is_refused_before_any_transform(monkeypatch):
@@ -416,7 +429,7 @@ def test_ring_table_row_major_order():
     # the order measure_resolution streams its bands in: every sample
     # once, ascending flat index, each band's samples inside its rows
     shape, radii = (40, 37), (15.0, 14.5, 9.0, 3.0)
-    table = _ring_table(shape, (19.5, 18.25), radii, 7)
+    table = _ring_table(shape, (19.5, 18.25), radii, 7, None)
     assert not table.row_major.flags.writeable
     assert table.row_major.dtype == np.int32
     assert np.array_equal(np.sort(table.row_major), np.arange(table.samples.size))
@@ -484,7 +497,7 @@ def bbox_ring_modulation(image, center, radius, cycles, mask=None):
 
 @settings(max_examples=200)
 @given(data=st.data(), h=st.integers(16, 48), w=st.integers(16, 48),
-       cycles=st.integers(1, 24), mask_kind=st.sampled_from(["none", "sector", "random"]),
+       cycles=st.integers(1, 24), mask_kind=st.sampled_from(["none", "sector"]),
        seed=st.integers(0, 2**16))
 def test_ring_modulation_matches_bounding_box_scan(data, h, w, cycles, mask_kind, seed):
     r0 = data.draw(st.floats(h / 2 - 4, h / 2 + 4) | st.sampled_from([h / 2, (h - 1) / 2]))
@@ -494,26 +507,24 @@ def test_ring_modulation_matches_bounding_box_scan(data, h, w, cycles, mask_kind
     radius = data.draw(st.floats(2.0, max(2.0, margin + 1.0))
                        | st.sampled_from([margin - 0.5, margin - 0.5 + 5e-10,
                                           margin - 0.5 + 2e-9]).filter(lambda r: r >= 2))
-    rng = np.random.default_rng(seed)
-    image = 100.0 + rng.normal(size=(h, w))
-    mask = {"none": None,
-            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8),
-            "random": (rng.random((h, w)) < 0.7).astype(float)}[mask_kind]
-    # a masked ring is a one-ring ladder with a selection, which drops
+    image = 100.0 + np.random.default_rng(seed).normal(size=(h, w))
+    sector = None if mask_kind == "none" else seed % SECTOR_COUNT
+    mask = None if sector is None else sector_mask((h, w), (r0, c0), sector, SECTOR_COUNT)
+    # a sector ring is a one-ring ladder on a sector table, which drops
     # the ring that ring_modulation refuses
     try:
         want = bbox_ring_modulation(image, (r0, c0), radius, cycles, mask=mask)
     except ValueError as exc:
-        if mask is None:
+        if sector is None:
             with pytest.raises(type(exc)):
                 ring_modulation(image, (r0, c0), radius, cycles)
         else:
-            assert curve_fits(image, (r0, c0), cycles, [radius], mask=mask) == ([], 1)
+            assert curve_fits(image, (r0, c0), cycles, [radius], sector) == ([], 1)
         return
-    if mask is None:
+    if sector is None:
         got = ring_modulation(image, (r0, c0), radius, cycles)
     else:
-        (got,), _ = curve_fits(image, (r0, c0), cycles, [radius], mask=mask)
+        (got,), _ = curve_fits(image, (r0, c0), cycles, [radius], sector)
     assert got.n_samples == want.n_samples
     for name in ("a", "beta_amp", "modulation"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
@@ -521,7 +532,7 @@ def test_ring_modulation_matches_bounding_box_scan(data, h, w, cycles, mask_kind
 
 @settings(max_examples=100)
 @given(data=st.data(), h=st.integers(16, 48), w=st.integers(16, 48),
-       cycles=st.integers(1, 24), mask_kind=st.sampled_from(["none", "sector", "random"]),
+       cycles=st.integers(1, 24), mask_kind=st.sampled_from(["none", "sector"]),
        seed=st.integers(0, 2**16))
 def test_mtf_curve_matches_per_ring_reference(data, h, w, cycles, mask_kind, seed):
     r0 = data.draw(st.floats(h / 2 - 4, h / 2 + 4) | st.sampled_from([h / 2, (h - 1) / 2]))
@@ -532,18 +543,16 @@ def test_mtf_curve_matches_per_ring_reference(data, h, w, cycles, mask_kind, see
     outer = data.draw(st.floats(2.0, margin + 3.0))
     steps = data.draw(st.lists(st.floats(0.05, 3.0), max_size=12))
     radii = [r for r in outer - np.cumsum([0.0, *steps]) if r >= 2.0]
-    rng = np.random.default_rng(seed)
-    image = 100.0 + rng.normal(size=(h, w))
-    mask = {"none": None,
-            "sector": sector_mask((h, w), (r0, c0), seed % 8, 8),
-            "random": (rng.random((h, w)) < 0.7).astype(float)}[mask_kind]
+    image = 100.0 + np.random.default_rng(seed).normal(size=(h, w))
+    sector = None if mask_kind == "none" else seed % SECTOR_COUNT
+    mask = None if sector is None else sector_mask((h, w), (r0, c0), sector, SECTOR_COUNT)
     want = []
     for r in radii:
         try:
             want.append(bbox_ring_modulation(image, (r0, c0), r, cycles, mask=mask))
         except RingError:
             pass
-    fits, dropped = curve_fits(image, (r0, c0), cycles, radii, mask=mask)
+    fits, dropped = curve_fits(image, (r0, c0), cycles, radii, sector)
     assert dropped == len(radii) - len(want)
     assert [f.radius for f in fits] == [f.radius for f in want]
     for got, ref in zip(fits, want):
@@ -552,22 +561,22 @@ def test_mtf_curve_matches_per_ring_reference(data, h, w, cycles, mask_kind, see
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
 
 
-def test_masked_ring_at_two_samples_per_cycle_is_kept():
-    # 42 samples on the full ring at 21 cycles: exactly at the aliasing
-    # limit, which a mask's coverage must not tip over by rounding
-    rng = np.random.default_rng(0)
-    image = 100.0 + rng.normal(size=(18, 20))
-    mask = (rng.random((18, 20)) < 0.7).astype(float)
-    assert ring_modulation(image, (9.0, 8.5), 7.5, 21).n_samples == 42
-    (fit,), _ = curve_fits(image, (9.0, 8.5), 21, [7.5], mask=mask)
-    assert fit.n_samples == bbox_ring_modulation(image, (9.0, 8.5), 7.5, 21,
-                                                 mask=mask).n_samples
+def test_sector_ring_at_two_samples_per_cycle_is_kept():
+    # 64 samples on the full ring at 32 cycles: exactly at the aliasing
+    # limit, which the 9 of them in the sector must not tip over
+    image = 100.0 + np.random.default_rng(0).normal(size=(24, 26))
+    center = (12.0, 12.25)
+    assert ring_modulation(image, center, 10.25, 32).n_samples == 64
+    (fit,), _ = curve_fits(image, center, 32, [10.25], sector=0)
+    mask = sector_mask(image.shape, center, 0, SECTOR_COUNT)
+    assert fit.n_samples == bbox_ring_modulation(image, center, 10.25, 32,
+                                                 mask=mask).n_samples == 9
 
 
 def test_ring_table_is_shared_read_only():
     radii = (9.0, 8.5, 4.25)  # the first two rings share pixels
-    table = _ring_table((32, 33), (15.5, 16.25), radii, 5)
-    assert _ring_table((32, 33), (15.5, 16.25), radii, 5) is table
+    table = _ring_table((32, 33), (15.5, 16.25), radii, 5, None)
+    assert _ring_table((32, 33), (15.5, 16.25), radii, 5, None) is table
     arrays = {field.name: getattr(table, field.name) for field in dataclasses.fields(table)
               if isinstance(getattr(table, field.name), np.ndarray)}
     assert {"cos", "sin", "mean_cos", "mean_sin", "normal"} <= arrays.keys()

@@ -192,7 +192,7 @@ def test_plan_warm_up_fills_the_ring_table_trials_read(request, scenario_name):
     scenario = request.getfixturevalue(scenario_name)
     params, seed = SystemParams(), 11
     metrology._ring_table.cache_clear()
-    montecarlo._plan_invariants([(params, seed)], scenario)
+    montecarlo._plan_invariants(scenario, params.geometry)
     before = metrology._ring_table.cache_info()
     trial = run_trial(params, scenario, seed)
     after = metrology._ring_table.cache_info()
@@ -557,6 +557,24 @@ def test_bad_thread_count_is_refused_before_the_plan_is_drawn(tiny_scenario,
                      threads=0)
     with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
         sweep([("snr", [30.0, 100.0])], tiny_scenario, threads=0)
+
+
+@pytest.mark.parametrize("outer_radius, message", [(200.0, "clipped by grid"),
+                                                    (20.0, "no measurable rings")])
+def test_unmeasurable_star_is_refused_before_the_plan_is_drawn(tiny_scenario, monkeypatch,
+                                                               outer_radius, message):
+    # a star that cannot be rasterized, or that leaves no ring to fit, would
+    # fail every trial: it is refused before the first draw
+    def drawn(*args):
+        raise AssertionError("the plan was drawn")
+    monkeypatch.setattr(montecarlo, "sample_parameters", drawn)
+    monkeypatch.setattr(montecarlo, "_sweep_plan", drawn)
+    scenario = replace(tiny_scenario,
+                       star=replace(tiny_scenario.star, outer_radius=outer_radius))
+    with pytest.raises(ValueError, match=message):
+        run_campaign(ParameterSpec(), scenario, n_trials=10**7, master_seed=1)
+    with pytest.raises(ValueError, match=message):
+        sweep([("snr", [30.0, 100.0])], scenario, seeds_per_value=10**7)
 
 
 def test_campaign_samples_on_base(tiny_scenario, monkeypatch):
