@@ -3,13 +3,14 @@
 Modulation is extracted ring by ring: pixels in a one-pixel-wide annulus
 are fit by least squares to the single angular harmonic at the known
 cycle count, giving mean level a, amplitude beta and modulation
-M = beta/a.  A radius ladder's rings, on the full circle or in one
-angular sector, are found once per (image shape, center, radii, cycles,
-sector) and cached as a read-only ring table: every ring's pixel
-indices, grouped by ring and row-major within it, the samples'
-row-major order, each ring's full-circle count and every constant of
-the fits (the harmonic's cos/sin columns less their ring means, those
-means and each ring's 2x2 normal matrix).  All rings are then fit in
+M = beta/a.  One lookup finds a radius ladder's rings, on the full
+circle or in one angular sector, once per (image shape, center, radii,
+cycles, sector) and caches them, a ladder's full circle and all its
+sectors at once, as a read-only ring table: every ring's pixel indices,
+grouped by ring and row-major within it, the samples' row-major order,
+each ring's full-circle count and every constant of the fits (the
+harmonic's cos/sin columns less their ring means, those means and each
+ring's 2x2 normal matrix).  All rings are then fit in
 one vectorized pass over the table: the image's value at every sample,
 centred per ring, two segment sums per ring and one batched solve.
 measure_resolution computes its upsampled image a band of rows at a
@@ -210,7 +211,7 @@ def _harmonic(samples: np.ndarray, width: int, center: tuple[float, float], cycl
     return cos, sin, mean_cos, mean_sin, normal
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=SECTOR_COUNT + 1)  # a ladder's full circle and sectors
 def _ring_table(shape: tuple[int, int], center: tuple[float, float],
                 radii: tuple[float, ...], cycles: int, sector: int | None) -> _RingTable:
     """Samples of every ring of a strictly decreasing radius ladder, in
@@ -285,43 +286,45 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     return table
 
 
-def _table_key(shape: tuple[int, int], center, radii, cycles: int, sector=None):
-    """(radii that leave an image of this shape, _ring_table key of the
-    rest) for a strictly decreasing ladder.  The fit and the ring-table
-    warm-up both take their key from here, so they match."""
-    h, w = shape
-    r0, c0 = float(center[0]), float(center[1])
+def _ring_lookup(shape: tuple[int, int], center, radii, cycles: int, sector: int | None):
+    """(an EmptyRingError per ring that leaves an image of this shape, the
+    other radii, their cached _RingTable or None if none is left) for a
+    strictly decreasing ladder, on the full circle or in one sector.  Every
+    fit and the plan warm-up reach _ring_table here; a bad argument, a
+    sector too, is refused before any table is built or ring set aside."""
+    if sector is not None:
+        _sector_test(sector)  # refuses a bad index
     radii = tuple(float(r) for r in radii)
-    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
-    n_out = sum(1 for r in radii if r + 0.5 > margin + 1e-9)
-    return radii[:n_out], ((h, w), (r0, c0), radii[n_out:], cycles, sector)
-
-
-def _fit_rings(values_of, shape: tuple[int, int], center: tuple[float, float], radii,
-               cycles: int, sector: int | None = None) -> list[RingFit | RingError]:
-    """Fit the angular harmonic on every ring of a strictly decreasing
-    ladder on an image of this shape, on the full circle or in one
-    sector, in one pass; entry i is ring i's fit or its RingError.
-
-    values_of(table) gives a new array of the image's value at each
-    sample of the ring table, which the fit centres in place; the table
-    holds every other constant of the fits.  One batched solve fits all
-    rings.  Values and columns enter the sums less their ring means, so
-    a large image offset stays out of the harmonic's rounding.
-    """
+    if any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
     if any(r < 2 for r in radii):
         raise ValueError("radius must be >= 2 pixels")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    outside, key = _table_key(shape, center, radii, cycles, sector)
-    results: list[RingFit | RingError] = [
-        EmptyRingError(f"empty ring: radius {r} leaves the image") for r in outside]
-    radii = key[2]
-    if not radii:
-        return results
+    h, w = shape
+    r0, c0 = float(center[0]), float(center[1])
+    margin = min(r0, h - 1 - r0, c0, w - 1 - c0)
+    n_out = sum(1 for r in radii if r + 0.5 > margin + 1e-9)
+    outside = [EmptyRingError(f"empty ring: radius {r} leaves the image")
+               for r in radii[:n_out]]
+    radii = radii[n_out:]
+    table = _ring_table((h, w), (r0, c0), radii, cycles, sector) if radii else None
+    return outside, radii, table
 
-    table = _ring_table(*key)
-    values, n, starts = values_of(table), table.counts, table.starts
+
+def _fit_rings(values: np.ndarray, table: _RingTable, radii,
+               cycles: int) -> list[RingFit | RingError]:
+    """Fit the angular harmonic on every ring of a ring table and its radii
+    (from _ring_lookup) in one pass; entry i is ring i's fit or RingError.
+
+    values is a new array of the image's value at each sample of the
+    table, which the fit centres in place; the table holds every other
+    constant of the fits.  One batched solve fits all rings.  Values and
+    columns enter the sums less their ring means, so a large image
+    offset stays out of the harmonic's rounding.
+    """
+    results: list[RingFit | RingError] = []
+    n, starts = table.counts, table.starts
     # a sector thins a ring without changing how densely it samples a cycle
     samples_per_cycle = table.full_counts / cycles
     empty = n < 8
@@ -369,9 +372,8 @@ def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: floa
     when the annulus leaves the image or holds fewer than 8 samples.
     """
     image = check_image(image, "image")
-    flat = image.reshape(-1)
-    (result,) = _fit_rings(lambda table: flat[table.samples], image.shape, center,
-                           [radius], cycles)
+    outside, radii, table = _ring_lookup(image.shape, center, [radius], cycles, None)
+    (result,) = outside or _fit_rings(image.reshape(-1)[table.samples], table, radii, cycles)
     if isinstance(result, RingError):
         raise result
     return result
@@ -460,17 +462,15 @@ def check_ladder_fits(n_rings: int, outer_radius: float) -> None:
                          f"samples each would hold more than {MAX_PIXELS} samples")
 
 
-def _warm_ring_table(shape: tuple[int, int], center: tuple[float, float], cycles: int,
-                     outer_radius: float, *, n_rings: int,
-                     geometry: GeometryConstants = GEOMETRY) -> None:
-    """Build the full-circle ring table that measure_resolution reads for
-    an HR image of this shape, so later measurements (and forked
-    processes) find it cached.  A ladder it refuses is refused here."""
+def _ladder_rings(shape: tuple[int, int], center: tuple[float, float], cycles: int,
+                  outer_radius: float, n_rings: int, sector: int | None,
+                  geometry: GeometryConstants):
+    """_ring_lookup of measure_resolution's ladder (_ladder) for an HR
+    image of this shape, on its ANALYSIS_OVERSAMPLE upsample: the
+    measurement and the plan warm-up both look the table up here."""
     center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
     up_shape = (shape[0] * ANALYSIS_OVERSAMPLE, shape[1] * ANALYSIS_OVERSAMPLE)
-    _, key = _table_key(up_shape, center_grid, radii, cycles)
-    if key[2]:
-        _ring_table(*key)
+    return _ring_lookup(up_shape, center_grid, radii, cycles, sector)
 
 
 def _upsampled_values(image: np.ndarray, table: _RingTable) -> np.ndarray:
@@ -521,22 +521,17 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     """
     image = check_image(image, "image")
     nem_value = nem(signal, noise_sigma)
-    center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
-    shape = (image.shape[0] * ANALYSIS_OVERSAMPLE, image.shape[1] * ANALYSIS_OVERSAMPLE)
-    if sector is not None:
-        _sector_test(sector)  # a bad index is refused before any transform
-    radii = list(radii)
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    fits = [fit for fit in _fit_rings(functools.partial(_upsampled_values, image), shape,
-                                      center_grid, radii, cycles, sector)
-            if isinstance(fit, RingFit)]
-    dropped = len(radii) - len(fits)
+    _, radii, table = _ladder_rings(image.shape, center, cycles, outer_radius,
+                                    n_rings, sector, geometry)
+    fits = [] if table is None else [
+        fit for fit in _fit_rings(_upsampled_values(image, table), table, radii, cycles)
+        if isinstance(fit, RingFit)]
+    dropped = n_rings - len(fits)
     if dropped:
-        logger.warning("dropped %d of %d rings (aliased or empty)", dropped, len(radii))
+        logger.warning("dropped %d of %d rings (aliased or empty)", dropped, n_rings)
     if len(fits) < 3:
         raise InsufficientCurveError(
-            f"insufficient curve: only {len(fits)} of {len(radii)} rings usable")
+            f"insufficient curve: only {len(fits)} of {n_rings} rings usable")
     fits.sort(key=lambda rf: rf.f)
     curve = [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],

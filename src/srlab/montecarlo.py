@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import multiprocessing
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fourier import check_gaussian_fits
-from .metrology import _warm_ring_table, measure_resolution
+from .metrology import _ladder_rings, measure_resolution
 from .mtf import GeometryConstants
 from .scenario import MonteCarloConfig, Scenario
 from .seeding import child_seed
@@ -268,11 +269,11 @@ def _plan_invariants(scenario: Scenario, geometry: GeometryConstants) -> None:
     ring table of its ladder (a plan's trials share their base's
     geometry: no draw or sweep axis sets it).  Run before the plan is
     drawn, it refuses a star that cannot be rasterized or measured.
-    Forked pool workers inherit both; spawned ones fill them at first use."""
+    The pool workers _run_plan forks afterwards inherit both."""
     star = scenario.star
     shape = _plan_target(star, tuple(scenario.grid_size)).shape
-    _warm_ring_table(shape, star.center, star.cycles, star.outer_radius,
-                     n_rings=scenario.n_rings, geometry=geometry)
+    _ladder_rings(shape, star.center, star.cycles, star.outer_radius, scenario.n_rings,
+                  None, geometry)
 
 
 def _check_threads(threads: int) -> None:
@@ -285,7 +286,8 @@ def _run_plan(plan, scenario: Scenario, threads: int,
               progress=None) -> list[TrialResult]:
     """Run each (params, seed) pair of the plan through run_trial on
     `threads` processes: this one and min(threads, len(plan)) - 1 pool
-    workers, started after the caller has cached the plan's invariants.
+    workers, forked (whatever the default start method) after the caller
+    has cached the plan's invariants, so they inherit them.
 
     Each process takes the next plan index when it finishes a trial:
     this one in its loop, a pool worker through its last trial's
@@ -329,7 +331,9 @@ def _run_plan(plan, scenario: Scenario, threads: int,
                 indices.close()
         submit_next(pool)
 
-    with (ProcessPoolExecutor(max_workers=workers) if workers
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork") if fork else None
+    with (ProcessPoolExecutor(max_workers=workers, mp_context=context) if workers
           else nullcontext()) as pool:
         try:
             for _ in range(workers):

@@ -80,7 +80,7 @@ class ScenarioConfig:
 
 
 # JSON keys that need renaming to dataclass fields
-_SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius", "alpha": "alpha"}
+_SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius"}
 
 
 def _conforms(value, hint) -> bool:

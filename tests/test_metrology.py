@@ -41,12 +41,15 @@ def sector_mask(size, center, sector_index, sector_count):
 
 
 def curve_fits(image, center, cycles, radii, sector=None):
-    """(fits by ascending f, rings dropped) of metrology's one-pass ring
-    fit on a strictly decreasing ladder over the whole image, on the
-    full circle or one angular sector."""
-    flat = image.reshape(-1)
-    results = metrology._fit_rings(lambda table: flat[table.samples], image.shape,
-                                   center, list(radii), cycles, sector)
+    """(fits by ascending f, rings dropped) of metrology's ring lookup and
+    one-pass ring fit on a strictly decreasing ladder over the whole
+    image, on the full circle or one angular sector."""
+    outside, kept, table = metrology._ring_lookup(image.shape, center, radii, cycles,
+                                                  sector)
+    assert all(isinstance(error, EmptyRingError) for error in outside)
+    assert len(outside) + len(kept) == len(radii)
+    results = [] if table is None else metrology._fit_rings(
+        image.reshape(-1)[table.samples], table, kept, cycles)
     fits = sorted((fit for fit in results if isinstance(fit, RingFit)),
                   key=lambda rf: rf.f)
     return fits, len(radii) - len(fits)
@@ -355,13 +358,22 @@ def test_measurement_never_holds_the_full_upsample(scenario, nominal_params):
     assert peak < 5 * 2**20  # 4.6 MiB with numpy 2.4
 
 
+def table_key(shape, center, radii, cycles):
+    """The _ring_table key of the full-circle ring lookup of a ladder on an
+    image of this shape: the lookup's table is the cache entry of that key."""
+    _, kept, table = metrology._ring_lookup(shape, center, radii, cycles, None)
+    key = (shape, (float(center[0]), float(center[1])), kept, cycles, None)
+    assert _ring_table(*key) is table
+    return key
+
+
 def default_table_key(scenario):
     """The _ring_table key of a default measurement's ladder."""
     star = scenario.star
     center, radii = _ladder(star.center, star.cycles, star.outer_radius,
                             scenario.n_rings, GEOMETRY)
     shape = tuple(n * ANALYSIS_OVERSAMPLE for n in scenario.grid_size)
-    return metrology._table_key(shape, center, radii, star.cycles)[1]
+    return table_key(shape, center, radii, star.cycles)
 
 
 def test_ring_table_build_peaks_below_twice_its_size(scenario):
@@ -385,7 +397,7 @@ def test_sector_tables_hold_exactly_the_masked_annuli(scenario, grid):
     if grid == "default":
         key = default_table_key(scenario)
     else:
-        key = metrology._table_key((37, 41), (18.3, 20.6), (17.5, 12.5, 12.2, 6.0, 3.0), 5)[1]
+        key = table_key((37, 41), (18.3, 20.6), (17.5, 12.5, 12.2, 6.0, 3.0), 5)
     shape, center, radii, cycles, _ = key
     y = (np.arange(shape[0], dtype=np.float64) - center[0])[:, None]
     x = (np.arange(shape[1], dtype=np.float64) - center[1])[None, :]
@@ -414,15 +426,38 @@ def test_repeated_sector_measurement_reads_the_cached_table(star_target, scenari
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
+def test_every_sector_and_the_full_circle_stay_cached(scenario, nominal_params):
+    # a loop over one ladder's full circle and all its sectors fits in the
+    # ring-table cache: a second pass builds no table
+    star = scenario.star
+    image = _reconstruction(scenario, nominal_params)
+
+    def measure_every_sector():
+        return [measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
+                                   nominal_params.noise_sigma, star.outer_radius,
+                                   n_rings=scenario.n_rings, sector=sector)
+                for sector in (None, *range(SECTOR_COUNT))]
+    first = measure_every_sector()
+    before = _ring_table.cache_info()
+    assert measure_every_sector() == first
+    after = _ring_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (9, 0)
+
+
 def test_bad_sector_is_refused_before_any_transform(monkeypatch):
     def no_transform(*args):
         raise AssertionError("the image was transformed")
     monkeypatch.setattr(metrology, "sinc_columns", no_transform)
     image = np.full((64, 64), 100.0)
-    for sector in (-1, SECTOR_COUNT):
-        with pytest.raises(ValueError, match="sector_index"):
-            measure_resolution(image, (32.0, 32.0), 16, 300.0, 1.0, 28.0,
-                               n_rings=10, sector=sector)
+    # the second star sits so near the corner that every ladder ring
+    # leaves the image, and no ring table is looked up
+    for center in ((32.0, 32.0), (5.0, 5.0)):
+        for sector in (-1, SECTOR_COUNT):
+            with pytest.raises(ValueError, match="sector_index"):
+                measure_resolution(image, center, 16, 300.0, 1.0, 28.0,
+                                   n_rings=10, sector=sector)
+    with pytest.raises(InsufficientCurveError, match="only 0 of 10"):
+        measure_resolution(image, (5.0, 5.0), 16, 300.0, 1.0, 28.0, n_rings=10, sector=0)
 
 
 def test_ring_table_row_major_order():

@@ -229,29 +229,49 @@ def test_repeated_campaign_reuses_the_target(tiny_scenario, monkeypatch):
                                        tiny_scenario.grid_size).flags.writeable
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
 def test_no_pool_worker_rasterizes(tiny_scenario, monkeypatch):
-    # the parent fills the target cache before its pool forks.  A worker
-    # that rasterized would raise AssertionError, which run_trial does not
+    # the parent fills the target cache before its pool forks, whatever
+    # the default start method: a spawned worker would not see the patch
+    # below, and would rasterize unnoticed.  A forked worker that
+    # rasterized would raise AssertionError, which run_trial does not
     # record as a failed trial, so it would fail the run.
     pid = os.getpid()
+    started = []
 
     def parent_only(*args):
         if os.getpid() != pid:
             raise AssertionError("a pool worker rasterized the target")
         return generate_spoke_target(*args)
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self._mp_context.get_start_method())
     monkeypatch.setattr(montecarlo, "generate_spoke_target", parent_only)
-    montecarlo._plan_target.cache_clear()
-    parallel = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4,
-                            master_seed=9, threads=2)
-    serial = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4, master_seed=9)
-    assert [_fields(t) for t in parallel.trials] == [_fields(t) for t in serial.trials]
-    montecarlo._plan_target.cache_clear()
-    parallel = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
-                     master_seed=4, threads=2)
-    serial = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
-                   master_seed=4)
-    assert [[_fields(t) for t in cell] for cell in parallel.trials] == \
-        [[_fields(t) for t in cell] for cell in serial.trials]
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    default = multiprocessing.get_start_method(allow_none=True)
+    try:
+        for method in ("forkserver", "spawn"):
+            multiprocessing.set_start_method(method, force=True)
+            montecarlo._plan_target.cache_clear()
+            parallel = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4,
+                                    master_seed=9, threads=2)
+            serial = run_campaign(ParameterSpec(), tiny_scenario, n_trials=4,
+                                  master_seed=9)
+            assert [_fields(t) for t in parallel.trials] == \
+                [_fields(t) for t in serial.trials]
+            montecarlo._plan_target.cache_clear()
+            parallel = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
+                             master_seed=4, threads=2)
+            serial = sweep([("snr", [30.0, 100.0])], tiny_scenario, seeds_per_value=2,
+                           master_seed=4)
+            assert [[_fields(t) for t in cell] for cell in parallel.trials] == \
+                [[_fields(t) for t in cell] for cell in serial.trials]
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert started == ["fork"] * 4
 
 
 def test_campaign_single_trial_single_bin(tiny_scenario):
@@ -399,7 +419,7 @@ def test_pool_is_sized_to_the_plan(tiny_scenario, monkeypatch, threads, n_trials
     started = []
 
     class StubPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
 
         def __enter__(self):
