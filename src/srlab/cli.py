@@ -4,7 +4,8 @@ Subcommands: target, mtf-curves, simulate, superresolve, measure,
 montecarlo, sweep.  All share one JSON config schema, every stage's
 only input besides its images; they write machine-readable outputs to
 files only, and log to stderr.  Exit codes: 0 success, 1 usage error,
-2 runtime failure.
+2 runtime failure, 130 or 143 interrupted by SIGINT (Ctrl-C) or SIGTERM,
+which leaves no files: every command writes once its work is done.
 
 Determinism is a contract: campaign seeds come from --seed or the
 config; there is no wall-clock fallback.
@@ -16,7 +17,9 @@ import argparse
 import csv
 import json
 import logging
+import signal
 import sys
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -169,12 +172,14 @@ def cmd_montecarlo(args, config: ScenarioConfig, out: Path) -> int:
     if args.progress:
         def progress(done, total):
             print(f"\r{done}/{total} trials", end="", file=sys.stderr, flush=True)
-    campaign = run_campaign(ParameterSpec(), config.scenario, n_trials, seed,
-                            bin_width_m=config.montecarlo.bin_width_m,
-                            threads=args.threads, progress=progress,
-                            base=config.system)
-    if args.progress:
-        print(file=sys.stderr)
+    try:
+        campaign = run_campaign(ParameterSpec(), config.scenario, n_trials, seed,
+                                bin_width_m=config.montecarlo.bin_width_m,
+                                threads=args.threads, progress=progress,
+                                base=config.system)
+    finally:
+        if args.progress:  # end the progress line, also before an error line
+            print(file=sys.stderr)
     _write_trials(_file(out, "trials.csv"), campaign.trials)
     _write_csv(_file(out, "histogram.csv"), ["bin_left_m", "bin_right_m", "count"],
                [(le, le + campaign.bin_width_m, c)
@@ -277,19 +282,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _interrupt(signum, frame):
+    """Raise what Ctrl-C raises, naming the signal."""
+    raise KeyboardInterrupt(signal.Signals(signum).name)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    # SIGTERM stops a command as Ctrl-C does; only the main thread may set a handler
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if on_main else None
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if args.verbose:
-        logging.getLogger().setLevel(logging.INFO)
-    try:
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            logging.getLogger().setLevel(logging.INFO)
         config = load_config(args.config)
         return args.func(args, config, Path(args.out_dir or config.output_dir))
+    except KeyboardInterrupt as exc:  # _interrupt names SIGTERM, Ctrl-C nothing
+        signum = signal.SIGTERM if str(exc) == "SIGTERM" else signal.SIGINT
+        print(f"error: interrupted by {signum.name}", file=sys.stderr)
+        return 128 + signum
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -301,6 +313,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, RuntimeError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

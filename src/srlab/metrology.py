@@ -32,7 +32,7 @@ import numpy as np
 from .fourier import sinc_columns, sinc_rows
 from .grid import MAX_PIXELS, check_image
 from .mtf import GEOMETRY, GeometryConstants
-from .target import pattern_angle
+from .target import _box, pattern_angle
 
 logger = logging.getLogger(__name__)
 
@@ -59,22 +59,8 @@ ANALYSIS_OVERSAMPLE = 4
 CROSSING_SMOOTH = 5
 # angular sectors the circle is split into for sector measurements
 SECTOR_COUNT = 8
-
-
-def _sector_test(sector_index: int):
-    """Membership of the offsets (x, y) from the center in sector k =
-    sector_index, pattern_angle in [k, k+1) * (2*pi/SECTOR_COUNT).  The
-    center itself is in none; the sectors partition every other point."""
-    if not 0 <= sector_index < SECTOR_COUNT:
-        raise ValueError(f"sector_index {sector_index} outside [0, {SECTOR_COUNT})")
-    span = 2.0 * np.pi / SECTOR_COUNT
-
-    def in_sector(x, y):
-        alpha = pattern_angle(x, y)
-        mask = (alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
-        mask &= ~((x == 0.0) & (y == 0.0))
-        return mask
-    return in_sector
+# HR pixels between a star's outer radius and its ladder's outer ring
+LADDER_MARGIN = 3.0
 
 
 class RingError(ValueError):
@@ -215,7 +201,8 @@ def _harmonic(samples: np.ndarray, width: int, center: tuple[float, float], cycl
 def _ring_table(shape: tuple[int, int], center: tuple[float, float],
                 radii: tuple[float, ...], cycles: int, sector: int | None) -> _RingTable:
     """Samples of every ring of a strictly decreasing radius ladder, in
-    one sector (_sector_test) or, for sector None, on the full circle.
+    one sector k (pattern_angle in [k, k+1) * 2*pi/SECTOR_COUNT) or, for
+    sector None, on the full circle.
 
     Ring i holds the pixels with center distance in [radii[i] - 0.5,
     radii[i] + 0.5), so rings under 1 px apart share pixels.  Distances
@@ -231,12 +218,10 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     """
     h, w = shape
     r0, c0 = center
-    in_sector = None if sector is None else _sector_test(sector)
+    span = 2.0 * np.pi / SECTOR_COUNT
     ascending = np.array(radii[::-1], dtype=np.float64)
     lower, upper = ascending - 0.5, ascending + 0.5
-    top = ascending[-1]
-    lo_r, hi_r = max(0, math.floor(r0 - top - 1)), min(h, math.ceil(r0 + top + 2))
-    lo_c, hi_c = max(0, math.floor(c0 - top - 1)), min(w, math.ceil(c0 + top + 2))
+    lo_r, hi_r, lo_c, hi_c = _box(center, ascending[-1], shape)
     x = (np.arange(lo_c, hi_c, dtype=np.float64) - c0)[None, :]
     # int32 holds the flat index of any image a file may hold, upsampled
     index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
@@ -256,8 +241,11 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
         last = np.searchsorted(lower, dist, side="right")
         steps += np.bincount(first, minlength=steps.size)
         steps -= np.bincount(last, minlength=steps.size)
-        if in_sector is not None:
-            kept = in_sector(x[0, cols], y[rows, 0])
+        if sector is not None:
+            # _ring_lookup's radii >= 2 keep the center, whose angle is
+            # undefined, out of every ring
+            alpha = pattern_angle(x[0, cols], y[rows, 0])
+            kept = (alpha >= sector * span) & (alpha < (sector + 1) * span)
             rows, cols, first, last = rows[kept], cols[kept], first[kept], last[kept]
         reps = last - first
         within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
@@ -292,8 +280,8 @@ def _ring_lookup(shape: tuple[int, int], center, radii, cycles: int, sector: int
     strictly decreasing ladder, on the full circle or in one sector.  Every
     fit and the plan warm-up reach _ring_table here; a bad argument, a
     sector too, is refused before any table is built or ring set aside."""
-    if sector is not None:
-        _sector_test(sector)  # refuses a bad index
+    if sector is not None and not 0 <= sector < SECTOR_COUNT:
+        raise ValueError(f"sector_index {sector} outside [0, {SECTOR_COUNT})")
     radii = tuple(float(r) for r in radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -440,7 +428,7 @@ def _ladder(center, cycles: int, outer_radius: float, n_rings: int,
     pitch = 1.0 / ANALYSIS_OVERSAMPLE
     # ladder bounds in grid samples: stay inside the star, above the
     # sampling limit, and inside the HR information band f_hr <= 0.5
-    r_top = (outer_radius - 3.0) / pitch
+    r_top = (outer_radius - LADDER_MARGIN) / pitch
     r_alias = cycles * MIN_SAMPLES_PER_CYCLE / (2.0 * math.pi)
     r_band = cycles / (2.0 * math.pi * geometry.f_nyq_hr * pitch)
     r_bottom = max(r_alias, r_band, 2.0)
@@ -456,7 +444,7 @@ def check_ladder_fits(n_rings: int, outer_radius: float) -> None:
     of this outer radius would hold more than grid.MAX_PIXELS samples,
     found before any ring is built.  A ring of radius r holds about
     2*pi*r samples; each ring is counted at _ladder's outermost radius."""
-    per_ring = 2.0 * math.pi * (outer_radius - 3.0) * ANALYSIS_OVERSAMPLE
+    per_ring = 2.0 * math.pi * (outer_radius - LADDER_MARGIN) * ANALYSIS_OVERSAMPLE
     if per_ring > 0 and n_rings > MAX_PIXELS / per_ring:
         raise ValueError(f"n_rings {n_rings}: a ladder of rings of up to {per_ring:.0f} "
                          f"samples each would hold more than {MAX_PIXELS} samples")
@@ -532,19 +520,14 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     if len(fits) < 3:
         raise InsufficientCurveError(
             f"insufficient curve: only {len(fits)} of {n_rings} rings usable")
-    fits.sort(key=lambda rf: rf.f)
+    # strictly decreasing radii (_ring_lookup): fits by ascending f
     curve = [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
     smoothed = list(zip([f for f, _ in curve],
                         _smooth(np.array([m for _, m in curve]), CROSSING_SMOOTH)))
 
-    ladder_limited = False
-    degenerate = False
-    if nem_value <= 0:
-        f_cross = curve[-1][0]
-        ladder_limited = True
-    else:
-        degenerate = bool(smoothed[0][1] <= nem_value)
-        f_cross = crossing_frequency(smoothed, nem_value)
+    ladder_limited = nem_value <= 0
+    degenerate = not ladder_limited and bool(smoothed[0][1] <= nem_value)
+    f_cross = curve[-1][0] if ladder_limited else crossing_frequency(smoothed, nem_value)
 
     resolution_m = frequency_to_resolution(f_cross, geometry) if f_cross else None
     return ResolutionReport(

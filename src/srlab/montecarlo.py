@@ -216,16 +216,10 @@ def sample_parameters(spec: ParameterSpec, rng_seed: int,
     # estimation error perturbs the support width (the row is in pixels
     # of support), then FWHM -> sigma
     width = draws["psf_width"] + float(rng.normal(0.0, draws["psf_error_sigma"]))
-    psf_sigma = max(width * SIGMA_PER_FWHM, PSF_SIGMA_FLOOR)
-    return replace(
-        base or _NOMINAL,
-        optics_mtf_at_hr_nyq=draws["optics_mtf"],
-        n_phi=int(draws["clock_phase"]),
-        jitter_sigma=draws["jitter"],
-        snr_at_300=draws["snr"],
-        subarray_shift_ax=draws["subarray_shift"],
-        assumed_psf_sigma=psf_sigma,
-    )
+    draws["psf_sigma"] = max(width * SIGMA_PER_FWHM, PSF_SIGMA_FLOOR)
+    draws["clock_phase"] = int(draws["clock_phase"])
+    return replace(base or _NOMINAL,
+                   **{field: draws[name] for name, field in PARAMETER_FIELDS.items()})
 
 
 def run_trial(params: SystemParams, scenario: Scenario, seed: int) -> TrialResult:

@@ -84,20 +84,18 @@ _SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius"}
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a str, list, dict, int, float (an int fits
-    too; a bool, NaN or infinity fits neither), fixed-length tuple or
-    optional field annotation."""
+    """Whether a JSON value fits a str, int, float (an int fits too; a
+    bool, NaN or infinity fits neither), fixed-length tuple or optional
+    field annotation."""
     args = typing.get_args(hint)
-    if hint in (str, list, dict):
-        return isinstance(value, hint)
     if isinstance(hint, types.UnionType):  # X | None
         return value is None or any(_conforms(value, a) for a in args)
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, list) and len(value) == len(args)
                 and all(map(_conforms, value, args)))
-    return (hint in (int, float) and not isinstance(value, bool)
-            and isinstance(value, int if hint is int else (int, float))
-            and (isinstance(value, int) or math.isfinite(value)))
+    return (hint in (str, int, float) and not isinstance(value, bool)
+            and isinstance(value, (int, float) if hint is float else hint)
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _checked(value, hint, where: str, key: str):

@@ -57,7 +57,8 @@ class StarSpec:
             raise ValueError("supersample must be >= 1")
         # generate_spoke_target evaluates supersample^2 sub-points per cell
         # of the star's box
-        box = (2 * math.ceil(self.outer_radius) + 3) ** 2
+        top, bottom, left, right = _box(self.center, self.outer_radius, (math.inf, math.inf))
+        box = (bottom - top) * (right - left)
         if self.supersample ** 2 * box > MAX_PIXELS:
             raise ValueError(f"supersample {self.supersample}: the star's {box}-cell "
                              f"box at supersample^2 sub-points per cell is more than "
@@ -72,6 +73,14 @@ class StarSpec:
     @property
     def mean_level(self) -> float:
         return 0.5 * (self.dark_level + self.bright_level)
+
+
+def _box(center, radius: float, size) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right): the rows [top, bottom) and columns [left,
+    right) within one pixel of a circle, on a grid of size (height, width)."""
+    (r0, c0), (height, width) = center, size
+    return (max(0, math.floor(r0 - radius - 1)), min(height, math.ceil(r0 + radius + 2)),
+            max(0, math.floor(c0 - radius - 1)), min(width, math.ceil(c0 + radius + 2)))
 
 
 def pattern_angle(x, y):
@@ -103,8 +112,7 @@ def generate_spoke_target(spec: StarSpec, size: tuple[int, int]) -> np.ndarray:
 
     s = spec.supersample
     offsets = (np.arange(s) + 0.5) / s - 0.5
-    top, bottom = max(0, math.floor(r0 - rad - 1)), min(height, math.ceil(r0 + rad + 2))
-    left, right = max(0, math.floor(c0 - rad - 1)), min(width, math.ceil(c0 + rad + 2))
+    top, bottom, left, right = _box(spec.center, rad, (height, width))
     rows = np.arange(top, bottom, dtype=np.float64)
     cols = np.arange(left, right, dtype=np.float64)
 

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -670,6 +672,56 @@ def test_bad_thread_count_exits_2(config_path, tmp_path, capsys, command, thread
                  "--seed", "7", "--out-dir", str(out)]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_interrupted_campaign_exits_cleanly(tmp_path, signum):
+    # a signal to the CLI mid-campaign: exit 128 + signum with one error
+    # line and no traceback, no output written, and no pool worker left
+    config, err, out = tmp_path / "config.json", tmp_path / "stderr", tmp_path / "run"
+    config.write_text("{}")
+    with open(err, "wb") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "srlab.cli", "montecarlo", "--config", str(config),
+             "--seed", "7", "--trials", "400", "--threads", "2", "--progress",
+             "--out-dir", str(out)],
+            stdout=subprocess.DEVNULL, stderr=fh, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while b"trials" not in err.read_bytes():
+            assert proc.poll() is None and time.monotonic() < deadline, err.read_text()
+            time.sleep(0.02)
+        children = [int(pid) for path in Path(f"/proc/{proc.pid}/task").glob("*/children")
+                    for pid in path.read_text().split()]
+        assert children
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == 128 + signum
+        text = err.read_text()
+        assert [line for line in text.split("\n") if line.startswith("error:")] == [
+            f"error: interrupted by {signal.Signals(signum).name}"]
+        assert "Traceback" not in text
+        assert not out.exists()
+        deadline = time.monotonic() + 5
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, children))
+    finally:
+        for pid in [proc.pid, *children]:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_sweep_of_a_star_without_rings_exits_2(tmp_path, capsys):

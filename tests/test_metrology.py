@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from srlab.metrology import (ANALYSIS_OVERSAMPLE, SECTOR_COUNT, AliasedRingError
 from srlab.mtf import GEOMETRY
 from srlab.simulator import simulate_observations
 from srlab.solver import super_resolve
-from srlab.target import StarSpec, generate_spoke_target
+from srlab.target import StarSpec, generate_spoke_target, pattern_angle
 
 
 def angular_field(size, center, func):
@@ -31,13 +30,14 @@ def angular_field(size, center, func):
 
 
 def sector_mask(size, center, sector_index, sector_count):
-    """Full-grid mask of one angular sector: metrology's sector test on
-    every pixel's offset from the center, with the circle split into
-    sector_count sectors in place of SECTOR_COUNT."""
+    """Full-grid mask of sector k = sector_index of sector_count: the
+    pixels whose offset from the center has its pattern_angle in
+    [k, k+1) * 2*pi/sector_count.  The center itself is in none."""
     y = (np.arange(size[0], dtype=np.float64) - center[0])[:, None]
     x = (np.arange(size[1], dtype=np.float64) - center[1])[None, :]
-    with mock.patch.object(metrology, "SECTOR_COUNT", sector_count):
-        return metrology._sector_test(sector_index)(x, y)
+    alpha, span = pattern_angle(x, y), 2.0 * np.pi / sector_count
+    return ((alpha >= sector_index * span) & (alpha < (sector_index + 1) * span)
+            & ((x != 0.0) | (y != 0.0)))
 
 
 def curve_fits(image, center, cycles, radii, sector=None):

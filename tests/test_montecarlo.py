@@ -14,7 +14,7 @@ from dataclasses import asdict, replace
 
 from srlab import metrology, montecarlo
 from srlab.metrology import measure_resolution
-from srlab.montecarlo import (ParameterDistribution, ParameterSpec,
+from srlab.montecarlo import (PARAMETER_FIELDS, ParameterDistribution, ParameterSpec,
                               run_campaign, run_trial, sample_parameters,
                               sweep)
 from srlab.mtf import GeometryConstants
@@ -108,6 +108,20 @@ def test_collapsed_distributions_reproduce_nominal():
     )
     sampled = sample_parameters(spec, 12345)
     assert sampled == SystemParams()
+
+
+def test_every_drawn_row_sets_its_field():
+    # one-value choices away from every nominal: the draw moves exactly
+    # the PARAMETER_FIELDS fields off the nominal system
+    values = dict(optics_mtf=0.2, clock_phase=4, jitter=0.15, snr=50.0,
+                  subarray_shift=0.3, psf_width=3, psf_error_sigma=0.5)
+    rows = {row.name: ParameterDistribution(row.name, "choice", row.nominal,
+                                            choices=(values[row.name],))
+            for row in ParameterSpec().rows()}
+    drawn, nominal = sample_parameters(ParameterSpec(**rows), 12345), SystemParams()
+    moved = {name for name in asdict(nominal) if getattr(drawn, name) != getattr(nominal, name)}
+    assert moved == set(PARAMETER_FIELDS.values())
+    assert type(drawn.n_phi) is int
 
 
 def test_sampled_ranges_respected():

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srlab import metrology
 from srlab.metrology import measure_resolution
 from srlab.target import StarSpec, generate_spoke_target, pattern_angle
 
@@ -39,6 +41,16 @@ def test_supersample_is_bounded_by_the_star_box():
         StarSpec(supersample=39)
     with pytest.raises(ValueError, match="^supersample 100000: "):
         StarSpec(supersample=100000)
+
+
+def test_supersample_bound_counts_the_box_the_raster_evaluates():
+    # a radius-19 star's box is 41 x 41 cells about an integer center and
+    # 42 x 42 about a half-integer one: at 196^2 sub-points per cell that
+    # is 64,577,296 and 67,765,824 sub-points, under and over 2**26
+    star = dict(outer_radius=19.0, supersample=196)
+    assert StarSpec(center=(128.0, 128.0), **star).supersample == 196
+    with pytest.raises(ValueError, match="^supersample 196: .*1764-cell box"):
+        StarSpec(center=(128.5, 128.5), **star)
 
 
 def test_clipping_rejected():
@@ -238,10 +250,14 @@ def test_sector_membership():
 
 
 def test_sector_mask_validation():
-    with pytest.raises(ValueError):
-        sector_mask((32, 32), (16.0, 16.0), 0, 0)
-    with pytest.raises(ValueError):
-        sector_mask((32, 32), (16.0, 16.0), 8, 8)
+    # metrology refuses a sector index outside [0, SECTOR_COUNT)
+    def lookup(sector):
+        return metrology._ring_lookup((32, 32), (16.0, 16.0), [8.0], 4, sector)
+    with mock.patch.object(metrology, "SECTOR_COUNT", 0):
+        with pytest.raises(ValueError, match="sector_index 0 outside"):
+            lookup(0)
+    with pytest.raises(ValueError, match="sector_index 8 outside"):
+        lookup(8)
 
 
 @given(st.integers(min_value=1, max_value=12))
