@@ -139,7 +139,7 @@ def cmd_measure(args, config: ScenarioConfig, out: Path) -> int:
     report = measure_resolution(
         read_image(args.image), star.center, star.cycles, scenario.nem_signal,
         config.system.noise_sigma, star.outer_radius, sector=args.sector,
-        n_rings=scenario.n_rings, geometry=config.system.geometry)
+        n_rings=scenario.n_rings)
     _write_csv(_file(out, "curve.csv"), ["f_cyc_per_hr_px", "modulation", "nem"],
                [(f, m, report.nem) for f, m in report.curve])
     _write_json(_file(out, "report.json"),

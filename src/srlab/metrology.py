@@ -31,7 +31,7 @@ import numpy as np
 
 from .fourier import sinc_columns, sinc_rows
 from .grid import MAX_PIXELS, check_image
-from .mtf import GEOMETRY, GeometryConstants
+from .mtf import GEOMETRY
 from .target import _box, pattern_angle
 
 logger = logging.getLogger(__name__)
@@ -197,7 +197,7 @@ def _harmonic(samples: np.ndarray, width: int, center: tuple[float, float], cycl
     return cos, sin, mean_cos, mean_sin, normal
 
 
-@functools.lru_cache(maxsize=SECTOR_COUNT + 1)  # a ladder's full circle and sectors
+@functools.lru_cache(maxsize=2 * (SECTOR_COUNT + 1))  # two ladders' circles and sectors
 def _ring_table(shape: tuple[int, int], center: tuple[float, float],
                 radii: tuple[float, ...], cycles: int, sector: int | None) -> _RingTable:
     """Samples of every ring of a strictly decreasing radius ladder, in
@@ -402,14 +402,14 @@ def crossing_frequency(curve, nem_value: float) -> float | None:
     return None
 
 
-def frequency_to_resolution(f: float, geometry: GeometryConstants = GEOMETRY) -> float:
+def frequency_to_resolution(f: float) -> float:
     """Map cycles per HR pixel to meters via the HR Nyquist anchor.
 
     0.5 cycles/px corresponds to 1.25 m, so resolution = 1.25 * 0.5 / f.
     """
     if f <= 0:
         raise ValueError("frequency must be > 0")
-    return geometry.hr_gsd_m * (geometry.f_nyq_hr / f)
+    return GEOMETRY.hr_gsd_m * (GEOMETRY.f_nyq_hr / f)
 
 
 def _smooth(values: np.ndarray, width: int) -> np.ndarray:
@@ -420,8 +420,7 @@ def _smooth(values: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def _ladder(center, cycles: int, outer_radius: float, n_rings: int,
-            geometry: GeometryConstants):
+def _ladder(center, cycles: int, outer_radius: float, n_rings: int):
     """measure_resolution's rings on the upsampled image: the star center
     and the strictly decreasing radii, both in samples of that image."""
     # HR pixels per sample of the upsampled image the rings are fit on
@@ -430,7 +429,7 @@ def _ladder(center, cycles: int, outer_radius: float, n_rings: int,
     # sampling limit, and inside the HR information band f_hr <= 0.5
     r_top = (outer_radius - LADDER_MARGIN) / pitch
     r_alias = cycles * MIN_SAMPLES_PER_CYCLE / (2.0 * math.pi)
-    r_band = cycles / (2.0 * math.pi * geometry.f_nyq_hr * pitch)
+    r_band = cycles / (2.0 * math.pi * GEOMETRY.f_nyq_hr * pitch)
     r_bottom = max(r_alias, r_band, 2.0)
     if r_top <= r_bottom:
         raise ValueError(f"outer radius {outer_radius} leaves no measurable rings "
@@ -451,12 +450,11 @@ def check_ladder_fits(n_rings: int, outer_radius: float) -> None:
 
 
 def _ladder_rings(shape: tuple[int, int], center: tuple[float, float], cycles: int,
-                  outer_radius: float, n_rings: int, sector: int | None,
-                  geometry: GeometryConstants):
+                  outer_radius: float, n_rings: int, sector: int | None):
     """_ring_lookup of measure_resolution's ladder (_ladder) for an HR
     image of this shape, on its ANALYSIS_OVERSAMPLE upsample: the
     measurement and the plan warm-up both look the table up here."""
-    center_grid, radii = _ladder(center, cycles, outer_radius, n_rings, geometry)
+    center_grid, radii = _ladder(center, cycles, outer_radius, n_rings)
     up_shape = (shape[0] * ANALYSIS_OVERSAMPLE, shape[1] * ANALYSIS_OVERSAMPLE)
     return _ring_lookup(up_shape, center_grid, radii, cycles, sector)
 
@@ -480,8 +478,7 @@ def _upsampled_values(image: np.ndarray, table: _RingTable) -> np.ndarray:
 
 def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: int,
                        signal: float, noise_sigma: float, outer_radius: float, *,
-                       n_rings: int, sector: int | None = None,
-                       geometry: GeometryConstants = GEOMETRY) -> ResolutionReport:
+                       n_rings: int, sector: int | None = None) -> ResolutionReport:
     """Full resolution measurement on a star image sampled on the HR grid
     (a target, blurred scene or reconstruction).
 
@@ -509,8 +506,7 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     """
     image = check_image(image, "image")
     nem_value = nem(signal, noise_sigma)
-    _, radii, table = _ladder_rings(image.shape, center, cycles, outer_radius,
-                                    n_rings, sector, geometry)
+    _, radii, table = _ladder_rings(image.shape, center, cycles, outer_radius, n_rings, sector)
     fits = [] if table is None else [
         fit for fit in _fit_rings(_upsampled_values(image, table), table, radii, cycles)
         if isinstance(fit, RingFit)]
@@ -529,7 +525,7 @@ def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: i
     degenerate = not ladder_limited and bool(smoothed[0][1] <= nem_value)
     f_cross = curve[-1][0] if ladder_limited else crossing_frequency(smoothed, nem_value)
 
-    resolution_m = frequency_to_resolution(f_cross, geometry) if f_cross else None
+    resolution_m = frequency_to_resolution(f_cross) if f_cross else None
     return ResolutionReport(
         curve=[(float(f), float(m)) for f, m in curve], nem=float(nem_value),
         f_cross=None if f_cross is None else float(f_cross),

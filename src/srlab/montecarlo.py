@@ -26,7 +26,6 @@ import numpy as np
 
 from .fourier import check_gaussian_fits
 from .metrology import _ladder_rings, measure_resolution
-from .mtf import GeometryConstants
 from .scenario import MonteCarloConfig, Scenario
 from .seeding import child_seed
 from .simulator import ASSUMED_PSF_FWHM, SIGMA_PER_FWHM, SystemParams, simulate_observations
@@ -237,7 +236,7 @@ def run_trial(params: SystemParams, scenario: Scenario, seed: int) -> TrialResul
         report = measure_resolution(
             sr.image, scenario.star.center, scenario.star.cycles,
             scenario.nem_signal, params.noise_sigma, scenario.star.outer_radius,
-            n_rings=scenario.n_rings, geometry=params.geometry)
+            n_rings=scenario.n_rings)
         return TrialResult(params, report.resolution_m, sr.converged, seed,
                            time.perf_counter() - t0, rings_dropped=report.rings_dropped,
                            degenerate_crossing=report.degenerate_crossing,
@@ -258,16 +257,14 @@ def _plan_target(star: StarSpec, grid_size: tuple[int, int]) -> np.ndarray:
     return target
 
 
-def _plan_invariants(scenario: Scenario, geometry: GeometryConstants) -> None:
+def _plan_invariants(scenario: Scenario) -> None:
     """Fill the caches every trial of a plan reads: its target and the
-    ring table of its ladder (a plan's trials share their base's
-    geometry: no draw or sweep axis sets it).  Run before the plan is
-    drawn, it refuses a star that cannot be rasterized or measured.
+    ring table of its ladder.  Run before the plan is drawn, it refuses
+    a star that cannot be rasterized or measured.
     The pool workers _run_plan forks afterwards inherit both."""
     star = scenario.star
     shape = _plan_target(star, tuple(scenario.grid_size)).shape
-    _ladder_rings(shape, star.center, star.cycles, star.outer_radius, scenario.n_rings,
-                  None, geometry)
+    _ladder_rings(shape, star.center, star.cycles, star.outer_radius, scenario.n_rings, None)
 
 
 def _check_threads(threads: int) -> None:
@@ -373,7 +370,7 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
         if getattr(base, name) != getattr(_NOMINAL, name):
             raise ValueError(f"{name} is drawn per trial by the campaign; the "
                              f"base parameters must leave it at its default")
-    _plan_invariants(scenario, base.geometry)
+    _plan_invariants(scenario)
     plan = [(sample_parameters(spec, child_seed(master_seed, i, 0), base),
              child_seed(master_seed, i, 1)) for i in range(n_trials)]
     trials = _run_plan(plan, scenario, threads, progress)
@@ -455,7 +452,7 @@ def sweep(axes, scenario: Scenario, seeds_per_value: int = SEEDS_PER_VALUE,
     """
     _check_threads(threads)
     axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
-    _plan_invariants(scenario, (base or _NOMINAL).geometry)
+    _plan_invariants(scenario)
     plan = _sweep_plan(axes, base, seeds_per_value, master_seed)
     for params, _ in plan:
         check_gaussian_fits(params.assumed_psf_sigma, scenario.grid_size)

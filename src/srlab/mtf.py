@@ -62,6 +62,7 @@ class GeometryConstants:
         return self.lr_pixel_pitch_um / self.hr_sample_pitch_um
 
 
+# the instrument's geometry, the only one srlab reads
 GEOMETRY = GeometryConstants()
 
 
@@ -73,7 +74,7 @@ def _frequencies(f) -> np.ndarray:
     return f
 
 
-def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):
+def optics_mtf(f, m_nyq):
     """Realizable-optics MTF: exponential family pinned to m_nyq at HR Nyquist.
 
     Single-parameter stand-in for the aberrated-optics curve: value 1 at
@@ -83,7 +84,7 @@ def optics_mtf(f, m_nyq, geometry: GeometryConstants = GEOMETRY):
     m_nyq = float(m_nyq)
     if not 0.0 < m_nyq <= 1.0:
         raise ValueError("m_nyq must be in (0, 1]")
-    return np.power(m_nyq, f / geometry.f_nyq_hr)
+    return np.power(m_nyq, f / GEOMETRY.f_nyq_hr)
 
 
 def footprint_mtf(f, w):
@@ -135,26 +136,25 @@ def system_otf(params: SystemParams, fx, fy):
     Parameters
     ----------
     params : SystemParams
-        Reads the optics MTF at HR Nyquist, the clock phase count, the
-        jitter sigma and the geometry (for the detector footprint).
+        Reads the optics MTF at HR Nyquist, the clock phase count and the
+        jitter sigma; the detector footprint and the Nyquist are GEOMETRY's.
     fx : across-track frequency, cycles/HR sample (may be an array).
     fy : along-track frequency, cycles/HR sample.
 
     Radial factors (optics, jitter) are evaluated at sqrt(fx^2+fy^2); the
     detector footprint applies separably per axis; smear applies to the
-    along-track component only, referenced to the geometry's HR Nyquist.  The
+    along-track component only, referenced to GEOMETRY's HR Nyquist.  The
     smear factor enters by magnitude so the composed OTF is non-negative
     beyond the first smear null.
     """
     fx = np.abs(np.asarray(fx, dtype=np.float64))
     fy = np.abs(np.asarray(fy, dtype=np.float64))
     fr = np.hypot(fx, fy)
-    width = params.geometry.hr_per_lr
-    otf = optics_mtf(fr, params.optics_mtf_at_hr_nyq, params.geometry)
-    otf = otf * footprint_mtf(fx, width)
-    otf = otf * footprint_mtf(fy, width)
+    otf = optics_mtf(fr, params.optics_mtf_at_hr_nyq)
+    otf = otf * footprint_mtf(fx, GEOMETRY.hr_per_lr)
+    otf = otf * footprint_mtf(fy, GEOMETRY.hr_per_lr)
     otf = otf * jitter_mtf(fr, params.jitter_sigma)
-    otf = otf * np.abs(smear_mtf(fy, params.geometry.f_nyq_hr, params.n_phi))
+    otf = otf * np.abs(smear_mtf(fy, GEOMETRY.f_nyq_hr, params.n_phi))
     return otf
 
 
@@ -172,14 +172,13 @@ def mtf_curve_table(params: SystemParams, n_points: int):
         raise ValueError(f"MTF curve needs at least 2 points, got {n_points}")
     if len(header) * n_points > MAX_PIXELS:
         raise ValueError(f"MTF curve of {n_points} points: more than {MAX_PIXELS} values")
-    geometry = params.geometry
-    f = np.linspace(0.0, geometry.f_nyq_hr, n_points)
+    f = np.linspace(0.0, GEOMETRY.f_nyq_hr, n_points)
     cols = [
         f,
-        optics_mtf(f, params.optics_mtf_at_hr_nyq, geometry),
-        footprint_mtf(f, geometry.hr_per_lr),
-        sampling_mtf(f, geometry.hr_per_lr),
-        smear_mtf(f, geometry.f_nyq_hr, params.n_phi),
+        optics_mtf(f, params.optics_mtf_at_hr_nyq),
+        footprint_mtf(f, GEOMETRY.hr_per_lr),
+        sampling_mtf(f, GEOMETRY.hr_per_lr),
+        smear_mtf(f, GEOMETRY.f_nyq_hr, params.n_phi),
         jitter_mtf(f, params.jitter_sigma),
         system_otf(params, 0.0, f),
     ]

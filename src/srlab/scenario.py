@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 
 from .grid import MAX_PIXELS
 from .metrology import check_ladder_fits
-from .simulator import REFERENCE_SIGNAL, SystemParams
+from .simulator import _DECIMATION, REFERENCE_SIGNAL, SystemParams
 from .solver import SolverConfig, check_btv_fits
 from .target import StarSpec
 
@@ -52,6 +52,10 @@ class Scenario:
             raise ValueError(f"grid {self.grid_size[0]}x{self.grid_size[1]}: more than "
                              f"{MAX_PIXELS} pixels, the budget of an image file")
         check_btv_fits(self.solver.p_radius, self.grid_size)
+        # every trial's observations have the simulator's decimation
+        if self.solver.sr_factor is not None and tuple(self.solver.sr_factor) != _DECIMATION:
+            raise ValueError(f"solver key 'sr_factor' {self.solver.sr_factor!r}: the "
+                             f"instrument's decimation is {_DECIMATION}")
 
 
 @dataclass(frozen=True)

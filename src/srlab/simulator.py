@@ -16,7 +16,7 @@ end (PGM export quantizes on write only).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class SystemParams:
     reference signal, 0.5 LR px subarray stagger, 10 LR lines of
     along-track subarray separation.  assumed_psf_sigma is the solver's
     Gaussian estimate of the blur (default: ASSUMED_PSF_FWHM), deliberately
-    distinct from the true OTF chain.  The first three fields and the
-    geometry are what the system OTF (mtf.system_otf) reads.
+    distinct from the true OTF chain.  The first three fields are what
+    the system OTF (mtf.system_otf) reads.  geometry is fixed: any value
+    but mtf.GEOMETRY is refused, and srlab reads GEOMETRY itself.
     """
 
     optics_mtf_at_hr_nyq: float = 0.30
@@ -78,9 +79,11 @@ class SystemParams:
     subarray_shift_ax: float = 0.5
     subarray_shift_al_lines: int = 10
     assumed_psf_sigma: float = ASSUMED_PSF_FWHM * SIGMA_PER_FWHM
-    geometry: GeometryConstants = field(default_factory=GeometryConstants)
+    geometry: GeometryConstants = GEOMETRY
 
     def __post_init__(self):
+        if self.geometry != GEOMETRY:
+            raise ValueError(f"geometry is fixed at mtf.GEOMETRY, got {self.geometry!r}")
         # every test is written so that NaN fails it; an infinite SNR is
         # the noise-free case
         if not 0.0 < self.optics_mtf_at_hr_nyq <= 1.0:
@@ -151,9 +154,8 @@ def _subarray_shifts(params: SystemParams) -> tuple[tuple[float, float], ...]:
     """Each subarray's (along, across) shift in HR pixels: the first at
     (0, 0), the second at the along-track line separation plus the
     across-track stagger."""
-    hr_per_lr = params.geometry.hr_per_lr
-    return ((0.0, 0.0), (params.subarray_shift_al_lines * hr_per_lr,
-                         params.subarray_shift_ax * hr_per_lr))
+    return ((0.0, 0.0), (params.subarray_shift_al_lines * GEOMETRY.hr_per_lr,
+                         params.subarray_shift_ax * GEOMETRY.hr_per_lr))
 
 
 def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:

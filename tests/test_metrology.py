@@ -15,7 +15,6 @@ from srlab.metrology import (ANALYSIS_OVERSAMPLE, SECTOR_COUNT, AliasedRingError
                              _ring_table, crossing_frequency,
                              frequency_to_resolution, measure_resolution,
                              nem, ring_modulation)
-from srlab.mtf import GEOMETRY
 from srlab.simulator import simulate_observations
 from srlab.solver import super_resolve
 from srlab.target import StarSpec, generate_spoke_target, pattern_angle
@@ -304,7 +303,7 @@ def test_sector_reports_match_the_mask_path(star_target, scenario, nominal_param
     image = super_resolve(list(obs), cfg=scenario.solver).image
     upsampled = sinc_upsample(image, ANALYSIS_OVERSAMPLE)
     center, radii = _ladder(star.center, star.cycles, star.outer_radius,
-                            scenario.n_rings, GEOMETRY)
+                            scenario.n_rings)
     for k in range(8):
         report = measure_resolution(image, star.center, star.cycles, scenario.nem_signal,
                                     nominal_params.noise_sigma, star.outer_radius,
@@ -332,7 +331,7 @@ def test_full_report_matches_the_upsampled_image(request, scenario_name, nominal
                                 nominal_params.noise_sigma, star.outer_radius,
                                 n_rings=scenario.n_rings)
     center, radii = _ladder(star.center, star.cycles, star.outer_radius,
-                            scenario.n_rings, GEOMETRY)
+                            scenario.n_rings)
     fits, dropped = curve_fits(sinc_upsample(image, ANALYSIS_OVERSAMPLE), center,
                                star.cycles, radii)
     assert report.curve == [(rf.f * ANALYSIS_OVERSAMPLE, rf.modulation) for rf in fits]
@@ -371,7 +370,7 @@ def default_table_key(scenario):
     """The _ring_table key of a default measurement's ladder."""
     star = scenario.star
     center, radii = _ladder(star.center, star.cycles, star.outer_radius,
-                            scenario.n_rings, GEOMETRY)
+                            scenario.n_rings)
     shape = tuple(n * ANALYSIS_OVERSAMPLE for n in scenario.grid_size)
     return table_key(shape, center, radii, star.cycles)
 
@@ -428,7 +427,8 @@ def test_repeated_sector_measurement_reads_the_cached_table(star_target, scenari
 
 def test_every_sector_and_the_full_circle_stay_cached(scenario, nominal_params):
     # a loop over one ladder's full circle and all its sectors fits in the
-    # ring-table cache: a second pass builds no table
+    # ring-table cache: a second pass builds no table, even after a table
+    # of another ladder was used between the passes
     star = scenario.star
     image = _reconstruction(scenario, nominal_params)
 
@@ -438,6 +438,7 @@ def test_every_sector_and_the_full_circle_stay_cached(scenario, nominal_params):
                                    n_rings=scenario.n_rings, sector=sector)
                 for sector in (None, *range(SECTOR_COUNT))]
     first = measure_every_sector()
+    ring_modulation(image, star.center, star.outer_radius - 3.0, star.cycles)
     before = _ring_table.cache_info()
     assert measure_every_sector() == first
     after = _ring_table.cache_info()

@@ -150,14 +150,12 @@ def test_run_trial_deterministic(tiny_scenario):
     assert a.error is None
 
 
-def test_run_trial_measures_with_simulated_geometry(tiny_scenario):
-    # doubling the ground sample doubles the reported resolution; the
-    # focal-plane geometry, and so every image, is unchanged
-    coarse = SystemParams(geometry=GeometryConstants(hr_gsd_m=2.5, lr_igfov_m=5.0))
-    base = run_trial(SystemParams(), tiny_scenario, 42)
-    scaled = run_trial(coarse, tiny_scenario, 42)
-    assert base.resolution_m is not None
-    assert scaled.resolution_m == pytest.approx(2.0 * base.resolution_m, rel=1e-12)
+def test_system_params_refuse_another_geometry():
+    # the instrument geometry is fixed: every path reads mtf.GEOMETRY, so
+    # a record carrying another one would be measured as if it were GEOMETRY
+    with pytest.raises(ValueError, match="geometry is fixed"):
+        SystemParams(geometry=GeometryConstants(hr_gsd_m=2.5, lr_igfov_m=5.0))
+    assert SystemParams(geometry=GeometryConstants()) == SystemParams()
 
 
 def test_run_trial_records_failures(tiny_scenario):
@@ -182,7 +180,7 @@ def test_campaign_trial_flags_match_measure_resolution(tiny_scenario):
     star = scenario.star
     report = measure_resolution(sr.image, star.center, star.cycles, scenario.nem_signal,
                                 trial.params.noise_sigma, star.outer_radius,
-                                n_rings=scenario.n_rings, geometry=trial.params.geometry)
+                                n_rings=scenario.n_rings)
     assert trial.resolution_m == report.resolution_m
     assert (trial.rings_dropped, trial.degenerate_crossing, trial.ladder_limited) == \
         (report.rings_dropped, report.degenerate_crossing, report.ladder_limited)
@@ -206,7 +204,7 @@ def test_plan_warm_up_fills_the_ring_table_trials_read(request, scenario_name):
     scenario = request.getfixturevalue(scenario_name)
     params, seed = SystemParams(), 11
     metrology._ring_table.cache_clear()
-    montecarlo._plan_invariants(scenario, params.geometry)
+    montecarlo._plan_invariants(scenario)
     before = metrology._ring_table.cache_info()
     trial = run_trial(params, scenario, seed)
     after = metrology._ring_table.cache_info()
@@ -550,6 +548,35 @@ def _quick_trial(params, scenario, seed):
     """A 1-ms trial that records its process id as its wall time."""
     time.sleep(1e-3)
     return montecarlo.TrialResult(params, 1.0, False, seed, float(os.getpid()))
+
+
+# the process that runs the tests; pool workers are forked from it
+_PARENT_PID = os.getpid()
+
+
+def _fails_in_the_pool(params, scenario, seed):
+    """_quick_trial, its call logged as _logged_trial logs, in the process
+    that runs the tests; a RuntimeError in a pool worker."""
+    (_TRIAL_LOG / f"{os.getpid()}-{seed}").touch()
+    if os.getpid() != _PARENT_PID:
+        raise RuntimeError(f"trial {seed} failed in a pool worker")
+    return _quick_trial(params, scenario, seed)
+
+
+def test_pool_trial_error_stops_the_campaign_and_reaches_the_caller(
+        tiny_scenario, monkeypatch, tmp_path):
+    # a pool trial that raises closes the index source, so the calling
+    # process takes no more trials, and its exception is raised after the
+    # pool has shut down
+    calls = _log_trials(monkeypatch, tmp_path)
+    monkeypatch.setattr(montecarlo, "run_trial", _fails_in_the_pool)
+    n_trials = 100
+    with pytest.raises(RuntimeError, match="failed in a pool worker"):
+        run_campaign(ParameterSpec(), tiny_scenario, n_trials=n_trials, master_seed=9,
+                     threads=2)
+    assert any(pid != os.getpid() for pid, _ in calls())
+    assert len(calls()) < n_trials
+    assert multiprocessing.active_children() == []
 
 
 def _hung(signum, frame):

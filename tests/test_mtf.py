@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.grid import MAX_PIXELS
-from srlab.mtf import (GeometryConstants, footprint_mtf, jitter_mtf,
+from srlab.mtf import (GEOMETRY, GeometryConstants, footprint_mtf, jitter_mtf,
                        mtf_curve_table, optics_mtf, sampling_mtf,
                        smear_mtf, system_otf)
 from srlab.simulator import SystemParams
@@ -134,15 +134,15 @@ def test_curve_table_refuses_more_values_than_the_image_budget():
 
 
 def test_smear_is_referenced_to_the_geometry_nyquist():
-    # a geometry with another HR Nyquist moves the smear reference with it,
-    # as it moves the optics MTF's
-    geometry = GeometryConstants(f_nyq_hr=0.4, f_nyq_lr=0.2)
-    params = SystemParams(optics_mtf_at_hr_nyq=1.0, jitter_sigma=0.0, geometry=geometry)
+    # system_otf and the curve table reference the smear to GEOMETRY's HR
+    # Nyquist, 0.5 cycles/sample, as smear_mtf's default does
+    params = SystemParams(optics_mtf_at_hr_nyq=1.0, jitter_sigma=0.0)
     f = np.linspace(0.0, 0.5, 11)
-    want = footprint_mtf(f, geometry.hr_per_lr) * np.abs(smear_mtf(f, 0.4, 1))
+    want = footprint_mtf(f, GEOMETRY.hr_per_lr) * np.abs(smear_mtf(f, 0.5, 1))
     assert np.allclose(system_otf(params, 0.0, f), want, rtol=1e-12, atol=0.0)
     _, rows = mtf_curve_table(params, 5)
-    assert np.array_equal(rows[:, 4], smear_mtf(rows[:, 0], 0.4, 1))
+    assert np.array_equal(rows[:, 4], smear_mtf(rows[:, 0], 0.5, 1))
+    assert GEOMETRY.f_nyq_hr == 0.5
     assert smear_mtf(0.25) == smear_mtf(0.25, 0.5, 1)
 
 
