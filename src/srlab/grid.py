@@ -4,8 +4,9 @@ Every image in the pipeline (targets, blurred scenes, low-resolution
 observations, reconstructions) is a row-major float64 ndarray in
 detector counts.  Axis 0 is along-track, axis 1 is across-track.  How
 an observation samples the HR grid is recorded once, in
-``Observation.decimation``.  Images are checked by ``check_image`` where
-they enter the pipeline from outside it, not between its stages.
+``Observation.decimation``.  Each public stage function checks the
+images it is given with ``check_image``, so every trial checks its
+target, both simulated observations and its reconstruction.
 """
 
 from __future__ import annotations

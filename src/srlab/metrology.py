@@ -3,21 +3,20 @@
 Modulation is extracted ring by ring: pixels in a one-pixel-wide annulus
 are fit by least squares to the single angular harmonic at the known
 cycle count, giving mean level a, amplitude beta and modulation
-M = beta/a.  One lookup finds a radius ladder's rings, on the full
-circle or in one angular sector, once per (image shape, center, radii,
-cycles, sector) and caches them, a ladder's full circle and all its
-sectors at once, as a read-only ring table: every ring's pixel indices,
-grouped by ring and row-major within it, the samples' row-major order,
-each ring's full-circle count and every constant of the fits (the
-harmonic's cos/sin columns less their ring means, those means and each
-ring's 2x2 normal matrix).  All rings are then fit in
-one vectorized pass over the table: the image's value at every sample,
-centred per ring, two segment sums per ring and one batched solve.
-measure_resolution computes its upsampled image a band of rows at a
-time, straight into the samples' values, and never holds it whole.  The
-modulation curve is intersected with the noise-equivalent modulation
-4*sigma/signal; the crossing frequency maps to meters through the HR
-ground sample (0.5 cycles/px = 1.25 m).
+M = beta/a.  One lookup finds a radius ladder's rings, on the full circle
+or in one angular sector, once per (image shape, center, radii, cycles,
+sector) and caches them, a ladder's full circle and all its sectors at
+once, as a read-only ring table: every ring's pixel indices in row-major
+order, the stable order that groups them by ring, each ring's full-circle
+count and every constant of the fits (the harmonic's cos/sin columns less
+their ring means, those means and each ring's 2x2 normal matrix).  All
+rings are then fit in one vectorized pass over the table: the image's
+value at every sample, centred per ring, two segment sums per ring and one
+batched solve.  measure_resolution computes its upsampled image a band of
+rows at a time, each band one contiguous slice of the row-major values,
+and never holds it whole.  The modulation curve is intersected with the
+noise-equivalent modulation 4*sigma/signal; the crossing frequency maps to
+meters through the HR ground sample (0.5 cycles/px = 1.25 m).
 """
 
 from __future__ import annotations
@@ -131,22 +130,22 @@ class _RingTable:
     """The annulus samples of a radius ladder, on the full circle or in
     one sector, and every constant of their fits (see _ring_table).
 
-    Ring i owns samples[starts[i]:starts[i] + counts[i]], flat pixel
-    indices in row-major order, and holds full_counts[i] samples on the
-    full circle.  cos and sin hold cos/sin(cycles * alpha) of each
-    sample less its ring's mean, mean_cos and mean_sin those means, and
-    normal each ring's 2x2 normal matrix of the centred columns (zero
-    for a ring with no samples): a fit needs only the image's values.
-    samples[row_major] runs through every ring's samples in row-major
-    order; bands holds (first row, end row, end in row_major) of each
-    _TABLE_BAND_ROWS-row band they lie in.
+    samples holds every ring's flat pixel indices in row-major order,
+    and order is the stable permutation that groups them by ring: ring i
+    owns samples[order][starts[i]:starts[i] + counts[i]] and holds
+    full_counts[i] samples on the full circle.  cos and sin hold
+    cos/sin(cycles * alpha) of each sample in ring order less its ring's
+    mean, mean_cos and mean_sin those means, and normal each ring's 2x2
+    normal matrix of the centred columns (zero for a ring with no
+    samples): a fit needs only the image's values.  bands holds (first
+    row, end row, end in samples) of each _TABLE_BAND_ROWS-row band.
     """
 
     samples: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     full_counts: np.ndarray
-    row_major: np.ndarray
+    order: np.ndarray
     bands: tuple[tuple[int, int, int], ...]
     cos: np.ndarray
     sin: np.ndarray
@@ -178,9 +177,10 @@ def _harmonic(samples: np.ndarray, width: int, center: tuple[float, float], cycl
               starts: np.ndarray, counts: np.ndarray):
     """(cos, sin, mean_cos, mean_sin, normal) of _RingTable for the
     ring-grouped flat pixel indices samples of an image width pixels
-    wide, with alpha = arctan2(col - c0, row - r0).  Each temporary is
-    dropped once used, so the peak stays near the result's size."""
+    wide, with alpha = arctan2(col - c0, row - r0).  samples and each
+    temporary go once used, so the peak stays near the result's size."""
     rows, cols = np.divmod(samples, width)
+    del samples
     x = cols - center[1]
     del cols
     angle = rows - center[0]
@@ -209,12 +209,12 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
     are computed over the outer ring's bounding box, a band of rows at a
     time, and each is binned against the ladder's edges, which gives the
     full-circle counts; a sector then keeps the pixels whose offsets it
-    holds, and lists no band left empty.  A stable sort by ring groups
-    the samples, row-major within each ring, and its inverse is the
-    row-major order.  Pixel indices are int32 and ring keys the smallest
-    unsigned type, and each temporary is dropped once used, so the build
-    peaks near the table's own size.  The arrays are read-only: every
-    caller with this key shares them.
+    holds, and lists no band left empty.  The samples stay in the bands'
+    row-major order; a stable sort by ring is the order that groups them.
+    Pixel indices are int32 and ring keys the smallest unsigned type, and
+    each temporary is dropped once used, so the build peaks near the
+    table's own size.  The arrays are read-only: every caller with this
+    key shares them.
     """
     h, w = shape
     r0, c0 = center
@@ -256,18 +256,14 @@ def _ring_table(shape: tuple[int, int], center: tuple[float, float],
             stop += pixels[-1].size
             bands.append((band, end, stop))
     rings = np.concatenate(rings)
-    order = np.argsort(rings, kind="stable")
+    order = np.argsort(rings, kind="stable").astype(np.int32)
     counts = np.bincount(rings, minlength=len(radii))
-    del rings
-    samples = np.concatenate(pixels)[order]
-    del pixels
-    row_major = np.empty(order.size, dtype=np.int32)
-    row_major[order] = np.arange(order.size, dtype=np.int32)
-    del order
+    samples = np.concatenate(pixels)
+    del rings, pixels
     starts = np.cumsum(counts) - counts
     full_counts = np.cumsum(steps)[-2::-1]  # in radii's order
-    table = _RingTable(samples, starts, counts, full_counts, row_major, tuple(bands),
-                       *_harmonic(samples, w, center, cycles, starts, counts))
+    table = _RingTable(samples, starts, counts, full_counts, order, tuple(bands),
+                       *_harmonic(samples[order], w, center, cycles, starts, counts))
     for array in vars(table).values():
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -361,7 +357,8 @@ def ring_modulation(image: np.ndarray, center: tuple[float, float], radius: floa
     """
     image = check_image(image, "image")
     outside, radii, table = _ring_lookup(image.shape, center, [radius], cycles, None)
-    (result,) = outside or _fit_rings(image.reshape(-1)[table.samples], table, radii, cycles)
+    (result,) = outside or _fit_rings(image.reshape(-1)[table.samples[table.order]], table,
+                                      radii, cycles)
     if isinstance(result, RingError):
         raise result
     return result
@@ -460,20 +457,19 @@ def _ladder_rings(shape: tuple[int, int], center: tuple[float, float], cycles: i
 
 
 def _upsampled_values(image: np.ndarray, table: _RingTable) -> np.ndarray:
-    """sinc_upsample(image, ANALYSIS_OVERSAMPLE) at each sample of the
-    ring table, upsampled one band of the table's rows at a time: only
-    the rows the rings read are transformed, and no more than one band
-    of the upsampled image is held at once."""
+    """sinc_upsample(image, ANALYSIS_OVERSAMPLE) at each sample of the ring
+    table, in ring order: only the rows the rings read are transformed, one
+    band at a time, each into one slice of the row-major values."""
     factor, width = ANALYSIS_OVERSAMPLE, image.shape[1]
     columns = sinc_columns(image, factor)
     values = np.empty(table.samples.size)
     start = 0
     for lo, hi, stop in table.bands:
         band = sinc_rows(columns, width, factor, lo, hi).reshape(-1)
-        at = table.row_major[start:stop]
-        values[at] = band[table.samples[at] - lo * width * factor]
+        values[start:stop] = band[table.samples[start:stop] - lo * width * factor]
         start = stop
-    return values
+    del columns
+    return values[table.order]
 
 
 def measure_resolution(image: np.ndarray, center: tuple[float, float], cycles: int,

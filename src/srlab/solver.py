@@ -78,7 +78,7 @@ class SolverConfig:
     The default budget is the calibrated desk-scale experiment's: a fixed
     shallow descent (lam 0.6, 3 iterations) realizes the partial
     restoration this system actually delivers (the product resolution
-    gain is ~1.45x, not the full 2x); deep budgets over-sharpen past the
+    gain is ~1.48x, not the full 2x); deep budgets over-sharpen past the
     physical blur and collapse the modulation curve's response to the
     noise floor.  rel_tol is effectively off so every trial gets the
     same restoration depth; such solves report converged=False by
@@ -242,9 +242,7 @@ def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
 
 
 def _prior(x: np.ndarray, cfg: SolverConfig):
-    """lam * BTV penalty and the BTV signs at x; (0.0, None) when lam is 0."""
-    if cfg.lam == 0:
-        return 0.0, None
+    """lam * BTV penalty and the BTV signs at x."""
     penalty, signs = _btv_pass(x, cfg.alpha, cfg.p_radius)
     return cfg.lam * penalty, signs
 
@@ -338,12 +336,11 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         for r, t in zip(resid, transfers):
             g_hat -= unfold(t, 2.0 * r, decimation)
         g = irfft2_rows(g_hat, hr_shape)
-        if signs is not None:
-            g_prior = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
-            g_prior *= cfg.lam
-            g_hat += rfft2_rows(g_prior)
-            g_prior += g
-            g = g_prior
+        g_prior = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
+        g_prior *= cfg.lam
+        g_hat += rfft2_rows(g_prior)
+        g_prior += g
+        g = g_prior
         # the residual at x - beta * g is resid + beta * step
         steps = [fold(t, g_hat, decimation) for t in transfers]
         del g_hat, signs  # freed before the step search's BTV temporaries

@@ -48,7 +48,7 @@ def curve_fits(image, center, cycles, radii, sector=None):
     assert all(isinstance(error, EmptyRingError) for error in outside)
     assert len(outside) + len(kept) == len(radii)
     results = [] if table is None else metrology._fit_rings(
-        image.reshape(-1)[table.samples], table, kept, cycles)
+        image.reshape(-1)[table.samples[table.order]], table, kept, cycles)
     fits = sorted((fit for fit in results if isinstance(fit, RingFit)),
                   key=lambda rf: rf.f)
     return fits, len(radii) - len(fits)
@@ -404,10 +404,11 @@ def test_sector_tables_hold_exactly_the_masked_annuli(scenario, grid):
     annuli = [(dist >= r - 0.5) & (dist < r + 0.5) for r in radii]
     for sector in (None, *range(SECTOR_COUNT)):
         table = _ring_table(shape, center, radii, cycles, sector)
+        grouped = table.samples[table.order]
         mask = True if sector is None else sector_mask(shape, center, sector, SECTOR_COUNT)
         for annulus, start, count, full in zip(annuli, table.starts, table.counts,
                                                table.full_counts):
-            assert np.array_equal(table.samples[start:start + count],
+            assert np.array_equal(grouped[start:start + count],
                                   np.flatnonzero(annulus & mask))
             assert full == np.count_nonzero(annulus)
 
@@ -462,21 +463,45 @@ def test_bad_sector_is_refused_before_any_transform(monkeypatch):
 
 
 def test_ring_table_row_major_order():
-    # the order measure_resolution streams its bands in: every sample
-    # once, ascending flat index, each band's samples inside its rows
+    # samples run in the order measure_resolution streams its bands in:
+    # ascending flat index, each band one contiguous slice inside its
+    # rows; order is the one permutation that groups them by ring
     shape, radii = (40, 37), (15.0, 14.5, 9.0, 3.0)
     table = _ring_table(shape, (19.5, 18.25), radii, 7, None)
-    assert not table.row_major.flags.writeable
-    assert table.row_major.dtype == np.int32
-    assert np.array_equal(np.sort(table.row_major), np.arange(table.samples.size))
-    ordered = table.samples[table.row_major]
-    assert np.all(np.diff(ordered) >= 0)
+    assert np.all(np.diff(table.samples) >= 0)
+    assert not table.order.flags.writeable
+    assert table.order.dtype == np.int32
+    assert np.array_equal(np.sort(table.order), np.arange(table.samples.size))
+    grouped = table.samples[table.order]
+    for start, count in zip(table.starts, table.counts):
+        assert np.all(np.diff(grouped[start:start + count]) > 0)
     start = 0
     for lo, hi, stop in table.bands:
-        rows = ordered[start:stop] // shape[1]
+        rows = table.samples[start:stop] // shape[1]
         assert np.all((rows >= lo) & (rows < hi))
         start = stop
     assert start == table.samples.size
+
+
+@pytest.mark.parametrize("grid", ["default", "odd"])
+@pytest.mark.parametrize("sector", [None, 5])
+def test_upsampled_values_are_the_full_upsample_at_the_grouped_samples(
+        scenario, nominal_params, grid, sector):
+    # the banded upsample equals the whole upsampled image read at the
+    # table's samples in ring order, exactly
+    if grid == "default":
+        star = scenario.star
+        image = _reconstruction(scenario, nominal_params)
+        center, cycles, outer = star.center, star.cycles, star.outer_radius
+        n_rings = scenario.n_rings
+    else:
+        image = 100.0 + np.random.default_rng(3).normal(size=(37, 41))
+        center, cycles, outer, n_rings = (18.3, 20.6), 12, 16.0, 20
+    _, _, table = metrology._ladder_rings(image.shape, center, cycles, outer, n_rings,
+                                          sector)
+    expected = sinc_upsample(image, ANALYSIS_OVERSAMPLE).reshape(-1)
+    assert np.array_equal(metrology._upsampled_values(image, table),
+                          expected[table.samples[table.order]])
 
 
 def test_flag_for_modulation_above_one():
@@ -620,6 +645,7 @@ def test_ring_table_is_shared_read_only():
         assert not array.flags.writeable, name
     with pytest.raises(ValueError):
         table.cos[0] = 0.0
+    grouped = table.samples[table.order]
     for start, count in zip(table.starts, table.counts):
-        assert np.all(np.diff(table.samples[start:start + count]) > 0)
+        assert np.all(np.diff(grouped[start:start + count]) > 0)
     assert np.unique(table.samples).size < table.samples.size
