@@ -22,6 +22,7 @@ __all__ = ["check_image", "write_pgm", "read_pgm", "read_image"]
 
 PGM_MAXVAL = 65535
 MAX_PIXELS = 1 << 26  # largest image a file header may declare (8192 x 8192)
+PGM_HEADER_BYTES = 1 << 16  # after the magic; write_pgm's header takes at most 17
 
 
 def check_image(data, what: str) -> np.ndarray:
@@ -59,24 +60,26 @@ def write_pgm(path, image) -> None:
 
 
 def _read_header_tokens(fh, count: int) -> list[bytes]:
-    """Read whitespace-separated header tokens, skipping # comments."""
+    """Read whitespace-separated header tokens, skipping # comments, from
+    at most PGM_HEADER_BYTES bytes."""
     tokens: list[bytes] = []
-    token = b""
-    while len(tokens) < count:
+    token, comment = bytearray(), False
+    for _ in range(PGM_HEADER_BYTES):
         ch = fh.read(1)
         if not ch:
             raise ValueError("truncated PGM header")
-        if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = fh.read(1)
-            continue
-        if ch.isspace():
-            if token:
-                tokens.append(token)
-                token = b""
-            continue
-        token += ch
-    return tokens
+        if comment:
+            comment = ch != b"\n"
+        elif ch == b"#":
+            comment = True
+        elif not ch.isspace():
+            token += ch
+        elif token:
+            tokens.append(bytes(token))
+            token.clear()
+            if len(tokens) == count:
+                return tokens
+    raise ValueError(f"PGM header longer than {PGM_HEADER_BYTES} bytes")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -85,7 +88,10 @@ def read_pgm(path) -> np.ndarray:
         magic = fh.read(2)
         if magic != b"P5":
             raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-        width, height, maxval = map(int, _read_header_tokens(fh, 3))
+        try:
+            width, height, maxval = map(int, _read_header_tokens(fh, 3))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if maxval != PGM_MAXVAL:
             raise ValueError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
         if not (width > 0 and height > 0 and width * height <= MAX_PIXELS):

@@ -1,4 +1,5 @@
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,27 @@ def test_pgm_rejects_truncated(tmp_path):
     (tmp_path / "short.pgm").write_bytes(b"P5\n4 4\n65535\n\x00\x01")
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(tmp_path / "short.pgm")
+
+
+def test_pgm_refuses_long_header_fast(tmp_path):
+    # the header parse reads a bounded number of bytes, so a 4 MB token is
+    # refused at once, naming the file and the bound
+    path = tmp_path / "long-header.pgm"
+    path.write_bytes(b"P5\n" + b"1" * (4 << 20))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="long-header.pgm: PGM header longer "
+                                         "than 65536 bytes"):
+        read_pgm(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pgm_header_errors_name_the_file(tmp_path):
+    (tmp_path / "width.pgm").write_bytes(b"P5\n12a 2\n65535\n" + bytes(8))
+    with pytest.raises(ValueError, match="width.pgm: invalid literal .*12a"):
+        read_pgm(tmp_path / "width.pgm")
+    (tmp_path / "cut.pgm").write_bytes(b"P5\n2 2")
+    with pytest.raises(ValueError, match="cut.pgm: truncated PGM header"):
+        read_pgm(tmp_path / "cut.pgm")
 
 
 @pytest.mark.parametrize("size", [b"-2 -2", b"-1 8", b"0 4", b"8193 8193"])

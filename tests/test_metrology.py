@@ -375,8 +375,9 @@ def default_table_key(scenario):
     return table_key(shape, center, radii, star.cycles)
 
 
-def test_ring_table_build_peaks_below_twice_its_size(scenario):
-    # the temporaries of a build stay in the heap of every forked worker
+def test_ring_table_build_peaks_below_1_6_times_its_size(scenario):
+    # the temporaries of a build stay in the heap of every forked worker;
+    # one stray temporary the size of the samples would cross the bound
     key = default_table_key(scenario)
     tracemalloc.start()
     try:
@@ -386,7 +387,7 @@ def test_ring_table_build_peaks_below_twice_its_size(scenario):
         tracemalloc.stop()
     kept = sum(array.nbytes for array in vars(table).values()
                if isinstance(array, np.ndarray))
-    assert peak <= 2 * kept
+    assert peak <= 1.6 * kept
 
 
 @pytest.mark.parametrize("grid", ["default", "odd"])

@@ -334,9 +334,9 @@ def test_non_convergence_is_flag_not_failure():
 
 
 def test_exact_fit_stops_at_rounding_floor():
-    # the model fits one (2, 2)-decimated observation exactly: the carried
-    # residuals shrink geometrically long after the image has stopped
-    # changing, so the solve must notice the data's rounding floor
+    # the model fits one (2, 2)-decimated observation exactly: once the
+    # residuals are down to the data's rounding, no step lowers the cost
+    # and the step search ends the solve as converged
     rng = np.random.default_rng(3)
     obs = [make_obs((9, 9), (0.37, -1.21), (2, 2), 0.5,
                     lr_data=rng.normal(100.0, 20.0, (9, 9)))]
@@ -498,11 +498,10 @@ def test_spectral_solver_matches_image_space_reference(
                                atol=1e-10 * np.abs(x).max())
 
 
-def _counted_solve(monkeypatch, sigmas):
-    """super_resolve on two observations with these PSF sigmas, each kernel
-    built separately; returns (transform calls, result).  Calls are
-    counted at the numpy.fft entry points the package uses and at
-    scipy.fft's, which must not run at all."""
+def _counted_solve(monkeypatch, observations, cfg=SolverConfig()):
+    """super_resolve(observations, cfg); returns (transform calls, result).
+    Calls are counted at the numpy.fft entry points the package uses and
+    at scipy.fft's, which must not run at all."""
     calls = {"numpy": 0, "scipy": 0}
 
     def counting(module, name, library):
@@ -516,26 +515,42 @@ def _counted_solve(monkeypatch, sigmas):
     for name in ("fft2", "ifft2", "rfft2", "irfft2", "fft", "ifft", "rfft", "irfft"):
         counting(np.fft, name, "numpy")
         counting(scipy.fft, name, "scipy")
+    return calls, super_resolve(observations, cfg=cfg)
+
+
+def _psf_pair(sigmas):
+    """Two observations with these PSF sigmas, each kernel built separately."""
     rng = np.random.default_rng(54)
-    observations = [make_obs((16, 8), shift, (1, 2), sigma,
-                             lr_data=rng.normal(100.0, 20.0, (16, 8)))
-                    for shift, sigma in zip([(0.0, 0.0), (0.0, 1.0)], sigmas)]
-    result = super_resolve(observations, cfg=SolverConfig())
-    assert result.iterations_run == 3
-    return calls, result
+    return [make_obs((16, 8), shift, (1, 2), sigma,
+                     lr_data=rng.normal(100.0, 20.0, (16, 8)))
+            for shift, sigma in zip([(0.0, 0.0), (0.0, 1.0)], sigmas)]
 
 
 def test_fft_count(monkeypatch):
     # equal kernels are one PSF: 1 kernel transfer, 1 per observation's
     # data spectrum, 1 to take the warm start's spectrum (which also gives
-    # the first residuals) to image space, then 2 per iteration
-    calls, result = _counted_solve(monkeypatch, (1.0, 1.0))
-    assert calls == {"numpy": 4 + 2 * result.iterations_run, "scipy": 0}
+    # the first residuals) to image space, then 2 per iteration: the
+    # gradient to image space and the accepted candidate's spectrum
+    calls, result = _counted_solve(monkeypatch, _psf_pair((1.0, 1.0)))
+    assert result.iterations_run == 3
+    assert calls == {"numpy": 4 + 2 * result.iterations_run + result.step_halvings,
+                     "scipy": 0}
 
 
 def test_fft_count_two_psfs(monkeypatch):
-    calls, result = _counted_solve(monkeypatch, (1.0, 1.5))
-    assert calls == {"numpy": 5 + 2 * result.iterations_run, "scipy": 0}
+    calls, result = _counted_solve(monkeypatch, _psf_pair((1.0, 1.5)))
+    assert result.iterations_run == 3
+    assert calls == {"numpy": 5 + 2 * result.iterations_run + result.step_halvings,
+                     "scipy": 0}
+
+
+def test_fft_count_prices_each_step_halving(monkeypatch):
+    # every rejected candidate is measured from its own spectrum: one
+    # more transform per halving (3 iterations, 7 halvings: 17 calls)
+    calls, result = _counted_solve(monkeypatch, phase_pair(53),
+                                   SolverConfig(lam=0.0, beta0=48.0, max_iters=3))
+    assert (result.iterations_run, result.step_halvings) == (3, 7)
+    assert calls == {"numpy": 4 + 2 * 3 + 7, "scipy": 0}
 
 
 def test_step_halvings_recorded(star_target, scenario, nominal_params):
