@@ -18,11 +18,11 @@ two FFTs, both through numpy.fft: the data gradient to image space,
 where the BTV prior's gradient is added (irfft2), and the step
 candidate's spectrum (rfft2), whose folds give its residuals; each
 step halving takes one more rfft2.
-The BTV prior is one pass over the shift differences, taken as slices of
-one wrap-padded copy of the image: it gives the penalty at each
-candidate and the int8 signs from which the accepted candidate's
-gradient is built.  An adaptive step keeps the cost trace non-increasing
-(see super_resolve).
+The BTV prior is one pass over contiguous slices of one raveled,
+wrap-padded copy of the image: it gives each candidate's gradient and,
+as <x, gradient>, its penalty; the accepted candidate's gradient enters
+the next descent direction.  An adaptive step keeps the cost trace
+non-increasing (see super_resolve).
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ def _check_btv(alpha: float, p_radius: int) -> None:
 
 
 def check_btv_fits(p_radius: int, hr_shape: tuple[int, int]) -> None:
-    """ValueError unless the BTV pass's 3P(P+1)/2 int8 sign planes of an
-    HR grid of this shape hold at most grid.MAX_PIXELS values, found
+    """ValueError unless the BTV pass over the 3P(P+1)/2 shift pairs of an
+    HR grid of this shape compares at most grid.MAX_PIXELS values, found
     before any shift pair is built."""
-    (h, w), planes = hr_shape, 3 * p_radius * (p_radius + 1) // 2
-    if planes * h * w > MAX_PIXELS:
-        raise ValueError(f"solver P {p_radius}: the BTV window's {planes} sign planes "
-                         f"of grid {h}x{w} hold more than {MAX_PIXELS} values "
+    (h, w), pairs = hr_shape, 3 * p_radius * (p_radius + 1) // 2
+    if pairs * h * w > MAX_PIXELS:
+        raise ValueError(f"solver P {p_radius}: the BTV window's {pairs} shift pairs "
+                         f"of grid {h}x{w} compare more than {MAX_PIXELS} values "
                          f"(lower grid or solver P)")
 
 
@@ -198,35 +198,36 @@ def _btv_pairs(p_radius: int):
             if l + m > 0]
 
 
-def _btv_pass(x: np.ndarray, alpha: float, p_radius: int):
-    """BTV penalty and the int8 signs of x - x[i-m, j-l], one plane per
-    shift pair (l, m) in _btv_pairs order.
+def _btv(x: np.ndarray, alpha: float, p_radius: int):
+    """BTV penalty and subgradient (sign(0) = 0) in one pass.
 
-    Each difference is a slice of one wrap-padded copy of x.
+    On x wrap-padded and raveled, pair (l, m)'s operands are contiguous
+    slices k = m*W + l apart (W the padded width), and its sign plane,
+    over h + m rows, holds the opposite difference's sign k further on.
+    Each weight's sign differences are summed exactly in integers.  BTV is
+    positively 1-homogeneous: the penalty is <x, gradient> (Euler's identity).
     """
     (h, w), p = x.shape, p_radius
-    pairs = _btv_pairs(p_radius)
-    padded = np.pad(x, ((p, 0), (p, p)), mode="wrap")
-    d = np.empty(x.shape, dtype=padded.dtype)
-    total, signs = 0.0, np.empty((len(pairs), h, w), dtype=np.int8)
-    for s, (l, m) in zip(signs, pairs):
-        np.subtract(x, padded[p - m:p - m + h, p - l:p - l + w], out=d)
-        np.subtract(d > 0, d < 0, out=s, dtype=np.int8)
-        total += alpha ** (abs(l) + abs(m)) * float(np.abs(d, out=d).sum())
-    return total, signs
-
-
-def _btv_signs_gradient(signs: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
-    """BTV subgradient from _btv_pass's signs.
-
-    Float subtraction is antisymmetric, so sign(x - x[i+m, j+l]) is
-    -s[i+m, j+l] exactly and each pair adds s - roll(s, (-m, -l)).
-    """
-    grad, term = np.zeros(signs.shape[1:]), np.empty(signs.shape[1:])
-    for s, (l, m) in zip(signs, _btv_pairs(p_radius)):
-        grad += np.multiply(alpha ** (abs(l) + abs(m)),
-                            s - np.roll(s, (-m, -l), axis=(0, 1)), out=term)
-    return grad
+    width, size = w + 2 * p, h * (w + 2 * p)
+    flat = np.pad(x, ((p, p + 1), (p, p)), mode="wrap").ravel()
+    origin = p * width + p  # x[0, 0]
+    pairs = _btv_pairs(p)
+    weights = [abs(l) + m for l, m in pairs]
+    # each pair adds a sign difference in [-2, 2] to its weight's sum
+    sums = np.zeros((2 * p, h, width), np.min_scalar_type(-2 * max(np.bincount(weights))))
+    s = np.empty(size + p * width + p, dtype=np.int8)
+    for (l, m), weight in zip(pairs, weights):
+        k, n = m * width + l, size + m * width + p  # n signs reach the twins s[k:k + size]
+        a, b = flat[origin:origin + n], flat[origin - k:origin - k + n]
+        np.subtract(a > b, a < b, out=s[:n], dtype=np.int8)
+        total = sums[weight - 1].reshape(size)
+        total += s[:size]
+        total -= s[k:k + size]
+    del flat, s
+    grad, term = alpha * sums[0, :, :w], np.empty(x.shape)
+    for weight in range(2, 2 * p + 1):
+        grad += np.multiply(alpha ** weight, sums[weight - 1, :, :w], out=term)
+    return float(np.einsum("i,i->", np.ravel(x), grad.ravel())), grad
 
 
 def btv_penalty(x: np.ndarray, alpha: float, p_radius: int) -> float:
@@ -237,19 +238,19 @@ def btv_penalty(x: np.ndarray, alpha: float, p_radius: int) -> float:
     (l columns, m rows).
     """
     _check_btv(alpha, p_radius)
-    return _btv_pass(x, alpha, p_radius)[0]
+    return _btv(x, alpha, p_radius)[0]
 
 
 def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     """Subgradient of btv_penalty, with sign(0) = 0."""
     _check_btv(alpha, p_radius)
-    return _btv_signs_gradient(_btv_pass(x, alpha, p_radius)[1], alpha, p_radius)
+    return _btv(x, alpha, p_radius)[1]
 
 
 def _prior(x: np.ndarray, cfg: SolverConfig):
-    """lam * BTV penalty and the BTV signs at x."""
-    penalty, signs = _btv_pass(x, cfg.alpha, cfg.p_radius)
-    return cfg.lam * penalty, signs
+    """lam * BTV penalty and the BTV subgradient at x."""
+    penalty, grad = _btv(x, cfg.alpha, cfg.p_radius)
+    return cfg.lam * penalty, grad
 
 
 def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
@@ -323,7 +324,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     resid = _residual_spectra(y_hat, transfers, x_hat, decimation)
     del x_hat
 
-    penalty, signs = _prior(x, cfg)
+    penalty, prior_grad = _prior(x, cfg)
     current = _data_cost(resid, lr_shape[0]) + penalty
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
@@ -336,14 +337,13 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
         g_hat = np.zeros_like(transfers[0])
         for r, t in zip(resid, transfers):
             g_hat -= unfold(t, 2.0 * r, decimation)
-        g = _btv_signs_gradient(signs, cfg.alpha, cfg.p_radius)
-        g *= cfg.lam
+        g = np.multiply(cfg.lam, prior_grad, out=prior_grad)  # used once: scaled in place
         g += irfft2_rows(g_hat, hr_shape)
-        del g_hat, signs  # freed before the step search's BTV temporaries
+        del g_hat  # freed before the step search's BTV temporaries
         for _ in range(MAX_HALVINGS + 1):
             candidate = x - beta * g
             trial = _residual_spectra(y_hat, transfers, rfft2_rows(candidate), decimation)
-            penalty, candidate_signs = _prior(candidate, cfg)
+            penalty, candidate_grad = _prior(candidate, cfg)
             c_new = _data_cost(trial, lr_shape[0]) + penalty
             if not np.isfinite(c_new):
                 raise FloatingPointError(f"solver beta0 {cfg.beta0!r}: the step of size "
@@ -356,7 +356,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             # step size collapsed: stationary within numerical resolution
             converged = True
             break
-        x, resid, signs, final_beta = candidate, trial, candidate_signs, beta
+        x, resid, prior_grad, final_beta = candidate, trial, candidate_grad, beta
         del g  # not held through the next gradient build
         previous, current = current, c_new
         trace.append(current)

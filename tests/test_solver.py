@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -203,10 +205,20 @@ def roll_btv_gradient(x, alpha, p_radius):
     return grad
 
 
+def roll_btv_magnitudes(x, alpha, p_radius):
+    """Per pixel, the sum of |terms| of roll_btv_gradient's sum."""
+    total = np.zeros_like(x)
+    for l, m in roll_btv_pairs(p_radius):
+        s = np.sign(x - np.roll(x, (m, l), axis=(0, 1)))
+        total += alpha ** (abs(l) + abs(m)) * np.abs(s - np.roll(s, (-m, -l), axis=(0, 1)))
+    return total
+
+
 @settings(max_examples=200)
 @given(shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
        p_radius=st.integers(1, 3),
-       alpha=st.floats(0.0, 1.0, exclude_min=True),
+       alpha=st.one_of(st.sampled_from([1.0, 0.5, 0.25]),
+                       st.floats(0.0, 1.0, exclude_min=True)),
        integer_valued=st.booleans(),
        seed=st.integers(0, 2**16))
 def test_btv_matches_roll_reference(shape, p_radius, alpha, integer_valued, seed):
@@ -215,9 +227,38 @@ def test_btv_matches_roll_reference(shape, p_radius, alpha, integer_valued, seed
     rng = np.random.default_rng(seed)
     x = (rng.integers(-2, 3, shape).astype(float) if integer_valued
          else rng.normal(100.0, 20.0, shape))
-    assert btv_penalty(x, alpha, p_radius) == roll_btv_penalty(x, alpha, p_radius)
-    assert np.array_equal(btv_gradient(x, alpha, p_radius),
-                          roll_btv_gradient(x, alpha, p_radius))
+    penalty, grad = btv_penalty(x, alpha, p_radius), btv_gradient(x, alpha, p_radius)
+    want_penalty = roll_btv_penalty(x, alpha, p_radius)
+    want_grad = roll_btv_gradient(x, alpha, p_radius)
+    if integer_valued and alpha in (1.0, 0.5, 0.25):
+        # every product and sum is a dyadic rational held exactly
+        assert penalty == want_penalty
+        assert np.array_equal(grad, want_grad)
+        return
+    # The two sum in different orders.  The gradient rounds at most once
+    # per pair (the reference) and twice per weight (the kernel's 2P
+    # products and sums), each by at most one ulp of the pixel's sum of
+    # |terms|; the penalty, <x, gradient> against the sum of the pairs'
+    # |differences|, adds one rounding per pixel on each side.
+    pairs = len(roll_btv_pairs(p_radius))
+    magnitudes = roll_btv_magnitudes(x, alpha, p_radius)
+    assert np.all(np.abs(grad - want_grad)
+                  <= (pairs + 2 * p_radius) * np.spacing(magnitudes))
+    assert abs(penalty - want_penalty) <= ((2 * x.size + pairs + 2 * p_radius)
+                                           * np.spacing(float((np.abs(x) * magnitudes).sum())))
+
+
+def test_btv_sums_a_heavy_weight_group_without_overflow():
+    # at P 45 the 68 pairs of weight 45 add up to 136 at an impulse, past
+    # int8; on 47x97 no shift wraps onto itself, and 3105 pairs of 4559
+    # values pass check_btv_fits
+    x = np.zeros((47, 97))
+    x[20, 40] = 1.0
+    check_btv_fits(45, x.shape)
+    grad = btv_gradient(x, 1.0, 45)
+    assert np.array_equal(grad, roll_btv_gradient(x, 1.0, 45))
+    assert grad[20, 40] == 2 * len(roll_btv_pairs(45))
+    assert btv_penalty(x, 1.0, 45) == roll_btv_penalty(x, 1.0, 45)
 
 
 def test_btv_validation():
@@ -591,6 +632,20 @@ def test_solve_calls_no_blas_dot_product(monkeypatch, star_target, nominal_param
     got = super_resolve(pair)
     assert got.iterations_run == 3
     assert np.array_equal(got.image, want.image) and got.cost_trace == want.cost_trace
+
+
+def test_default_solve_peaks_below_its_bound(star_target, nominal_params):
+    # every campaign trial runs this solve; a stack of per-pair BTV planes
+    # held through the step search would cross the bound
+    pair = simulate_observations(star_target, nominal_params, 42)
+    super_resolve(pair)  # numpy's and the transforms' caches fill outside the budget
+    tracemalloc.start()
+    try:
+        super_resolve(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.1 * 2**20  # 5.86 MiB with numpy 2.4
 
 
 @pytest.mark.parametrize("p_radius, grid", [(25, 256), (51, 128)])
