@@ -18,7 +18,10 @@ and those past the HR half enter as the conjugates of their mirror bins.
 An odd side has no Nyquist line.  On the half-plane, Parseval weights
 each row by 2, except bin 0 and an even height's Nyquist row, which are
 their own twins and count once.  Every transform in srlab goes through
-numpy.fft.
+numpy.fft.  rfft2_rows, irfft2_rows, fold and unfold write into out=
+when it is given, so that a caller that holds its buffers (the solver)
+allocates no plane per call; irfft2_rows then runs its column pass in
+place in the spectrum it is given.
 """
 
 from __future__ import annotations
@@ -44,15 +47,23 @@ __all__ = [
 ]
 
 
-def rfft2_rows(image: np.ndarray) -> np.ndarray:
+def rfft2_rows(image: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-plane spectrum of a real image: row bins 0..h//2, every
-    column bin."""
-    return np.fft.rfft2(image, axes=(1, 0))
+    column bin; written into out when given."""
+    return np.fft.rfft2(image, axes=(1, 0), out=out)
 
 
-def irfft2_rows(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Real image of the given shape whose half-plane spectrum this is."""
-    return np.fft.irfft2(spectrum, s=(shape[1], shape[0]), axes=(1, 0))
+def irfft2_rows(spectrum: np.ndarray, shape: tuple[int, int],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Real image of the given shape whose half-plane spectrum this is.
+
+    The two passes of irfft2, one call each: the column ifft, then the
+    row irfft.  With out, the image is written there and the column pass
+    runs in place in spectrum, which it overwrites; irfft2 itself would
+    hold a fresh half-plane for that pass even when given out."""
+    columns = np.fft.ifft(spectrum, n=shape[1], axis=1,
+                         out=None if out is None else spectrum)
+    return np.fft.irfft(columns, n=shape[0], axis=0, out=out)
 
 
 def shift_multiplier_1d(n: int, delta: float) -> np.ndarray:
@@ -94,32 +105,32 @@ def _height(rows: int, factor: int) -> int:
     return height
 
 
-def fold(transfer: np.ndarray, spectrum: np.ndarray,
-         decimation: tuple[int, int]) -> np.ndarray:
+def fold(transfer: np.ndarray, spectrum: np.ndarray, decimation: tuple[int, int],
+         out: np.ndarray | None = None) -> np.ndarray:
     """LR half-plane spectrum of transfer * spectrum (both HR half-plane)
-    decimated to samples (i*s0, j*s1).  Each HR side is a multiple of its
-    factor."""
+    decimated to samples (i*s0, j*s1), written into out when given.  Each
+    HR side is a multiple of its factor."""
     s0, s1 = decimation
     rows, n1 = len(spectrum), spectrum.shape[1] // s1
     t_blocks = transfer.reshape(rows, s1, n1)
     x_blocks = spectrum.reshape(rows, s1, n1)
-    out = t_blocks[:, 0] * x_blocks[:, 0]
+    blocks = np.multiply(t_blocks[:, 0], x_blocks[:, 0], out=out if s0 == 1 else None)
     for j in range(1, s1):
-        out += t_blocks[:, j] * x_blocks[:, j]
+        blocks += t_blocks[:, j] * x_blocks[:, j]
     if s0 > 1:
         n0 = _height(rows, s0) // s0
-        out = full_rows(out, n0 * s0).reshape(s0, n0, n1).sum(axis=0)[:n0 // 2 + 1]
-    out *= 1.0 / (s0 * s1)  # as numpy divides a complex array by an integer
-    return out
+        blocks = full_rows(blocks, n0 * s0).reshape(s0, n0, n1).sum(axis=0)[:n0 // 2 + 1]
+    # as numpy divides a complex array by an integer
+    return np.multiply(blocks, 1.0 / (s0 * s1), out=blocks if out is None else out)
 
 
-def unfold(transfer: np.ndarray, lr_spectrum: np.ndarray,
-           decimation: tuple[int, int]) -> np.ndarray:
+def unfold(transfer: np.ndarray, lr_spectrum: np.ndarray, decimation: tuple[int, int],
+           out: np.ndarray | None = None) -> np.ndarray:
     """conj(transfer) * lr_spectrum tiled over the HR half-plane, the
-    adjoint of fold, as one fresh HR half-plane spectrum: HR bin (a, b)
-    takes LR bin (a mod n0, b mod n1)."""
+    adjoint of fold, as one HR half-plane spectrum (out when given, else
+    fresh): HR bin (a, b) takes LR bin (a mod n0, b mod n1)."""
     s0, s1 = decimation
-    out = np.conj(transfer)
+    out = np.conj(transfer, out=out)
     rows = len(out)
     if s0 > 1:
         n0 = _height(rows, s0) // s0

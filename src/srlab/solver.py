@@ -14,19 +14,26 @@ LR Nyquist so that no alias ghost reads as modulation the data cannot
 correct; that HR spectrum gives the first residuals.  The data cost is
 the energy of each LR residual spectrum by Parseval,
 2*|all rows|^2 - |bin-0 row|^2 - |Nyquist row|^2.  An iteration takes
-two FFTs, both through numpy.fft: the data gradient to image space,
-where the BTV prior's gradient is added (irfft2), and the step
-candidate's spectrum (rfft2), whose folds give its residuals; each
-step halving takes one more rfft2.
+two 2-D transforms, both through numpy.fft: the data gradient to image
+space, where the BTV prior's gradient is added (irfft2_rows: a column
+ifft and a row irfft), and the step candidate's spectrum (rfft2), whose
+folds give its residuals; each step halving takes one more rfft2.
 The BTV prior is one pass over contiguous slices of one raveled,
 wrap-padded copy of the image: it gives each candidate's gradient and,
 as <x, gradient>, its penalty; the accepted candidate's gradient enters
 the next descent direction.  An adaptive step keeps the cost trace
 non-increasing (see super_resolve).
+A solve builds its working set once and every iteration writes into it
+with out=: the iterate and the candidate, the prior gradient and a
+spare (each pair swaps roles on an accepted step), one HR half-plane
+spectrum, the LR residual spectra, and the BTV pass's wrap pad and sign
+buffer.  Nothing of it outlives the call: each solve builds its own,
+and the image it returns is its own array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +150,6 @@ def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
     return transfers
 
 
-def _residual_spectra(y_hat, transfers, x_hat, decimation) -> list[np.ndarray]:
-    """LR spectra of y_k - forward_k(x), from the spectra of y_k and x."""
-    return [y - fold(t, x_hat, decimation) for y, t in zip(y_hat, transfers)]
-
-
 def _sum_squares(a: np.ndarray) -> float:
     """Sum of |a|^2 without BLAS, whose threaded dot product would make a
     campaign's pool workers contend for the cores with their BLAS threads."""
@@ -198,7 +200,50 @@ def _btv_pairs(p_radius: int):
             if l + m > 0]
 
 
-def _btv(x: np.ndarray, alpha: float, p_radius: int):
+def _overlay(buffer: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array of this shape and dtype laid over the first bytes of the
+    contiguous buffer, or a fresh one when there is no buffer or it is too
+    small."""
+    n = np.dtype(dtype).itemsize * math.prod(shape)
+    if buffer is None or buffer.nbytes < n:
+        return np.empty(shape, dtype)
+    return buffer.reshape(-1).view(np.uint8)[:n].view(dtype).reshape(shape)
+
+
+def _extend_periodic(a: np.ndarray, lo: int, n: int) -> None:
+    """Fill a's first axis outside a[lo:lo + n], which is set, with period
+    n, copying at most one period per slice assignment."""
+    for j in range(lo + n, len(a), n):
+        c = min(n, len(a) - j)
+        a[j:j + c] = a[j - n:j - n + c]
+    for e in range(lo, 0, -n):
+        c = min(n, e)
+        a[e - c:e] = a[e - c + n:e + n]
+
+
+def _wrap_pad(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """np.pad(x, ((p, p + 1), (p, p)), mode="wrap") written into out by
+    slice copies: x, then its columns' wrap, then its rows'.  A side
+    shorter than p wraps more than once."""
+    h, w = x.shape
+    out[p:p + h, p:p + w] = x
+    _extend_periodic(out[p:p + h].T, p, w)
+    _extend_periodic(out, p, h)
+    return out
+
+
+class _BtvBuffers:
+    """The wrap pad and the sign buffer of the BTV pass over one grid,
+    built once and reused by every pass of a solve."""
+
+    def __init__(self, shape: tuple[int, int], p_radius: int):
+        (h, w), p = shape, p_radius
+        self.pad = np.empty((h + 2 * p + 1, w + 2 * p))
+        self.signs = np.empty((h + p) * (w + 2 * p) + p, dtype=np.int8)
+
+
+def _btv(x: np.ndarray, alpha: float, p_radius: int, grad: np.ndarray | None = None,
+         buffers: _BtvBuffers | None = None, sums: np.ndarray | None = None):
     """BTV penalty and subgradient (sign(0) = 0) in one pass.
 
     On x wrap-padded and raveled, pair (l, m)'s operands are contiguous
@@ -206,16 +251,22 @@ def _btv(x: np.ndarray, alpha: float, p_radius: int):
     over h + m rows, holds the opposite difference's sign k further on.
     Each weight's sign differences are summed exactly in integers.  BTV is
     positively 1-homogeneous: the penalty is <x, gradient> (Euler's identity).
+    The gradient goes into grad, the pad and signs into buffers (fresh
+    ones when not given) and the integer sums over the bytes of sums when
+    it is large enough; the spent pad holds the float products.
     """
     (h, w), p = x.shape, p_radius
     width, size = w + 2 * p, h * (w + 2 * p)
-    flat = np.pad(x, ((p, p + 1), (p, p)), mode="wrap").ravel()
+    buffers = buffers or _BtvBuffers(x.shape, p)
+    flat = _wrap_pad(x, p, buffers.pad).reshape(-1)
     origin = p * width + p  # x[0, 0]
     pairs = _btv_pairs(p)
     weights = [abs(l) + m for l, m in pairs]
     # each pair adds a sign difference in [-2, 2] to its weight's sum
-    sums = np.zeros((2 * p, h, width), np.min_scalar_type(-2 * max(np.bincount(weights))))
-    s = np.empty(size + p * width + p, dtype=np.int8)
+    sums = _overlay(sums, (2 * p, h, width),
+                   np.min_scalar_type(-2 * max(np.bincount(weights))))
+    sums.fill(0)
+    s = buffers.signs
     for (l, m), weight in zip(pairs, weights):
         k, n = m * width + l, size + m * width + p  # n signs reach the twins s[k:k + size]
         a, b = flat[origin:origin + n], flat[origin - k:origin - k + n]
@@ -223,8 +274,7 @@ def _btv(x: np.ndarray, alpha: float, p_radius: int):
         total = sums[weight - 1].reshape(size)
         total += s[:size]
         total -= s[k:k + size]
-    del flat, s
-    grad, term = alpha * sums[0, :, :w], np.empty(x.shape)
+    grad, term = np.multiply(alpha, sums[0, :, :w], out=grad), _overlay(flat, x.shape, float)
     for weight in range(2, 2 * p + 1):
         grad += np.multiply(alpha ** weight, sums[weight - 1, :, :w], out=term)
     return float(np.einsum("i,i->", np.ravel(x), grad.ravel())), grad
@@ -247,10 +297,10 @@ def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     return _btv(x, alpha, p_radius)[1]
 
 
-def _prior(x: np.ndarray, cfg: SolverConfig):
-    """lam * BTV penalty and the BTV subgradient at x."""
-    penalty, grad = _btv(x, cfg.alpha, cfg.p_radius)
-    return cfg.lam * penalty, grad
+def _prior(x: np.ndarray, cfg: SolverConfig, grad: np.ndarray, buffers: _BtvBuffers,
+           sums: np.ndarray) -> float:
+    """lam * BTV penalty at x; the BTV subgradient goes into grad."""
+    return cfg.lam * _btv(x, cfg.alpha, cfg.p_radius, grad, buffers, sums)[0]
 
 
 def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
@@ -319,13 +369,18 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     lr_shape = observations[0].image.shape
     transfers = _transfers(observations, hr_shape)
     y_hat = [rfft2_rows(o.image) for o in observations]
-    x_hat = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True)
-    x = irfft2_rows(x_hat, hr_shape)
-    resid = _residual_spectra(y_hat, transfers, x_hat, decimation)
-    del x_hat
+    # The working set is built here, once, and every iteration writes
+    # into it.  spec holds the warm start's spectrum, then in turn each
+    # gradient spectrum (and its in-place inverse pass), each candidate's
+    # spectrum and the integer sums of the candidate's BTV pass.  resid
+    # holds the LR residual spectra of x, then of each candidate.
+    spec = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True)
+    resid = [y - fold(t, spec, decimation) for y, t in zip(y_hat, transfers)]
+    x = irfft2_rows(spec, hr_shape, out=np.empty(hr_shape))
+    candidate, prior_grad, spare = (np.empty(hr_shape) for _ in range(3))
+    btv = _BtvBuffers(hr_shape, cfg.p_radius)
 
-    penalty, prior_grad = _prior(x, cfg)
-    current = _data_cost(resid, lr_shape[0]) + penalty
+    current = _data_cost(resid, lr_shape[0]) + _prior(x, cfg, prior_grad, btv, spec)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
@@ -334,17 +389,20 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     halvings, final_beta = 0, 0.0
 
     for _ in range(cfg.max_iters):
-        g_hat = np.zeros_like(transfers[0])
+        # the residual spectra, spent once the gradient is built, hold
+        # 2 * r, and the BTV pad (idle between passes) each unfold
+        spec.fill(0.0)
         for r, t in zip(resid, transfers):
-            g_hat -= unfold(t, 2.0 * r, decimation)
+            spec -= unfold(t, np.multiply(2.0, r, out=r), decimation,
+                           out=_overlay(btv.pad, spec.shape, spec.dtype))
         g = np.multiply(cfg.lam, prior_grad, out=prior_grad)  # used once: scaled in place
-        g += irfft2_rows(g_hat, hr_shape)
-        del g_hat  # freed before the step search's BTV temporaries
+        g += irfft2_rows(spec, hr_shape, out=candidate)
         for _ in range(MAX_HALVINGS + 1):
-            candidate = x - beta * g
-            trial = _residual_spectra(y_hat, transfers, rfft2_rows(candidate), decimation)
-            penalty, candidate_grad = _prior(candidate, cfg)
-            c_new = _data_cost(trial, lr_shape[0]) + penalty
+            np.subtract(x, np.multiply(beta, g, out=candidate), out=candidate)
+            rfft2_rows(candidate, out=spec)
+            for y, t, r in zip(y_hat, transfers, resid):
+                np.subtract(y, fold(t, spec, decimation, out=r), out=r)
+            c_new = _data_cost(resid, lr_shape[0]) + _prior(candidate, cfg, spare, btv, spec)
             if not np.isfinite(c_new):
                 raise FloatingPointError(f"solver beta0 {cfg.beta0!r}: the step of size "
                                          f"{beta!r} overflowed to a non-finite cost")
@@ -356,8 +414,11 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             # step size collapsed: stationary within numerical resolution
             converged = True
             break
-        x, resid, prior_grad, final_beta = candidate, trial, candidate_grad, beta
-        del g  # not held through the next gradient build
+        # the accepted candidate's buffers become the iterate's, and the
+        # iterate's are the next candidate's
+        x, candidate = candidate, x
+        prior_grad, spare = spare, prior_grad
+        final_beta = beta
         previous, current = current, c_new
         trace.append(current)
         beta = min(beta * 1.2, cfg.beta0)

@@ -515,9 +515,10 @@ def test_oversize_work_exits_2_naming_key(tmp_path, capsys, config, command, key
 
 
 def test_grid_past_the_btv_bound_is_named_with_solver_p(tmp_path, capsys):
-    # a grid below grid.MAX_PIXELS whose BTV sign planes would not fit at
-    # the default P 2: refused at config load, on a command that runs no
-    # solver, naming the grid as well as the solver key
+    # a grid below grid.MAX_PIXELS whose BTV pass at the default P 2 would
+    # compare more than grid.MAX_PIXELS values: refused at config load, on
+    # a command that runs no solver, naming the grid as well as the solver
+    # key
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"grid": {"height": 4096, "width": 4096}}))
     out = tmp_path / "out"

@@ -56,6 +56,40 @@ def test_fractional_shift_attenuates_nyquist():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(8, 6), (8, 7), (9, 6), (9, 7), (1, 6), (6, 1), (1, 1)])
+def test_transforms_into_out_match_the_fresh_form(rng, shape):
+    # even and odd heights and widths, a 1-row and a 1-column grid
+    x = rng.normal(size=shape)
+    spectrum = rfft2_rows(x)
+    out = np.full_like(spectrum, np.nan)
+    assert rfft2_rows(x, out=out) is out
+    assert out.tobytes() == spectrum.tobytes()
+    # the fresh inverse leaves its spectrum as it was and gives what
+    # irfft2 gives; with out, it overwrites the spectrum instead
+    kept = spectrum.copy()
+    image = irfft2_rows(spectrum, shape)
+    assert spectrum.tobytes() == kept.tobytes()
+    assert image.tobytes() == np.fft.irfft2(kept, s=shape[::-1], axes=(1, 0)).tobytes()
+    image_out = np.full(shape, np.nan)
+    assert irfft2_rows(spectrum, shape, out=image_out) is image_out
+    assert image_out.tobytes() == image.tobytes()
+
+
+@pytest.mark.parametrize("decimation", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+def test_fold_and_unfold_into_out_match_the_fresh_form(rng, decimation):
+    x = rng.normal(size=(12, 16))
+    transfer = shift_multiplier_2d(x.shape, (0.3, -1.7))
+    spectrum = rfft2_rows(x)
+    lr = fold(transfer, spectrum, decimation)
+    out = np.full_like(lr, np.nan)
+    assert fold(transfer, spectrum, decimation, out=out) is out
+    assert out.tobytes() == lr.tobytes()
+    hr = unfold(transfer, lr, decimation)
+    out = np.full_like(hr, np.nan)
+    assert unfold(transfer, lr, decimation, out=out) is out
+    assert out.tobytes() == hr.tobytes()
+
+
 @pytest.mark.parametrize("decimation", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
 def test_fold_is_spectrum_of_decimated_image(rng, decimation):
     x = rng.normal(size=(12, 16))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from srlab.fourier import (full_rows, gaussian_kernel, irfft2_rows, kernel_transfer,
-                           rfft2_rows, shift_multiplier_2d)
+from srlab.fourier import (fold, full_rows, gaussian_kernel, irfft2_rows,
+                           kernel_transfer, rfft2_rows, shift_multiplier_2d, unfold)
 from srlab.seeding import child_seed
 from srlab.simulator import Observation, SystemParams, simulate_observations
 from srlab import solver
@@ -16,6 +20,9 @@ from srlab.scenario import Scenario
 from srlab.solver import (MAX_HALVINGS, SolverConfig, _cubic_spectrum, adjoint_model,
                           bicubic_upsample, btv_gradient, btv_penalty, check_btv_fits,
                           forward_model, super_resolve)
+
+
+PACKAGE_ROOT = str(Path(solver.__file__).resolve().parents[1])
 
 
 def make_obs(lr_shape, shift, decimation, psf_sigma=0.9, lr_data=None):
@@ -246,6 +253,16 @@ def test_btv_matches_roll_reference(shape, p_radius, alpha, integer_valued, seed
                   <= (pairs + 2 * p_radius) * np.spacing(magnitudes))
     assert abs(penalty - want_penalty) <= ((2 * x.size + pairs + 2 * p_radius)
                                            * np.spacing(float((np.abs(x) * magnitudes).sum())))
+
+
+def test_wrap_pad_matches_np_pad_on_sides_shorter_than_p():
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (1, 5), (4, 1), (2, 3), (5, 4), (9, 12)]:
+        for p in range(1, 8):
+            x = rng.normal(size=shape)
+            out = np.full((shape[0] + 2 * p + 1, shape[1] + 2 * p), np.nan)
+            assert solver._wrap_pad(x, p, out) is out
+            assert np.array_equal(out, np.pad(x, ((p, p + 1), (p, p)), mode="wrap"))
 
 
 def test_btv_sums_a_heavy_weight_group_without_overflow():
@@ -568,30 +585,32 @@ def _psf_pair(sigmas):
 
 
 def test_fft_count(monkeypatch):
-    # equal kernels are one PSF: 1 kernel transfer, 1 per observation's
-    # data spectrum, 1 to take the warm start's spectrum (which also gives
-    # the first residuals) to image space, then 2 per iteration: the
-    # gradient to image space and the accepted candidate's spectrum
+    # equal kernels are one PSF: 1 rfft2 for the kernel transfer, 1 per
+    # observation's data spectrum and 2 to take the warm start's spectrum
+    # (which also gives the first residuals) to image space, its column
+    # ifft and its row irfft.  Then 3 per iteration: the gradient to image
+    # space (ifft, irfft) and the accepted candidate's spectrum (rfft2)
     calls, result = _counted_solve(monkeypatch, _psf_pair((1.0, 1.0)))
     assert result.iterations_run == 3
-    assert calls == {"numpy": 4 + 2 * result.iterations_run + result.step_halvings,
+    assert calls == {"numpy": 5 + 3 * result.iterations_run + result.step_halvings,
                      "scipy": 0}
 
 
 def test_fft_count_two_psfs(monkeypatch):
+    # one more kernel transfer
     calls, result = _counted_solve(monkeypatch, _psf_pair((1.0, 1.5)))
     assert result.iterations_run == 3
-    assert calls == {"numpy": 5 + 2 * result.iterations_run + result.step_halvings,
+    assert calls == {"numpy": 6 + 3 * result.iterations_run + result.step_halvings,
                      "scipy": 0}
 
 
 def test_fft_count_prices_each_step_halving(monkeypatch):
     # every rejected candidate is measured from its own spectrum: one
-    # more transform per halving (3 iterations, 7 halvings: 17 calls)
+    # more rfft2 per halving (3 iterations, 7 halvings: 21 calls)
     calls, result = _counted_solve(monkeypatch, phase_pair(53),
                                    SolverConfig(lam=0.0, beta0=48.0, max_iters=3))
     assert (result.iterations_run, result.step_halvings) == (3, 7)
-    assert calls == {"numpy": 4 + 2 * 3 + 7, "scipy": 0}
+    assert calls == {"numpy": 5 + 3 * 3 + 7, "scipy": 0}
 
 
 def test_step_halvings_recorded(star_target, scenario, nominal_params):
@@ -648,11 +667,69 @@ def test_default_solve_peaks_below_its_bound(star_target, nominal_params):
     assert peak < 6.1 * 2**20  # 5.86 MiB with numpy 2.4
 
 
+_FAULT_PROBE = """
+import resource
+from srlab import Scenario, SolverConfig, SystemParams, generate_spoke_target
+from srlab.simulator import simulate_observations
+from srlab.solver import super_resolve
+scenario = Scenario()
+pair = simulate_observations(generate_spoke_target(scenario.star, scenario.grid_size),
+                             SystemParams(), 42)
+cfg = SolverConfig(lam=0.01, max_iters=200, rel_tol=0.0)
+super_resolve(pair, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = super_resolve(pair, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, result.iterations_run)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor faults as Linux's getrusage counts them")
+def test_warmed_deep_solve_does_not_fault_its_memory_back_in():
+    # the working set is built once per solve: a warmed 256x256 solve
+    # faults in at most its own buffers (about 1,700 pages), not, as when
+    # every iteration allocated its planes afresh, 100-300 pages per
+    # iteration
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": PACKAGE_ROOT,
+                                "OMP_NUM_THREADS": "1"})
+    faults, iterations = map(int, probe.stdout.split())
+    assert iterations >= 40
+    assert faults < 25 * iterations
+
+
+def test_solve_returns_no_workspace_buffer(star_target, nominal_params):
+    first_pair = simulate_observations(star_target, nominal_params, 42)
+    first = super_resolve(first_pair)
+    kept = first.image.copy()
+    second = super_resolve(simulate_observations(star_target, nominal_params, 43))
+    assert np.array_equal(first.image, kept)
+    assert not np.shares_memory(first.image, second.image)
+    for image in (first.image, second.image):
+        assert image.flags.owndata and image.flags.writeable
+
+    # the operators outside the solve still give what irfft2 gave, bit for bit
+    def irfft2(spectrum, shape):
+        return np.fft.irfft2(spectrum, s=(shape[1], shape[0]), axes=(1, 0))
+
+    obs = first_pair[1]
+    transfer = solver._transfers([obs], obs.hr_shape)[0]
+    x, r = first.image, obs.image - forward_model(first.image, obs)
+    assert np.array_equal(forward_model(x, obs), irfft2(
+        fold(transfer, rfft2_rows(x), obs.decimation), obs.image.shape))
+    assert np.array_equal(adjoint_model(r, obs), irfft2(
+        unfold(transfer, rfft2_rows(r), obs.decimation), obs.hr_shape))
+    assert np.array_equal(bicubic_upsample(obs.image, obs.decimation), irfft2(
+        _cubic_spectrum(rfft2_rows(obs.image), obs.image.shape, obs.decimation),
+        obs.hr_shape))
+
+
 @pytest.mark.parametrize("p_radius, grid", [(25, 256), (51, 128)])
 def test_btv_window_is_bounded_by_the_grid(monkeypatch, p_radius, grid):
-    # the largest window whose 3P(P+1)/2 int8 sign planes hold at most
-    # 2**26 values passes; one more is refused by Scenario at config load
-    # and by super_resolve before any shift pair is built
+    # the largest window whose 3P(P+1)/2 shift pairs compare at most 2**26
+    # values passes; one more is refused by Scenario at config load and by
+    # super_resolve before any shift pair is built
     check_btv_fits(p_radius, (grid, grid))
     Scenario(grid_size=(grid, grid), solver=SolverConfig(p_radius=p_radius))
     with pytest.raises(ValueError, match=f"solver P {p_radius + 1}: "):
