@@ -26,14 +26,14 @@ non-increasing (see super_resolve).
 A solve builds its working set once and every iteration writes into it
 with out=: the iterate and the candidate, the prior gradient and a
 spare (each pair swaps roles on an accepted step), one HR half-plane
-spectrum, the LR residual spectra, and the BTV pass's wrap pad and sign
-buffer.  Nothing of it outlives the call: each solve builds its own,
+spectrum, the LR residual spectra, and the BTV pass's wrap pad (which
+holds each unfold while the gradient is built), sign buffer and sum
+plane.  Nothing of it outlives the call: each solve builds its own,
 and the image it returns is its own array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,91 +192,74 @@ def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
     return irfft2_rows(unfold(transfer, rfft2_rows(r), obs.decimation), obs.hr_shape)
 
 
-def _btv_pairs(p_radius: int):
-    """Shift pairs (l, m) with m in [0, P], l in [-P, P], l + m > 0."""
-    return [(l, m)
-            for m in range(0, p_radius + 1)
-            for l in range(-p_radius, p_radius + 1)
-            if l + m > 0]
-
-
-def _overlay(buffer: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An array of this shape and dtype laid over the first bytes of the
-    contiguous buffer, or a fresh one when there is no buffer or it is too
-    small."""
-    n = np.dtype(dtype).itemsize * math.prod(shape)
-    if buffer is None or buffer.nbytes < n:
-        return np.empty(shape, dtype)
-    return buffer.reshape(-1).view(np.uint8)[:n].view(dtype).reshape(shape)
-
-
-def _extend_periodic(a: np.ndarray, lo: int, n: int) -> None:
-    """Fill a's first axis outside a[lo:lo + n], which is set, with period
-    n, copying at most one period per slice assignment."""
-    for j in range(lo + n, len(a), n):
-        c = min(n, len(a) - j)
-        a[j:j + c] = a[j - n:j - n + c]
-    for e in range(lo, 0, -n):
-        c = min(n, e)
-        a[e - c:e] = a[e - c + n:e + n]
+def _btv_pairs(p_radius: int) -> list[list[tuple[int, int]]]:
+    """Shift pairs (l, m) with m in [0, P], l in [-P, P], l + m > 0, in one
+    list per weight |l| + m, the heaviest (2P) first."""
+    p = p_radius
+    return [[(l, m) for m in range(p + 1) for l in range(-p, p + 1)
+             if l + m > 0 and abs(l) + m == weight]
+            for weight in range(2 * p, 0, -1)]
 
 
 def _wrap_pad(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     """np.pad(x, ((p, p + 1), (p, p)), mode="wrap") written into out by
-    slice copies: x, then its columns' wrap, then its rows'.  A side
-    shorter than p wraps more than once."""
-    h, w = x.shape
+    slice copies: x, then each pad column and each pad row from its
+    periodic twin, so a side shorter than p wraps more than once."""
+    (h, w), (height, width) = x.shape, out.shape
     out[p:p + h, p:p + w] = x
-    _extend_periodic(out[p:p + h].T, p, w)
-    _extend_periodic(out, p, h)
+    for j in (*range(p), *range(p + w, width)):
+        out[p:p + h, j] = out[p:p + h, p + (j - p) % w]
+    for i in (*range(p), *range(p + h, height)):
+        out[i] = out[p + (i - p) % h]
     return out
 
 
 class _BtvBuffers:
-    """The wrap pad and the sign buffer of the BTV pass over one grid,
-    built once and reused by every pass of a solve."""
+    """The shift pairs, wrap pad, sign buffer and sum plane of the BTV pass
+    over one grid, built once and reused by every pass of a solve."""
 
     def __init__(self, shape: tuple[int, int], p_radius: int):
         (h, w), p = shape, p_radius
+        self.pairs = _btv_pairs(p)
         self.pad = np.empty((h + 2 * p + 1, w + 2 * p))
         self.signs = np.empty((h + p) * (w + 2 * p) + p, dtype=np.int8)
+        # each pair adds a sign difference in [-2, 2] to its weight's sum
+        self.sums = np.empty((h, w + 2 * p),
+                             np.min_scalar_type(-2 * max(map(len, self.pairs))))
 
 
 def _btv(x: np.ndarray, alpha: float, p_radius: int, grad: np.ndarray | None = None,
-         buffers: _BtvBuffers | None = None, sums: np.ndarray | None = None):
+         buffers: _BtvBuffers | None = None):
     """BTV penalty and subgradient (sign(0) = 0) in one pass.
 
     On x wrap-padded and raveled, pair (l, m)'s operands are contiguous
     slices k = m*W + l apart (W the padded width), and its sign plane,
     over h + m rows, holds the opposite difference's sign k further on.
-    Each weight's sign differences are summed exactly in integers.  BTV is
-    positively 1-homogeneous: the penalty is <x, gradient> (Euler's identity).
-    The gradient goes into grad, the pad and signs into buffers (fresh
-    ones when not given) and the integer sums over the bytes of sums when
-    it is large enough; the spent pad holds the float products.
+    The pairs of one weight are summed exactly in integers, heaviest
+    weight first, and the gradient takes each weight's sum by Horner's
+    rule in alpha.  BTV is positively 1-homogeneous: the penalty is
+    <x, gradient> (Euler's identity).  The gradient goes into grad; the
+    pairs and the held planes are buffers' (fresh ones when not given).
     """
     (h, w), p = x.shape, p_radius
     width, size = w + 2 * p, h * (w + 2 * p)
     buffers = buffers or _BtvBuffers(x.shape, p)
     flat = _wrap_pad(x, p, buffers.pad).reshape(-1)
     origin = p * width + p  # x[0, 0]
-    pairs = _btv_pairs(p)
-    weights = [abs(l) + m for l, m in pairs]
-    # each pair adds a sign difference in [-2, 2] to its weight's sum
-    sums = _overlay(sums, (2 * p, h, width),
-                   np.min_scalar_type(-2 * max(np.bincount(weights))))
-    sums.fill(0)
-    s = buffers.signs
-    for (l, m), weight in zip(pairs, weights):
-        k, n = m * width + l, size + m * width + p  # n signs reach the twins s[k:k + size]
-        a, b = flat[origin:origin + n], flat[origin - k:origin - k + n]
-        np.subtract(a > b, a < b, out=s[:n], dtype=np.int8)
-        total = sums[weight - 1].reshape(size)
-        total += s[:size]
-        total -= s[k:k + size]
-    grad, term = np.multiply(alpha, sums[0, :, :w], out=grad), _overlay(flat, x.shape, float)
-    for weight in range(2, 2 * p + 1):
-        grad += np.multiply(alpha ** weight, sums[weight - 1, :, :w], out=term)
+    s, total = buffers.signs, buffers.sums.reshape(size)
+    for i, pairs in enumerate(buffers.pairs):
+        total.fill(0)
+        for l, m in pairs:
+            k, n = m * width + l, size + m * width + p  # n signs reach the twins s[k:k + size]
+            a, b = flat[origin:origin + n], flat[origin - k:origin - k + n]
+            np.subtract(a > b, a < b, out=s[:n], dtype=np.int8)
+            total += s[:size]
+            total -= s[k:k + size]
+        if i == 0:
+            grad = np.multiply(alpha, buffers.sums[:, :w], out=grad)
+        else:
+            grad += buffers.sums[:, :w]
+            grad *= alpha
     return float(np.einsum("i,i->", np.ravel(x), grad.ravel())), grad
 
 
@@ -297,10 +280,9 @@ def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     return _btv(x, alpha, p_radius)[1]
 
 
-def _prior(x: np.ndarray, cfg: SolverConfig, grad: np.ndarray, buffers: _BtvBuffers,
-           sums: np.ndarray) -> float:
+def _prior(x: np.ndarray, cfg: SolverConfig, grad: np.ndarray, buffers: _BtvBuffers) -> float:
     """lam * BTV penalty at x; the BTV subgradient goes into grad."""
-    return cfg.lam * _btv(x, cfg.alpha, cfg.p_radius, grad, buffers, sums)[0]
+    return cfg.lam * _btv(x, cfg.alpha, cfg.p_radius, grad, buffers)[0]
 
 
 def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
@@ -371,16 +353,18 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     y_hat = [rfft2_rows(o.image) for o in observations]
     # The working set is built here, once, and every iteration writes
     # into it.  spec holds the warm start's spectrum, then in turn each
-    # gradient spectrum (and its in-place inverse pass), each candidate's
-    # spectrum and the integer sums of the candidate's BTV pass.  resid
-    # holds the LR residual spectra of x, then of each candidate.
+    # gradient spectrum (and its in-place inverse pass) and each
+    # candidate's spectrum.  resid holds the LR residual spectra of x,
+    # then of each candidate.
     spec = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True)
     resid = [y - fold(t, spec, decimation) for y, t in zip(y_hat, transfers)]
     x = irfft2_rows(spec, hr_shape, out=np.empty(hr_shape))
     candidate, prior_grad, spare = (np.empty(hr_shape) for _ in range(3))
     btv = _BtvBuffers(hr_shape, cfg.p_radius)
+    # the BTV pad, idle while the gradient is built, holds each unfold
+    unfolded = btv.pad.reshape(-1)[:2 * spec.size].view(complex).reshape(spec.shape)
 
-    current = _data_cost(resid, lr_shape[0]) + _prior(x, cfg, prior_grad, btv, spec)
+    current = _data_cost(resid, lr_shape[0]) + _prior(x, cfg, prior_grad, btv)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
@@ -389,12 +373,10 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     halvings, final_beta = 0, 0.0
 
     for _ in range(cfg.max_iters):
-        # the residual spectra, spent once the gradient is built, hold
-        # 2 * r, and the BTV pad (idle between passes) each unfold
+        # the residual spectra, spent once the gradient is built, hold 2 * r
         spec.fill(0.0)
         for r, t in zip(resid, transfers):
-            spec -= unfold(t, np.multiply(2.0, r, out=r), decimation,
-                           out=_overlay(btv.pad, spec.shape, spec.dtype))
+            spec -= unfold(t, np.multiply(2.0, r, out=r), decimation, out=unfolded)
         g = np.multiply(cfg.lam, prior_grad, out=prior_grad)  # used once: scaled in place
         g += irfft2_rows(spec, hr_shape, out=candidate)
         for _ in range(MAX_HALVINGS + 1):
@@ -402,7 +384,7 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             rfft2_rows(candidate, out=spec)
             for y, t, r in zip(y_hat, transfers, resid):
                 np.subtract(y, fold(t, spec, decimation, out=r), out=r)
-            c_new = _data_cost(resid, lr_shape[0]) + _prior(candidate, cfg, spare, btv, spec)
+            c_new = _data_cost(resid, lr_shape[0]) + _prior(candidate, cfg, spare, btv)
             if not np.isfinite(c_new):
                 raise FloatingPointError(f"solver beta0 {cfg.beta0!r}: the step of size "
                                          f"{beta!r} overflowed to a non-finite cost")

@@ -243,10 +243,11 @@ def test_btv_matches_roll_reference(shape, p_radius, alpha, integer_valued, seed
         assert np.array_equal(grad, want_grad)
         return
     # The two sum in different orders.  The gradient rounds at most once
-    # per pair (the reference) and twice per weight (the kernel's 2P
-    # products and sums), each by at most one ulp of the pixel's sum of
-    # |terms|; the penalty, <x, gradient> against the sum of the pairs'
-    # |differences|, adds one rounding per pixel on each side.
+    # per pair (the reference) and twice per weight (the kernel's Horner
+    # rule: one add and one multiply per weight), each by at most one ulp
+    # of the pixel's sum of |terms|; the penalty, <x, gradient> against
+    # the sum of the pairs' |differences|, adds one rounding per pixel on
+    # each side.
     pairs = len(roll_btv_pairs(p_radius))
     magnitudes = roll_btv_magnitudes(x, alpha, p_radius)
     assert np.all(np.abs(grad - want_grad)
@@ -664,7 +665,25 @@ def test_default_solve_peaks_below_its_bound(star_target, nominal_params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.1 * 2**20  # 5.86 MiB with numpy 2.4
+    assert peak < 6.1 * 2**20  # 5.67 MiB with numpy 2.4
+
+
+def test_btv_pass_memory_does_not_grow_with_p(star_target, nominal_params):
+    # the BTV pass sums one weight at a time into one held plane: a wider
+    # window adds only its wider pad and sign buffer (under 50 KiB from
+    # P 2 to P 6), not a sum plane per weight
+    pair = simulate_observations(star_target, nominal_params, 42)
+    peaks = []
+    for p_radius in (2, 6):
+        cfg = SolverConfig(p_radius=p_radius)
+        super_resolve(pair, cfg)  # numpy's and the transforms' caches fill outside the budget
+        tracemalloc.start()
+        try:
+            super_resolve(pair, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 256 * 2**10
 
 
 _FAULT_PROBE = """
