@@ -21,7 +21,10 @@ their own twins and count once.  Every transform in srlab goes through
 numpy.fft.  rfft2_rows, irfft2_rows, fold and unfold write into out=
 when it is given, so that a caller that holds its buffers (the solver)
 allocates no plane per call; irfft2_rows then runs its column pass in
-place in the spectrum it is given.
+place in the spectrum it is given.  They keep the layout of their
+operands and of out= and give the same values in any layout: on
+column-major planes (the solver's) the real pass along the columns and
+every fold and unfold block, a run of whole columns, are contiguous.
 """
 
 from __future__ import annotations

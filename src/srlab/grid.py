@@ -26,9 +26,10 @@ PGM_HEADER_BYTES = 1 << 16  # after the magic; write_pgm's header takes at most 
 
 
 def check_image(data, what: str) -> np.ndarray:
-    """Return data as a float64 array; ValueError unless it is 2-D, at
-    least 2x2 and finite.  what names the image in the message."""
-    data = np.asarray(data, dtype=np.float64)
+    """Return data as a row-major float64 array (data itself when it is
+    one); ValueError unless it is 2-D, at least 2x2 and finite.  what
+    names the image in the message."""
+    data = np.asarray(data, dtype=np.float64, order="C")
     if data.ndim != 2:
         raise ValueError(f"{what}: expected 2-D data, got shape {data.shape}")
     if data.shape[0] < 2 or data.shape[1] < 2:

@@ -19,17 +19,22 @@ space, where the BTV prior's gradient is added (irfft2_rows: a column
 ifft and a row irfft), and the step candidate's spectrum (rfft2), whose
 folds give its residuals; each step halving takes one more rfft2.
 The BTV prior is one pass over contiguous slices of one raveled,
-wrap-padded copy of the image: it gives each candidate's gradient and,
-as <x, gradient>, its penalty; the accepted candidate's gradient enters
-the next descent direction.  An adaptive step keeps the cost trace
-non-increasing (see super_resolve).
+wrap-padded copy of the image's transpose: it gives each candidate's
+gradient and, as <x, gradient>, its penalty; the accepted candidate's
+gradient enters the next descent direction.  An adaptive step keeps
+the cost trace non-increasing (see super_resolve).
 A solve builds its working set once and every iteration writes into it
 with out=: the iterate and the candidate, the prior gradient and a
 spare (each pair swaps roles on an accepted step), one HR half-plane
-spectrum, the LR residual spectra, and the BTV pass's wrap pad (which
-holds each unfold while the gradient is built), sign buffer and sum
-plane.  Nothing of it outlives the call: each solve builds its own,
-and the image it returns is its own array.
+spectrum, the LR residual and data spectra, the transfers, and the BTV
+pass's wrap pad (which holds each unfold after the first while the
+gradient is built), sign buffer and sum plane.  Every plane of it is
+column-major: the fourier functions keep their operands' layout, so
+the transforms' real pass runs along contiguous columns and every fold
+and unfold block is a contiguous run of columns, which row-major planes
+would make numpy stride through and buffer on every call; the BTV pass
+runs on the row-major transpose.  Nothing of it outlives the call: each
+solve builds its own, and the image it returns is a row-major copy.
 """
 
 from __future__ import annotations
@@ -136,9 +141,10 @@ class SrResult:
 
 def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
     """Each observation's multiplier of blur + shift on the HR half-plane
-    (Hermitian).  kernel_transfer runs once per distinct PSF: kernels are
-    compared by value, so hand-built observations with equal but separately
-    built kernels share one transfer, as subarray_observations' pair does."""
+    (Hermitian), column-major as the solver's planes are.  kernel_transfer
+    runs once per distinct PSF: kernels are compared by value, so
+    hand-built observations with equal but separately built kernels share
+    one transfer, as subarray_observations' pair does."""
     blurs: list[tuple[np.ndarray, np.ndarray]] = []
     transfers = []
     for o in observations:
@@ -146,14 +152,23 @@ def _transfers(observations, hr_shape: tuple[int, int]) -> list[np.ndarray]:
         if blur is None:
             blur = kernel_transfer(o.assumed_psf, hr_shape)
             blurs.append((o.assumed_psf, blur))
-        transfers.append(blur * shift_multiplier_2d(hr_shape, o.shift_hr))
+        # shift times blur, in this order: numpy's complex product is
+        # not bitwise commutative
+        transfers.append(np.multiply(shift_multiplier_2d(hr_shape, o.shift_hr), blur,
+                                     out=_plane(blur.shape, complex)))
     return transfers
+
+
+def _plane(shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+    """An uninitialized column-major plane: the solver's layout, in which
+    the transforms' real pass and every fold block are contiguous."""
+    return np.empty(shape, dtype, order="F")
 
 
 def _sum_squares(a: np.ndarray) -> float:
     """Sum of |a|^2 without BLAS, whose threaded dot product would make a
     campaign's pool workers contend for the cores with their BLAS threads."""
-    v = a.ravel().view(np.float64)
+    v = a.ravel(order="K").view(np.float64)
     return float(np.einsum("i,i->", v, v))
 
 
@@ -179,7 +194,7 @@ def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
         raise ValueError(f"estimate shape {x.shape} does not match observation "
                          f"geometry {obs.hr_shape}")
     spectrum = fold(_transfers([obs], obs.hr_shape)[0], rfft2_rows(x), obs.decimation)
-    return irfft2_rows(spectrum, obs.image.shape)
+    return irfft2_rows(spectrum, obs.image.shape, out=np.empty(obs.image.shape))
 
 
 def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
@@ -189,14 +204,18 @@ def adjoint_model(r: np.ndarray, obs: Observation) -> np.ndarray:
         raise ValueError(f"residual shape {r.shape} does not match observation "
                          f"{obs.image.shape}")
     transfer = _transfers([obs], obs.hr_shape)[0]
-    return irfft2_rows(unfold(transfer, rfft2_rows(r), obs.decimation), obs.hr_shape)
+    return irfft2_rows(unfold(transfer, rfft2_rows(r), obs.decimation), obs.hr_shape,
+                       out=np.empty(obs.hr_shape))
 
 
 def _btv_pairs(p_radius: int) -> list[list[tuple[int, int]]]:
-    """Shift pairs (l, m) with m in [0, P], l in [-P, P], l + m > 0, in one
-    list per weight |l| + m, the heaviest (2P) first."""
+    """The shift pairs of the pass over the image's transpose, in one list
+    per weight |l| + m, the heaviest (2P) first.  The image's pair (l, m),
+    m in [0, P], l in [-P, P], l + m > 0, shifts the transpose by (m, l),
+    or by (-m, -l) when l < 0: the same difference reversed, whose terms
+    are the same, so that every pair's row shift is >= 0."""
     p = p_radius
-    return [[(l, m) for m in range(p + 1) for l in range(-p, p + 1)
+    return [[(m, l) if l >= 0 else (-m, -l) for m in range(p + 1) for l in range(-p, p + 1)
              if l + m > 0 and abs(l) + m == weight]
             for weight in range(2 * p, 0, -1)]
 
@@ -216,7 +235,8 @@ def _wrap_pad(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
 
 class _BtvBuffers:
     """The shift pairs, wrap pad, sign buffer and sum plane of the BTV pass
-    over one grid, built once and reused by every pass of a solve."""
+    over one grid (the transpose of the image's), built once and reused by
+    every pass of a solve."""
 
     def __init__(self, shape: tuple[int, int], p_radius: int):
         (h, w), p = shape, p_radius
@@ -232,21 +252,27 @@ def _btv(x: np.ndarray, alpha: float, p_radius: int, grad: np.ndarray | None = N
          buffers: _BtvBuffers | None = None):
     """BTV penalty and subgradient (sign(0) = 0) in one pass.
 
-    On x wrap-padded and raveled, pair (l, m)'s operands are contiguous
-    slices k = m*W + l apart (W the padded width), and its sign plane,
-    over h + m rows, holds the opposite difference's sign k further on.
-    The pairs of one weight are summed exactly in integers, heaviest
-    weight first, and the gradient takes each weight's sum by Horner's
-    rule in alpha.  BTV is positively 1-homogeneous: the penalty is
-    <x, gradient> (Euler's identity).  The gradient goes into grad; the
-    pairs and the held planes are buffers' (fresh ones when not given).
+    The pass runs on the transpose x.T, C-contiguous when x is
+    column-major as the solver's planes are.  On it wrap-padded and
+    raveled, pair (l, m)'s operands are contiguous slices k = m*W + l
+    apart (W the padded width), and its sign plane, over h + m rows,
+    holds the opposite difference's sign k further on.  The pairs of one
+    weight are summed exactly in integers, heaviest weight first, and
+    the gradient takes each weight's sum by Horner's rule in alpha.  BTV
+    is positively 1-homogeneous: the penalty is <x, gradient> (Euler's
+    identity).  The gradient goes into grad (fresh when not given); the
+    pairs and the held planes are buffers', built for x.T's shape (fresh
+    ones when not given).
     """
-    (h, w), p = x.shape, p_radius
+    y = x.T
+    (h, w), p = y.shape, p_radius
     width, size = w + 2 * p, h * (w + 2 * p)
-    buffers = buffers or _BtvBuffers(x.shape, p)
-    flat = _wrap_pad(x, p, buffers.pad).reshape(-1)
-    origin = p * width + p  # x[0, 0]
+    buffers = buffers or _BtvBuffers(y.shape, p)
+    flat = _wrap_pad(y, p, buffers.pad).reshape(-1)
+    origin = p * width + p  # y[0, 0]
     s, total = buffers.signs, buffers.sums.reshape(size)
+    grad = np.empty(x.shape) if grad is None else grad
+    g = grad.T  # y's gradient
     for i, pairs in enumerate(buffers.pairs):
         total.fill(0)
         for l, m in pairs:
@@ -256,11 +282,11 @@ def _btv(x: np.ndarray, alpha: float, p_radius: int, grad: np.ndarray | None = N
             total += s[:size]
             total -= s[k:k + size]
         if i == 0:
-            grad = np.multiply(alpha, buffers.sums[:, :w], out=grad)
+            np.multiply(alpha, buffers.sums[:, :w], out=g)
         else:
-            grad += buffers.sums[:, :w]
-            grad *= alpha
-    return float(np.einsum("i,i->", np.ravel(x), grad.ravel())), grad
+            g += buffers.sums[:, :w]
+            g *= alpha
+    return float(np.einsum("i,i->", y.ravel(), g.ravel())), grad
 
 
 def btv_penalty(x: np.ndarray, alpha: float, p_radius: int) -> float:
@@ -286,14 +312,15 @@ def _prior(x: np.ndarray, cfg: SolverConfig, grad: np.ndarray, buffers: _BtvBuff
 
 
 def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
-                    decimation: tuple[int, int], band_limit: bool = False) -> np.ndarray:
+                    decimation: tuple[int, int], band_limit: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """HR half-plane spectrum of the periodic cubic-spline upsample of the LR
     image of this shape with half-plane spectrum lr_hat (Unser, Aldroubi &
     Eden, IEEE TSP 41(2), 1993): on an axis of LR length n and factor s,
     signed bin k of the tiled spectrum is weighted
     sum_{|r|<2s} beta3(r/s) cos(2 pi nu r/s) / (2/3 + cos(2 pi nu)/3), nu = k/n,
     an even function of k, so the rows take bins 0..n*s//2.  band_limit
-    zeroes |k| >= n/2 on each decimated axis."""
+    zeroes |k| >= n/2 on each decimated axis.  Written into out when given."""
     axes = []
     for freqs, n, s in zip((np.fft.rfftfreq, np.fft.fftfreq), lr_shape, decimation):
         k = np.rint(freqs(n * s) * (n * s))
@@ -304,7 +331,7 @@ def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
         if band_limit and s > 1:
             m[np.abs(k) >= n / 2] = 0.0
         axes.append(m.astype(complex))  # unfold multiplies into conj(m)
-    return unfold(np.outer(*axes), lr_hat, decimation)
+    return unfold(np.outer(*axes), lr_hat, decimation, out=out)
 
 
 def bicubic_upsample(lr: np.ndarray, decimation: tuple[int, int]) -> np.ndarray:
@@ -347,22 +374,38 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     if any(o.hr_shape != hr_shape for o in observations):
         raise ValueError("observations imply inconsistent HR geometry")
     check_btv_fits(cfg.p_radius, hr_shape)
+    x, trace, converged, halvings, final_beta = _descend(observations, cfg)
+    # the working set went with _descend's frame, so the row-major copy
+    # adds no plane to the solve's peak
+    return SrResult(image=x.copy(order="C"), cost_trace=trace, converged=converged,
+                    step_halvings=halvings, final_beta=final_beta)
 
+
+def _descend(observations: list[Observation], cfg: SolverConfig):
+    """super_resolve's descent on checked observations: the iterate (a
+    column-major plane), the cost trace, the converged flag, the step
+    halvings and the last accepted step."""
+    decimation, hr_shape = observations[0].decimation, observations[0].hr_shape
     lr_shape = observations[0].image.shape
+    lr_half, hr_half = ((h // 2 + 1, w) for h, w in (lr_shape, hr_shape))
     transfers = _transfers(observations, hr_shape)
-    y_hat = [rfft2_rows(o.image) for o in observations]
-    # The working set is built here, once, and every iteration writes
-    # into it.  spec holds the warm start's spectrum, then in turn each
-    # gradient spectrum (and its in-place inverse pass) and each
-    # candidate's spectrum.  resid holds the LR residual spectra of x,
-    # then of each candidate.
-    spec = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True)
-    resid = [y - fold(t, spec, decimation) for y, t in zip(y_hat, transfers)]
-    x = irfft2_rows(spec, hr_shape, out=np.empty(hr_shape))
-    candidate, prior_grad, spare = (np.empty(hr_shape) for _ in range(3))
-    btv = _BtvBuffers(hr_shape, cfg.p_radius)
+    y_hat = [rfft2_rows(o.image, out=_plane(lr_half, complex)) for o in observations]
+    # The working set is built here, once, column-major, and every
+    # iteration writes into it.  spec holds the warm start's spectrum,
+    # then in turn each gradient spectrum (and its in-place inverse pass)
+    # and each candidate's spectrum.  resid holds the LR residual spectra
+    # fold - y of x, then of each candidate.
+    spec = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True,
+                           out=_plane(hr_half, complex))
+    resid = [_plane(lr_half, complex) for _ in observations]
+    for y, t, r in zip(y_hat, transfers, resid):
+        np.subtract(fold(t, spec, decimation, out=r), y, out=r)
+    x, candidate, prior_grad, spare = (_plane(hr_shape) for _ in range(4))
+    irfft2_rows(spec, hr_shape, out=x)
+    btv = _BtvBuffers(hr_shape[::-1], cfg.p_radius)
     # the BTV pad, idle while the gradient is built, holds each unfold
-    unfolded = btv.pad.reshape(-1)[:2 * spec.size].view(complex).reshape(spec.shape)
+    # after the first
+    unfolded = btv.pad.reshape(-1)[:2 * spec.size].view(complex).reshape(hr_half, order="F")
 
     current = _data_cost(resid, lr_shape[0]) + _prior(x, cfg, prior_grad, btv)
     if not np.isfinite(current):
@@ -373,17 +416,19 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
     halvings, final_beta = 0, 0.0
 
     for _ in range(cfg.max_iters):
-        # the residual spectra, spent once the gradient is built, hold 2 * r
-        spec.fill(0.0)
-        for r, t in zip(resid, transfers):
-            spec -= unfold(t, np.multiply(2.0, r, out=r), decimation, out=unfolded)
-        g = np.multiply(cfg.lam, prior_grad, out=prior_grad)  # used once: scaled in place
+        # half the descent direction, lam/2 * BTV gradient + D with
+        # D = sum_k adjoint(fold_k - y_k); the step doubles beta instead
+        # (both scalings are exact)
+        unfold(transfers[0], resid[0], decimation, out=spec)
+        for r, t in zip(resid[1:], transfers[1:]):
+            spec += unfold(t, r, decimation, out=unfolded)
+        g = np.multiply(cfg.lam / 2, prior_grad, out=prior_grad)  # used once: scaled in place
         g += irfft2_rows(spec, hr_shape, out=candidate)
         for _ in range(MAX_HALVINGS + 1):
-            np.subtract(x, np.multiply(beta, g, out=candidate), out=candidate)
+            np.subtract(x, np.multiply(2 * beta, g, out=candidate), out=candidate)
             rfft2_rows(candidate, out=spec)
             for y, t, r in zip(y_hat, transfers, resid):
-                np.subtract(y, fold(t, spec, decimation, out=r), out=r)
+                np.subtract(fold(t, spec, decimation, out=r), y, out=r)
             c_new = _data_cost(resid, lr_shape[0]) + _prior(candidate, cfg, spare, btv)
             if not np.isfinite(c_new):
                 raise FloatingPointError(f"solver beta0 {cfg.beta0!r}: the step of size "
@@ -408,5 +453,4 @@ def super_resolve(observations, cfg: SolverConfig | None = None) -> SrResult:
             converged = True
             break
 
-    return SrResult(image=x, cost_trace=trace, converged=converged,
-                    step_halvings=halvings, final_beta=final_beta)
+    return x, trace, converged, halvings, final_beta

@@ -15,6 +15,19 @@ def test_basic_properties():
     assert g.shape == (4, 6)
 
 
+def test_images_are_row_major(tmp_path):
+    # every stage image is row-major, whatever the layout it was given or
+    # stored in; a row-major float64 array is returned as it is
+    data = np.random.default_rng(2).normal(300.0, 50.0, size=(6, 4))
+    assert check_image(data, "image") is data
+    for given_layout in (np.asfortranarray(data), np.repeat(data, 2, axis=1)[:, ::2]):
+        image = check_image(given_layout, "image")
+        assert image.flags.c_contiguous and np.array_equal(image, data)
+    np.save(tmp_path / "fortran.npy", np.asfortranarray(data))
+    image = read_image(tmp_path / "fortran.npy")
+    assert image.flags.c_contiguous and np.array_equal(image, data)
+
+
 @pytest.mark.parametrize("bad", [
     np.zeros(5),                      # 1-D
     np.zeros((1, 5)),                 # too small
