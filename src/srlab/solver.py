@@ -182,11 +182,6 @@ def _energy(r: np.ndarray, height: int) -> float:
     return energy / (height * r.shape[1])
 
 
-def _data_cost(residuals, height: int) -> float:
-    """Sum of squared residuals of LR images of this height."""
-    return sum(_energy(r, height) for r in residuals)
-
-
 def forward_model(x: np.ndarray, obs: Observation) -> np.ndarray:
     """Apply the observation operator: blur, shift, decimate."""
     x = check_image(x, "estimate")
@@ -306,11 +301,6 @@ def btv_gradient(x: np.ndarray, alpha: float, p_radius: int) -> np.ndarray:
     return _btv(x, alpha, p_radius)[1]
 
 
-def _prior(x: np.ndarray, cfg: SolverConfig, grad: np.ndarray, buffers: _BtvBuffers) -> float:
-    """lam * BTV penalty at x; the BTV subgradient goes into grad."""
-    return cfg.lam * _btv(x, cfg.alpha, cfg.p_radius, grad, buffers)[0]
-
-
 def _cubic_spectrum(lr_hat: np.ndarray, lr_shape: tuple[int, int],
                     decimation: tuple[int, int], band_limit: bool = False,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -398,16 +388,25 @@ def _descend(observations: list[Observation], cfg: SolverConfig):
     spec = _cubic_spectrum(y_hat[0], lr_shape, decimation, band_limit=True,
                            out=_plane(hr_half, complex))
     resid = [_plane(lr_half, complex) for _ in observations]
-    for y, t, r in zip(y_hat, transfers, resid):
-        np.subtract(fold(t, spec, decimation, out=r), y, out=r)
     x, candidate, prior_grad, spare = (_plane(hr_shape) for _ in range(4))
-    irfft2_rows(spec, hr_shape, out=x)
     btv = _BtvBuffers(hr_shape[::-1], cfg.p_radius)
     # the BTV pad, idle while the gradient is built, holds each unfold
     # after the first
     unfolded = btv.pad.reshape(-1)[:2 * spec.size].view(complex).reshape(hr_half, order="F")
 
-    current = _data_cost(resid, lr_shape[0]) + _prior(x, cfg, prior_grad, btv)
+    def fold_residuals():
+        """resid = fold - y of the image whose HR spectrum spec holds."""
+        for y, t, r in zip(y_hat, transfers, resid):
+            np.subtract(fold(t, spec, decimation, out=r), y, out=r)
+
+    def cost(image: np.ndarray, grad: np.ndarray) -> float:
+        """MAP cost at image, whose residuals resid holds; BTV's subgradient goes into grad."""
+        return (sum(_energy(r, lr_shape[0]) for r in resid)
+                + cfg.lam * _btv(image, cfg.alpha, cfg.p_radius, grad, btv)[0])
+
+    # the warm start folds its residuals before irfft2_rows consumes spec
+    fold_residuals()
+    current = cost(irfft2_rows(spec, hr_shape, out=x), prior_grad)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite cost at initialization")
     trace = [current]
@@ -427,9 +426,8 @@ def _descend(observations: list[Observation], cfg: SolverConfig):
         for _ in range(MAX_HALVINGS + 1):
             np.subtract(x, np.multiply(2 * beta, g, out=candidate), out=candidate)
             rfft2_rows(candidate, out=spec)
-            for y, t, r in zip(y_hat, transfers, resid):
-                np.subtract(fold(t, spec, decimation, out=r), y, out=r)
-            c_new = _data_cost(resid, lr_shape[0]) + _prior(candidate, cfg, spare, btv)
+            fold_residuals()
+            c_new = cost(candidate, spare)
             if not np.isfinite(c_new):
                 raise FloatingPointError(f"solver beta0 {cfg.beta0!r}: the step of size "
                                          f"{beta!r} overflowed to a non-finite cost")
