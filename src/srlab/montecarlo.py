@@ -16,6 +16,7 @@ import functools
 import itertools
 import logging
 import multiprocessing
+import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -216,7 +217,6 @@ def sample_parameters(spec: ParameterSpec, rng_seed: int,
     # of support), then FWHM -> sigma
     width = draws["psf_width"] + float(rng.normal(0.0, draws["psf_error_sigma"]))
     draws["psf_sigma"] = max(width * SIGMA_PER_FWHM, PSF_SIGMA_FLOOR)
-    draws["clock_phase"] = int(draws["clock_phase"])
     return replace(base or _NOMINAL,
                    **{field: draws[name] for name, field in PARAMETER_FIELDS.items()})
 
@@ -268,9 +268,16 @@ def _plan_invariants(scenario: Scenario) -> None:
 
 
 def _check_threads(threads: int) -> None:
-    """Refuse a thread count before any plan is drawn."""
+    """Refuse a thread count before any plan is drawn: below 1, or above
+    max(8, 4 * usable CPUs), which oversubscribes the host but bounds
+    the processes a plan forks."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if threads > (cap := max(8, 4 * cpus)):
+        raise ValueError(f"threads must be <= {cap} (max(8, 4 x {cpus} usable CPUs)), "
+                         f"got {threads}")
 
 
 def _run_plan(plan, scenario: Scenario, threads: int,
@@ -425,15 +432,9 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
         raise ValueError(f"sweep axes {[p for p, _ in axes]} set one parameter twice")
     base = base or _NOMINAL
     seeds = [child_seed(master_seed, j) for j in range(seeds_per_value)]
-    for name, (_, values) in zip(names, axes):
-        fractional = [v for v in values if not float(v).is_integer()]
-        if name == "n_phi" and fractional:
-            raise ValueError(f"clock phase count must be a whole number, "
-                             f"got {fractional[0]!r}")
     plan = []
     for cell in itertools.product(*(values for _, values in axes)):
-        params = replace(base, **{name: int(v) if name == "n_phi" else float(v)
-                                  for name, v in zip(names, cell)})
+        params = replace(base, **{name: float(v) for name, v in zip(names, cell)})
         plan += [(params, seed) for seed in seeds]
     return plan
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, is_dataclass, replace
@@ -88,18 +89,20 @@ _SOLVER_KEY_MAP = {"lambda": "lam", "P": "p_radius"}
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a str, int, float (an int fits too; a
-    bool, NaN or infinity fits neither), fixed-length tuple or optional
-    field annotation."""
+    """Whether a JSON value fits a str, int, float (an int a float can
+    hold fits too; a bool, NaN or infinity fits neither), fixed-length
+    tuple or optional field annotation."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):  # X | None
         return value is None or any(_conforms(value, a) for a in args)
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, list) and len(value) == len(args)
                 and all(map(_conforms, value, args)))
-    return (hint in (str, int, float) and not isinstance(value, bool)
-            and isinstance(value, (int, float) if hint is float else hint)
-            and (not isinstance(value, float) or math.isfinite(value)))
+    if isinstance(value, bool):
+        return False
+    if hint is float:  # compares exactly, so also an int past the float range fails
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return hint in (str, int) and isinstance(value, hint)
 
 
 def _checked(value, hint, where: str, key: str):
@@ -114,7 +117,8 @@ def _checked(value, hint, where: str, key: str):
 def _apply(base, section: dict, what: str, key_map: dict | None = None):
     """Copy of dataclass instance base with a JSON mapping's keys applied.
 
-    Unknown keys are rejected, and so are nested records (such as
+    key_map renames JSON keys to fields.  Unknown keys are rejected, and
+    so are a renamed field's own name and nested records (such as
     SystemParams.geometry, which the instrument fixes); a value of the
     wrong type is rejected naming its section and key; omitted keys keep
     base's values.
@@ -122,10 +126,12 @@ def _apply(base, section: dict, what: str, key_map: dict | None = None):
     if not isinstance(section, dict):
         raise ValueError(f"config section {what!r} must be a mapping")
     hints = typing.get_type_hints(type(base))
+    key_map = key_map or {}
     kwargs = {}
     for key, value in section.items():
-        name = (key_map or {}).get(key, key)
-        if name not in hints or is_dataclass(hints[name]):
+        name = key_map.get(key, key)
+        # a field with a JSON spelling of its own has only that one
+        if name not in hints or is_dataclass(hints[name]) or key in key_map.values():
             raise ValueError(f"unknown key {key!r} in config section {what!r}")
         kwargs[name] = _checked(value, hints[name], f"config section {what!r}", key)
     return replace(base, **kwargs)

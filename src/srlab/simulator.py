@@ -68,8 +68,10 @@ class SystemParams:
     along-track subarray separation.  assumed_psf_sigma is the solver's
     Gaussian estimate of the blur (default: ASSUMED_PSF_FWHM), deliberately
     distinct from the true OTF chain.  The first three fields are what
-    the system OTF (mtf.system_otf) reads.  geometry is fixed: any value
-    but mtf.GEOMETRY is refused, and srlab reads GEOMETRY itself.
+    the system OTF (mtf.system_otf) reads; n_phi is a whole count, kept
+    as an int whichever number gives it (a sweep cell's 2.0 is 2).
+    geometry is fixed: any value but mtf.GEOMETRY is refused, and srlab
+    reads GEOMETRY itself.
     """
 
     optics_mtf_at_hr_nyq: float = 0.30
@@ -88,8 +90,17 @@ class SystemParams:
         # the noise-free case
         if not 0.0 < self.optics_mtf_at_hr_nyq <= 1.0:
             raise ValueError("optics MTF at HR Nyquist must be in (0, 1]")
+        # a whole count, stored as an int; NaN, an infinity and an int past
+        # the float range are not whole numbers
+        try:
+            whole = float(self.n_phi).is_integer()
+        except OverflowError:
+            whole = False
+        if not whole:
+            raise ValueError(f"clock phase count must be a whole number, got {self.n_phi!r}")
         if not self.n_phi >= 1:
             raise ValueError("clock phase count must be >= 1")
+        object.__setattr__(self, "n_phi", int(self.n_phi))
         if not 0.0 <= self.jitter_sigma * abs(self.jitter_sigma) < math.inf:
             raise ValueError(f"jitter sigma must be >= 0 with a finite square, got {self.jitter_sigma!r}")
         if not self.snr_at_300 > 0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class StarSpec:
             raise ValueError("center must be finite")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
+        if self.cycles > sys.float_info.max:  # the pattern takes cycles * alpha
+            raise ValueError(f"cycles must be <= {sys.float_info.max!r}, the float range")
         if self.inner_radius < 0 or self.inner_radius >= self.outer_radius:
             raise ValueError("need 0 <= inner_radius < outer_radius")
         if self.dark_level >= self.bright_level:

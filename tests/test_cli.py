@@ -73,6 +73,45 @@ def test_config_lambda_alias(config_path):
     assert cfg.scenario.grid_size == (128, 128)
 
 
+def test_config_solver_key_has_one_spelling(tmp_path, capsys):
+    # a field name beside its JSON spelling once took whichever came later
+    path, out = tmp_path / "both.json", tmp_path / "out"
+    path.write_text(json.dumps({"solver": {"lambda": 0.25, "lam": 0.9,
+                                           "P": 3, "p_radius": 1}}))
+    with pytest.raises(ValueError, match="unknown key 'lam' in config section 'solver'"):
+        load_config(path)
+    for section, key in [({"lambda": 0.25, "lam": 0.9}, "lam"),
+                         ({"P": 3, "p_radius": 1}, "p_radius")]:
+        path.write_text(json.dumps({"solver": section}))
+        assert main(["target", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: unknown key '{key}' in config section 'solver'\n")
+        assert not out.exists()
+
+
+# every key that once ended an int past the float range in an OverflowError
+@pytest.mark.parametrize("section, key, message", [
+    ("system", "n_phi", "clock phase count must be a whole number"),
+    ("system", "jitter_sigma", "key 'jitter_sigma' must be float"),
+    ("system", "snr_at_300", "key 'snr_at_300' must be float"),
+    ("system", "assumed_psf_sigma", "key 'assumed_psf_sigma' must be float"),
+    ("star", "outer_radius", "key 'outer_radius' must be float"),
+    ("star", "bright_level", "key 'bright_level' must be float"),
+    ("star", "cycles", "cycles must be <="),
+    ("montecarlo", "bin_width_m", "key 'bin_width_m' must be float")])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--seed", "7"], ["montecarlo", "--trials", "1", "--seed", "7"]])
+def test_config_int_past_float_range_exits_2(tmp_path, capsys, section, key, message,
+                                             command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**CONFIG, section: {**CONFIG[section], key: 10**400}}))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and message in line
+    assert not out.exists()
+
+
 def test_config_omitted_sections_take_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -706,6 +745,24 @@ def test_bad_thread_count_exits_2(config_path, tmp_path, capsys, command, thread
     assert main([*command, "--config", str(config_path), "--threads", threads,
                  "--seed", "7", "--out-dir", str(out)]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--trials", "1"],
+    ["sweep", "--param", "snr", "--values", "30,100", "--seeds-per-value", "1"],
+])
+def test_thread_count_past_cap_exits_2(config_path, tmp_path, capsys, monkeypatch,
+                                       command):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "run"
+    assert main([*command, "--config", str(config_path), "--threads", str(10**6),
+                 "--seed", "7", "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    cap = max(8, 4 * len(os.sched_getaffinity(0)))
+    assert line.startswith(f"error: threads must be <= {cap} ") and "1000000" in line
     assert not out.exists()
 
 

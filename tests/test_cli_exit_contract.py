@@ -142,6 +142,16 @@ def stages(tmp_path_factory):
 @example(case=("config", ("grid",), {"height": 100000, "width": 100000}))
 # RuntimeWarnings, then an error that named no key, once; named by key
 @example(case=("config", ("solver", "beta0"), 1e308))
+# OverflowError on an int past the float range once; refused at config
+# load, by key (n_phi and cycles where their records are built)
+@example(case=("config", ("system", "n_phi"), 10**400))
+@example(case=("config", ("system", "jitter_sigma"), 10**400))
+@example(case=("config", ("system", "snr_at_300"), 10**400))
+@example(case=("config", ("system", "assumed_psf_sigma"), 10**400))
+@example(case=("config", ("star", "outer_radius"), 10**400))
+@example(case=("config", ("star", "bright_level"), 10**400))
+@example(case=("config", ("star", "cycles"), 10**400))
+@example(case=("config", ("montecarlo", "bin_width_m"), 10**400))
 @given(case=cases)
 def test_main_exits_0_1_or_2_and_never_raises(stages, tmp_path_factory, case):
     part, path, value = case

@@ -299,8 +299,15 @@ def test_campaign_validation(tiny_scenario):
                      bin_width_m=0.0)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_plans_reject_bad_thread_count(tiny_scenario, threads):
+@pytest.mark.parametrize("threads", [0, -1, 10**6])
+def test_plans_reject_bad_thread_count(tiny_scenario, monkeypatch, threads):
+    # above the cap, max(8, 4 * usable CPUs), too; the check runs before
+    # the plan is drawn, so no trial runs and no process starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("the plan was drawn or run")
+    for name in ("run_trial", "sample_parameters", "_plan_invariants",
+                 "ProcessPoolExecutor"):
+        monkeypatch.setattr(montecarlo, name, no_work)
     with pytest.raises(ValueError, match="threads"):
         run_campaign(ParameterSpec(), tiny_scenario, n_trials=2, master_seed=1,
                      threads=threads)
@@ -420,7 +427,7 @@ def _record_trials(monkeypatch):
 
 
 @pytest.mark.parametrize("threads, n_trials, workers",
-                         [(16, 4, 3), (2, 5, 1), (3, 1, 0), (1, 3, 0)])
+                         [(8, 4, 3), (2, 5, 1), (3, 1, 0), (1, 3, 0)])
 def test_pool_is_sized_to_the_plan(tiny_scenario, monkeypatch, threads, n_trials,
                                    workers):
     # a fork-context pool forks all its workers at once, so a small plan

@@ -120,6 +120,19 @@ def test_chain_params_validation():
         SystemParams(jitter_sigma=-0.1)
 
 
+@pytest.mark.parametrize("n_phi", [1.5, float("nan"), float("inf"), 10**400],
+                         ids=["fraction", "nan", "inf", "past-float-range"])
+def test_clock_phase_count_must_be_whole(n_phi):
+    # a ValueError, never an OverflowError, whichever number gives the count
+    with pytest.raises(ValueError, match="clock phase count must be a whole number"):
+        SystemParams(n_phi=n_phi)
+
+
+def test_clock_phase_count_is_stored_as_int():
+    assert type(SystemParams(n_phi=2.0).n_phi) is int
+    assert SystemParams(n_phi=2.0) == SystemParams(n_phi=2)
+
+
 @pytest.mark.parametrize("n_points", [1, 0, -3])
 def test_curve_table_rejects_fewer_than_two_points(n_points):
     with pytest.raises(ValueError, match=f"at least 2 points, got {n_points}"):

@@ -31,6 +31,8 @@ def test_spec_validation():
         StarSpec(supersample=0)
     with pytest.raises(ValueError):
         StarSpec(outer_radius=float("nan"))
+    with pytest.raises(ValueError, match="cycles"):
+        StarSpec(cycles=10**400)  # past the float range the pattern computes in
 
 
 def test_supersample_is_bounded_by_the_star_box():
