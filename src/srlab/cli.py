@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import read_image, write_pgm
-from .metrology import SECTOR_COUNT, measure_resolution
+from .metrology import SECTOR_COUNT, _ladder, measure_resolution
 from .montecarlo import (PARAMETER_FIELDS, SEEDS_PER_VALUE, ParameterSpec, TrialResult,
                          run_campaign, sweep)
 from .mtf import mtf_curve_table
@@ -103,7 +103,15 @@ def cmd_mtf_curves(args, config: ScenarioConfig, out: Path) -> int:
     return 0
 
 
+def _check_measurable(scenario) -> None:
+    """Refuse a star whose ring ladder measure would refuse (metrology._ladder,
+    as a campaign does), before a stage of the chain reads or writes an image."""
+    star = scenario.star
+    _ladder(star.center, star.cycles, star.outer_radius, scenario.n_rings)
+
+
 def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
+    _check_measurable(config.scenario)
     seed = _resolve_seed(args, config)
     scenario = config.scenario
     target = generate_spoke_target(scenario.star, scenario.grid_size)
@@ -117,6 +125,7 @@ def cmd_simulate(args, config: ScenarioConfig, out: Path) -> int:
 
 
 def cmd_superresolve(args, config: ScenarioConfig, out: Path) -> int:
+    _check_measurable(config.scenario)
     observations = subarray_observations([read_image(p) for p in args.observations],
                                          config.system)
     grid = config.scenario.grid_size
@@ -197,7 +206,8 @@ def cmd_sweep(args, config: ScenarioConfig, out: Path) -> int:
         raise _UsageError(f"{len(args.param)} --param but {len(args.values)} --values: "
                           "give each --param its --values")
     seed = _resolve_seed(args, config)
-    axes = [(name, values.split(",")) for name, values in zip(args.param, args.values)]
+    axes = [(name, [float(v) for v in values.split(",")])
+            for name, values in zip(args.param, args.values)]
     result = sweep(axes, config.scenario, seeds_per_value=args.seeds_per_value,
                    base=config.system, master_seed=seed, threads=args.threads)
     _write_trials(_file(out, "sweep.csv"), [trial for cell in result.trials for trial in cell])

@@ -1,4 +1,5 @@
-"""Image checks, .npy stage-image reads, and 16-bit PGM I/O.
+"""Image checks, .npy stage-image reads, 16-bit PGM I/O, and the float
+conversion every parameter record gives its float fields (as_float).
 
 Every image in the pipeline (targets, blurred scenes, low-resolution
 observations, reconstructions) is a row-major float64 ndarray in
@@ -12,13 +13,14 @@ target, both simulated observations and its reconstruction.
 from __future__ import annotations
 
 import logging
+import sys
 
 import numpy as np
 from numpy.lib import format as npy_format
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["check_image", "write_pgm", "read_pgm", "read_image"]
+__all__ = ["as_float", "check_image", "write_pgm", "read_pgm", "read_image"]
 
 PGM_MAXVAL = 65535
 MAX_PIXELS = 1 << 26  # largest image a file header may declare (8192 x 8192)
@@ -37,6 +39,16 @@ def check_image(data, what: str) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{what}: grid contains non-finite values")
     return data
+
+
+def as_float(value, what: str) -> float:
+    """float(value); ValueError naming what, not OverflowError, for an int
+    past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be <= {sys.float_info.max!r} in magnitude, "
+                         f"the float range") from None
 
 
 def write_pgm(path, image) -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fourier import check_gaussian_fits
+from .grid import as_float
 from .metrology import _ladder_rings, measure_resolution
 from .scenario import MonteCarloConfig, Scenario
 from .seeding import child_seed
@@ -85,6 +86,8 @@ class ParameterDistribution:
     choices: tuple = ()
 
     def __post_init__(self):
+        for name in ("nominal", "low", "high"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.kind not in ("gaussian", "uniform", "choice"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "choice":
@@ -370,6 +373,7 @@ def run_campaign(spec: ParameterSpec, scenario: Scenario, n_trials: int,
     _check_threads(threads)
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    bin_width_m = as_float(bin_width_m, "bin_width_m")
     if not bin_width_m > 0:
         raise ValueError("bin width must be > 0")
     base = base or _NOMINAL
@@ -419,7 +423,8 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
 
     Cells run in row-major order; every cell runs the seeds
     child_seed(master_seed, j), j < seeds_per_value, so noise
-    realizations are paired across cells.
+    realizations are paired across cells.  Each cell's values go to
+    SystemParams as given, which refuses a bad one by name.
     """
     if seeds_per_value < 1:
         raise ValueError("seeds_per_value must be >= 1")
@@ -434,7 +439,7 @@ def _sweep_plan(axes, base: SystemParams | None, seeds_per_value: int,
     seeds = [child_seed(master_seed, j) for j in range(seeds_per_value)]
     plan = []
     for cell in itertools.product(*(values for _, values in axes)):
-        params = replace(base, **{name: float(v) for name, v in zip(names, cell)})
+        params = replace(base, **dict(zip(names, cell)))
         plan += [(params, seed) for seed in seeds]
     return plan
 
@@ -448,13 +453,14 @@ def sweep(axes, scenario: Scenario, seeds_per_value: int = SEEDS_PER_VALUE,
     holds every other field there.  Seed j is shared across all cells
     (paired noise realizations), which stabilizes the monotonicity
     comparisons.  A cell's mean resolution covers its resolved trials
-    only (NaN if none resolved).  A star that cannot be measured and a
-    solver PSF too wide for the grid are refused before any trial runs.
+    only (NaN if none resolved).  A star that cannot be measured, a value
+    SystemParams refuses and a solver PSF too wide for the grid are
+    refused before any trial runs.
     """
     _check_threads(threads)
-    axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
     _plan_invariants(scenario)
     plan = _sweep_plan(axes, base, seeds_per_value, master_seed)
+    axes = [(parameter, [float(v) for v in values]) for parameter, values in axes]
     for params, _ in plan:
         check_gaussian_fits(params.assumed_psf_sigma, scenario.grid_size)
     trials = _run_plan(plan, scenario, threads)

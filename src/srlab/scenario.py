@@ -14,7 +14,7 @@ import types
 import typing
 from dataclasses import dataclass, field, is_dataclass, replace
 
-from .grid import MAX_PIXELS
+from .grid import MAX_PIXELS, as_float
 from .metrology import check_ladder_fits
 from .simulator import _DECIMATION, REFERENCE_SIGNAL, SystemParams
 from .solver import SolverConfig, check_btv_fits
@@ -40,6 +40,7 @@ class Scenario:
     n_rings: int = 80
 
     def __post_init__(self):
+        object.__setattr__(self, "nem_signal", as_float(self.nem_signal, "nem_signal"))
         if not 0.0 < self.nem_signal < math.inf:
             raise ValueError(f"NEM reference signal must be finite and > 0, "
                              f"got {self.nem_signal!r}")
@@ -68,6 +69,7 @@ class MonteCarloConfig:
     bin_width_m: float = 0.05
 
     def __post_init__(self):
+        object.__setattr__(self, "bin_width_m", as_float(self.bin_width_m, "bin_width_m"))
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not self.bin_width_m > 0:

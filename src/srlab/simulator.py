@@ -22,7 +22,7 @@ import numpy as np
 
 from .fourier import (check_gaussian_fits, fold, gaussian_kernel, irfft2_rows,
                       rfft2_rows, shift_multiplier_2d)
-from .grid import check_image
+from .grid import as_float, check_image
 from .mtf import GEOMETRY, GeometryConstants, system_otf
 from .seeding import child_seed
 
@@ -69,7 +69,8 @@ class SystemParams:
     Gaussian estimate of the blur (default: ASSUMED_PSF_FWHM), deliberately
     distinct from the true OTF chain.  The first three fields are what
     the system OTF (mtf.system_otf) reads; n_phi is a whole count, kept
-    as an int whichever number gives it (a sweep cell's 2.0 is 2).
+    as an int whichever number gives it (a sweep cell's 2.0 is 2), and
+    every float field is kept as a float.
     geometry is fixed: any value but mtf.GEOMETRY is refused, and srlab
     reads GEOMETRY itself.
     """
@@ -84,6 +85,9 @@ class SystemParams:
     geometry: GeometryConstants = GEOMETRY
 
     def __post_init__(self):
+        for name in ("optics_mtf_at_hr_nyq", "jitter_sigma", "snr_at_300",
+                     "subarray_shift_ax", "assumed_psf_sigma"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.geometry != GEOMETRY:
             raise ValueError(f"geometry is fixed at mtf.GEOMETRY, got {self.geometry!r}")
         # every test is written so that NaN fails it; an infinite SNR is
@@ -111,11 +115,8 @@ class SystemParams:
             raise ValueError(f"assumed PSF sigma must be finite and > 0, "
                              f"got {self.assumed_psf_sigma!r}")
         # the HR shift _subarray_shifts makes of it must pass Observation
-        try:
-            phase = math.pi * _subarray_shifts(self)[1][0]
-        except OverflowError:  # an int past the float range
-            phase = math.inf
-        if not 0.0 <= phase < math.inf:
+        as_float(self.subarray_shift_al_lines, "subarray_shift_al_lines")
+        if not 0.0 <= math.pi * _subarray_shifts(self)[1][0] < math.inf:
             raise ValueError("subarray_shift_al_lines must be >= 0 with a finite HR "
                              "shift and phase ramp pi * shift")
 
@@ -142,12 +143,13 @@ class Observation:
 
     def __post_init__(self):
         self.image = check_image(self.image, "observation image")
+        self.shift_hr = tuple(as_float(s, "shift_hr") for s in self.shift_hr)
         if self.decimation[0] < 1 or self.decimation[1] < 1:
             raise ValueError("decimation factors must be >= 1")
         # the shift ramp's largest phase is pi * shift, at the Nyquist bin
         if not all(math.isfinite(math.pi * s) for s in self.shift_hr):
             raise ValueError(f"shift_hr components must be finite with a finite phase "
-                             f"ramp pi * shift, got {tuple(self.shift_hr)!r}")
+                             f"ramp pi * shift, got {self.shift_hr!r}")
         self.assumed_psf = np.asarray(self.assumed_psf, dtype=np.float64)
         if self.assumed_psf.ndim != 2 or not np.all(np.isfinite(self.assumed_psf)):
             raise ValueError(f"assumed PSF must be a finite 2-D kernel, "
@@ -173,7 +175,9 @@ def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
     """Half-plane spectrum of an HR target filtered by the system OTF.
 
     The OTF is evaluated on the target's frequency grid in cycles per HR
-    sample.  DC gain is 1, so the mean is preserved.
+    sample.  DC gain is 1, so the mean is preserved.  The plane is
+    column-major, as the solver's are, so every fold block of it is a
+    contiguous run of columns (the values are the same in either layout).
     """
     target = check_image(target, "target")
     h, w = target.shape
@@ -181,12 +185,16 @@ def _blurred_spectrum(target: np.ndarray, params: SystemParams) -> np.ndarray:
         raise ValueError(f"target dimensions must be even, got {h}x{w}")
 
     otf = system_otf(params, np.fft.fftfreq(w)[None, :], np.fft.rfftfreq(h)[:, None])
-    return rfft2_rows(target) * otf
+    spectrum = rfft2_rows(target, out=np.empty(otf.shape, complex, order="F"))
+    spectrum *= otf
+    return spectrum
 
 
 def render_blurred_scene(target: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Filter an HR target by the system OTF (see _blurred_spectrum)."""
-    return irfft2_rows(_blurred_spectrum(target, params), np.shape(target))
+    """Filter an HR target by the system OTF (see _blurred_spectrum), as a
+    row-major image."""
+    shape = np.shape(target)
+    return irfft2_rows(_blurred_spectrum(target, params), shape, out=np.empty(shape))
 
 
 def add_noise(image: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:

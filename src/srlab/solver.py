@@ -45,7 +45,7 @@ import numpy as np
 
 from .fourier import (fold, irfft2_rows, kernel_transfer, rfft2_rows,
                       shift_multiplier_2d, unfold)
-from .grid import MAX_PIXELS, check_image
+from .grid import MAX_PIXELS, as_float, check_image
 from .simulator import Observation, _hr_shape
 
 __all__ = [
@@ -110,6 +110,9 @@ class SolverConfig:
     sr_factor: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name, what in (("lam", "lambda"), ("alpha", "alpha"), ("beta0", "beta0"),
+                           ("rel_tol", "rel_tol")):
+            object.__setattr__(self, name, as_float(getattr(self, name), what))
         if not self.lam >= 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam!r}")
         _check_btv(self.alpha, self.p_radius)

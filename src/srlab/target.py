@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import math
-import sys
 
 import numpy as np
 
-from .grid import MAX_PIXELS
+from .grid import MAX_PIXELS, as_float
 
 __all__ = ["StarSpec", "generate_spoke_target", "pattern_angle"]
 
@@ -31,7 +30,8 @@ class StarSpec:
 
     cycles is the number of bright/dark periods around the full circle
     (144 by default).  Radii and center are in HR pixels.  supersample is
-    the number of anti-aliasing sub-points per HR pixel per axis.
+    the number of anti-aliasing sub-points per HR pixel per axis.  The
+    radii, levels and center coordinates are stored as floats.
     """
 
     cycles: int = 144
@@ -44,14 +44,15 @@ class StarSpec:
 
     def __post_init__(self):
         for name in ("outer_radius", "inner_radius", "dark_level", "bright_level"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "center", tuple(as_float(c, "center") for c in self.center))
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("center must be finite")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
-        if self.cycles > sys.float_info.max:  # the pattern takes cycles * alpha
-            raise ValueError(f"cycles must be <= {sys.float_info.max!r}, the float range")
+        as_float(self.cycles, "cycles")  # the pattern takes cycles * alpha
         if self.inner_radius < 0 or self.inner_radius >= self.outer_radius:
             raise ValueError("need 0 <= inner_radius < outer_radius")
         if self.dark_level >= self.bright_level:

@@ -828,6 +828,26 @@ def test_sweep_of_a_star_without_rings_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--seed", "7"],
+    ["superresolve", "--observations", "obs1.npy", "obs2.npy"]],
+    ids=["simulate", "superresolve"])
+def test_stage_chain_refuses_a_star_without_rings(tmp_path, capsys, monkeypatch, command):
+    # measure would refuse the star, so the stages before it refuse it too,
+    # before they read an image (these observations do not exist) or write one
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**CONFIG, "star": {**CONFIG["star"], "outer_radius": 20.0}}))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: outer radius 20.0 leaves no measurable rings")
+    assert not out.exists()
+    # the stages that end no chain still take the config
+    assert main(["target", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert main(["mtf-curves", "--config", str(path), "--out-dir", str(out)]) == 0
+
+
 def test_sweep_subcommand(config_path, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config_path), "--param", "snr",

@@ -1,3 +1,4 @@
+import functools
 import logging
 import time
 
@@ -7,6 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.grid import check_image, read_image, read_pgm, write_pgm
+from srlab.montecarlo import ParameterDistribution
+from srlab.scenario import MonteCarloConfig, Scenario
+from srlab.simulator import Observation, SystemParams
+from srlab.solver import SolverConfig
+from srlab.target import StarSpec
 
 
 def test_basic_properties():
@@ -166,3 +172,56 @@ def test_read_image_refuses_bad_npy(tmp_path, array, message):
     (tmp_path / "cut.npy").write_bytes((tmp_path / "bad.npy").read_bytes()[:-4])
     with pytest.raises(ValueError, match="cut.npy: "):
         read_image(tmp_path / "cut.npy")
+
+
+# every float field of a parameter record: (record, field, the name its
+# messages use, a valid value given as ints)
+_distribution = functools.partial(ParameterDistribution, name="x", kind="uniform",
+                                  nominal=1, low=0, high=2)
+_observation = functools.partial(Observation, np.zeros((4, 4)), decimation=(1, 2),
+                                 assumed_psf=np.ones((1, 1)))
+FLOAT_FIELDS = [
+    (SystemParams, "optics_mtf_at_hr_nyq", "optics_mtf_at_hr_nyq", 1),
+    (SystemParams, "jitter_sigma", "jitter_sigma", 0),
+    (SystemParams, "snr_at_300", "snr_at_300", 60),
+    (SystemParams, "subarray_shift_ax", "subarray_shift_ax", 0),
+    (SystemParams, "assumed_psf_sigma", "assumed_psf_sigma", 1),
+    (StarSpec, "outer_radius", "outer_radius", 104),
+    (StarSpec, "inner_radius", "inner_radius", 8),
+    (StarSpec, "dark_level", "dark_level", 0),
+    (StarSpec, "bright_level", "bright_level", 600),
+    (StarSpec, "center", "center", (128, 128)),
+    (SolverConfig, "lam", "lambda", 1),
+    (SolverConfig, "alpha", "alpha", 1),
+    (SolverConfig, "beta0", "beta0", 1),
+    (SolverConfig, "rel_tol", "rel_tol", 0),
+    (Scenario, "nem_signal", "nem_signal", 300),
+    (MonteCarloConfig, "bin_width_m", "bin_width_m", 1),
+    (_distribution, "nominal", "nominal", 1),
+    (_distribution, "low", "low", 0),
+    (_distribution, "high", "high", 2),
+    (_observation, "shift_hr", "shift_hr", (1, 2)),
+]
+
+
+def _huge(value):
+    """Each way of putting an int past the float range into a field that
+    holds value: the value itself, or one coordinate of a pair."""
+    if isinstance(value, tuple):
+        return [(10**400, 1), (1, -10**400)]
+    return [10**400, -10**400]
+
+
+@pytest.mark.parametrize("record, field, name, value", FLOAT_FIELDS,
+                         ids=[f"{getattr(record, 'func', record).__name__}.{field}"
+                              for record, field, _, _ in FLOAT_FIELDS])
+def test_float_fields_hold_floats_within_the_float_range(record, field, name, value):
+    # an int past the float range is refused by name, never with an
+    # OverflowError, and an int a float can hold is stored as that float
+    for huge in _huge(value):
+        with pytest.raises(ValueError, match=f"^{name} must be <= 1.7976931348623157e"
+                                             f"\\+308 in magnitude, the float range$"):
+            record(**{field: huge})
+    stored = getattr(record(**{field: value}), field)
+    assert stored == value
+    assert all(type(v) is float for v in (stored if isinstance(value, tuple) else [stored]))

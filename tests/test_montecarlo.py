@@ -399,6 +399,30 @@ def test_sweep_rejects_fractional_clock_phase(tiny_scenario, monkeypatch):
     assert [params.n_phi for params, _ in plan] == [1, 2]
 
 
+@pytest.mark.parametrize("parameter, message", [
+    ("clock_phase", "^clock phase count must be a whole number"),
+    ("jitter", "^jitter_sigma must be <= .* the float range$")])
+def test_sweep_refuses_int_past_float_range_before_any_trial(tiny_scenario, monkeypatch,
+                                                             parameter, message):
+    # the cell's SystemParams refuses the value by name, never with an
+    # OverflowError, while the plan is built
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    with pytest.raises(ValueError, match=message):
+        sweep([(parameter, [10**400, 1])], tiny_scenario, seeds_per_value=1)
+
+
+def test_campaign_refuses_bin_width_past_float_range_before_any_trial(tiny_scenario,
+                                                                      monkeypatch):
+    # refused before any trial runs: binning the resolutions would overflow
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "run_trial", no_trial)
+    with pytest.raises(ValueError, match="^bin_width_m must be <= .* the float range$"):
+        run_campaign(ParameterSpec(), tiny_scenario, 2, 0, bin_width_m=10**400)
+
+
 @pytest.mark.parametrize("axes, message", [
     ([("snr", [30.0, 100.0]), ("snr_at_300", [40.0, 50.0])], "twice"),
     ([("jitter", [0.1, 0.2]), ("jitter", [0.1, 0.2])], "twice"),

@@ -118,6 +118,21 @@ def test_blur_preserves_constant(rng, nominal_params):
     assert np.allclose(out, 123.456, atol=1e-9)
 
 
+@pytest.mark.parametrize("seed", [9, 42])
+def test_observations_do_not_depend_on_the_spectrum_layout(star_target, monkeypatch,
+                                                          seed):
+    # the blurred spectrum is column-major, so both subarray folds run on
+    # contiguous column blocks; its row-major copy folds to the same images
+    params = SystemParams(n_phi=2, jitter_sigma=0.15, subarray_shift_ax=0.3)
+    assert _blurred_spectrum(star_target, params).flags.f_contiguous
+    by_columns = simulate_observations(star_target, params, seed)
+    monkeypatch.setattr(simulator, "_blurred_spectrum",
+                        lambda target, p: np.ascontiguousarray(_blurred_spectrum(target, p)))
+    by_rows = simulate_observations(star_target, params, seed)
+    assert all(np.array_equal(a.image, b.image) for a, b in zip(by_columns, by_rows))
+    assert render_blurred_scene(star_target, params).flags.c_contiguous
+
+
 def test_blur_rejects_odd_dims(nominal_params):
     with pytest.raises(ValueError, match="even"):
         render_blurred_scene(np.zeros((31, 32)), nominal_params)
